@@ -1,10 +1,8 @@
 #include "core/executor.h"
 
-#include "analysis/plan_checker.h"
 #include "common/str_util.h"
 #include "core/modifiers.h"
 #include "obs/trace.h"
-#include "plan/planner.h"
 
 // Paranoid self-checks at operator boundaries: always on in debug builds,
 // and in release builds when the tree is compiled with sanitizers
@@ -365,35 +363,6 @@ Result<QueryResult> ExecutePlan(
     profile->Finish(result.simulated_millis, result.counters);
   }
   return result;
-}
-
-Result<QueryResult> ExecuteJoinTree(
-    const JoinTree& tree, const sparql::Query& query, const VpStore& vp,
-    const PropertyTable* property_table,
-    const PropertyTable* reverse_property_table,
-    const engine::JoinOptions& join_options,
-    const rdf::Dictionary& dictionary, cluster::CostModel& cost,
-    const engine::ExecContext* exec) {
-  if (tree.nodes.empty()) {
-    return Status::InvalidArgument("empty join tree");
-  }
-#if defined(PROST_PARANOID_CHECKS) || !defined(NDEBUG)
-  // Structural verification of the plan against its query. ProstDb already
-  // ran the full contextual CheckPlan; this guards direct callers (tests,
-  // hand-built trees) at zero cost in plain release builds.
-  PROST_RETURN_IF_ERROR(analysis::CheckPlanStructure(tree, query));
-#endif
-  plan::PlannerInputs inputs;
-  inputs.vp = &vp;
-  inputs.property_table = property_table;
-  inputs.reverse_property_table = reverse_property_table;
-  PROST_ASSIGN_OR_RETURN(plan::PhysicalPlan physical,
-                         plan::BuildPlan(tree, query, inputs));
-#if defined(PROST_PARANOID_CHECKS) || !defined(NDEBUG)
-  PROST_RETURN_IF_ERROR(analysis::CheckPhysicalPlan(physical, query));
-#endif
-  return ExecutePlan(physical, vp, property_table, reverse_property_table,
-                     join_options, dictionary, cost, exec);
 }
 
 }  // namespace prost::core

@@ -49,27 +49,11 @@ struct QueryResult {
 /// contains no scan of that kind. The cost model must be freshly reset;
 /// on return it carries the query's simulated time.
 ///
-/// `exec` (nullable) selects the morsel-driven parallel operator paths;
-/// the result relation is bit-identical to a serial run and the simulated
-/// time is unchanged — parallelism affects wall-clock only.
+/// `exec` (nullable) carries the pool the operators' tasks run on; the
+/// result relation and the simulated time are bit-identical at every
+/// thread count — parallelism affects wall-clock only.
 Result<QueryResult> ExecutePlan(
     const plan::PhysicalPlan& physical, const VpStore& vp,
-    const PropertyTable* property_table,
-    const PropertyTable* reverse_property_table,
-    const engine::JoinOptions& join_options,
-    const rdf::Dictionary& dictionary, cluster::CostModel& cost,
-    const engine::ExecContext* exec = nullptr);
-
-/// Executes a Join Tree bottom-up (§3.2): lowers the tree plus the
-/// query's modifiers into the unoptimized physical plan (plan/planner.h;
-/// no optimizer passes) and interprets it — each node's sub-query is
-/// materialized from its storage structure, then the intermediate
-/// results are folded together with hash joins (broadcast or shuffle,
-/// per `join_options`), then the FILTER / projection / DISTINCT / LIMIT
-/// modifiers of `query` run at the end. Kept as the pass-free entry
-/// point for direct callers (tests, hand-built trees).
-Result<QueryResult> ExecuteJoinTree(
-    const JoinTree& tree, const sparql::Query& query, const VpStore& vp,
     const PropertyTable* property_table,
     const PropertyTable* reverse_property_table,
     const engine::JoinOptions& join_options,

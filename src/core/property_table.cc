@@ -8,6 +8,7 @@
 #include "common/io.h"
 #include "common/str_util.h"
 #include "engine/kernels.h"
+#include "engine/task_loop.h"
 
 namespace prost::core {
 
@@ -217,18 +218,6 @@ uint64_t PropertyTable::ScanPlannerBytes(
   return planner_bytes;
 }
 
-namespace {
-
-/// True when a row group's zone map admits `id` for the column — NULLs
-/// are excluded from min/max, so `value_count == 0` (all-NULL chunk)
-/// admits nothing.
-bool ZoneMayContain(const columnar::ColumnStats& stats, TermId id) {
-  if (stats.value_count == 0) return false;
-  return id >= stats.min_id && id <= stats.max_id;
-}
-
-}  // namespace
-
 Result<Relation> PropertyTable::Scan(
     const PatternTerm& key, const std::vector<ColumnPattern>& patterns,
     cluster::CostModel& cost, const engine::ExecContext* exec,
@@ -274,10 +263,10 @@ Result<Relation> PropertyTable::Scan(
     }
   }
 
-  // Cost model first, entirely on the calling thread: columnar pruning
-  // charges the key column plus each touched column once per partition.
-  // `charged_cols` is that column set (key first); paged scans apportion
-  // exactly these columns' bytes over row groups.
+  // Columnar pruning charges the key column plus each touched column once
+  // per partition. `charged_cols` is that column set (key first); paged
+  // scans apportion exactly these columns' bytes over row groups. All
+  // charges happen on the calling thread.
   std::vector<size_t> charged_cols{0};
   for (int c : pattern_column) {
     if (c >= 0 && std::find(charged_cols.begin(), charged_cols.end(),
@@ -305,12 +294,6 @@ Result<Relation> PropertyTable::Scan(
     output.set_planner_bytes(planner_bytes);
     return output;
   }
-  if (!paged_mode()) {
-    for (uint32_t w = 0; w < num_workers_; ++w) {
-      cost.ChargeScan(w, full_scan_bytes[w]);
-    }
-  }
-
   // When every touched column is flat (kId), each input row yields at
   // most one output row and the whole scan vectorizes: constant patterns
   // and NULL checks refine a selection vector, repeated variables become
@@ -337,7 +320,7 @@ Result<Relation> PropertyTable::Scan(
   // surviving input rows map 1:1 to output rows.
   auto scan_rows_flat = [&](const IdVector& row_keys,
                             const std::vector<const Column*>& cols,
-                            RelationChunk& out) -> uint64_t {
+                            RelationChunk& out) {
     std::vector<uint32_t> sel;
     if (!key.is_variable) {
       engine::kernels::Filter(row_keys, key.id, 0, row_keys.size(), sel);
@@ -372,15 +355,13 @@ Result<Relation> PropertyTable::Scan(
         engine::kernels::Gather(*bound[c], sel, out.columns[c]);
       }
     }
-    return sel.size();
   };
 
   // General scan: row-at-a-time partial-binding expansion over list
   // (multi-valued) columns.
   auto scan_rows_general = [&](const IdVector& row_keys,
                                const std::vector<const Column*>& cols,
-                               RelationChunk& out) -> uint64_t {
-    uint64_t emitted = 0;
+                               RelationChunk& out) {
     std::vector<engine::Row> partials;
     std::vector<engine::Row> next;
     for (size_t r = 0; r < row_keys.size(); ++r) {
@@ -444,215 +425,112 @@ Result<Relation> PropertyTable::Scan(
         for (size_t c = 0; c < names.size(); ++c) {
           out.columns[c].push_back(row[c]);
         }
-        ++emitted;
       }
     }
-    return emitted;
   };
 
   auto scan_rows = [&](const IdVector& row_keys,
                        const std::vector<const Column*>& cols,
-                       RelationChunk& out) -> uint64_t {
-    return all_flat ? scan_rows_flat(row_keys, cols, out)
-                    : scan_rows_general(row_keys, cols, out);
+                       RelationChunk& out) {
+    all_flat ? scan_rows_flat(row_keys, cols, out)
+             : scan_rows_general(row_keys, cols, out);
   };
 
+  // Per partition: the rows the scan reads and the lexical bytes it
+  // charges. A paged partition keeps only the row groups the pruner cannot
+  // rule out; each touched column is its own charge unit, and a group
+  // whose touched predicate column is all-NULL cannot produce a row.
+  std::vector<RowGroupPruner::Partition> kept(paged_mode() ? num_workers_
+                                                           : 0);
+  std::vector<uint64_t> scanned_rows(num_workers_, 0);
+  std::vector<uint64_t> charged_bytes(num_workers_, 0);
+  ScanTelemetry local;
   if (paged_mode()) {
     if (pool_ == nullptr) {
       return Status::Internal(
           "paged property table scanned without a buffer pool");
     }
-    // Every id each storage column is constrained to equal: pattern
-    // constants, plus pushed-filter equality hints on the column's
-    // variable (a hint of kNullTermId matches ZoneMayContain nowhere,
-    // which is exactly right — the filter constant is outside the
-    // dictionary, so no stored row survives it).
-    std::vector<std::vector<TermId>> col_eq(num_columns());
-    if (!key.is_variable) col_eq[0].push_back(key.id);
+    std::vector<std::pair<size_t, const PatternTerm*>> bindings{{0, &key}};
     for (size_t i = 0; i < patterns.size(); ++i) {
-      if (!patterns[i].value.is_variable) {
-        col_eq[static_cast<size_t>(pattern_column[i])].push_back(
-            patterns[i].value.id);
-      }
+      bindings.emplace_back(static_cast<size_t>(pattern_column[i]),
+                            &patterns[i].value);
     }
-    if (hints != nullptr) {
-      for (const ScanEqualityHint& hint : hints->equals) {
-        if (key.is_variable && key.name == hint.variable) {
-          col_eq[0].push_back(hint.id);
-        }
-        for (size_t i = 0; i < patterns.size(); ++i) {
-          if (patterns[i].value.is_variable &&
-              patterns[i].value.name == hint.variable) {
-            col_eq[static_cast<size_t>(pattern_column[i])].push_back(hint.id);
-          }
-        }
-      }
-    }
-
-    // Pruning pass, all from metadata (no decode): the key bloom filter
-    // kills whole partitions on constrained keys; a row group dies when
-    // a zone map excludes a constrained id, or when any touched
-    // predicate column is all-NULL in the group (every row would lose
-    // that pattern's non-empty-cell check anyway). Scan charges stay in
-    // the lexical byte domain: each touched column's lexical size is
-    // apportioned over groups in proportion to its encoded chunk bytes,
-    // flooring cumulatively so per-group charges telescope to exactly
-    // full_scan_bytes[w] when nothing is skipped.
-    std::vector<std::vector<uint32_t>> plan(num_workers_);
-    std::vector<uint64_t> scanned_rows(num_workers_, 0);
-    std::vector<uint64_t> charged_bytes(num_workers_, 0);
-    ScanTelemetry local;
+    const RowGroupPruner pruner(
+        num_columns(), bindings, hints,
+        std::vector<size_t>(charged_cols.begin() + 1, charged_cols.end()));
     for (uint32_t w = 0; w < num_workers_; ++w) {
-      const columnar::PagedTable& paged = paged_[w];
-      local.row_groups_total += paged.num_groups();
-      if (paged.num_groups() == 0) {
+      if (paged_[w].num_groups() == 0) {
         // Empty partition: nothing to prune; keep the in-memory charge.
         charged_bytes[w] = full_scan_bytes[w];
         continue;
       }
-      bool bloom_rejected = false;
-      for (TermId id : col_eq[0]) {
-        if (!paged.key_bloom().MayContain(id)) {
-          bloom_rejected = true;
-          break;
-        }
+      std::vector<RowGroupPruner::ChargeUnit> units;
+      for (size_t c : charged_cols) {
+        units.push_back({{c}, column_bytes_[w][c]});
       }
-      if (bloom_rejected) {
-        ++local.partitions_skipped;
-        continue;
-      }
-      std::vector<uint64_t> payload_total(charged_cols.size(), 0);
-      std::vector<uint64_t> payload_cum(charged_cols.size(), 0);
-      std::vector<uint64_t> lex_cum(charged_cols.size(), 0);
-      for (size_t j = 0; j < charged_cols.size(); ++j) {
-        payload_total[j] =
-            paged.ColumnPayloadBytes(static_cast<uint32_t>(charged_cols[j]));
-      }
-      for (size_t g = 0; g < paged.num_groups(); ++g) {
-        uint64_t group_lex = 0;
-        bool keep = true;
-        for (size_t j = 0; j < charged_cols.size(); ++j) {
-          const size_t c = charged_cols[j];
-          payload_cum[j] += paged.group(g).chunks[c].bytes;
-          const uint64_t lex_c = column_bytes_[w][c];
-          uint64_t lex_next =
-              payload_total[j] == 0
-                  ? lex_c
-                  : lex_c * payload_cum[j] / payload_total[j];
-          group_lex += lex_next - lex_cum[j];
-          lex_cum[j] = lex_next;
-          if (!keep) continue;
-          if (j > 0 && paged.stats(g, c).value_count == 0) keep = false;
-          for (TermId id : col_eq[c]) {
-            if (!ZoneMayContain(paged.stats(g, c), id)) {
-              keep = false;
-              break;
-            }
-          }
-        }
-        if (!keep) {
-          ++local.row_groups_skipped;
-          continue;
-        }
-        plan[w].push_back(static_cast<uint32_t>(g));
-        scanned_rows[w] += paged.group(g).num_rows;
-        charged_bytes[w] += group_lex;
-      }
+      kept[w] = pruner.Prune(paged_[w], units, local);
+      scanned_rows[w] = kept[w].rows;
+      charged_bytes[w] = kept[w].charged_bytes;
     }
-
-    // Scans partition `w`'s surviving groups, in ascending group (= row)
-    // order, through pool pins: the key chunk plus one pin per distinct
-    // touched column, held for exactly the duration of the group's scan.
-    auto scan_partition_paged = [&](uint32_t w,
-                                    RelationChunk& out) -> Result<uint64_t> {
-      const columnar::PagedTable& paged = paged_[w];
-      uint64_t emitted_rows = 0;
-      std::vector<columnar::PinnedPage> pins;
-      std::vector<const Column*> cols(patterns.size(), nullptr);
-      for (uint32_t g : plan[w]) {
-        PROST_ASSIGN_OR_RETURN(columnar::PinnedPage key_pin,
-                               pool_->Pin(paged, g, 0));
-        pins.clear();
-        pins.reserve(charged_cols.size() - 1);
-        for (size_t j = 1; j < charged_cols.size(); ++j) {
-          PROST_ASSIGN_OR_RETURN(
-              columnar::PinnedPage pin,
-              pool_->Pin(paged, g, static_cast<uint32_t>(charged_cols[j])));
-          pins.push_back(std::move(pin));
-          // Frame storage is stable in the pool, so the Column reference
-          // survives `pins` reallocation.
-          for (size_t i = 0; i < patterns.size(); ++i) {
-            if (static_cast<size_t>(pattern_column[i]) == charged_cols[j]) {
-              cols[i] = &pins.back().column();
-            }
-          }
-        }
-        emitted_rows += scan_rows(key_pin.column().ids(), cols, out);
-      }
-      return emitted_rows;
-    };
-
-    std::vector<uint64_t> emitted(num_workers_, 0);
-    std::vector<Status> statuses(num_workers_, Status::OK());
-    auto run_partition = [&](uint32_t w) {
-      Result<uint64_t> rows =
-          scan_partition_paged(w, output.mutable_chunks()[w]);
-      if (rows.ok()) {
-        emitted[w] = *rows;
-      } else {
-        statuses[w] = rows.status();
-      }
-    };
-    if (engine::IsParallel(exec)) {
-      exec->pool()->ParallelFor(num_workers_, [&](size_t w) {
-        run_partition(static_cast<uint32_t>(w));
-      });
-    } else {
-      for (uint32_t w = 0; w < num_workers_; ++w) run_partition(w);
-    }
-    for (const Status& status : statuses) {
-      PROST_RETURN_IF_ERROR(status);
-    }
-    for (uint32_t w = 0; w < num_workers_; ++w) {
-      cost.ChargeScan(w, charged_bytes[w]);
-      cost.ChargeCpuRows(w, scanned_rows[w] + emitted[w]);
-      local.bytes_scanned += charged_bytes[w];
-    }
-    pool_->NoteRowGroupsSkipped(local.row_groups_skipped);
-    pool_->NotePartitionsSkipped(local.partitions_skipped);
-    pool_->NoteBytesScanned(local.bytes_scanned);
-    if (telemetry != nullptr) *telemetry = local;
-    if (key.is_variable) output.set_hash_partitioned_by(0);
-    output.set_planner_bytes(planner_bytes);
-    return output;
-  }
-
-  // Scans partition `w` into its output chunk, returning emitted rows.
-  // Each partition writes only its own chunk, so partitions are
-  // independent tasks and parallel output is bit-identical to serial.
-  auto scan_partition = [&](uint32_t w) -> uint64_t {
-    const StoredTable& part = partitions_[w];
-    std::vector<const Column*> cols(patterns.size(), nullptr);
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      cols[i] = &part.column(static_cast<size_t>(pattern_column[i]));
-    }
-    return scan_rows(part.column(0).ids(), cols,
-                     output.mutable_chunks()[w]);
-  };
-
-  std::vector<uint64_t> emitted(num_workers_, 0);
-  if (engine::IsParallel(exec)) {
-    exec->pool()->ParallelFor(num_workers_, [&](size_t w) {
-      emitted[w] = scan_partition(static_cast<uint32_t>(w));
-    });
   } else {
     for (uint32_t w = 0; w < num_workers_; ++w) {
-      emitted[w] = scan_partition(w);
+      scanned_rows[w] = partitions_[w].num_rows();
+      charged_bytes[w] = full_scan_bytes[w];
     }
   }
+
+  // One task per partition, writing only its own output chunk. A paged
+  // partition scans its surviving groups in ascending (= row) order
+  // through pool pins: the key chunk plus one pin per distinct touched
+  // column, held for exactly the duration of the group's scan.
+  auto scan_partition = [&](uint32_t w) -> Status {
+    RelationChunk& out = output.mutable_chunks()[w];
+    std::vector<const Column*> cols(patterns.size(), nullptr);
+    if (!paged_mode()) {
+      const StoredTable& part = partitions_[w];
+      for (size_t i = 0; i < patterns.size(); ++i) {
+        cols[i] = &part.column(static_cast<size_t>(pattern_column[i]));
+      }
+      scan_rows(part.column(0).ids(), cols, out);
+      return Status::OK();
+    }
+    const columnar::PagedTable& paged = paged_[w];
+    std::vector<columnar::PinnedPage> pins;
+    for (uint32_t g : kept[w].groups) {
+      PROST_ASSIGN_OR_RETURN(columnar::PinnedPage key_pin,
+                             pool_->Pin(paged, g, 0));
+      pins.clear();
+      pins.reserve(charged_cols.size() - 1);
+      for (size_t j = 1; j < charged_cols.size(); ++j) {
+        PROST_ASSIGN_OR_RETURN(
+            columnar::PinnedPage pin,
+            pool_->Pin(paged, g, static_cast<uint32_t>(charged_cols[j])));
+        pins.push_back(std::move(pin));
+        // Frame storage is stable in the pool, so the Column reference
+        // survives `pins` reallocation.
+        for (size_t i = 0; i < patterns.size(); ++i) {
+          if (static_cast<size_t>(pattern_column[i]) == charged_cols[j]) {
+            cols[i] = &pins.back().column();
+          }
+        }
+      }
+      scan_rows(key_pin.column().ids(), cols, out);
+    }
+    return Status::OK();
+  };
+  std::vector<Status> statuses(num_workers_);
+  engine::RunTasks(exec, num_workers_, [&](size_t w) {
+    statuses[w] = scan_partition(static_cast<uint32_t>(w));
+  });
+  for (const Status& status : statuses) PROST_RETURN_IF_ERROR(status);
+
+  uint64_t bytes_scanned = 0;
   for (uint32_t w = 0; w < num_workers_; ++w) {
-    cost.ChargeCpuRows(w, partitions_[w].num_rows() + emitted[w]);
+    cost.ChargeScan(w, charged_bytes[w]);
+    cost.ChargeCpuRows(w, scanned_rows[w] + output.chunks()[w].num_rows());
+    bytes_scanned += charged_bytes[w];
   }
+  if (paged_mode()) RecordPagedScan(*pool_, bytes_scanned, local, telemetry);
   if (key.is_variable) output.set_hash_partitioned_by(0);
   // The planner sees the touched columns' size (Parquet column pruning is
   // visible to Spark's relation statistics).

@@ -68,9 +68,9 @@ class PropertyTable {
   /// bound column. Variables repeated across patterns (including the key
   /// variable) are joined within the row. Charges only the touched
   /// columns' bytes to `cost` — the columnar pruning that makes the PT
-  /// cheap to scan despite its width. A parallel `exec` scans partitions
-  /// concurrently (each writes its own output chunk, so output is
-  /// bit-identical to serial); cost charges stay on the calling thread.
+  /// cheap to scan despite its width. Each partition is one scan task
+  /// writing its own output chunk, so the output is bit-identical at any
+  /// thread count; cost charges stay on the calling thread.
   /// When the table is paged (EnablePaging), row groups are skipped
   /// before decode whenever (a) a zone map excludes a constant or an
   /// equality-`hint` id for the column its variable binds, or (b) any

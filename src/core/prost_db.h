@@ -65,9 +65,10 @@ class ProstDb {
     /// cost differs.
     plan::PassOptions passes;
     /// Real-executor parallelism (morsel-driven operators). The default
-    /// (num_threads = 1) runs the serial paths; num_threads = 0 uses
-    /// cluster.cores_per_worker. Results are bit-identical across thread
-    /// counts and simulated times are unchanged.
+    /// (num_threads = 1) builds no pool and runs every operator's tasks
+    /// inline; num_threads = 0 uses cluster.cores_per_worker. Results are
+    /// bit-identical across thread counts and simulated times are
+    /// unchanged.
     engine::ExecOptions exec;
     /// Beyond-RAM execution (DESIGN.md §15). With a non-zero
     /// buffer_pool_bytes, storage switches after load to paged row

@@ -7,6 +7,7 @@
 #include "common/io.h"
 #include "common/str_util.h"
 #include "engine/kernels.h"
+#include "engine/task_loop.h"
 
 namespace prost::core {
 
@@ -18,18 +19,6 @@ using columnar::Schema;
 using columnar::StoredTable;
 using engine::Relation;
 using engine::RelationChunk;
-
-namespace {
-
-/// Zone-map test: can any row of a chunk with these stats bind this id?
-/// An all-NULL chunk (value_count == 0) cannot produce the id, and NULLs
-/// never participate in min/max, so the interval test is exact on ids.
-bool ZoneMayContain(const columnar::ColumnStats& stats, rdf::TermId id) {
-  if (stats.value_count == 0) return false;
-  return id >= stats.min_id && id <= stats.max_id;
-}
-
-}  // namespace
 
 VpStore VpStore::Build(const rdf::EncodedGraph& graph, uint32_t num_workers) {
   VpStore store;
@@ -141,212 +130,73 @@ Result<Relation> VpStore::ScanTable(const PredicateTable* table,
   for (uint64_t bytes : table->partition_bytes) planner_bytes += bytes;
   output.set_planner_bytes(planner_bytes);
 
-  if (table->paged_mode()) {
-    if (pool == nullptr) {
-      return Status::Internal("paged VP table scanned without a buffer pool");
-    }
-    const bool open_scan =
-        subject.is_variable && object.is_variable && !same_var;
-    // Every id each storage column is constrained to equal: pattern
-    // constants, plus pushed-filter equality hints on the column's
-    // variable (a hint of kNullTermId matches ZoneMayContain nowhere,
-    // which is exactly right — the filter constant is outside the
-    // dictionary, so no stored row survives it).
-    std::vector<rdf::TermId> s_eq, o_eq;
-    if (!subject.is_variable) s_eq.push_back(subject.id);
-    if (!object.is_variable) o_eq.push_back(object.id);
-    if (hints != nullptr) {
-      for (const ScanEqualityHint& hint : hints->equals) {
-        if (subject.is_variable && subject.name == hint.variable) {
-          s_eq.push_back(hint.id);
-        }
-        if (object.is_variable && object.name == hint.variable) {
-          o_eq.push_back(hint.id);
-        }
-      }
-    }
-
-    // Pruning pass, all from metadata (no decode): bloom on the
-    // subject-key column kills whole partitions, zone maps kill row
-    // groups. Surviving groups become scan tasks in (worker, group)
-    // order — ascending row order within each partition.
-    struct GroupTask {
-      uint32_t worker;
-      uint32_t group;
-    };
-    std::vector<GroupTask> tasks;
-    std::vector<uint64_t> scanned_rows(num_workers, 0);
-    std::vector<uint64_t> charged_bytes(num_workers, 0);
-    ScanTelemetry local;
-    for (uint32_t w = 0; w < num_workers; ++w) {
-      const columnar::PagedTable& paged = table->paged[w];
-      local.row_groups_total += paged.num_groups();
-      bool bloom_rejected = false;
-      for (rdf::TermId id : s_eq) {
-        if (!paged.key_bloom().MayContain(id)) {
-          bloom_rejected = true;
-          break;
-        }
-      }
-      if (bloom_rejected) {
-        ++local.partitions_skipped;
-        continue;
-      }
-      // Scan charges stay in the lexical byte domain: apportion the
-      // partition's lexical size over groups in proportion to encoded
-      // payload, flooring cumulatively so per-group charges telescope
-      // to exactly partition_bytes[w] when nothing is skipped.
-      const uint64_t payload_total = paged.payload_bytes();
-      const uint64_t lex_total = table->partition_bytes[w];
-      uint64_t payload_cum = 0;
-      uint64_t lex_cum = 0;
-      for (size_t g = 0; g < paged.num_groups(); ++g) {
-        for (const columnar::ChunkMeta& chunk : paged.group(g).chunks) {
-          payload_cum += chunk.bytes;
-        }
-        uint64_t lex_next = payload_total == 0
-                                ? lex_total
-                                : lex_total * payload_cum / payload_total;
-        uint64_t group_lex = lex_next - lex_cum;
-        lex_cum = lex_next;
-        bool keep = true;
-        for (rdf::TermId id : s_eq) {
-          if (!ZoneMayContain(paged.stats(g, 0), id)) {
-            keep = false;
-            break;
-          }
-        }
-        if (keep) {
-          for (rdf::TermId id : o_eq) {
-            if (!ZoneMayContain(paged.stats(g, 1), id)) {
-              keep = false;
-              break;
-            }
-          }
-        }
-        if (!keep) {
-          ++local.row_groups_skipped;
-          continue;
-        }
-        tasks.push_back({w, static_cast<uint32_t>(g)});
-        scanned_rows[w] += paged.group(g).num_rows;
-        charged_bytes[w] += group_lex;
-      }
-    }
-
-    // The same scan kernel as the in-memory path, over one pinned row
-    // group (chunk-local row indices). Pins hold the decoded columns
-    // resident for exactly the duration of the group's scan.
-    auto scan_group = [&](uint32_t w, uint32_t g, RelationChunk& out,
-                          std::vector<uint32_t>& sel) -> Result<uint64_t> {
-      const columnar::PagedTable& paged = table->paged[w];
-      PROST_ASSIGN_OR_RETURN(columnar::PinnedPage s_page,
-                             pool->Pin(paged, g, 0));
-      PROST_ASSIGN_OR_RETURN(columnar::PinnedPage o_page,
-                             pool->Pin(paged, g, 1));
-      const IdVector& subjects = s_page.column().ids();
-      const IdVector& objects = o_page.column().ids();
-      const size_t rows = subjects.size();
-      if (open_scan) {
-        out.columns[0].insert(out.columns[0].end(), subjects.begin(),
-                              subjects.end());
-        out.columns[1].insert(out.columns[1].end(), objects.begin(),
-                              objects.end());
-        return uint64_t{rows};
-      }
-      sel.clear();
-      if (!subject.is_variable) {
-        engine::kernels::Filter(subjects, subject.id, 0, rows, sel);
-        if (!object.is_variable) {
-          engine::kernels::Refine(objects, object.id, sel);
-        }
-      } else if (!object.is_variable) {
-        engine::kernels::Filter(objects, object.id, 0, rows, sel);
-      } else {  // same_var: ?x p ?x
-        engine::kernels::FilterRowsEqual(subjects, objects, 0, rows, sel);
-      }
-      size_t c = 0;
-      if (subject.is_variable) {
-        engine::kernels::Gather(subjects, sel, out.columns[c++]);
-      }
-      if (object.is_variable && !same_var) {
-        engine::kernels::Gather(objects, sel, out.columns[c]);
-      }
-      return uint64_t{sel.size()};
-    };
-
-    std::vector<uint64_t> emitted(num_workers, 0);
-    if (engine::IsParallel(exec) && tasks.size() > 1) {
-      // Row groups are the paged morsels: one task per surviving group,
-      // merged back per partition in task order (= row order).
-      std::vector<RelationChunk> outs(tasks.size());
-      std::vector<uint64_t> task_emitted(tasks.size(), 0);
-      std::vector<Status> task_status(tasks.size(), Status::OK());
-      exec->pool()->ParallelFor(tasks.size(), [&](size_t t) {
-        outs[t].columns.resize(names.size());
-        std::vector<uint32_t> sel;
-        Result<uint64_t> rows =
-            scan_group(tasks[t].worker, tasks[t].group, outs[t], sel);
-        if (rows.ok()) {
-          task_emitted[t] = *rows;
-        } else {
-          task_status[t] = rows.status();
-        }
-      });
-      for (const Status& status : task_status) {
-        PROST_RETURN_IF_ERROR(status);
-      }
-      for (size_t t = 0; t < tasks.size(); ++t) {
-        emitted[tasks[t].worker] += task_emitted[t];
-        RelationChunk& out = output.mutable_chunks()[tasks[t].worker];
-        for (size_t c = 0; c < out.columns.size(); ++c) {
-          out.columns[c].insert(out.columns[c].end(),
-                                outs[t].columns[c].begin(),
-                                outs[t].columns[c].end());
-        }
-      }
-    } else {
-      std::vector<uint32_t> sel;
-      for (const GroupTask& task : tasks) {
-        PROST_ASSIGN_OR_RETURN(
-            uint64_t rows,
-            scan_group(task.worker, task.group,
-                       output.mutable_chunks()[task.worker], sel));
-        emitted[task.worker] += rows;
-      }
-    }
-    for (uint32_t w = 0; w < num_workers; ++w) {
-      cost.ChargeScan(w, charged_bytes[w]);
-      cost.ChargeCpuRows(w, scanned_rows[w] + emitted[w]);
-      local.bytes_scanned += charged_bytes[w];
-    }
-    pool->NoteRowGroupsSkipped(local.row_groups_skipped);
-    pool->NotePartitionsSkipped(local.partitions_skipped);
-    pool->NoteBytesScanned(local.bytes_scanned);
-    if (telemetry != nullptr) *telemetry = local;
-    if (subject.is_variable) output.set_hash_partitioned_by(0);
-    return output;
+  const bool paged = table->paged_mode();
+  if (paged && pool == nullptr) {
+    return Status::Internal("paged VP table scanned without a buffer pool");
   }
 
-  // Emits matching rows from partition `w`'s rows [begin, end) into
-  // `out` — the one scan kernel both the serial and the morsel-parallel
-  // path run. Vectorized: constant terms filter into a selection vector
-  // (`sel`, caller-provided scratch), and the surviving rows materialize
-  // via per-column gathers — same rows, same ascending order as the
-  // row-at-a-time loop this replaces. Returns the number of rows emitted.
-  auto scan_range = [&](uint32_t w, size_t begin, size_t end,
-                        RelationChunk& out,
-                        std::vector<uint32_t>& sel) -> uint64_t {
-    const StoredTable& part = table->partitions[w];
-    const IdVector& subjects = part.column(0).ids();
-    const IdVector& objects = part.column(1).ids();
+  // Per partition: the rows the scan reads and the lexical bytes it
+  // charges. A paged partition keeps only the row groups the pruner
+  // cannot rule out; both columns form one charge unit.
+  std::vector<RowGroupPruner::Partition> kept(paged ? num_workers : 0);
+  std::vector<uint64_t> scanned_rows(num_workers, 0);
+  std::vector<uint64_t> charged_bytes(num_workers, 0);
+  ScanTelemetry local;
+  if (paged) {
+    const RowGroupPruner pruner(2, {{0, &subject}, {1, &object}}, hints);
+    for (uint32_t w = 0; w < num_workers; ++w) {
+      kept[w] = pruner.Prune(table->paged[w],
+                             {{{0, 1}, table->partition_bytes[w]}}, local);
+      scanned_rows[w] = kept[w].rows;
+      charged_bytes[w] = kept[w].charged_bytes;
+    }
+  } else {
+    for (uint32_t w = 0; w < num_workers; ++w) {
+      scanned_rows[w] = table->partitions[w].num_rows();
+      charged_bytes[w] = table->partition_bytes[w];
+    }
+  }
+
+  // Scan tasks, in (partition, row) order: at most TaskRows rows of one
+  // partition each. In-memory tasks are row ranges; paged tasks are runs
+  // [begin, end) of a partition's surviving row groups (at least one).
+  std::vector<engine::Morsel> tasks;
+  if (paged) {
+    const size_t task_rows = engine::TaskRows(exec);
+    for (uint32_t w = 0; w < num_workers; ++w) {
+      const std::vector<uint32_t>& groups = kept[w].groups;
+      size_t begin = 0;
+      size_t rows = 0;
+      for (size_t i = 0; i < groups.size(); ++i) {
+        const size_t group_rows = table->paged[w].group(groups[i]).num_rows;
+        if (i > begin && rows + group_rows > task_rows) {
+          tasks.push_back({w, begin, i});
+          begin = i;
+          rows = 0;
+        }
+        rows += group_rows;
+      }
+      if (begin < groups.size()) tasks.push_back({w, begin, groups.size()});
+    }
+  } else {
+    tasks = engine::PlanMorsels(
+        std::vector<size_t>(scanned_rows.begin(), scanned_rows.end()), exec);
+  }
+
+  // The one VP scan kernel: emits the matching rows among [begin, end) of
+  // an (s, o) column pair into `out`. Vectorized: constant terms filter
+  // into a selection vector (`sel`, caller scratch), and the surviving
+  // rows materialize via per-column gathers in ascending row order.
+  auto scan_rows = [&](const IdVector& subjects, const IdVector& objects,
+                       size_t begin, size_t end, RelationChunk& out,
+                       std::vector<uint32_t>& sel) {
     if (subject.is_variable && object.is_variable && !same_var) {
       // Open scan: every row passes — bulk-append both columns.
       out.columns[0].insert(out.columns[0].end(), subjects.begin() + begin,
                             subjects.begin() + end);
       out.columns[1].insert(out.columns[1].end(), objects.begin() + begin,
                             objects.begin() + end);
-      return end - begin;
+      return;
     }
     sel.clear();
     if (!subject.is_variable) {
@@ -366,59 +216,45 @@ Result<Relation> VpStore::ScanTable(const PredicateTable* table,
     if (object.is_variable && !same_var) {
       engine::kernels::Gather(objects, sel, out.columns[c]);
     }
-    return sel.size();
   };
 
-  std::vector<uint64_t> emitted(num_workers, 0);
-  if (engine::IsParallel(exec)) {
-    // Morsel-parallel scan: split every partition into morsels, run all
-    // (partition, morsel) tasks on the pool, then merge morsel outputs
-    // back per partition in morsel order — the serial row order.
-    struct ScanMorsel {
-      uint32_t worker;
-      size_t begin;
-      size_t end;
-    };
-    std::vector<ScanMorsel> morsels;
-    for (uint32_t w = 0; w < num_workers; ++w) {
-      size_t rows = table->partitions[w].column(0).ids().size();
-      for (size_t begin = 0; begin < rows; begin += exec->morsel_rows()) {
-        morsels.push_back(
-            {w, begin, std::min(rows, begin + exec->morsel_rows())});
-      }
-    }
-    std::vector<RelationChunk> outs(morsels.size());
-    std::vector<uint64_t> morsel_emitted(morsels.size(), 0);
-    exec->pool()->ParallelFor(morsels.size(), [&](size_t m) {
-      outs[m].columns.resize(names.size());
-      std::vector<uint32_t> sel;
-      morsel_emitted[m] =
-          scan_range(morsels[m].worker, morsels[m].begin, morsels[m].end,
-                     outs[m], sel);
-    });
-    for (size_t m = 0; m < morsels.size(); ++m) {
-      emitted[morsels[m].worker] += morsel_emitted[m];
-      RelationChunk& out = output.mutable_chunks()[morsels[m].worker];
-      for (size_t c = 0; c < out.columns.size(); ++c) {
-        out.columns[c].insert(out.columns[c].end(),
-                              outs[m].columns[c].begin(),
-                              outs[m].columns[c].end());
-      }
-    }
-  } else {
-    std::vector<uint32_t> sel;  // Selection scratch, reused per partition.
-    for (uint32_t w = 0; w < num_workers; ++w) {
-      size_t rows = table->partitions[w].column(0).ids().size();
-      emitted[w] = scan_range(w, 0, rows, output.mutable_chunks()[w], sel);
-    }
-  }
-  // Cost charges happen on the calling thread either way — the simulated
-  // cluster clock is independent of real executor parallelism.
+  PROST_RETURN_IF_ERROR(engine::RunMorsels(
+      exec, tasks,
+      [&](size_t t, RelationChunk& out) -> Status {
+        const engine::Morsel& task = tasks[t];
+        std::vector<uint32_t> sel;
+        if (!paged) {
+          const StoredTable& part = table->partitions[task.chunk];
+          scan_rows(part.column(0).ids(), part.column(1).ids(), task.begin,
+                    task.end, out, sel);
+          return Status::OK();
+        }
+        // Pins hold a group's decoded columns resident for exactly the
+        // duration of its scan.
+        const columnar::PagedTable& part = table->paged[task.chunk];
+        for (size_t i = task.begin; i < task.end; ++i) {
+          const uint32_t g = kept[task.chunk].groups[i];
+          PROST_ASSIGN_OR_RETURN(columnar::PinnedPage s_page,
+                                 pool->Pin(part, g, 0));
+          PROST_ASSIGN_OR_RETURN(columnar::PinnedPage o_page,
+                                 pool->Pin(part, g, 1));
+          const IdVector& subjects = s_page.column().ids();
+          scan_rows(subjects, o_page.column().ids(), 0, subjects.size(), out,
+                    sel);
+        }
+        return Status::OK();
+      },
+      output));
+
+  // Cost charges stay on the calling thread — the simulated cluster clock
+  // is independent of real executor parallelism.
+  uint64_t bytes_scanned = 0;
   for (uint32_t w = 0; w < num_workers; ++w) {
-    cost.ChargeScan(w, table->partition_bytes[w]);
-    cost.ChargeCpuRows(
-        w, table->partitions[w].column(0).ids().size() + emitted[w]);
+    cost.ChargeScan(w, charged_bytes[w]);
+    cost.ChargeCpuRows(w, scanned_rows[w] + output.chunks()[w].num_rows());
+    bytes_scanned += charged_bytes[w];
   }
+  if (paged) RecordPagedScan(*pool, bytes_scanned, local, telemetry);
   // VP partitions are subject-hash placed, so a variable subject keeps
   // that co-location in the output.
   if (subject.is_variable) output.set_hash_partitioned_by(0);

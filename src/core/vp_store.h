@@ -67,9 +67,10 @@ class VpStore {
   /// producing a distributed relation over the pattern's variables.
   /// Charges scan bytes and CPU rows to `cost` (inside the caller's
   /// stage). Unknown predicates and impossible constants produce an empty
-  /// relation with the right columns. A parallel `exec` scans partition
-  /// morsels concurrently, merged in morsel order (output bit-identical
-  /// to serial); all cost charges stay on the calling thread.
+  /// relation with the right columns. Partition morsels (row groups when
+  /// paged) are scan tasks merged in morsel order, so the output is
+  /// bit-identical at any thread count; all cost charges stay on the
+  /// calling thread.
   ///
   /// When the store is paged (EnablePaging), row groups whose zone maps
   /// exclude a constant term or an equality `hint`, and partitions whose

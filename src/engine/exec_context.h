@@ -39,20 +39,23 @@ struct QueryBudget {
 /// Executor knobs, threaded from ProstDb::Options down to the operators.
 struct ExecOptions {
   /// Intra-worker parallelism of the real C++ executor. 1 (the default)
-  /// takes the serial operator paths unchanged; 0 means "use
+  /// builds no pool: the same task loop every operator uses runs its
+  /// tasks inline, one task per chunk or partition. 0 means "use
   /// ClusterConfig::cores_per_worker" (the paper's 6-core workers). This
   /// knob changes wall-clock only — the simulated cluster clock already
   /// models worker parallelism and is charged identically either way.
   uint32_t num_threads = 1;
 
-  /// Rows per morsel for parallel scans, filters, and join probes.
-  /// 0 means kDefaultMorselRows.
+  /// Rows per task for scans, filters, and join probes when more than one
+  /// thread runs them. 0 means kDefaultMorselRows.
   uint32_t morsel_rows = kDefaultMorselRows;
 };
 
 /// Per-execution view handed to operators: a (possibly absent) thread
-/// pool plus the morsel geometry. A default-constructed context — or one
-/// over a single-threaded pool — selects the serial paths.
+/// pool plus the morsel geometry. Every operator runs its tasks through
+/// engine::RunTasks (engine/task_loop.h): on the pool when there is one,
+/// inline when the context is null or has no pool. The thread count only
+/// sets the task geometry (engine::TaskRows), never the code path.
 ///
 /// The context itself is immutable during execution and owns no locks;
 /// shared mutable state inside a parallel region lives behind the pool's
@@ -83,12 +86,7 @@ class ExecContext {
   uint32_t num_threads() const {
     return pool_ != nullptr ? pool_->num_threads() : 1;
   }
-  bool parallel() const { return num_threads() > 1; }
   uint32_t morsel_rows() const { return morsel_rows_; }
-
-  size_t NumMorsels(size_t rows) const {
-    return (rows + morsel_rows_ - 1) / morsel_rows_;
-  }
 
  private:
   ThreadPool* pool_ = nullptr;
@@ -100,12 +98,6 @@ class ExecContext {
 /// The budget carried by `exec`, or null (unlimited).
 inline const QueryBudget* BudgetOf(const ExecContext* exec) {
   return exec != nullptr ? exec->budget() : nullptr;
-}
-
-/// True when `exec` selects the parallel operator paths. Operators take a
-/// nullable pointer so every existing call site keeps its meaning.
-inline bool IsParallel(const ExecContext* exec) {
-  return exec != nullptr && exec->parallel();
 }
 
 /// The profiling sink carried by `exec`, or null (profiling off).

@@ -7,6 +7,7 @@
 #include "common/str_util.h"
 #include "engine/hash_table.h"
 #include "engine/kernels.h"
+#include "engine/task_loop.h"
 #include "obs/trace.h"
 
 namespace prost::engine {
@@ -89,18 +90,18 @@ struct PartitionedIndex {
 
 PartitionedIndex BuildPartitionedIndex(const RelationChunk& build,
                                        const std::vector<int>& keys,
-                                       const ExecContext& exec) {
+                                       const ExecContext* exec) {
   PartitionedIndex pidx;
   const size_t rows = build.num_rows();
-  pidx.fanout = exec.num_threads();
+  pidx.fanout = exec != nullptr ? exec->num_threads() : 1;
   pidx.row_hashes.resize(rows);
-  const size_t num_morsels = exec.NumMorsels(rows);
-  // Phase 1, parallel over build morsels: hash every row column-wise and
+  const std::vector<Morsel> morsels = PlanMorsels({rows}, exec);
+  // Phase 1, one task per build morsel: hash every row column-wise and
   // bucket row indices by partition, each morsel into its own buffers.
-  std::vector<std::vector<uint32_t>> buckets(num_morsels * pidx.fanout);
-  exec.pool()->ParallelFor(num_morsels, [&](size_t m) {
-    size_t begin = m * exec.morsel_rows();
-    size_t end = std::min(rows, begin + exec.morsel_rows());
+  std::vector<std::vector<uint32_t>> buckets(morsels.size() * pidx.fanout);
+  RunTasks(exec, morsels.size(), [&](size_t m) {
+    const size_t begin = morsels[m].begin;
+    const size_t end = morsels[m].end;
     kernels::HashColumns(build, keys, begin, end,
                          pidx.row_hashes.data() + begin);
     for (size_t r = begin; r < end; ++r) {
@@ -108,21 +109,19 @@ PartitionedIndex BuildPartitionedIndex(const RelationChunk& build,
           static_cast<uint32_t>(r));
     }
   });
-  // Phase 2, parallel over partitions: each partition concatenates its
-  // buckets in morsel order — i.e. ascending build-row order — and builds
-  // its flat table from them, so hash runs carry rows ascending, matching
-  // BuildChunkTable exactly.
+  // Phase 2, one task per partition: concatenate its buckets in morsel
+  // order — i.e. ascending build-row order — and build its flat table
+  // from them, so hash runs carry rows ascending.
   pidx.parts.resize(pidx.fanout);
-  exec.pool()->ParallelFor(pidx.fanout, [&](size_t p) {
-    size_t total = 0;
-    for (size_t m = 0; m < num_morsels; ++m) {
-      total += buckets[m * pidx.fanout + p].size();
-    }
+  RunTasks(exec, pidx.fanout, [&](size_t p) {
     std::vector<uint32_t> part_rows;
-    part_rows.reserve(total);
-    for (size_t m = 0; m < num_morsels; ++m) {
-      const std::vector<uint32_t>& bucket = buckets[m * pidx.fanout + p];
-      part_rows.insert(part_rows.end(), bucket.begin(), bucket.end());
+    for (size_t m = 0; m < morsels.size(); ++m) {
+      std::vector<uint32_t>& bucket = buckets[m * pidx.fanout + p];
+      if (part_rows.empty()) {
+        part_rows = std::move(bucket);
+      } else {
+        part_rows.insert(part_rows.end(), bucket.begin(), bucket.end());
+      }
     }
     pidx.parts[p].BuildFromRows(part_rows.data(), part_rows.size(),
                                 pidx.row_hashes.data());
@@ -175,69 +174,31 @@ uint64_t ProbeRange(const RelationChunk& build,
   return emitted;
 }
 
-/// One parallel task's slice of a chunked relation.
-struct Morsel {
-  uint32_t chunk = 0;
-  size_t begin = 0;
-  size_t end = 0;
-};
-
-/// Splits every chunk into morsels, emitted in (chunk, begin) order — the
-/// order parallel operators merge task outputs back in.
-std::vector<Morsel> PlanMorsels(const Relation& relation,
-                                const ExecContext& exec) {
-  std::vector<Morsel> morsels;
-  for (uint32_t w = 0; w < relation.num_chunks(); ++w) {
-    size_t rows = relation.chunks()[w].num_rows();
-    for (size_t begin = 0; begin < rows; begin += exec.morsel_rows()) {
-      morsels.push_back(
-          {w, begin, std::min(rows, begin + exec.morsel_rows())});
-    }
-  }
-  return morsels;
-}
-
-void AppendColumns(RelationChunk& dst, const RelationChunk& src) {
-  for (size_t c = 0; c < dst.columns.size(); ++c) {
-    dst.columns[c].insert(dst.columns[c].end(), src.columns[c].begin(),
-                          src.columns[c].end());
-  }
-}
-
-/// Morsel-parallel probe of `probe_rel` against per-chunk build sides.
-/// `build_of(chunk)` yields the build chunk to join chunk `chunk` with;
-/// `lookup_of(chunk, hash)` its index lookup. Morsel outputs merge back
-/// in morsel order, so each output chunk is ordered by (probe row, build
-/// row) — identical to the serial path. Returns per-chunk emitted counts
-/// for cost charging (done by the caller, outside the parallel region).
+/// Probe of `probe_rel` against per-chunk build sides, one task per probe
+/// morsel. `build_of(chunk)` yields the build chunk to join chunk `chunk`
+/// with; `lookup_of(chunk, hash)` its index lookup. Morsel outputs merge
+/// back in morsel order, so each output chunk is ordered by (probe row,
+/// build row). Cost charging is left to the caller.
 template <typename BuildOf, typename LookupOf>
-std::vector<uint64_t> ParallelProbe(const Relation& probe_rel,
-                                    const std::vector<int>& probe_keys,
-                                    const std::vector<int>& probe_extra_cols,
-                                    const std::vector<int>& build_keys,
-                                    const BuildOf& build_of,
-                                    const LookupOf& lookup_of,
-                                    const ExecContext& exec,
-                                    Relation& output) {
-  std::vector<Morsel> morsels = PlanMorsels(probe_rel, exec);
-  std::vector<RelationChunk> outs(morsels.size());
-  const size_t width = output.num_columns();
-  exec.pool()->ParallelFor(morsels.size(), [&](size_t m) {
-    const Morsel& morsel = morsels[m];
-    outs[m].columns.resize(width);
-    const RelationChunk& build = build_of(morsel.chunk);
-    auto lookup = [&](uint64_t h) { return lookup_of(morsel.chunk, h); };
-    JoinScratch scratch;
-    ProbeRange(build, build_keys, probe_rel.chunks()[morsel.chunk],
-               probe_keys, probe_extra_cols, morsel.begin, morsel.end,
-               lookup, outs[m], scratch);
-  });
-  std::vector<uint64_t> emitted(probe_rel.num_chunks(), 0);
-  for (size_t m = 0; m < morsels.size(); ++m) {
-    emitted[morsels[m].chunk] += outs[m].num_rows();
-    AppendColumns(output.mutable_chunks()[morsels[m].chunk], outs[m]);
-  }
-  return emitted;
+Status Probe(const Relation& probe_rel, const std::vector<int>& probe_keys,
+             const std::vector<int>& probe_extra_cols,
+             const std::vector<int>& build_keys, const BuildOf& build_of,
+             const LookupOf& lookup_of, const ExecContext* exec,
+             Relation& output) {
+  const std::vector<Morsel> morsels = PlanMorsels(probe_rel, exec);
+  return RunMorsels(
+      exec, morsels,
+      [&](size_t m, RelationChunk& out) {
+        const Morsel& morsel = morsels[m];
+        auto lookup = [&](uint64_t h) { return lookup_of(morsel.chunk, h); };
+        JoinScratch scratch;
+        ProbeRange(build_of(morsel.chunk), build_keys,
+                   probe_rel.chunks()[morsel.chunk], probe_keys,
+                   probe_extra_cols, morsel.begin, morsel.end, lookup, out,
+                   scratch);
+        return Status::OK();
+      },
+      output);
 }
 
 /// Reorders `input`'s columns into `target_names` order (names must be a
@@ -315,59 +276,31 @@ Relation RepartitionByColumn(const Relation& input, int column_index,
   span.SetRowsOut(input.TotalRows());
   cost.ChargeShuffle(input.EstimatedBytes(cost.config()));
   Relation output(input.column_names(), num_workers);
-  if (IsParallel(exec)) {
-    // Phase 1, parallel over morsels: bucket row indices by target.
-    std::vector<Morsel> morsels = PlanMorsels(input, *exec);
-    std::vector<std::vector<uint32_t>> buckets(morsels.size() * num_workers);
-    exec->pool()->ParallelFor(morsels.size(), [&](size_t m) {
-      const Morsel& morsel = morsels[m];
-      const IdVector& keys =
-          input.chunks()[morsel.chunk]
-              .columns[static_cast<size_t>(column_index)];
-      for (size_t r = morsel.begin; r < morsel.end; ++r) {
-        uint32_t target =
-            static_cast<uint32_t>(Mix64(keys[r]) % num_workers);
-        buckets[m * num_workers + target].push_back(
-            static_cast<uint32_t>(r));
-      }
-    });
-    // Phase 2, parallel over targets: assemble each target chunk in
-    // morsel order — (source chunk, source row) order, as in the serial
-    // loop below. Each bucket is a selection vector into its source
-    // chunk, so assembly is a per-column bulk gather.
-    exec->pool()->ParallelFor(num_workers, [&](size_t target) {
-      RelationChunk& out = output.mutable_chunks()[target];
-      for (size_t m = 0; m < morsels.size(); ++m) {
-        const RelationChunk& chunk = input.chunks()[morsels[m].chunk];
-        const std::vector<uint32_t>& sel =
-            buckets[m * num_workers + target];
-        for (size_t c = 0; c < chunk.columns.size(); ++c) {
-          kernels::Gather(chunk.columns[c], sel, out.columns[c]);
-        }
-      }
-    });
-  } else {
-    // Serial: per chunk, split rows into per-target selection vectors,
-    // then gather each target's slice column by column. Targets receive
-    // rows in (source chunk, source row) order — the same order the old
-    // per-row loop produced.
-    std::vector<std::vector<uint32_t>> sel(num_workers);
-    for (const RelationChunk& chunk : input.chunks()) {
-      for (std::vector<uint32_t>& s : sel) s.clear();
-      const IdVector& keys =
-          chunk.columns[static_cast<size_t>(column_index)];
-      for (size_t r = 0; r < chunk.num_rows(); ++r) {
-        sel[Mix64(keys[r]) % num_workers].push_back(
-            static_cast<uint32_t>(r));
-      }
-      for (uint32_t target = 0; target < num_workers; ++target) {
-        RelationChunk& out = output.mutable_chunks()[target];
-        for (size_t c = 0; c < chunk.columns.size(); ++c) {
-          kernels::Gather(chunk.columns[c], sel[target], out.columns[c]);
-        }
+  // Phase 1, one task per morsel: bucket row indices by target.
+  const std::vector<Morsel> morsels = PlanMorsels(input, exec);
+  std::vector<std::vector<uint32_t>> buckets(morsels.size() * num_workers);
+  RunTasks(exec, morsels.size(), [&](size_t m) {
+    const Morsel& morsel = morsels[m];
+    const IdVector& keys =
+        input.chunks()[morsel.chunk].columns[static_cast<size_t>(column_index)];
+    for (size_t r = morsel.begin; r < morsel.end; ++r) {
+      uint32_t target = static_cast<uint32_t>(Mix64(keys[r]) % num_workers);
+      buckets[m * num_workers + target].push_back(static_cast<uint32_t>(r));
+    }
+  });
+  // Phase 2, one task per target: assemble each target chunk in morsel
+  // order — (source chunk, source row) order. Each bucket is a selection
+  // vector into its source chunk, so assembly is a per-column bulk gather.
+  RunTasks(exec, num_workers, [&](size_t target) {
+    RelationChunk& out = output.mutable_chunks()[target];
+    for (size_t m = 0; m < morsels.size(); ++m) {
+      const RelationChunk& chunk = input.chunks()[morsels[m].chunk];
+      const std::vector<uint32_t>& sel = buckets[m * num_workers + target];
+      for (size_t c = 0; c < chunk.columns.size(); ++c) {
+        kernels::Gather(chunk.columns[c], sel, out.columns[c]);
       }
     }
-  }
+  });
   output.set_hash_partitioned_by(column_index);
   return output;
 }
@@ -416,37 +349,18 @@ Result<JoinResult> HashJoin(const Relation& left, const Relation& right,
     cost.ChargeBroadcast(small.EstimatedBytes(config));
     RelationChunk small_all = GatherAll(small);
 
+    // The broadcast side is indexed once and shared by every probe task
+    // (each simulated worker still pays the build in ChargeCpuRows).
     Relation output(layout.names, big.num_chunks());
-    if (IsParallel(exec)) {
-      // Partitioned build of the broadcast side (once, shared by every
-      // probe chunk), then morsel-parallel probe across all chunks.
-      PartitionedIndex pidx =
-          BuildPartitionedIndex(small_all, small_big.left, *exec);
-      std::vector<uint64_t> emitted = ParallelProbe(
-          big, small_big.right, layout.probe_extra_cols, small_big.left,
-          [&](uint32_t) -> const RelationChunk& { return small_all; },
-          [&](uint32_t, uint64_t h) { return pidx.Lookup(h); }, *exec,
-          output);
-      for (uint32_t w = 0; w < big.num_chunks(); ++w) {
-        cost.ChargeCpuRows(w, small_all.num_rows() +
-                                  big.chunks()[w].num_rows() + emitted[w]);
-      }
-    } else {
-      // Build the broadcast side's table once; every probe chunk shares
-      // it (each simulated worker still pays the build in ChargeCpuRows).
-      FlatHashTable table;
-      JoinScratch scratch;
-      BuildChunkTable(small_all, small_big.left, scratch.hashes, table);
-      auto lookup = [&](uint64_t h) { return table.Lookup(h); };
-      for (uint32_t w = 0; w < big.num_chunks(); ++w) {
-        const RelationChunk& big_chunk = big.chunks()[w];
-        uint64_t emitted = ProbeRange(
-            small_all, small_big.left, big_chunk, small_big.right,
-            layout.probe_extra_cols, 0, big_chunk.num_rows(), lookup,
-            output.mutable_chunks()[w], scratch);
-        cost.ChargeCpuRows(w, small_all.num_rows() + big_chunk.num_rows() +
-                                  emitted);
-      }
+    PartitionedIndex pidx =
+        BuildPartitionedIndex(small_all, small_big.left, exec);
+    PROST_RETURN_IF_ERROR(Probe(
+        big, small_big.right, layout.probe_extra_cols, small_big.left,
+        [&](uint32_t) -> const RelationChunk& { return small_all; },
+        [&](uint32_t, uint64_t h) { return pidx.Lookup(h); }, exec, output));
+    for (uint32_t w = 0; w < big.num_chunks(); ++w) {
+      cost.ChargeCpuRows(w, small_all.num_rows() + big.chunks()[w].num_rows() +
+                                output.chunks()[w].num_rows());
     }
 
     // The big side's placement is preserved, so its partitioning column
@@ -493,43 +407,23 @@ Result<JoinResult> HashJoin(const Relation& left, const Relation& right,
 
   OutputLayout layout = MakeOutputLayout(left_parts, right_parts, shared);
   Relation output(layout.names, num_workers);
-  if (IsParallel(exec)) {
-    // Worker partitions build concurrently (each is one co-located hash
-    // table), then probe morsels run across all partitions at once.
-    std::vector<FlatHashTable> tables(num_workers);
-    exec->pool()->ParallelFor(num_workers, [&](size_t w) {
-      std::vector<uint64_t> hashes;
-      BuildChunkTable(left_parts.chunks()[w], shared.left, hashes,
-                      tables[w]);
-    });
-    std::vector<uint64_t> emitted = ParallelProbe(
-        right_parts, shared.right, layout.probe_extra_cols, shared.left,
-        [&](uint32_t w) -> const RelationChunk& {
-          return left_parts.chunks()[w];
-        },
-        [&](uint32_t w, uint64_t h) { return tables[w].Lookup(h); }, *exec,
-        output);
-    for (uint32_t w = 0; w < num_workers; ++w) {
-      cost.ChargeCpuRows(w, left_parts.chunks()[w].num_rows() +
-                                right_parts.chunks()[w].num_rows() +
-                                emitted[w]);
-    }
-  } else {
-    // One table + scratch reused across workers: rebuild per partition,
-    // keep the allocations.
+  // One task per co-located worker partition: build its hash table, probe
+  // its rows straight into its output chunk. A table lives only as long as
+  // its task, so no more tables are resident than there are threads.
+  RunTasks(exec, num_workers, [&](size_t w) {
+    const RelationChunk& l = left_parts.chunks()[w];
+    const RelationChunk& r = right_parts.chunks()[w];
     FlatHashTable table;
     JoinScratch scratch;
-    for (uint32_t w = 0; w < num_workers; ++w) {
-      const RelationChunk& l = left_parts.chunks()[w];
-      const RelationChunk& r = right_parts.chunks()[w];
-      BuildChunkTable(l, shared.left, scratch.hashes, table);
-      auto lookup = [&](uint64_t h) { return table.Lookup(h); };
-      uint64_t emitted = ProbeRange(l, shared.left, r, shared.right,
-                                    layout.probe_extra_cols, 0, r.num_rows(),
-                                    lookup, output.mutable_chunks()[w],
-                                    scratch);
-      cost.ChargeCpuRows(w, l.num_rows() + r.num_rows() + emitted);
-    }
+    BuildChunkTable(l, shared.left, scratch.hashes, table);
+    auto lookup = [&](uint64_t h) { return table.Lookup(h); };
+    ProbeRange(l, shared.left, r, shared.right, layout.probe_extra_cols, 0,
+               r.num_rows(), lookup, output.mutable_chunks()[w], scratch);
+  });
+  for (uint32_t w = 0; w < num_workers; ++w) {
+    cost.ChargeCpuRows(w, left_parts.chunks()[w].num_rows() +
+                              right_parts.chunks()[w].num_rows() +
+                              output.chunks()[w].num_rows());
   }
   output.set_hash_partitioned_by(shared.left[0]);
   output.set_planner_bytes(Relation::kUnknownPlannerBytes);
@@ -552,41 +446,23 @@ Result<Relation> Filter(const Relation& input, const std::string& column_name,
   if (input.planner_bytes_set()) {
     output.set_planner_bytes(input.PlannerBytes(cost.config()));
   }
-  if (IsParallel(exec)) {
-    std::vector<Morsel> morsels = PlanMorsels(input, *exec);
-    std::vector<RelationChunk> outs(morsels.size());
-    exec->pool()->ParallelFor(morsels.size(), [&](size_t m) {
-      const Morsel& morsel = morsels[m];
-      const RelationChunk& chunk = input.chunks()[morsel.chunk];
-      RelationChunk& out = outs[m];
-      out.columns.resize(chunk.columns.size());
-      std::vector<uint32_t> sel;
-      kernels::Filter(chunk.columns[static_cast<size_t>(column)], value,
-                      morsel.begin, morsel.end, sel);
-      for (size_t c = 0; c < chunk.columns.size(); ++c) {
-        kernels::Gather(chunk.columns[c], sel, out.columns[c]);
-      }
-    });
-    for (size_t m = 0; m < morsels.size(); ++m) {
-      AppendColumns(output.mutable_chunks()[morsels[m].chunk], outs[m]);
-    }
-    for (uint32_t w = 0; w < input.num_chunks(); ++w) {
-      cost.ChargeCpuRows(w, input.chunks()[w].num_rows());
-    }
-    span.SetRowsOut(output.TotalRows());
-    return output;
-  }
-  std::vector<uint32_t> sel;
+  const std::vector<Morsel> morsels = PlanMorsels(input, exec);
+  PROST_RETURN_IF_ERROR(RunMorsels(
+      exec, morsels,
+      [&](size_t m, RelationChunk& out) {
+        const Morsel& morsel = morsels[m];
+        const RelationChunk& chunk = input.chunks()[morsel.chunk];
+        std::vector<uint32_t> sel;
+        kernels::Filter(chunk.columns[static_cast<size_t>(column)], value,
+                        morsel.begin, morsel.end, sel);
+        for (size_t c = 0; c < chunk.columns.size(); ++c) {
+          kernels::Gather(chunk.columns[c], sel, out.columns[c]);
+        }
+        return Status::OK();
+      },
+      output));
   for (uint32_t w = 0; w < input.num_chunks(); ++w) {
-    const RelationChunk& chunk = input.chunks()[w];
-    RelationChunk& out = output.mutable_chunks()[w];
-    sel.clear();
-    kernels::Filter(chunk.columns[static_cast<size_t>(column)], value, 0,
-                    chunk.num_rows(), sel);
-    for (size_t c = 0; c < chunk.columns.size(); ++c) {
-      kernels::Gather(chunk.columns[c], sel, out.columns[c]);
-    }
-    cost.ChargeCpuRows(w, chunk.num_rows());
+    cost.ChargeCpuRows(w, input.chunks()[w].num_rows());
   }
   span.SetRowsOut(output.TotalRows());
   return output;
@@ -613,28 +489,17 @@ Result<Relation> Project(const Relation& input,
   // wrap the call in the span that names their plan node.
   Relation output(column_names, input.num_chunks());
   // Projection is the degenerate batch kernel: a whole-column copy per
-  // selected column (no per-row work at all).
-  if (IsParallel(exec)) {
-    // Whole-column copies: one task per chunk is the right granularity.
-    exec->pool()->ParallelFor(input.num_chunks(), [&](size_t w) {
-      const RelationChunk& chunk = input.chunks()[w];
-      RelationChunk& out = output.mutable_chunks()[w];
-      for (size_t c = 0; c < indices.size(); ++c) {
-        out.columns[c] = chunk.columns[static_cast<size_t>(indices[c])];
-      }
-    });
-    for (uint32_t w = 0; w < input.num_chunks(); ++w) {
-      cost.ChargeCpuRows(w, input.chunks()[w].num_rows());
+  // selected column (no per-row work at all), so one task per chunk is
+  // the right granularity.
+  RunTasks(exec, input.num_chunks(), [&](size_t w) {
+    const RelationChunk& chunk = input.chunks()[w];
+    RelationChunk& out = output.mutable_chunks()[w];
+    for (size_t c = 0; c < indices.size(); ++c) {
+      out.columns[c] = chunk.columns[static_cast<size_t>(indices[c])];
     }
-  } else {
-    for (uint32_t w = 0; w < input.num_chunks(); ++w) {
-      const RelationChunk& chunk = input.chunks()[w];
-      RelationChunk& out = output.mutable_chunks()[w];
-      for (size_t c = 0; c < indices.size(); ++c) {
-        out.columns[c] = chunk.columns[static_cast<size_t>(indices[c])];
-      }
-      cost.ChargeCpuRows(w, chunk.num_rows());
-    }
+  });
+  for (uint32_t w = 0; w < input.num_chunks(); ++w) {
+    cost.ChargeCpuRows(w, input.chunks()[w].num_rows());
   }
   // Projection keeps rows in place; partition column survives if selected.
   if (input.hash_partitioned_by() >= 0) {

@@ -76,25 +76,24 @@ struct JoinResult {
 /// leaves it open for downstream operators.
 ///
 /// Output order is deterministic regardless of `exec`: within each output
-/// chunk, rows are ordered by (probe row, build row). A parallel `exec`
-/// runs a partitioned hash join — the build side is hash-partitioned into
-/// per-thread partitions built concurrently, and probe morsels run in
-/// parallel, merged back in morsel order — producing a relation
-/// bit-identical to the serial path's.
+/// chunk, rows are ordered by (probe row, build row). A broadcast join
+/// builds one index over the small side, hash-partitioned into one part
+/// per thread, and probes the big side one task per morsel, merged back
+/// in morsel order. A shuffle join runs one task per co-located
+/// partition that builds and probes that partition's table.
 Result<JoinResult> HashJoin(const Relation& left, const Relation& right,
                             const JoinOptions& options,
                             cluster::CostModel& cost,
                             const ExecContext* exec = nullptr);
 
-/// Keeps rows where column `column_name` equals `value`. Parallel `exec`
-/// filters morsels concurrently and merges them in morsel order (output
-/// bit-identical to serial).
+/// Keeps rows where column `column_name` equals `value`: one task per
+/// morsel, merged in morsel order.
 Result<Relation> Filter(const Relation& input, const std::string& column_name,
                         TermId value, cluster::CostModel& cost,
                         const ExecContext* exec = nullptr);
 
 /// Keeps only `column_names`, in that order. Duplicate and unknown names
-/// are errors. Parallel `exec` copies chunks concurrently.
+/// are errors. One task per chunk.
 Result<Relation> Project(const Relation& input,
                          const std::vector<std::string>& column_names,
                          cluster::CostModel& cost,
@@ -123,9 +122,8 @@ Result<Relation> Union(const Relation& a, const Relation& b);
 
 /// Re-distributes `input` so rows with equal values in `column_index` land
 /// on the same worker. Charges shuffle bytes unless already partitioned.
-/// Parallel `exec` buckets morsels concurrently, then assembles target
-/// chunks concurrently; row order per target chunk matches the serial
-/// path (source chunk order, then source row order).
+/// One task per morsel buckets rows, then one task per target assembles
+/// its chunk in source chunk order, then source row order.
 Relation RepartitionByColumn(const Relation& input, int column_index,
                              uint32_t num_workers,
                              cluster::CostModel& cost,

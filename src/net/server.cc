@@ -83,6 +83,7 @@ Status Server::Start() {
   {
     MutexLock lock(mu_);
     state_ = State::kRunning;
+    accepting_ = true;
   }
   acceptor_ = std::thread([this] { AcceptLoop(); });
   const int handler_count = std::max(1, options_.handler_threads);
@@ -112,14 +113,14 @@ void Server::Shutdown() {
     drain_started_seconds_ = NowSeconds();
     pending_cv_.NotifyAll();
   }
-  // Joining IS the drain: the acceptor exits at its next poll tick, idle
-  // handlers exit immediately, and busy handlers finish their connection
-  // — answering late requests with 503 inside the grace window, never
-  // truncating an in-flight response.
+  // Joining IS the drain: at its next poll tick the acceptor hands the
+  // kernel backlog to the handlers and closes the listener; handlers
+  // serve what is pending, then exit; busy handlers finish their
+  // connection — answering late requests with 503 inside the grace
+  // window, never truncating an in-flight response.
   acceptor_.join();
   for (std::thread& handler : handlers_) handler.join();
   handlers_.clear();
-  listener_.Close();
   MutexLock lock(mu_);
   state_ = State::kStopped;
   pending_.clear();
@@ -140,22 +141,35 @@ double Server::SecondsSinceDrainStarted() const {
 }
 
 void Server::AcceptLoop() {
+  // Every accepted socket reaches a handler, which answers 503 once the
+  // drain began. On drain the loop first empties the kernel backlog —
+  // connections that completed their handshake before the drain — and
+  // then closes the listener, so a later connect is refused outright
+  // instead of waiting unanswered in the backlog.
   while (true) {
+    bool draining;
     {
       MutexLock lock(mu_);
-      if (state_ != State::kRunning) return;
+      draining = state_ != State::kRunning;
     }
-    // Short poll ticks so shutdown is noticed promptly without signals.
-    Result<bool> ready = listener_.WaitPending(/*timeout_millis=*/200);
-    if (!ready.ok()) return;  // Listener broken beyond repair.
-    if (!*ready) continue;
+    // Short poll ticks so shutdown is noticed promptly without signals;
+    // no wait at all once draining, so the loop ends when the backlog is
+    // empty.
+    Result<bool> ready = listener_.WaitPending(draining ? 0 : 200);
+    if (!ready.ok()) break;  // Listener broken beyond repair.
+    if (!*ready) {
+      if (draining) break;
+      continue;
+    }
     Result<Socket> accepted = listener_.Accept();
-    if (!accepted.ok()) continue;  // Peer vanished between poll and accept.
+    if (!accepted.ok()) {
+      if (draining) break;
+      continue;  // Peer vanished between poll and accept.
+    }
     metrics_.counter("net.connections_accepted").Increment();
     bool enqueued = false;
     {
       MutexLock lock(mu_);
-      if (state_ != State::kRunning) return;  // Socket closes on scope exit.
       if (pending_.size() < options_.max_pending_connections) {
         pending_.push_back(std::move(*accepted));
         metrics_.gauge("net.pending_connections")
@@ -176,6 +190,10 @@ void Server::AcceptLoop() {
       PROST_IGNORE_ERROR(accepted->WriteAll(response.Serialize()));
     }
   }
+  listener_.Close();
+  MutexLock lock(mu_);
+  accepting_ = false;
+  pending_cv_.NotifyAll();
 }
 
 void Server::HandlerLoop() {
@@ -183,11 +201,12 @@ void Server::HandlerLoop() {
     Socket socket;
     {
       MutexLock lock(mu_);
-      while (state_ == State::kRunning && pending_.empty()) {
+      while (pending_.empty() && (state_ == State::kRunning || accepting_)) {
         pending_cv_.Wait(mu_);
       }
       // Draining with connections still pending: serve them (they get
-      // their 503s inside the grace window). Empty + not running: done.
+      // their 503s inside the grace window). Empty once the acceptor has
+      // handed over its backlog: done.
       if (pending_.empty()) return;
       socket = std::move(pending_.front());
       pending_.pop_front();

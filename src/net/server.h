@@ -130,6 +130,9 @@ class Server {
   CondVar pending_cv_;
   State state_ PROST_GUARDED_BY(mu_) = State::kIdle;
   std::deque<Socket> pending_ PROST_GUARDED_BY(mu_);
+  /// True until the acceptor has handed its last connection to pending_
+  /// and closed the listener; handlers stay up while it is set.
+  bool accepting_ PROST_GUARDED_BY(mu_) = false;
   /// Connections currently owned by a handler (drives the gauge).
   int active_connections_ PROST_GUARDED_BY(mu_) = 0;
   /// Set once the winning Shutdown caller has joined everything, so

@@ -16,6 +16,7 @@
 #include "core/statistics.h"
 #include "core/translator.h"
 #include "core/vp_store.h"
+#include "plan/planner.h"
 #include "rdf/graph.h"
 #include "sparql/parser.h"
 
@@ -543,10 +544,9 @@ TEST(ExecutorTest, EmptyTreeRejected) {
   ASSERT_TRUE(db.ok());
   JoinTree empty;
   sparql::Query query;
-  cluster::CostModel cost(options.cluster);
-  auto result = ExecuteJoinTree(empty, query, (*db)->vp_store(), nullptr,
-                                nullptr, options.join, (*db)->dictionary(),
-                                cost);
+  plan::PlannerInputs inputs;
+  inputs.vp = &(*db)->vp_store();
+  auto result = plan::BuildPlan(empty, query, inputs);
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 

@@ -619,7 +619,11 @@ TEST_F(NetEndToEndTest, DrainFinishesInFlightAndRejectsLateRequests) {
   auto held = endpoint.manager->Admit();
   ASSERT_TRUE(held.ok()) << held.status();
 
+  // Both helper threads must be joined on every path, so until the joins
+  // below nothing here may return early: the client thread records its
+  // failure for the main thread, and the main thread uses EXPECT_*.
   const size_t q = 0;
+  std::string in_flight_failure;
   std::thread in_flight_client([&] {
     net::Client client = endpoint.Dial();
     auto response = client.Post("/sparql", "application/sparql-query",
@@ -627,32 +631,45 @@ TEST_F(NetEndToEndTest, DrainFinishesInFlightAndRejectsLateRequests) {
     // The response must be complete and correct even though the server
     // began draining while this request was queued: drain never
     // truncates in-flight work.
-    ASSERT_TRUE(response.ok()) << response.status();
-    ASSERT_EQ(response->status, 200) << response->body;
+    if (!response.ok()) {
+      in_flight_failure = response.status().ToString();
+      return;
+    }
+    if (response->status != 200) {
+      in_flight_failure = "HTTP " + std::to_string(response->status) +
+                          ": " + response->body;
+      return;
+    }
     auto parsed = SparqlResultWriter::ParseJson(response->body);
-    ASSERT_TRUE(parsed.ok()) << parsed.status();
-    EXPECT_EQ(parsed->rows, reference_rows_[q]);
+    if (!parsed.ok()) {
+      in_flight_failure = parsed.status().ToString();
+    } else if (parsed->rows != reference_rows_[q]) {
+      in_flight_failure = "rows differ from the in-process answer";
+    }
   });
-  ASSERT_TRUE(
+  EXPECT_TRUE(
       WaitUntil([&] { return endpoint.manager->queued() == 1; }));
 
   // A connection opened before the drain begins...
   net::Client late_client = endpoint.Dial();
 
   std::thread stopper([&] { endpoint.server->Shutdown(); });
-  ASSERT_TRUE(WaitUntil([&] { return endpoint.server->draining(); }));
+  EXPECT_TRUE(WaitUntil([&] { return endpoint.server->draining(); }));
 
   // ...sends its request after: answered 503 + Retry-After, not slammed.
   auto late = late_client.Get("/healthz");
-  ASSERT_TRUE(late.ok()) << late.status();
-  EXPECT_EQ(late->status, 503) << late->body;
-  ASSERT_NE(late->FindHeader("retry-after"), nullptr);
+  EXPECT_TRUE(late.ok()) << late.status();
+  if (late.ok()) {
+    EXPECT_EQ(late->status, 503) << late->body;
+    EXPECT_NE(late->FindHeader("retry-after"), nullptr);
+  }
   late_client.Close();
 
   // Release the slot: the parked request executes and completes fully.
   held->Release();
   in_flight_client.join();
   stopper.join();
+  EXPECT_EQ(in_flight_failure, "");
 
   obs::MetricsSnapshot net_metrics = endpoint.server->metrics().Snapshot();
   EXPECT_GE(net_metrics.counter("net.drain_rejected"), 1u);

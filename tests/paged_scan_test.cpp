@@ -14,10 +14,13 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "columnar/buffer_pool.h"
+#include "columnar/paged_table.h"
 #include "core/prost_db.h"
+#include "core/scan_support.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -266,6 +269,122 @@ TEST(PagedPersistenceTest, RoundTripWithPagingOnBothSides) {
     ASSERT_TRUE(restored_rows.ok());
     EXPECT_EQ(*original_rows, *restored_rows) << text;
   }
+}
+
+// --- RowGroupPruner, directly -------------------------------------------
+//
+// A two-column (key, value) partition of 64 rows in row groups of 16:
+// keys are 1..64 ascending, so group g holds keys [16g + 1, 16g + 16];
+// values are 1000 + key except in group 0, where they are all NULL.
+
+constexpr uint32_t kPrunerGroupRows = 16;
+
+columnar::PagedTable PrunerPartition() {
+  columnar::IdVector keys;
+  columnar::IdVector values;
+  for (rdf::TermId key = 1; key <= 64; ++key) {
+    keys.push_back(key);
+    values.push_back(key <= kPrunerGroupRows ? rdf::kNullTermId : 1000 + key);
+  }
+  std::vector<columnar::Column> columns;
+  columns.emplace_back(std::move(keys));
+  columns.emplace_back(std::move(values));
+  columnar::Schema schema({columnar::Field{"s", columnar::ColumnKind::kId},
+                           columnar::Field{"o", columnar::ColumnKind::kId}});
+  return columnar::PagedTable::FromStored(
+      columnar::StoredTable(std::move(schema), std::move(columns)),
+      kPrunerGroupRows);
+}
+
+using Bindings = std::vector<std::pair<size_t, const core::PatternTerm*>>;
+
+TEST(RowGroupPrunerTest, KeyBloomRejectsPartition) {
+  columnar::PagedTable paged = PrunerPartition();
+  rdf::TermId absent = 100000;
+  while (paged.key_bloom().MayContain(absent)) ++absent;
+  core::PatternTerm key = core::PatternTerm::Const(absent);
+  core::RowGroupPruner pruner(2, Bindings{{0, &key}}, nullptr);
+  core::ScanTelemetry telemetry;
+  core::RowGroupPruner::Partition kept =
+      pruner.Prune(paged, {{{0, 1}, 5000}}, telemetry);
+  EXPECT_TRUE(kept.groups.empty());
+  EXPECT_EQ(kept.rows, 0u);
+  EXPECT_EQ(kept.charged_bytes, 0u);
+  EXPECT_EQ(telemetry.partitions_skipped, 1u);
+  EXPECT_EQ(telemetry.row_groups_total, 4u);
+  EXPECT_EQ(telemetry.row_groups_skipped, 0u);
+}
+
+TEST(RowGroupPrunerTest, ZoneMapSkipsGroups) {
+  columnar::PagedTable paged = PrunerPartition();
+  core::PatternTerm key = core::PatternTerm::Const(40);  // Group 2.
+  core::RowGroupPruner pruner(2, Bindings{{0, &key}}, nullptr);
+  core::ScanTelemetry telemetry;
+  const std::vector<core::RowGroupPruner::ChargeUnit> units{{{0, 1}, 5000}};
+  core::RowGroupPruner::Partition kept = pruner.Prune(paged, units, telemetry);
+  EXPECT_EQ(kept.groups, std::vector<uint32_t>{2});
+  EXPECT_EQ(kept.rows, kPrunerGroupRows);
+  EXPECT_EQ(kept.charged_bytes,
+            core::RowGroupPruner::GroupCharges(paged, units[0])[2]);
+  EXPECT_EQ(telemetry.row_groups_skipped, 3u);
+  EXPECT_EQ(telemetry.partitions_skipped, 0u);
+}
+
+TEST(RowGroupPrunerTest, AllNullColumnSkipsGroup) {
+  columnar::PagedTable paged = PrunerPartition();
+  core::PatternTerm key = core::PatternTerm::Var("s");
+  core::PatternTerm value = core::PatternTerm::Var("o");
+  core::RowGroupPruner pruner(2, Bindings{{0, &key}, {1, &value}}, nullptr,
+                              {1});
+  core::ScanTelemetry telemetry;
+  core::RowGroupPruner::Partition kept =
+      pruner.Prune(paged, {{{0}, 700}, {{1}, 900}}, telemetry);
+  EXPECT_EQ(kept.groups, (std::vector<uint32_t>{1, 2, 3}));
+  EXPECT_EQ(kept.rows, 3 * kPrunerGroupRows);
+  EXPECT_EQ(telemetry.row_groups_skipped, 1u);
+}
+
+TEST(RowGroupPrunerTest, NullTermHintSkipsEveryGroup) {
+  columnar::PagedTable paged = PrunerPartition();
+  core::PatternTerm key = core::PatternTerm::Var("s");
+  core::PatternTerm value = core::PatternTerm::Var("o");
+  core::ScanHints hints;
+  hints.equals.push_back({"o", rdf::kNullTermId});
+  core::RowGroupPruner pruner(2, Bindings{{0, &key}, {1, &value}}, &hints);
+  core::ScanTelemetry telemetry;
+  core::RowGroupPruner::Partition kept =
+      pruner.Prune(paged, {{{0, 1}, 5000}}, telemetry);
+  EXPECT_TRUE(kept.groups.empty());
+  EXPECT_EQ(kept.charged_bytes, 0u);
+  EXPECT_EQ(telemetry.row_groups_skipped, 4u);
+  EXPECT_EQ(telemetry.partitions_skipped, 0u);
+}
+
+TEST(RowGroupPrunerTest, UnskippedChargesSumToEachUnitExactly) {
+  columnar::PagedTable paged = PrunerPartition();
+  // Odd totals, so the proportional split cannot be exact per group and
+  // only the cumulative flooring makes the sums telescope.
+  const std::vector<core::RowGroupPruner::ChargeUnit> units{
+      {{0}, 1000003}, {{1}, 77}, {{0, 1}, 999999937}, {{1}, 0}};
+  uint64_t expected_total = 0;
+  for (const core::RowGroupPruner::ChargeUnit& unit : units) {
+    std::vector<uint64_t> charges =
+        core::RowGroupPruner::GroupCharges(paged, unit);
+    ASSERT_EQ(charges.size(), paged.num_groups());
+    uint64_t sum = 0;
+    for (uint64_t charge : charges) sum += charge;
+    EXPECT_EQ(sum, unit.lexical_bytes);
+    expected_total += unit.lexical_bytes;
+  }
+  core::PatternTerm key = core::PatternTerm::Var("s");
+  core::PatternTerm value = core::PatternTerm::Var("o");
+  core::RowGroupPruner pruner(2, Bindings{{0, &key}, {1, &value}}, nullptr);
+  core::ScanTelemetry telemetry;
+  core::RowGroupPruner::Partition kept = pruner.Prune(paged, units, telemetry);
+  EXPECT_EQ(kept.groups.size(), paged.num_groups());
+  EXPECT_EQ(kept.rows, paged.num_rows());
+  EXPECT_EQ(kept.charged_bytes, expected_total);
+  EXPECT_EQ(telemetry.row_groups_skipped, 0u);
 }
 
 }  // namespace

@@ -13,8 +13,8 @@
 //     real parallelism).
 //
 // Tests use a tiny morsel size so even small relations split into many
-// morsels, forcing the merge paths rather than the single-morsel
-// fast path.
+// morsels at 2+ threads, forcing the multi-morsel merges; one thread
+// runs one task per chunk.
 
 #include <gtest/gtest.h>
 

@@ -62,6 +62,12 @@ Checks, each with a short rule id used in diagnostics:
                        outside the columnar layer holds pages only
                        through the PinnedPage RAII handle and the
                        BufferPool public API.
+  parallel-for         `ParallelFor(` in src/ outside the thread pool
+                       (src/common/thread_pool.*) and the one engine task
+                       loop (src/engine/task_loop.*). Scans and operators
+                       run their tasks through engine::RunTasks, which
+                       runs them inline without a pool, so there is one
+                       execution shape and no serial/parallel fork.
   mutable-unguarded    in a header whose class owns a prost::Mutex, a
                        `mutable` field with no PROST_GUARDED_BY
                        annotation. `mutable` is exactly the marker that
@@ -293,6 +299,29 @@ def lint_stats_in_engine(path, lines, raw_lines, failures):
             )
 
 
+PARALLEL_FOR = re.compile(r"\bParallelFor\s*\(")
+PARALLEL_FOR_OWNERS = (
+    "src/common/thread_pool.h",
+    "src/common/thread_pool.cc",
+    "src/engine/task_loop.h",
+    "src/engine/task_loop.cc",
+)
+
+
+def lint_parallel_for(path, lines, failures):
+    """Only the pool and the engine task loop may call ParallelFor: every
+    other parallel region goes through engine::RunTasks."""
+    if path.as_posix() in PARALLEL_FOR_OWNERS:
+        return
+    for number, line in lines:
+        if PARALLEL_FOR.search(line):
+            failures.append(
+                f"{path}:{number}: [parallel-for] run tasks through "
+                "engine::RunTasks (engine/task_loop.h), which also runs "
+                "them inline when there is no pool"
+            )
+
+
 def lint_include_order(path, text, failures):
     blocks = []
     current = []
@@ -365,6 +394,8 @@ def main():
             if relative.parts[:2] == ("src", "engine"):
                 lint_stats_in_engine(relative, lines, text.splitlines(),
                                      failures)
+            if directory == "src":
+                lint_parallel_for(relative, lines, failures)
             lint_include_order(relative, text, failures)
 
     for failure in failures:
