@@ -171,8 +171,8 @@ struct ScanFixture {
     watdiv::WatDivDataset dataset = watdiv::Generate(config);
     dataset.graph.SortAndDedupe();
     stats = core::DatasetStatistics::Compute(dataset.graph);
-    vp = core::VpStore::Build(dataset.graph, 9);
-    pt = core::PropertyTable::Build(dataset.graph, stats, 9);
+    vp = core::VpStore::Build(dataset.graph, 9, pool);
+    pt = core::PropertyTable::Build(dataset.graph, stats, 9, pool);
     likes = dataset.graph.dictionary().Lookup(
         "<" + watdiv::Predicates::likes() + ">");
     age = dataset.graph.dictionary().Lookup(
@@ -180,6 +180,7 @@ struct ScanFixture {
     gender = dataset.graph.dictionary().Lookup(
         "<" + watdiv::Predicates::gender() + ">");
   }
+  columnar::BufferPool pool{columnar::kUnboundedBudget};
   core::DatasetStatistics stats;
   core::VpStore vp;
   core::PropertyTable pt;

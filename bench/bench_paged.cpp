@@ -1,11 +1,12 @@
 // Beyond-RAM execution harness (DESIGN.md §15): PRoST's mixed strategy
-// fully in memory versus the same engine paging its columnar storage
-// through a BufferPool capped at a quarter of the columnar footprint.
+// on its default storage — an unbounded buffer pool over default-size
+// row groups — versus the same engine paging 512-row groups through a
+// pool capped at a quarter of the columnar footprint.
 //
 // Two properties are on display (and enforced under --smoke):
 //   - identity: every WatDiv query returns a relation *bit-identical*
-//     to the in-memory engine, chunk layout and row order included —
-//     paging is invisible to semantics; and
+//     to the unbounded store, chunk layout and row order included —
+//     the budget is invisible to semantics; and
 //   - skipping: zone maps prune row groups on the constant-heavy C
 //     class (zero C-class skips is a FATAL smoke failure — it means
 //     the skip machinery is dead code).
@@ -13,9 +14,9 @@
 // here the eviction totals show the pool actually streaming.
 //
 // Pass --json <path> to emit the per-query BENCH_paged.json feed
-// (bytes_scanned shows what skipping saved). Pass --smoke to enforce
-// the guards and exit nonzero on violation — the bench_paged.smoke
-// ctest behind the Release-bench CI leg.
+// (bytes_scanned shows what the finer row groups let skipping save).
+// Pass --smoke to enforce the guards and exit nonzero on violation — the
+// bench_paged.smoke ctest behind the Release-bench CI leg.
 
 #include <cstdio>
 #include <cstring>
@@ -61,12 +62,12 @@ int main(int argc, char** argv) {
   bench::BenchWorkload workload = bench::BuildWorkload();
   cluster::ClusterConfig cluster = bench::ScaledCluster(workload);
 
-  auto in_memory = baselines::MakeProst(workload.graph, cluster);
-  if (!in_memory.ok()) {
-    std::fprintf(stderr, "FATAL: in-memory build failed\n");
+  auto unbounded = baselines::MakeProst(workload.graph, cluster);
+  if (!unbounded.ok()) {
+    std::fprintf(stderr, "FATAL: unbounded build failed\n");
     return 1;
   }
-  const uint64_t footprint = (*in_memory)->load_report().storage_bytes;
+  const uint64_t footprint = (*unbounded)->load_report().storage_bytes;
   const uint64_t budget = footprint / 4;
   // Row groups well below the partition sizes at bench scale, so the
   // pool sees real page traffic and zone maps real pruning granularity.
@@ -89,15 +90,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  bench::SystemRun mem_run;
-  mem_run.system = "PRoST (VP + PT)";
+  bench::SystemRun unbounded_run;
+  unbounded_run.system = "PRoST (VP + PT)";
   bench::SystemRun paged_run;
   paged_run.system = "PRoST (paged, 1/4 budget)";
 
-  std::printf("\nBeyond-RAM: in-memory vs paged at 1/4 budget (simulated ms)\n");
+  std::printf(
+      "\nBeyond-RAM: unbounded vs 1/4 budget pool (simulated ms)\n");
   bench::PrintRule(78);
-  std::printf("%-6s | %12s | %12s | %13s | %9s | %7s\n", "Query", "in-memory",
-              "paged", "bytes saved", "rg skips", "bloom");
+  std::printf("%-6s | %12s | %12s | %13s | %9s | %7s\n", "Query", "unbounded",
+              "1/4 budget", "bytes saved", "rg skips", "bloom");
   bench::PrintRule(78);
 
   int identity_failures = 0;
@@ -106,13 +108,13 @@ int main(int argc, char** argv) {
     const watdiv::WatDivQuery& q = workload.queries[i];
     obs::MetricsSnapshot before = metrics->Snapshot();
 
-    bench::QueryRun mem_qr;
-    mem_qr.query_id = q.id;
-    mem_qr.query_class = q.query_class;
-    Result<core::QueryResult> mem_result = Status::Internal("not run");
+    bench::QueryRun unbounded_qr;
+    unbounded_qr.query_id = q.id;
+    unbounded_qr.query_class = q.query_class;
+    Result<core::QueryResult> unbounded_result = Status::Internal("not run");
     {
-      ScopedTimer timer(&mem_qr.wall_millis);
-      mem_result = (*in_memory)->Execute(workload.parsed[i]);
+      ScopedTimer timer(&unbounded_qr.wall_millis);
+      unbounded_result = (*unbounded)->Execute(workload.parsed[i]);
     }
     bench::QueryRun paged_qr;
     paged_qr.query_id = q.id;
@@ -122,13 +124,14 @@ int main(int argc, char** argv) {
       ScopedTimer timer(&paged_qr.wall_millis);
       paged_result = (*paged)->Execute(workload.parsed[i]);
     }
-    if (!mem_result.ok() || !paged_result.ok()) {
+    if (!unbounded_result.ok() || !paged_result.ok()) {
       std::fprintf(stderr, "FATAL: %s failed: %s / %s\n", q.id.c_str(),
-                   mem_result.status().ToString().c_str(),
+                   unbounded_result.status().ToString().c_str(),
                    paged_result.status().ToString().c_str());
       return 1;
     }
-    if (!BitIdentical(paged_result->relation, mem_result->relation, q.id)) {
+    if (!BitIdentical(paged_result->relation, unbounded_result->relation,
+                      q.id)) {
       ++identity_failures;
     }
 
@@ -140,27 +143,28 @@ int main(int argc, char** argv) {
         before.counter("storage.partitions_skipped_bloom");
     if (q.query_class == 'C') c_class_skips += rg_skips;
 
-    mem_qr.simulated_millis = mem_result->simulated_millis;
-    mem_qr.result_rows = mem_result->relation.TotalRows();
-    mem_qr.counters = mem_result->counters;
+    unbounded_qr.simulated_millis = unbounded_result->simulated_millis;
+    unbounded_qr.result_rows = unbounded_result->relation.TotalRows();
+    unbounded_qr.counters = unbounded_result->counters;
     paged_qr.simulated_millis = paged_result->simulated_millis;
     paged_qr.result_rows = paged_result->relation.TotalRows();
     paged_qr.counters = paged_result->counters;
 
     int64_t bytes_saved =
-        static_cast<int64_t>(mem_qr.counters.bytes_scanned) -
+        static_cast<int64_t>(unbounded_qr.counters.bytes_scanned) -
         static_cast<int64_t>(paged_qr.counters.bytes_scanned);
     std::printf("%-6s | %12s | %12s | %10.2f KB | %9llu | %7llu\n",
                 q.id.c_str(),
-                WithThousands(
-                    static_cast<uint64_t>(mem_qr.simulated_millis)).c_str(),
+                WithThousands(static_cast<uint64_t>(
+                                  unbounded_qr.simulated_millis))
+                    .c_str(),
                 WithThousands(
                     static_cast<uint64_t>(paged_qr.simulated_millis)).c_str(),
                 bytes_saved / 1024.0,
                 static_cast<unsigned long long>(rg_skips),
                 static_cast<unsigned long long>(bloom_skips));
 
-    mem_run.queries.push_back(std::move(mem_qr));
+    unbounded_run.queries.push_back(std::move(unbounded_qr));
     paged_run.queries.push_back(std::move(paged_qr));
   }
   bench::PrintRule(78);
@@ -179,7 +183,7 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     bench::WriteBenchJson(json_path, "paged_beyond_ram", workload,
-                          {mem_run, paged_run});
+                          {unbounded_run, paged_run});
   }
 
   if (identity_failures > 0) {

@@ -9,7 +9,7 @@
 //   ./build/examples/sparql_shell --open mydb              (reopen)
 //   ./build/examples/sparql_shell --threads 4 data.nt      (parallel exec)
 //   ./build/examples/sparql_shell --pool-bytes 1048576 --watdiv 100000
-//                                           (beyond-RAM: paged storage)
+//                                           (beyond-RAM: bounded pool)
 //   ./build/examples/sparql_shell --explain data.nt        (plan only)
 //   ./build/examples/sparql_shell --explain-analyze data.nt
 //   ./build/examples/sparql_shell --metrics-json data.nt   (JSON at exit)
@@ -93,9 +93,9 @@ int main(int argc, char** argv) {
       argv += 2;
       argc -= 2;
     } else if (argc >= 3 && std::strcmp(argv[1], "--pool-bytes") == 0) {
-      // Beyond-RAM mode (DESIGN.md §15): page storage through a buffer
-      // pool of this byte budget. Results are identical; .analyze shows
-      // the zone-map/bloom skips.
+      // Beyond-RAM mode (DESIGN.md §15): cap the buffer pool every scan
+      // pages through at this byte budget (default unbounded). Results
+      // are identical; .analyze shows the zone-map/bloom skips.
       options.storage.buffer_pool_bytes =
           std::strtoull(argv[2], nullptr, 10);
       argv += 2;

@@ -344,14 +344,14 @@ Status CheckStorageResolution(const JoinTree& tree,
                                pattern.source.predicate.ToNTriples());
         }
         const core::VpStore::PredicateTable& vp_table = it->second;
-        if (vp_table.partitions.size() != workers ||
-            vp_table.partition_bytes.size() != vp_table.partitions.size()) {
+        if (vp_table.paged.size() != workers ||
+            vp_table.partition_bytes.size() != vp_table.paged.size()) {
           return NodeError(
               i, node,
               StrFormat("VP table for %s has %zu partitions / %zu size "
                         "entries, expected %u",
                         pattern.source.predicate.ToNTriples().c_str(),
-                        vp_table.partitions.size(),
+                        vp_table.paged.size(),
                         vp_table.partition_bytes.size(), workers));
         }
       } else if (!table->HasPredicate(pattern.predicate)) {

@@ -27,7 +27,7 @@ Result<std::unique_ptr<RdfSystem>> S2RdfSystem::Load(
   const uint32_t workers = cluster.num_workers;
 
   system->stats_ = core::DatasetStatistics::Compute(g);
-  system->vp_ = VpStore::Build(g, workers);
+  system->vp_ = VpStore::Build(g, workers, system->pool_);
 
   // Per predicate: rows plus subject/object membership sets, from the
   // shared statistics layer.
@@ -181,7 +181,7 @@ Result<QueryResult> S2RdfSystem::Execute(const sparql::Query& query) const {
         Relation scanned,
         VpStore::ScanTable(table, node.patterns[0].subject,
                            node.patterns[0].object, cluster_.num_workers,
-                           cost));
+                           pool_, cost));
     if (i == 0) {
       accumulated = std::move(scanned);
       continue;
@@ -215,8 +215,10 @@ Result<uint64_t> S2RdfSystem::PersistTo(const std::string& dir) const {
           "%s/extvp/ev%u_%llu_%llu_p%u.tbl", dir.c_str(),
           static_cast<unsigned>(corr), static_cast<unsigned long long>(p),
           static_cast<unsigned long long>(q), w);
+      PROST_ASSIGN_OR_RETURN(columnar::StoredTable decoded,
+                             table.paged[w].ToStored());
       PROST_RETURN_IF_ERROR(columnar::WriteLexicalTableFile(
-          table.partitions[w], graph_->dictionary(), path));
+          decoded, graph_->dictionary(), path));
     }
   }
   return DirectorySize(dir);

@@ -8,6 +8,7 @@
 
 #include "baselines/system.h"
 #include "cluster/config.h"
+#include "columnar/buffer_pool.h"
 #include "core/statistics.h"
 #include "core/vp_store.h"
 #include "obs/metrics.h"
@@ -68,6 +69,9 @@ class S2RdfSystem : public RdfSystem {
   std::string name_ = "S2RDF";
   SharedGraph graph_;
   cluster::ClusterConfig cluster_;
+  /// Unbounded page pool behind vp_ and the ExtVP tables. Mutable: scans
+  /// pin pages from const Execute.
+  mutable columnar::BufferPool pool_{columnar::kUnboundedBudget};
   core::VpStore vp_;
   core::DatasetStatistics stats_;
   core::LoadReport load_report_;

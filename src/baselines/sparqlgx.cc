@@ -24,7 +24,7 @@ Result<std::unique_ptr<RdfSystem>> SparqlGxSystem::Load(
   const uint32_t workers = cluster.num_workers;
 
   system->stats_ = core::DatasetStatistics::Compute(g);
-  system->vp_ = core::VpStore::Build(g, workers);
+  system->vp_ = core::VpStore::Build(g, workers, system->pool_);
 
   // Text sizes of the per-predicate files ("s o" lines), the unit
   // SPARQLGX actually reads from HDFS.
@@ -109,7 +109,7 @@ Result<QueryResult> SparqlGxSystem::Execute(
         cost.ChargeScan(w, bytes_it->second[w]);
       }
       uint64_t part_rows =
-          table == nullptr ? 0 : table->partitions[w].num_rows();
+          table == nullptr ? 0 : table->paged[w].num_rows();
       cost.ChargeCpuRows(w, part_rows + scanned.chunks()[w].num_rows());
     }
     if (i == 0) {
@@ -139,7 +139,8 @@ Result<uint64_t> SparqlGxSystem::PersistTo(const std::string& dir) const {
   const rdf::Dictionary& dictionary = graph_->dictionary();
   for (const auto& [predicate, table] : vp_.tables()) {
     for (uint32_t w = 0; w < vp_.num_workers(); ++w) {
-      const columnar::StoredTable& part = table.partitions[w];
+      PROST_ASSIGN_OR_RETURN(columnar::StoredTable part,
+                             table.paged[w].ToStored());
       std::string text;
       const auto& subjects = part.column(0).ids();
       const auto& objects = part.column(1).ids();

@@ -8,6 +8,7 @@
 
 #include "baselines/system.h"
 #include "cluster/config.h"
+#include "columnar/buffer_pool.h"
 #include "core/statistics.h"
 #include "core/translator.h"
 #include "core/vp_store.h"
@@ -53,6 +54,8 @@ class SparqlGxSystem : public RdfSystem {
   std::string name_ = "SPARQLGX";
   SharedGraph graph_;
   cluster::ClusterConfig cluster_;   // Derated RDD profile.
+  /// Unbounded page pool behind vp_.
+  columnar::BufferPool pool_{columnar::kUnboundedBudget};
   core::VpStore vp_;
   core::DatasetStatistics stats_;
   core::LoadReport load_report_;

@@ -50,11 +50,12 @@ Result<std::unique_ptr<RdfSystem>> MakeProst(
 Result<std::unique_ptr<RdfSystem>> MakeProstVpOnly(
     SharedGraph graph, const cluster::ClusterConfig& cluster);
 
-/// PRoST (mixed VP + PT) running beyond-RAM storage (DESIGN.md §15):
-/// paged row groups behind a BufferPool of `pool_bytes`, zone-map and
-/// bloom skipping on. Results are bit-identical to MakeProst; the
-/// bytes_scanned counter and the storage.* metrics show what paging
-/// skipped. `row_group_rows` = 0 uses columnar::kRowGroupSize.
+/// PRoST (mixed VP + PT) with a bounded buffer pool (DESIGN.md §15):
+/// row groups of `row_group_rows` rows paged through a pool of
+/// `pool_bytes` instead of MakeProst's unbounded one. Results are
+/// bit-identical to MakeProst; the bytes_scanned counter and the
+/// storage.* metrics show what the pool and the pruning did.
+/// `row_group_rows` = 0 uses columnar::kRowGroupSize.
 Result<std::unique_ptr<RdfSystem>> MakeProstPaged(
     SharedGraph graph, const cluster::ClusterConfig& cluster,
     uint64_t pool_bytes, uint32_t row_group_rows = 0);

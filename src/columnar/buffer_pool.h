@@ -15,6 +15,10 @@ namespace prost::columnar {
 
 class BufferPool;
 
+/// A budget no footprint reaches: pages stay resident once decoded and
+/// nothing is ever evicted.
+inline constexpr uint64_t kUnboundedBudget = ~uint64_t{0};
+
 /// Internal page-frame state; defined in buffer_pool.cc. Everything
 /// outside src/columnar/ goes through PinnedPage (tools/lint.py
 /// `buffer-pool-internals` enforces this fence).

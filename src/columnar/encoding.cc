@@ -58,10 +58,24 @@ void EncodeBitPacked(const IdVector& ids, ByteWriter& writer) {
   if (bits_in_buffer > 0) writer.PutU8(buffer);
 }
 
+/// Corruption unless `count` values of at least one byte each fit in what
+/// is left of `reader` — checked before sizing any output from `count`.
+Status CheckCountFits(const ByteReader& reader, size_t count) {
+  if (count > reader.remaining()) {
+    return Status::Corruption("value count exceeds encoded bytes");
+  }
+  return Status::OK();
+}
+
 Status DecodeBitPacked(ByteReader& reader, size_t count, IdVector* out) {
   uint8_t width;
   PROST_RETURN_IF_ERROR(reader.GetU8(&width));
   if (width > 64) return Status::Corruption("bad bit-pack width");
+  // Width 0 (all zeros) carries no bytes per value; otherwise the packed
+  // bits must be present.
+  if (width > 0 && count > reader.remaining() * 8 / width) {
+    return Status::Corruption("value count exceeds encoded bytes");
+  }
   out->assign(count, 0);
   if (width == 0) return Status::OK();
   uint8_t buffer = 0;
@@ -114,6 +128,7 @@ void EncodeDelta(const IdVector& ids, ByteWriter& writer) {
 }
 
 Status DecodePlain(ByteReader& reader, size_t count, IdVector* out) {
+  PROST_RETURN_IF_ERROR(CheckCountFits(reader, count));
   out->resize(count);
   for (size_t i = 0; i < count; ++i) {
     PROST_RETURN_IF_ERROR(reader.GetVarint(&(*out)[i]));
@@ -122,13 +137,14 @@ Status DecodePlain(ByteReader& reader, size_t count, IdVector* out) {
 }
 
 Status DecodeRle(ByteReader& reader, size_t count, IdVector* out) {
+  // No up-front reserve: one run may legitimately describe many rows, so
+  // `count` says nothing about the bytes present.
   out->clear();
-  out->reserve(count);
   while (out->size() < count) {
     uint64_t value, run;
     PROST_RETURN_IF_ERROR(reader.GetVarint(&value));
     PROST_RETURN_IF_ERROR(reader.GetVarint(&run));
-    if (run == 0 || out->size() + run > count) {
+    if (run == 0 || run > count - out->size()) {
       return Status::Corruption("bad RLE run length");
     }
     out->insert(out->end(), run, value);
@@ -137,6 +153,7 @@ Status DecodeRle(ByteReader& reader, size_t count, IdVector* out) {
 }
 
 Status DecodeDelta(ByteReader& reader, size_t count, IdVector* out) {
+  PROST_RETURN_IF_ERROR(CheckCountFits(reader, count));
   out->resize(count);
   // Accumulate in unsigned space: the encoder's deltas wrap modulo 2^64,
   // and a signed accumulator would overflow on ids above 2^63.

@@ -45,6 +45,10 @@ Status ReadLocalDictAndIndices(ByteReader& reader, size_t count,
                                rdf::Dictionary* dictionary, IdVector* out) {
   uint64_t dict_size;
   PROST_RETURN_IF_ERROR(reader.GetVarint(&dict_size));
+  // Every entry takes at least its length byte.
+  if (dict_size > reader.remaining()) {
+    return Status::Corruption("local dictionary size exceeds encoded bytes");
+  }
   std::vector<TermId> local_to_global(dict_size + 1, kNullTermId);
   std::string lexical;
   for (uint64_t i = 1; i <= dict_size; ++i) {

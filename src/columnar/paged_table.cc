@@ -14,6 +14,28 @@ namespace {
 constexpr uint32_t kPagedMagic = 0x50525350;  // "PRSP"
 constexpr uint8_t kPagedVersion = 1;
 
+void WriteColumnStats(const ColumnStats& stats, ByteWriter& writer) {
+  writer.PutVarint(stats.min_id);
+  writer.PutVarint(stats.max_id);
+  writer.PutVarint(stats.null_count);
+  writer.PutVarint(stats.value_count);
+}
+
+Status ReadColumnStats(ByteReader& reader, ColumnStats* stats) {
+  PROST_RETURN_IF_ERROR(reader.GetVarint(&stats->min_id));
+  PROST_RETURN_IF_ERROR(reader.GetVarint(&stats->max_id));
+  PROST_RETURN_IF_ERROR(reader.GetVarint(&stats->null_count));
+  PROST_RETURN_IF_ERROR(reader.GetVarint(&stats->value_count));
+  return Status::OK();
+}
+
+/// Whether `chunk` lies inside a payload of `payload_bytes`, without the
+/// offset + bytes sum that untrusted metadata could wrap.
+bool ChunkInPayload(const ChunkMeta& chunk, uint64_t payload_bytes) {
+  return chunk.offset <= payload_bytes &&
+         chunk.bytes <= payload_bytes - chunk.offset;
+}
+
 /// Slices rows [begin, end) of `column` into a standalone Column; list
 /// columns get rebased (group-local) offsets.
 Column SliceColumn(const Column& column, size_t begin, size_t end) {
@@ -94,7 +116,7 @@ Result<Column> PagedTable::DecodeChunk(size_t g, size_t c) const {
   }
   const RowGroupMeta& group = groups_[g];
   const ChunkMeta& chunk = group.chunks[c];
-  if (chunk.offset + chunk.bytes > payload_.size()) {
+  if (!ChunkInPayload(chunk, payload_.size())) {
     return Status::Corruption("chunk extends past payload");
   }
   ByteReader reader(
@@ -213,6 +235,9 @@ Result<PagedTable> PagedTable::Deserialize(std::string_view data) {
     PROST_RETURN_IF_ERROR(reader.GetVarint(&group.row_begin));
     uint64_t group_rows;
     PROST_RETURN_IF_ERROR(reader.GetVarint(&group_rows));
+    if (group_rows > UINT32_MAX) {
+      return Status::Corruption("paged row group too large");
+    }
     group.num_rows = static_cast<uint32_t>(group_rows);
     rows_seen += group_rows;
     for (uint64_t c = 0; c < num_fields; ++c) {
@@ -233,7 +258,7 @@ Result<PagedTable> PagedTable::Deserialize(std::string_view data) {
   PROST_RETURN_IF_ERROR(reader.GetString(&paged.payload_));
   for (const RowGroupMeta& group : paged.groups_) {
     for (const ChunkMeta& chunk : group.chunks) {
-      if (chunk.offset + chunk.bytes > paged.payload_.size()) {
+      if (!ChunkInPayload(chunk, paged.payload_.size())) {
         return Status::Corruption("paged chunk extends past payload");
       }
     }

@@ -13,6 +13,10 @@
 
 namespace prost::columnar {
 
+/// Default rows per row group. Column chunks are encoded (and carry
+/// zone-map statistics) per row group, like Parquet pages.
+inline constexpr size_t kRowGroupSize = 65536;
+
 /// One column chunk of one row group: zone-map statistics plus the
 /// location of its encoded bytes inside the table payload. The stats are
 /// what scan pruning consults *before* any decode happens.
@@ -32,10 +36,10 @@ struct RowGroupMeta {
 
 /// A columnar table held in *encoded* form: schema + per-row-group chunk
 /// metadata (zone maps) + one contiguous encoded payload + a bloom filter
-/// over the key column (field 0). This is the beyond-RAM counterpart of
-/// StoredTable — a scan decodes only the chunks its pruning could not
-/// rule out, through BufferPool pins, and row groups enumerate in row
-/// order so paged scans are bit-identical to in-memory scans.
+/// over the key column (field 0). This is the one form in which the VP
+/// tables and Property Tables hold their data: a scan decodes only the
+/// chunks its pruning could not rule out, through BufferPool pins, and
+/// row groups enumerate in row order.
 class PagedTable {
  public:
   PagedTable() = default;
@@ -66,12 +70,12 @@ class PagedTable {
   /// through BufferPool::Pin, which caches the result.
   Result<Column> DecodeChunk(size_t g, size_t c) const;
 
-  /// Fully decodes back into a StoredTable (persistence, and the
-  /// differential tests proving paged == in-memory).
+  /// Fully decodes back into a StoredTable (persistence writes the
+  /// decoded form in the lexical format).
   Result<StoredTable> ToStored() const;
 
-  /// Own serialized form: like StoredTable's but with a chunk directory
-  /// and the bloom filter, so zone maps round-trip without a decode.
+  /// Own serialized form: encoded chunks plus a chunk directory and the
+  /// bloom filter, so zone maps round-trip without a decode.
   void Serialize(std::string* out) const;
   static Result<PagedTable> Deserialize(std::string_view data);
 

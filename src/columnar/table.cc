@@ -1,35 +1,11 @@
 #include "columnar/table.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "columnar/encoding.h"
-#include "common/hash.h"
-#include "common/io.h"
 #include "common/str_util.h"
 
 namespace prost::columnar {
-namespace {
-
-constexpr uint32_t kTableMagic = 0x50525354;  // "PRST"
-constexpr uint8_t kFormatVersion = 1;
-
-}  // namespace
-
-void WriteColumnStats(const ColumnStats& stats, ByteWriter& writer) {
-  writer.PutVarint(stats.min_id);
-  writer.PutVarint(stats.max_id);
-  writer.PutVarint(stats.null_count);
-  writer.PutVarint(stats.value_count);
-}
-
-Status ReadColumnStats(ByteReader& reader, ColumnStats* stats) {
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&stats->min_id));
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&stats->max_id));
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&stats->null_count));
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&stats->value_count));
-  return Status::OK();
-}
 
 StoredTable::StoredTable(Schema schema, std::vector<Column> columns)
     : schema_(std::move(schema)), columns_(std::move(columns)) {}
@@ -60,133 +36,6 @@ Status StoredTable::Validate() const {
   return Status::OK();
 }
 
-void StoredTable::Serialize(std::string* out) const {
-  ByteWriter writer;
-  writer.PutU32(kTableMagic);
-  writer.PutU8(kFormatVersion);
-  // Schema.
-  writer.PutVarint(schema_.num_fields());
-  for (const Field& field : schema_.fields()) {
-    writer.PutString(field.name);
-    writer.PutU8(static_cast<uint8_t>(field.kind));
-  }
-  size_t rows = num_rows();
-  writer.PutVarint(rows);
-  size_t num_groups = rows == 0 ? 0 : (rows + kRowGroupSize - 1) / kRowGroupSize;
-  writer.PutVarint(num_groups);
-  // Row groups: for each group, each column chunk with stats + payload.
-  for (size_t group = 0; group < num_groups; ++group) {
-    size_t begin = group * kRowGroupSize;
-    size_t end = std::min(rows, begin + kRowGroupSize);
-    writer.PutVarint(end - begin);
-    for (const Column& column : columns_) {
-      if (column.kind() == ColumnKind::kId) {
-        IdVector slice(column.ids().begin() + begin,
-                       column.ids().begin() + end);
-        WriteColumnStats(ComputeStats(slice), writer);
-        EncodeIdsAdaptive(slice, writer);
-      } else {
-        const IdListColumn& lists = column.lists();
-        IdListColumn slice;
-        slice.offsets.assign(1, 0);
-        uint32_t base = lists.offsets[begin];
-        for (size_t row = begin; row < end; ++row) {
-          slice.offsets.push_back(lists.offsets[row + 1] - base);
-        }
-        slice.values.assign(lists.values.begin() + base,
-                            lists.values.begin() + lists.offsets[end]);
-        WriteColumnStats(ComputeStats(slice), writer);
-        EncodeIdList(slice, writer);
-      }
-    }
-  }
-  uint64_t checksum = HashBytes(writer.buffer());
-  writer.PutU64(checksum);
-  *out = std::move(writer.TakeBuffer());
-}
-
-Result<StoredTable> StoredTable::Deserialize(std::string_view data) {
-  if (data.size() < 8) return Status::Corruption("table file too small");
-  // Verify checksum over everything except the trailing 8 bytes.
-  std::string_view body = data.substr(0, data.size() - 8);
-  ByteReader checksum_reader(data.substr(data.size() - 8));
-  uint64_t stored_checksum;
-  PROST_RETURN_IF_ERROR(checksum_reader.GetU64(&stored_checksum));
-  if (HashBytes(body) != stored_checksum) {
-    return Status::Corruption("table file checksum mismatch");
-  }
-
-  ByteReader reader(body);
-  uint32_t magic;
-  PROST_RETURN_IF_ERROR(reader.GetU32(&magic));
-  if (magic != kTableMagic) return Status::Corruption("bad table magic");
-  uint8_t version;
-  PROST_RETURN_IF_ERROR(reader.GetU8(&version));
-  if (version != kFormatVersion) {
-    return Status::Corruption("unsupported table format version");
-  }
-  uint64_t num_fields;
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&num_fields));
-  Schema schema;
-  for (uint64_t i = 0; i < num_fields; ++i) {
-    std::string name;
-    uint8_t kind;
-    PROST_RETURN_IF_ERROR(reader.GetString(&name));
-    PROST_RETURN_IF_ERROR(reader.GetU8(&kind));
-    if (kind > static_cast<uint8_t>(ColumnKind::kIdList)) {
-      return Status::Corruption("bad column kind in schema");
-    }
-    PROST_RETURN_IF_ERROR(schema.AddField(
-        Field{std::move(name), static_cast<ColumnKind>(kind)}));
-  }
-  uint64_t rows, num_groups;
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&rows));
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&num_groups));
-
-  // Reassemble columns across row groups.
-  std::vector<Column> columns;
-  columns.reserve(num_fields);
-  for (const Field& field : schema.fields()) {
-    columns.emplace_back(field.kind == ColumnKind::kId
-                             ? Column(IdVector{})
-                             : Column(IdListColumn{}));
-  }
-  uint64_t rows_seen = 0;
-  for (uint64_t group = 0; group < num_groups; ++group) {
-    uint64_t group_rows;
-    PROST_RETURN_IF_ERROR(reader.GetVarint(&group_rows));
-    rows_seen += group_rows;
-    for (uint64_t c = 0; c < num_fields; ++c) {
-      ColumnStats stats;
-      PROST_RETURN_IF_ERROR(ReadColumnStats(reader, &stats));
-      if (schema.field(c).kind == ColumnKind::kId) {
-        IdVector chunk;
-        PROST_RETURN_IF_ERROR(DecodeIds(reader, group_rows, &chunk));
-        IdVector& target = columns[c].mutable_ids();
-        target.insert(target.end(), chunk.begin(), chunk.end());
-      } else {
-        IdListColumn chunk;
-        PROST_RETURN_IF_ERROR(DecodeIdList(reader, group_rows, &chunk));
-        IdListColumn& target = columns[c].mutable_lists();
-        uint32_t base = target.values.empty()
-                            ? 0
-                            : static_cast<uint32_t>(target.values.size());
-        for (size_t row = 0; row < chunk.num_rows(); ++row) {
-          target.offsets.push_back(base + chunk.offsets[row + 1]);
-        }
-        target.values.insert(target.values.end(), chunk.values.begin(),
-                             chunk.values.end());
-      }
-    }
-  }
-  if (rows_seen != rows) {
-    return Status::Corruption("row group row counts disagree with header");
-  }
-  StoredTable table(std::move(schema), std::move(columns));
-  PROST_RETURN_IF_ERROR(table.Validate());
-  return table;
-}
-
 uint64_t ColumnSerializedSizeEstimate(const Column& column) {
   if (column.kind() == ColumnKind::kId) {
     uint64_t best = EncodedSize(column.ids(), Encoding::kPlainVarint);
@@ -213,41 +62,28 @@ uint64_t ColumnSerializedSizeEstimate(const Column& column) {
 
 uint64_t LexicalColumnSizeEstimate(
     const Column& column, const std::vector<uint32_t>& term_lengths) {
-  std::unordered_set<TermId> distinct;
+  // Dictionary ids are dense below term_lengths.size(), so "seen in this
+  // column" is a per-id stamp. The marks persist across calls (a load
+  // estimates thousands of columns over one dictionary); bumping the
+  // epoch clears them all at once.
+  thread_local std::vector<uint32_t> marks;
+  thread_local uint32_t epoch = 0;
+  if (marks.size() < term_lengths.size()) marks.resize(term_lengths.size());
+  if (++epoch == 0) {
+    std::fill(marks.begin(), marks.end(), 0);
+    epoch = 1;
+  }
   uint64_t size = ColumnSerializedSizeEstimate(column);  // Index stream.
   const IdVector& values =
       column.kind() == ColumnKind::kId ? column.ids() : column.lists().values;
-  distinct.reserve(values.size());
   for (TermId id : values) {
     if (id == kNullTermId || id >= term_lengths.size()) continue;
-    if (distinct.insert(id).second) {
+    if (marks[id] != epoch) {
+      marks[id] = epoch;
       size += term_lengths[id] + 2;  // Local dictionary entry.
     }
   }
   return size;
-}
-
-uint64_t StoredTable::SerializedSizeEstimate() const {
-  // Header + per-group stats are small; the payload dominates. Estimate by
-  // encoding sizes without materializing.
-  uint64_t size = 64;
-  for (const Field& field : schema_.fields()) size += field.name.size() + 2;
-  for (const Column& column : columns_) {
-    size += ColumnSerializedSizeEstimate(column);
-  }
-  return size;
-}
-
-Status WriteTableFile(const StoredTable& table, const std::string& path) {
-  std::string bytes;
-  table.Serialize(&bytes);
-  return WriteStringToFile(path, bytes);
-}
-
-Result<StoredTable> ReadTableFile(const std::string& path) {
-  std::string bytes;
-  PROST_RETURN_IF_ERROR(ReadFileToString(path, &bytes));
-  return StoredTable::Deserialize(bytes);
 }
 
 }  // namespace prost::columnar

@@ -6,23 +6,14 @@
 
 #include "columnar/column.h"
 #include "columnar/types.h"
-#include "common/io.h"
 #include "common/status.h"
 
 namespace prost::columnar {
 
-/// (De)serializes per-chunk ColumnStats in the varint wire form shared by
-/// the StoredTable and PagedTable formats.
-void WriteColumnStats(const ColumnStats& stats, ByteWriter& writer);
-Status ReadColumnStats(ByteReader& reader, ColumnStats* stats);
-
-/// Rows per row group in the serialized table format. Column chunks are
-/// encoded (and carry statistics) per row group, like Parquet pages.
-inline constexpr size_t kRowGroupSize = 65536;
-
-/// An in-memory columnar table: a schema plus one column per field, all
-/// with the same row count. This is the unit of storage for VP tables and
-/// the Property Table.
+/// A decoded columnar table: a schema plus one column per field, all with
+/// the same row count. Stores hold their data as PagedTable row groups;
+/// a StoredTable is the transient decoded form a load builds, and the
+/// form the lexical file format (lexical_format.h) reads and writes.
 class StoredTable {
  public:
   StoredTable() = default;
@@ -47,22 +38,10 @@ class StoredTable {
   /// the schema.
   Status Validate() const;
 
-  /// Serializes the table (row-grouped, adaptively encoded, with per-chunk
-  /// statistics and a trailing checksum).
-  void Serialize(std::string* out) const;
-  static Result<StoredTable> Deserialize(std::string_view data);
-
-  /// Serialized size without materializing the bytes.
-  uint64_t SerializedSizeEstimate() const;
-
  private:
   Schema schema_;
   std::vector<Column> columns_;
 };
-
-/// Writes `table` to `path` / reads it back.
-Status WriteTableFile(const StoredTable& table, const std::string& path);
-Result<StoredTable> ReadTableFile(const std::string& path);
 
 /// Serialized-size estimate of one column under the best adaptive
 /// encoding (used for per-column scan-cost accounting).

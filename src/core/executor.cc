@@ -178,8 +178,8 @@ class PlanInterpreter {
         ScanNode(node.source, vp_, property_table_, reverse_property_table_,
                  cost_, exec_, &hints, &telemetry));
     if (telemetry.row_groups_total > 0) {
-      // The scan ran paged: surface estimate-vs-actual and skips in
-      // EXPLAIN ANALYZE.
+      // The scan read row groups: surface estimate-vs-actual and skips
+      // in EXPLAIN ANALYZE.
       span.SetStorage(relation.planner_bytes_raw(),
                       telemetry.row_groups_skipped,
                       telemetry.partitions_skipped);

@@ -26,10 +26,13 @@ using rdf::TermId;
 PropertyTable PropertyTable::Build(const rdf::EncodedGraph& graph,
                                    const DatasetStatistics& stats,
                                    uint32_t num_workers,
-                                   bool keyed_on_object) {
+                                   columnar::BufferPool& pool,
+                                   bool keyed_on_object,
+                                   uint32_t row_group_rows) {
   PropertyTable table;
   table.num_workers_ = num_workers;
   table.keyed_on_object_ = keyed_on_object;
+  table.pool_ = &pool;
 
   // 1. Distinct row keys, assigned (partition, row) by subject hash.
   std::vector<TermId> keys;
@@ -110,8 +113,6 @@ PropertyTable PropertyTable::Build(const rdf::EncodedGraph& graph,
         std::move(name),
         is_list[c] ? ColumnKind::kIdList : ColumnKind::kId});
   }
-  table.partitions_.reserve(num_workers);
-  table.column_bytes_.resize(num_workers);
   for (uint32_t w = 0; w < num_workers; ++w) {
     std::vector<Column> columns;
     columns.reserve(predicates.size() + 1);
@@ -140,27 +141,36 @@ PropertyTable PropertyTable::Build(const rdf::EncodedGraph& graph,
         columns.emplace_back(std::move(flat[w][c]));
       }
     }
-    table.partitions_.emplace_back(schema, std::move(columns));
-    const StoredTable& part = table.partitions_.back();
-    table.column_bytes_[w].reserve(part.num_columns());
-    for (size_t c = 0; c < part.num_columns(); ++c) {
-      // Lexical (Parquet string) sizes: scan charges and planner stats.
-      table.column_bytes_[w].push_back(
-          columnar::LexicalColumnSizeEstimate(part.column(c), term_lengths));
-    }
+    table.AddPartition(StoredTable(schema, std::move(columns)),
+                       term_lengths, row_group_rows);
   }
   return table;
 }
 
+void PropertyTable::AddPartition(const StoredTable& part,
+                                 const std::vector<uint32_t>& term_lengths,
+                                 uint32_t row_group_rows) {
+  std::vector<uint64_t>& bytes = column_bytes_.emplace_back();
+  bytes.reserve(part.num_columns());
+  for (size_t c = 0; c < part.num_columns(); ++c) {
+    // Lexical (Parquet string) sizes: scan charges and planner stats.
+    bytes.push_back(
+        columnar::LexicalColumnSizeEstimate(part.column(c), term_lengths));
+  }
+  paged_.push_back(columnar::PagedTable::FromStored(part, row_group_rows));
+}
+
 Result<PropertyTable> PropertyTable::Assemble(
     std::vector<StoredTable> partitions, const rdf::Dictionary& dictionary,
-    bool keyed_on_object) {
+    bool keyed_on_object, columnar::BufferPool& pool,
+    uint32_t row_group_rows) {
   if (partitions.empty()) {
     return Status::InvalidArgument("property table needs >= 1 partition");
   }
   PropertyTable table;
   table.num_workers_ = static_cast<uint32_t>(partitions.size());
   table.keyed_on_object_ = keyed_on_object;
+  table.pool_ = &pool;
   const columnar::Schema& schema = partitions[0].schema();
   for (const StoredTable& part : partitions) {
     if (!(part.schema() == schema)) {
@@ -178,15 +188,10 @@ Result<PropertyTable> PropertyTable::Assemble(
     table.column_of_predicate_.emplace(predicate, c);
   }
   std::vector<uint32_t> term_lengths = dictionary.TermLengths();
-  table.column_bytes_.resize(partitions.size());
-  for (size_t w = 0; w < partitions.size(); ++w) {
-    table.column_bytes_[w].reserve(partitions[w].num_columns());
-    for (size_t c = 0; c < partitions[w].num_columns(); ++c) {
-      table.column_bytes_[w].push_back(columnar::LexicalColumnSizeEstimate(
-          partitions[w].column(c), term_lengths));
-    }
+  for (StoredTable& part : partitions) {
+    table.AddPartition(part, term_lengths, row_group_rows);
+    part = StoredTable();  // Release the decoded columns now.
   }
-  table.partitions_ = std::move(partitions);
   return table;
 }
 
@@ -284,11 +289,11 @@ Result<Relation> PropertyTable::Scan(
   }
   if (!possible) {
     // The scan stage still runs over every partition and finds nothing;
-    // zone maps have nothing to prune (no surviving rows to skip), so
-    // both representations charge the full columnar scan.
+    // zone maps have nothing to prune (no surviving rows to skip), so it
+    // charges the full columnar scan.
     for (uint32_t w = 0; w < num_workers_; ++w) {
       cost.ChargeScan(w, full_scan_bytes[w]);
-      cost.ChargeCpuRows(w, PartitionRows(w));
+      cost.ChargeCpuRows(w, paged_[w].num_rows());
     }
     if (key.is_variable) output.set_hash_partitioned_by(0);
     output.set_planner_bytes(planner_bytes);
@@ -302,17 +307,16 @@ Result<Relation> PropertyTable::Scan(
   // general partial-expansion path below.
   bool all_flat = true;
   for (int c : pattern_column) {
-    if (PartitionSchema().field(static_cast<size_t>(c)).kind !=
+    if (paged_[0].schema().field(static_cast<size_t>(c)).kind !=
         ColumnKind::kId) {
       all_flat = false;
       break;
     }
   }
 
-  // The scan kernels below take the rows as column views — `row_keys`
-  // plus `cols[i]`, pattern i's table column — so the same code runs
-  // over a whole in-memory partition or one pinned row group (row
-  // indices are view-local either way).
+  // The scan kernels below take one pinned row group as column views —
+  // `row_keys` plus `cols[i]`, pattern i's table column (row indices are
+  // group-local).
 
   // Vectorized scan (flat columns only). Produces the exact rows, in
   // the exact ascending row order, that the general loop emits: with
@@ -436,64 +440,40 @@ Result<Relation> PropertyTable::Scan(
              : scan_rows_general(row_keys, cols, out);
   };
 
-  // Per partition: the rows the scan reads and the lexical bytes it
-  // charges. A paged partition keeps only the row groups the pruner cannot
-  // rule out; each touched column is its own charge unit, and a group
-  // whose touched predicate column is all-NULL cannot produce a row.
-  std::vector<RowGroupPruner::Partition> kept(paged_mode() ? num_workers_
-                                                           : 0);
-  std::vector<uint64_t> scanned_rows(num_workers_, 0);
-  std::vector<uint64_t> charged_bytes(num_workers_, 0);
+  // Per partition: the row groups the pruner cannot rule out, their rows
+  // and the lexical bytes they charge. Each touched column is its own
+  // charge unit, and a group whose touched predicate column is all-NULL
+  // cannot produce a row.
+  std::vector<RowGroupPruner::Partition> kept(num_workers_);
   ScanTelemetry local;
-  if (paged_mode()) {
-    if (pool_ == nullptr) {
-      return Status::Internal(
-          "paged property table scanned without a buffer pool");
+  std::vector<std::pair<size_t, const PatternTerm*>> bindings{{0, &key}};
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    bindings.emplace_back(static_cast<size_t>(pattern_column[i]),
+                          &patterns[i].value);
+  }
+  const RowGroupPruner pruner(
+      num_columns(), bindings, hints,
+      std::vector<size_t>(charged_cols.begin() + 1, charged_cols.end()));
+  for (uint32_t w = 0; w < num_workers_; ++w) {
+    if (paged_[w].num_groups() == 0) {
+      // Empty partition: nothing to prune; charge the full column bytes.
+      kept[w].charged_bytes = full_scan_bytes[w];
+      continue;
     }
-    std::vector<std::pair<size_t, const PatternTerm*>> bindings{{0, &key}};
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      bindings.emplace_back(static_cast<size_t>(pattern_column[i]),
-                            &patterns[i].value);
+    std::vector<RowGroupPruner::ChargeUnit> units;
+    for (size_t c : charged_cols) {
+      units.push_back({{c}, column_bytes_[w][c]});
     }
-    const RowGroupPruner pruner(
-        num_columns(), bindings, hints,
-        std::vector<size_t>(charged_cols.begin() + 1, charged_cols.end()));
-    for (uint32_t w = 0; w < num_workers_; ++w) {
-      if (paged_[w].num_groups() == 0) {
-        // Empty partition: nothing to prune; keep the in-memory charge.
-        charged_bytes[w] = full_scan_bytes[w];
-        continue;
-      }
-      std::vector<RowGroupPruner::ChargeUnit> units;
-      for (size_t c : charged_cols) {
-        units.push_back({{c}, column_bytes_[w][c]});
-      }
-      kept[w] = pruner.Prune(paged_[w], units, local);
-      scanned_rows[w] = kept[w].rows;
-      charged_bytes[w] = kept[w].charged_bytes;
-    }
-  } else {
-    for (uint32_t w = 0; w < num_workers_; ++w) {
-      scanned_rows[w] = partitions_[w].num_rows();
-      charged_bytes[w] = full_scan_bytes[w];
-    }
+    kept[w] = pruner.Prune(paged_[w], units, local);
   }
 
-  // One task per partition, writing only its own output chunk. A paged
-  // partition scans its surviving groups in ascending (= row) order
-  // through pool pins: the key chunk plus one pin per distinct touched
-  // column, held for exactly the duration of the group's scan.
+  // One task per partition, writing only its own output chunk. It scans
+  // its surviving groups in ascending (= row) order through pool pins:
+  // the key chunk plus one pin per distinct touched column, held for
+  // exactly the duration of the group's scan.
   auto scan_partition = [&](uint32_t w) -> Status {
     RelationChunk& out = output.mutable_chunks()[w];
     std::vector<const Column*> cols(patterns.size(), nullptr);
-    if (!paged_mode()) {
-      const StoredTable& part = partitions_[w];
-      for (size_t i = 0; i < patterns.size(); ++i) {
-        cols[i] = &part.column(static_cast<size_t>(pattern_column[i]));
-      }
-      scan_rows(part.column(0).ids(), cols, out);
-      return Status::OK();
-    }
     const columnar::PagedTable& paged = paged_[w];
     std::vector<columnar::PinnedPage> pins;
     for (uint32_t g : kept[w].groups) {
@@ -526,29 +506,16 @@ Result<Relation> PropertyTable::Scan(
 
   uint64_t bytes_scanned = 0;
   for (uint32_t w = 0; w < num_workers_; ++w) {
-    cost.ChargeScan(w, charged_bytes[w]);
-    cost.ChargeCpuRows(w, scanned_rows[w] + output.chunks()[w].num_rows());
-    bytes_scanned += charged_bytes[w];
+    cost.ChargeScan(w, kept[w].charged_bytes);
+    cost.ChargeCpuRows(w, kept[w].rows + output.chunks()[w].num_rows());
+    bytes_scanned += kept[w].charged_bytes;
   }
-  if (paged_mode()) RecordPagedScan(*pool_, bytes_scanned, local, telemetry);
+  RecordPagedScan(*pool_, bytes_scanned, local, telemetry);
   if (key.is_variable) output.set_hash_partitioned_by(0);
   // The planner sees the touched columns' size (Parquet column pruning is
   // visible to Spark's relation statistics).
   output.set_planner_bytes(planner_bytes);
   return output;
-}
-
-void PropertyTable::EnablePaging(columnar::BufferPool* pool,
-                                 uint32_t row_group_rows) {
-  pool_ = pool;
-  paged_.reserve(partitions_.size());
-  for (StoredTable& part : partitions_) {
-    paged_.push_back(columnar::PagedTable::FromStored(part, row_group_rows));
-    // Keep a schema-shaped husk: consumers that only look at shape
-    // (plan checking, schema queries) keep working, decoded columns go.
-    Schema schema = part.schema();
-    part = StoredTable(std::move(schema));
-  }
 }
 
 uint64_t PropertyTable::TotalBytesEstimate() const {
@@ -565,14 +532,10 @@ Status PropertyTable::WriteTo(const std::string& dir,
   const char* stem = keyed_on_object_ ? "ptrev" : "pt";
   for (uint32_t w = 0; w < num_workers_; ++w) {
     std::string path = StrFormat("%s/%s_p%u.tbl", dir.c_str(), stem, w);
-    if (paged_mode()) {
-      PROST_ASSIGN_OR_RETURN(StoredTable decoded, paged_[w].ToStored());
-      PROST_RETURN_IF_ERROR(
-          columnar::WriteLexicalTableFile(decoded, dictionary, path));
-    } else {
-      PROST_RETURN_IF_ERROR(columnar::WriteLexicalTableFile(
-          partitions_[w], dictionary, path));
-    }
+    // Persistence writes the decoded form, one partition at a time.
+    PROST_ASSIGN_OR_RETURN(StoredTable decoded, paged_[w].ToStored());
+    PROST_RETURN_IF_ERROR(
+        columnar::WriteLexicalTableFile(decoded, dictionary, path));
   }
   return Status::OK();
 }

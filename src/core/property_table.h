@@ -31,6 +31,9 @@ namespace prost::core {
 ///
 /// `keyed_on_object = true` builds the future-work variant from §5: rows
 /// keyed by *object*, beneficial for same-object pattern groups.
+///
+/// Every partition is held as PagedTable row groups (zone maps plus a key
+/// bloom filter) and scanned through the table's BufferPool.
 class PropertyTable {
  public:
   /// One pattern evaluated inside this table: a predicate column and the
@@ -46,17 +49,22 @@ class PropertyTable {
   PropertyTable(PropertyTable&&) = default;
   PropertyTable& operator=(PropertyTable&&) = default;
 
+  /// Builds the table from an encoded graph, packed into row groups of
+  /// `row_group_rows` rows (0 = columnar::kRowGroupSize). Scans pin
+  /// through `pool`, which must outlive the table.
   static PropertyTable Build(const rdf::EncodedGraph& graph,
                              const DatasetStatistics& stats,
-                             uint32_t num_workers,
-                             bool keyed_on_object = false);
+                             uint32_t num_workers, columnar::BufferPool& pool,
+                             bool keyed_on_object = false,
+                             uint32_t row_group_rows = 0);
 
   /// Reassembles a table from persisted partitions (column 0 is the key;
   /// the remaining field names are predicate lexical forms, resolved
   /// against `dictionary`). All partitions must share one schema.
   static Result<PropertyTable> Assemble(
       std::vector<columnar::StoredTable> partitions,
-      const rdf::Dictionary& dictionary, bool keyed_on_object);
+      const rdf::Dictionary& dictionary, bool keyed_on_object,
+      columnar::BufferPool& pool, uint32_t row_group_rows = 0);
 
   /// True when `predicate` has a column in this table.
   bool HasPredicate(rdf::TermId predicate) const {
@@ -71,14 +79,13 @@ class PropertyTable {
   /// cheap to scan despite its width. Each partition is one scan task
   /// writing its own output chunk, so the output is bit-identical at any
   /// thread count; cost charges stay on the calling thread.
-  /// When the table is paged (EnablePaging), row groups are skipped
-  /// before decode whenever (a) a zone map excludes a constant or an
-  /// equality-`hint` id for the column its variable binds, or (b) any
-  /// touched predicate column is all-NULL in the group (every row of the
-  /// group would lose that pattern anyway); the key bloom filter skips
-  /// whole partitions on constant-key lookups. Results are bit-identical
-  /// to the in-memory path; skips lower the scan's cost charges and are
-  /// reported through `telemetry` when given.
+  /// Row groups are skipped before decode whenever (a) a zone map
+  /// excludes a constant or an equality-`hint` id for the column its
+  /// variable binds, or (b) any touched predicate column is all-NULL in
+  /// the group (every row of the group would lose that pattern anyway);
+  /// the key bloom filter skips whole partitions on constant-key lookups.
+  /// Skips leave the result unchanged, lower the scan's cost charges and
+  /// are reported through `telemetry` when given.
   Result<engine::Relation> Scan(const PatternTerm& key,
                                 const std::vector<ColumnPattern>& patterns,
                                 cluster::CostModel& cost,
@@ -92,14 +99,6 @@ class PropertyTable {
   /// whose predicate has no column (or whose constant cannot exist) touch
   /// nothing, matching the Scan charging rules.
   uint64_t ScanPlannerBytes(const std::vector<ColumnPattern>& patterns) const;
-
-  /// Switches to paged row-group execution: partitions are repacked
-  /// into PagedTables, decoded columns are released, and scans decode
-  /// chunks through `pool` pins. Call once, after construction; `pool`
-  /// must outlive the table.
-  void EnablePaging(columnar::BufferPool* pool, uint32_t row_group_rows = 0);
-
-  bool paged_mode() const { return !paged_.empty(); }
 
   uint32_t num_workers() const { return num_workers_; }
   uint64_t num_rows() const { return num_rows_; }
@@ -115,24 +114,19 @@ class PropertyTable {
                  const rdf::Dictionary& dictionary) const;
 
  private:
+  /// Appends one decoded partition: its per-column lexical size
+  /// estimates and its row groups. The caller drops the decoded form
+  /// afterwards, so it is never resident beside the paged one.
+  void AddPartition(const columnar::StoredTable& part,
+                    const std::vector<uint32_t>& term_lengths,
+                    uint32_t row_group_rows);
+
   uint32_t num_workers_ = 0;
   uint64_t num_rows_ = 0;
   bool keyed_on_object_ = false;
-  /// Rows in partition `w` (representation-independent).
-  size_t PartitionRows(uint32_t w) const {
-    return paged_mode() ? paged_[w].num_rows() : partitions_[w].num_rows();
-  }
-  /// The shared partition schema (representation-independent).
-  const columnar::Schema& PartitionSchema() const {
-    return paged_mode() ? paged_[0].schema() : partitions_[0].schema();
-  }
-
-  /// partitions_[w]: column 0 is the key ("s"), then predicate columns.
-  /// Emptied to schema-shaped husks once EnablePaging ran.
-  std::vector<columnar::StoredTable> partitions_;
-  /// Paged (encoded row-group) form; non-empty once EnablePaging ran.
+  /// paged_[w]: column 0 is the key ("s"), then predicate columns.
   std::vector<columnar::PagedTable> paged_;
-  columnar::BufferPool* pool_ = nullptr;  // Non-owning; set by EnablePaging.
+  columnar::BufferPool* pool_ = nullptr;  // Non-owning.
   /// Per-partition, per-column serialized-byte estimates (scan charges).
   std::vector<std::vector<uint64_t>> column_bytes_;
   std::map<rdf::TermId, size_t> column_of_predicate_;

@@ -49,20 +49,10 @@ Result<std::unique_ptr<ProstDb>> ProstDb::LoadFromGraph(
       std::make_shared<const rdf::EncodedGraph>(std::move(graph)), options);
 }
 
-void ProstDb::EnablePagingIfConfigured() {
-  if (options_.storage.buffer_pool_bytes == 0) return;
+void ProstDb::InitBufferPool() {
+  const uint64_t budget = options_.storage.buffer_pool_bytes;
   buffer_pool_ = std::make_unique<columnar::BufferPool>(
-      options_.storage.buffer_pool_bytes, &metrics_);
-  // Last load step by contract (see header): the PagedTables built here
-  // key the pool's pages by address, so storage must not move again.
-  vp_.EnablePaging(buffer_pool_.get(), options_.storage.row_group_rows);
-  if (options_.use_property_table) {
-    pt_.EnablePaging(buffer_pool_.get(), options_.storage.row_group_rows);
-  }
-  if (options_.use_reverse_property_table) {
-    reverse_pt_.EnablePaging(buffer_pool_.get(),
-                             options_.storage.row_group_rows);
-  }
+      budget == 0 ? columnar::kUnboundedBudget : budget, &metrics_);
 }
 
 void ProstDb::InitThreadPool() {
@@ -78,6 +68,7 @@ Result<std::unique_ptr<ProstDb>> ProstDb::LoadFromSharedGraph(
   auto db = std::unique_ptr<ProstDb>(new ProstDb());
   db->options_ = options;
   db->InitThreadPool();
+  db->InitBufferPool();
   db->graph_ = std::move(graph);
 
   const uint64_t triples = db->graph_->size();
@@ -96,15 +87,18 @@ Result<std::unique_ptr<ProstDb>> ProstDb::LoadFromSharedGraph(
   db->estimator_ = std::make_unique<stats::CardinalityEstimator>(
       &db->stats_.per_predicate(), &db->char_sets_);
 
-  // Build storage.
-  db->vp_ = VpStore::Build(*db->graph_, workers);
+  // Build storage, straight into row groups.
+  columnar::BufferPool& pool = *db->buffer_pool_;
+  const uint32_t group_rows = options.storage.row_group_rows;
+  db->vp_ = VpStore::Build(*db->graph_, workers, pool, group_rows);
   if (options.use_property_table) {
-    db->pt_ = PropertyTable::Build(*db->graph_, db->stats_, workers,
-                                   /*keyed_on_object=*/false);
+    db->pt_ = PropertyTable::Build(*db->graph_, db->stats_, workers, pool,
+                                   /*keyed_on_object=*/false, group_rows);
   }
   if (options.use_reverse_property_table) {
-    db->reverse_pt_ = PropertyTable::Build(*db->graph_, db->stats_, workers,
-                                           /*keyed_on_object=*/true);
+    db->reverse_pt_ =
+        PropertyTable::Build(*db->graph_, db->stats_, workers, pool,
+                             /*keyed_on_object=*/true, group_rows);
   }
 
   // Simulated loading cost: one ingest pass (parse text, dictionary
@@ -154,7 +148,6 @@ Result<std::unique_ptr<ProstDb>> ProstDb::LoadFromSharedGraph(
       (options.use_reverse_property_table
            ? db->reverse_pt_.TotalBytesEstimate()
            : 0);
-  db->EnablePagingIfConfigured();
   db->load_report_.real_load_millis = timer.ElapsedMillis();
   return db;
 }
@@ -413,8 +406,15 @@ Result<std::unique_ptr<ProstDb>> ProstDb::OpenFrom(const std::string& dir,
     PROST_ASSIGN_OR_RETURN(ptrev_partitions, read_pt("ptrev"));
   }
 
-  // 4. Assemble the stores against the final dictionary; recompute the
-  // §3.3 statistics from the VP tables themselves.
+  // 4. Assemble the stores against the final dictionary, straight into
+  // row groups; recompute the §3.3 statistics from the VP tables
+  // themselves.
+  auto db = std::unique_ptr<ProstDb>(new ProstDb());
+  db->options_ = options;
+  db->InitThreadPool();
+  db->InitBufferPool();
+  columnar::BufferPool& pool = *db->buffer_pool_;
+  const uint32_t group_rows = options.storage.row_group_rows;
   std::vector<uint32_t> term_lengths = dictionary.TermLengths();
   std::map<rdf::TermId, VpStore::PredicateTable> tables;
   std::map<rdf::TermId, rdf::PredicateStats> per_predicate;
@@ -424,10 +424,6 @@ Result<std::unique_ptr<ProstDb>> ProstDb::OpenFrom(const std::string& dir,
     rdf::PredicateStats stats;
     std::unordered_set<rdf::TermId> subjects, objects;
     for (columnar::StoredTable& part : p.partitions) {
-      table.total_rows += part.num_rows();
-      table.partition_bytes.push_back(
-          columnar::LexicalColumnSizeEstimate(part.column(0), term_lengths) +
-          columnar::LexicalColumnSizeEstimate(part.column(1), term_lengths));
       for (rdf::TermId id : part.column(0).ids()) {
         subjects.insert(id);
         // Every VP row is one (subject, predicate) pair, so the
@@ -439,7 +435,8 @@ Result<std::unique_ptr<ProstDb>> ProstDb::OpenFrom(const std::string& dir,
         objects.insert(id);
         if (dictionary.IsLiteralId(id)) ++stats.literal_objects;
       }
-      table.partitions.push_back(std::move(part));
+      VpStore::AddPartition(table, part, term_lengths, group_rows);
+      part = columnar::StoredTable();  // Release the decoded columns now.
     }
     stats.triple_count = table.total_rows;
     stats.distinct_subjects = subjects.size();
@@ -448,9 +445,6 @@ Result<std::unique_ptr<ProstDb>> ProstDb::OpenFrom(const std::string& dir,
     tables.emplace(p.predicate, std::move(table));
   }
 
-  auto db = std::unique_ptr<ProstDb>(new ProstDb());
-  db->options_ = options;
-  db->InitThreadPool();
   db->stats_ = DatasetStatistics::FromPerPredicate(std::move(per_predicate));
   if (stats_flag == 1) {
     PROST_ASSIGN_OR_RETURN(
@@ -462,17 +456,18 @@ Result<std::unique_ptr<ProstDb>> ProstDb::OpenFrom(const std::string& dir,
   }
   db->estimator_ = std::make_unique<stats::CardinalityEstimator>(
       &db->stats_.per_predicate(), &db->char_sets_);
-  db->vp_ = VpStore::Assemble(workers, std::move(tables));
+  db->vp_ = VpStore::Assemble(workers, std::move(tables), pool);
   if (options.use_property_table) {
     PROST_ASSIGN_OR_RETURN(
         db->pt_, PropertyTable::Assemble(std::move(pt_partitions),
-                                         dictionary, false));
+                                         dictionary, false, pool,
+                                         group_rows));
   }
   if (options.use_reverse_property_table) {
     PROST_ASSIGN_OR_RETURN(
         db->reverse_pt_,
         PropertyTable::Assemble(std::move(ptrev_partitions), dictionary,
-                                true));
+                                true, pool, group_rows));
   }
   db->graph_ = std::move(graph);  // Dictionary only; no raw triples kept.
   db->load_report_.input_triples = db->stats_.total_triples();
@@ -482,7 +477,6 @@ Result<std::unique_ptr<ProstDb>> ProstDb::OpenFrom(const std::string& dir,
       (options.use_reverse_property_table
            ? db->reverse_pt_.TotalBytesEstimate()
            : 0);
-  db->EnablePagingIfConfigured();
   db->load_report_.real_load_millis = timer.ElapsedMillis();
   return db;
 }

@@ -70,17 +70,17 @@ class ProstDb {
     /// bit-identical across thread counts and simulated times are
     /// unchanged.
     engine::ExecOptions exec;
-    /// Beyond-RAM execution (DESIGN.md §15). With a non-zero
-    /// buffer_pool_bytes, storage switches after load to paged row
-    /// groups behind a shared BufferPool of that byte budget: scans pin
-    /// and decode chunks on demand (LRU-evicted), skip row groups via
-    /// zone maps and partitions via key bloom filters. Query results
-    /// stay bit-identical to the default in-memory path.
+    /// Storage (DESIGN.md §15). Every structure is built at load as
+    /// encoded row groups behind one shared BufferPool: scans pin and
+    /// decode chunks on demand, skip row groups via zone maps and
+    /// partitions via key bloom filters. Query results are bit-identical
+    /// at every budget.
     struct StorageOptions {
-      /// 0 keeps the classic fully-decoded in-memory storage.
+      /// Decoded-page byte budget of the pool (LRU eviction above it).
+      /// 0 means unbounded: every page stays resident once decoded.
       uint64_t buffer_pool_bytes = 0;
-      /// Rows per row group when paging (0 = columnar::kRowGroupSize).
-      /// Smaller groups mean finer skipping and a finer-grained pool.
+      /// Rows per row group (0 = columnar::kRowGroupSize). Smaller
+      /// groups mean finer skipping and a finer-grained pool.
       uint32_t row_group_rows = 0;
     };
     StorageOptions storage;
@@ -173,11 +173,11 @@ class ProstDb {
     return options_.use_property_table ? &pt_ : nullptr;
   }
   /// Lifetime query metrics (query.executed / query.rows / query.failed
-  /// counters, query.simulated_ms histogram), plus the storage.* family
-  /// when paging is on. Thread-safe.
+  /// counters, query.simulated_ms histogram), plus the buffer pool's
+  /// storage.* family. Thread-safe.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
-  /// The shared page pool, or nullptr when storage.buffer_pool_bytes
-  /// is 0 (classic in-memory storage).
+  /// The page pool every storage structure scans through (never null
+  /// after load; storage.buffer_pool_bytes = 0 makes it unbounded).
   const columnar::BufferPool* buffer_pool() const {
     return buffer_pool_.get();
   }
@@ -188,10 +188,9 @@ class ProstDb {
   /// Creates pool_ when the resolved thread count asks for parallelism.
   void InitThreadPool();
 
-  /// With storage.buffer_pool_bytes set, creates the pool and repages
-  /// every storage structure. Must be the last load step: the paged
-  /// tables' addresses key pool pages, so storage must not move after.
-  void EnablePagingIfConfigured();
+  /// Creates buffer_pool_ from options_.storage. The first load step:
+  /// every storage structure is built against it.
+  void InitBufferPool();
 
   /// Shared planning pipeline behind Execute and PlanPhysical: Join Tree
   /// translation (Plan), physical-plan building, then the configured
@@ -226,7 +225,7 @@ class ProstDb {
   mutable obs::MetricsRegistry metrics_;
   /// Declared after metrics_ (the pool borrows its counters) and after
   /// the storage members (it holds pages keyed by their paged tables):
-  /// destroyed first, constructed last.
+  /// destroyed first.
   std::unique_ptr<columnar::BufferPool> buffer_pool_;
 };
 

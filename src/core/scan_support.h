@@ -34,9 +34,9 @@ struct ScanHints {
   std::vector<ScanEqualityHint> equals;
 };
 
-/// What a paged scan did, for EXPLAIN ANALYZE and the smoke guards.
-/// Stays zero on the in-memory path (telemetry doubles as the "was this
-/// scan paged" signal).
+/// What a scan's row-group pruning did, for EXPLAIN ANALYZE and the
+/// smoke guards. Stays zero when the scan read no table (an unknown
+/// predicate).
 struct ScanTelemetry {
   uint64_t row_groups_total = 0;
   uint64_t row_groups_skipped = 0;
@@ -90,7 +90,7 @@ class RowGroupPruner {
 
   /// The charge of `unit` on each row group of `paged`. Floored
   /// cumulatively, so the charges telescope to exactly unit.lexical_bytes
-  /// and a scan that skips nothing charges what the in-memory scan does.
+  /// and a scan that skips nothing charges the unit's full lexical bytes.
   static std::vector<uint64_t> GroupCharges(const columnar::PagedTable& paged,
                                             const ChargeUnit& unit);
 

@@ -20,9 +20,25 @@ using columnar::StoredTable;
 using engine::Relation;
 using engine::RelationChunk;
 
-VpStore VpStore::Build(const rdf::EncodedGraph& graph, uint32_t num_workers) {
+namespace {
+
+/// One worker's (s, o) columns as a decoded partition.
+StoredTable TwoColumnPartition(IdVector subjects, IdVector objects) {
+  std::vector<Column> columns;
+  columns.emplace_back(std::move(subjects));
+  columns.emplace_back(std::move(objects));
+  return StoredTable(
+      Schema({Field{"s", ColumnKind::kId}, Field{"o", ColumnKind::kId}}),
+      std::move(columns));
+}
+
+}  // namespace
+
+VpStore VpStore::Build(const rdf::EncodedGraph& graph, uint32_t num_workers,
+                       columnar::BufferPool& pool, uint32_t row_group_rows) {
   VpStore store;
   store.num_workers_ = num_workers;
+  store.pool_ = &pool;
 
   // Per predicate, per worker: the (s, o) column pair.
   struct Builder {
@@ -41,24 +57,14 @@ VpStore VpStore::Build(const rdf::EncodedGraph& graph, uint32_t num_workers) {
     b.objects[w].push_back(t.object);
   }
 
-  Schema schema({Field{"s", ColumnKind::kId}, Field{"o", ColumnKind::kId}});
   std::vector<uint32_t> term_lengths = graph.dictionary().TermLengths();
   for (auto& [predicate, b] : builders) {
     PredicateTable table;
-    table.partitions.reserve(num_workers);
-    table.partition_bytes.reserve(num_workers);
     for (uint32_t w = 0; w < num_workers; ++w) {
-      table.total_rows += b.subjects[w].size();
-      std::vector<Column> columns;
-      columns.emplace_back(std::move(b.subjects[w]));
-      columns.emplace_back(std::move(b.objects[w]));
-      table.partitions.emplace_back(schema, std::move(columns));
-      // Sizes are in the lexical (Parquet string) form — what the
-      // simulated Spark scans and what its planner sees.
-      const StoredTable& part = table.partitions.back();
-      table.partition_bytes.push_back(
-          LexicalColumnSizeEstimate(part.column(0), term_lengths) +
-          LexicalColumnSizeEstimate(part.column(1), term_lengths));
+      AddPartition(table,
+                   TwoColumnPartition(std::move(b.subjects[w]),
+                                      std::move(b.objects[w])),
+                   term_lengths, row_group_rows);
     }
     store.tables_.emplace(predicate, std::move(table));
   }
@@ -66,11 +72,26 @@ VpStore VpStore::Build(const rdf::EncodedGraph& graph, uint32_t num_workers) {
 }
 
 VpStore VpStore::Assemble(uint32_t num_workers,
-                          std::map<rdf::TermId, PredicateTable> tables) {
+                          std::map<rdf::TermId, PredicateTable> tables,
+                          columnar::BufferPool& pool) {
   VpStore store;
   store.num_workers_ = num_workers;
   store.tables_ = std::move(tables);
+  store.pool_ = &pool;
   return store;
+}
+
+void VpStore::AddPartition(PredicateTable& table, const StoredTable& part,
+                           const std::vector<uint32_t>& term_lengths,
+                           uint32_t row_group_rows) {
+  table.total_rows += part.num_rows();
+  // Sizes are in the lexical (Parquet string) form — what the simulated
+  // Spark scans and what its planner sees.
+  table.partition_bytes.push_back(
+      LexicalColumnSizeEstimate(part.column(0), term_lengths) +
+      LexicalColumnSizeEstimate(part.column(1), term_lengths));
+  table.paged.push_back(
+      columnar::PagedTable::FromStored(part, row_group_rows));
 }
 
 const VpStore::PredicateTable* VpStore::Find(rdf::TermId predicate) const {
@@ -93,17 +114,17 @@ Result<Relation> VpStore::Scan(rdf::TermId predicate,
                                const engine::ExecContext* exec,
                                const ScanHints* hints,
                                ScanTelemetry* telemetry) const {
-  return ScanTable(Find(predicate), subject, object, num_workers_, cost,
-                   exec, pool_, hints, telemetry);
+  return ScanTable(Find(predicate), subject, object, num_workers_, *pool_,
+                   cost, exec, hints, telemetry);
 }
 
 Result<Relation> VpStore::ScanTable(const PredicateTable* table,
                                     const PatternTerm& subject,
                                     const PatternTerm& object,
                                     uint32_t num_workers,
+                                    columnar::BufferPool& pool,
                                     cluster::CostModel& cost,
                                     const engine::ExecContext* exec,
-                                    columnar::BufferPool* pool,
                                     const ScanHints* hints,
                                     ScanTelemetry* telemetry) {
   // Output columns: subject variable first, then object variable (when
@@ -130,84 +151,62 @@ Result<Relation> VpStore::ScanTable(const PredicateTable* table,
   for (uint64_t bytes : table->partition_bytes) planner_bytes += bytes;
   output.set_planner_bytes(planner_bytes);
 
-  const bool paged = table->paged_mode();
-  if (paged && pool == nullptr) {
-    return Status::Internal("paged VP table scanned without a buffer pool");
-  }
-
-  // Per partition: the rows the scan reads and the lexical bytes it
-  // charges. A paged partition keeps only the row groups the pruner
-  // cannot rule out; both columns form one charge unit.
-  std::vector<RowGroupPruner::Partition> kept(paged ? num_workers : 0);
-  std::vector<uint64_t> scanned_rows(num_workers, 0);
-  std::vector<uint64_t> charged_bytes(num_workers, 0);
+  // Per partition: the row groups the pruner cannot rule out, their rows
+  // and the lexical bytes they charge; both columns form one charge unit.
+  std::vector<RowGroupPruner::Partition> kept(num_workers);
   ScanTelemetry local;
-  if (paged) {
-    const RowGroupPruner pruner(2, {{0, &subject}, {1, &object}}, hints);
-    for (uint32_t w = 0; w < num_workers; ++w) {
-      kept[w] = pruner.Prune(table->paged[w],
-                             {{{0, 1}, table->partition_bytes[w]}}, local);
-      scanned_rows[w] = kept[w].rows;
-      charged_bytes[w] = kept[w].charged_bytes;
-    }
-  } else {
-    for (uint32_t w = 0; w < num_workers; ++w) {
-      scanned_rows[w] = table->partitions[w].num_rows();
-      charged_bytes[w] = table->partition_bytes[w];
-    }
+  const RowGroupPruner pruner(2, {{0, &subject}, {1, &object}}, hints);
+  for (uint32_t w = 0; w < num_workers; ++w) {
+    kept[w] = pruner.Prune(table->paged[w],
+                           {{{0, 1}, table->partition_bytes[w]}}, local);
   }
 
-  // Scan tasks, in (partition, row) order: at most TaskRows rows of one
-  // partition each. In-memory tasks are row ranges; paged tasks are runs
-  // [begin, end) of a partition's surviving row groups (at least one).
+  // Scan tasks, in (partition, row) order: runs [begin, end) of a
+  // partition's surviving row groups, at least one group and otherwise at
+  // most TaskRows rows each.
   std::vector<engine::Morsel> tasks;
-  if (paged) {
-    const size_t task_rows = engine::TaskRows(exec);
-    for (uint32_t w = 0; w < num_workers; ++w) {
-      const std::vector<uint32_t>& groups = kept[w].groups;
-      size_t begin = 0;
-      size_t rows = 0;
-      for (size_t i = 0; i < groups.size(); ++i) {
-        const size_t group_rows = table->paged[w].group(groups[i]).num_rows;
-        if (i > begin && rows + group_rows > task_rows) {
-          tasks.push_back({w, begin, i});
-          begin = i;
-          rows = 0;
-        }
-        rows += group_rows;
+  const size_t task_rows = engine::TaskRows(exec);
+  for (uint32_t w = 0; w < num_workers; ++w) {
+    const std::vector<uint32_t>& groups = kept[w].groups;
+    size_t begin = 0;
+    size_t rows = 0;
+    for (size_t i = 0; i < groups.size(); ++i) {
+      const size_t group_rows = table->paged[w].group(groups[i]).num_rows;
+      if (i > begin && rows + group_rows > task_rows) {
+        tasks.push_back({w, begin, i});
+        begin = i;
+        rows = 0;
       }
-      if (begin < groups.size()) tasks.push_back({w, begin, groups.size()});
+      rows += group_rows;
     }
-  } else {
-    tasks = engine::PlanMorsels(
-        std::vector<size_t>(scanned_rows.begin(), scanned_rows.end()), exec);
+    if (begin < groups.size()) tasks.push_back({w, begin, groups.size()});
   }
 
-  // The one VP scan kernel: emits the matching rows among [begin, end) of
-  // an (s, o) column pair into `out`. Vectorized: constant terms filter
-  // into a selection vector (`sel`, caller scratch), and the surviving
-  // rows materialize via per-column gathers in ascending row order.
+  // The one VP scan kernel: emits the matching rows of one row group's
+  // (s, o) column pair into `out`. Vectorized: constant terms filter into
+  // a selection vector (`sel`, caller scratch), and the surviving rows
+  // materialize via per-column gathers in ascending row order.
   auto scan_rows = [&](const IdVector& subjects, const IdVector& objects,
-                       size_t begin, size_t end, RelationChunk& out,
-                       std::vector<uint32_t>& sel) {
+                       RelationChunk& out, std::vector<uint32_t>& sel) {
+    const size_t end = subjects.size();
     if (subject.is_variable && object.is_variable && !same_var) {
       // Open scan: every row passes — bulk-append both columns.
-      out.columns[0].insert(out.columns[0].end(), subjects.begin() + begin,
-                            subjects.begin() + end);
-      out.columns[1].insert(out.columns[1].end(), objects.begin() + begin,
-                            objects.begin() + end);
+      out.columns[0].insert(out.columns[0].end(), subjects.begin(),
+                            subjects.end());
+      out.columns[1].insert(out.columns[1].end(), objects.begin(),
+                            objects.end());
       return;
     }
     sel.clear();
     if (!subject.is_variable) {
-      engine::kernels::Filter(subjects, subject.id, begin, end, sel);
+      engine::kernels::Filter(subjects, subject.id, 0, end, sel);
       if (!object.is_variable) {
         engine::kernels::Refine(objects, object.id, sel);
       }
     } else if (!object.is_variable) {
-      engine::kernels::Filter(objects, object.id, begin, end, sel);
+      engine::kernels::Filter(objects, object.id, 0, end, sel);
     } else {  // same_var: ?x p ?x
-      engine::kernels::FilterRowsEqual(subjects, objects, begin, end, sel);
+      engine::kernels::FilterRowsEqual(subjects, objects, 0, end, sel);
     }
     size_t c = 0;
     if (subject.is_variable) {
@@ -223,24 +222,16 @@ Result<Relation> VpStore::ScanTable(const PredicateTable* table,
       [&](size_t t, RelationChunk& out) -> Status {
         const engine::Morsel& task = tasks[t];
         std::vector<uint32_t> sel;
-        if (!paged) {
-          const StoredTable& part = table->partitions[task.chunk];
-          scan_rows(part.column(0).ids(), part.column(1).ids(), task.begin,
-                    task.end, out, sel);
-          return Status::OK();
-        }
         // Pins hold a group's decoded columns resident for exactly the
         // duration of its scan.
         const columnar::PagedTable& part = table->paged[task.chunk];
         for (size_t i = task.begin; i < task.end; ++i) {
           const uint32_t g = kept[task.chunk].groups[i];
           PROST_ASSIGN_OR_RETURN(columnar::PinnedPage s_page,
-                                 pool->Pin(part, g, 0));
+                                 pool.Pin(part, g, 0));
           PROST_ASSIGN_OR_RETURN(columnar::PinnedPage o_page,
-                                 pool->Pin(part, g, 1));
-          const IdVector& subjects = s_page.column().ids();
-          scan_rows(subjects, o_page.column().ids(), 0, subjects.size(), out,
-                    sel);
+                                 pool.Pin(part, g, 1));
+          scan_rows(s_page.column().ids(), o_page.column().ids(), out, sel);
         }
         return Status::OK();
       },
@@ -250,11 +241,11 @@ Result<Relation> VpStore::ScanTable(const PredicateTable* table,
   // is independent of real executor parallelism.
   uint64_t bytes_scanned = 0;
   for (uint32_t w = 0; w < num_workers; ++w) {
-    cost.ChargeScan(w, charged_bytes[w]);
-    cost.ChargeCpuRows(w, scanned_rows[w] + output.chunks()[w].num_rows());
-    bytes_scanned += charged_bytes[w];
+    cost.ChargeScan(w, kept[w].charged_bytes);
+    cost.ChargeCpuRows(w, kept[w].rows + output.chunks()[w].num_rows());
+    bytes_scanned += kept[w].charged_bytes;
   }
-  if (paged) RecordPagedScan(*pool, bytes_scanned, local, telemetry);
+  RecordPagedScan(pool, bytes_scanned, local, telemetry);
   // VP partitions are subject-hash placed, so a variable subject keeps
   // that co-location in the output.
   if (subject.is_variable) output.set_hash_partitioned_by(0);
@@ -271,39 +262,14 @@ VpStore::PredicateTable VpStore::BuildTable(
     subjects[w].push_back(s);
     objects[w].push_back(o);
   }
-  Schema schema({Field{"s", ColumnKind::kId}, Field{"o", ColumnKind::kId}});
   PredicateTable table;
-  table.partitions.reserve(num_workers);
   for (uint32_t w = 0; w < num_workers; ++w) {
-    table.total_rows += subjects[w].size();
-    std::vector<Column> columns;
-    columns.emplace_back(std::move(subjects[w]));
-    columns.emplace_back(std::move(objects[w]));
-    table.partitions.emplace_back(schema, std::move(columns));
-    const StoredTable& part = table.partitions.back();
-    table.partition_bytes.push_back(
-        LexicalColumnSizeEstimate(part.column(0), term_lengths) +
-        LexicalColumnSizeEstimate(part.column(1), term_lengths));
+    AddPartition(table,
+                 TwoColumnPartition(std::move(subjects[w]),
+                                    std::move(objects[w])),
+                 term_lengths, /*row_group_rows=*/0);
   }
   return table;
-}
-
-void VpStore::EnablePaging(columnar::BufferPool* pool,
-                           uint32_t row_group_rows) {
-  pool_ = pool;
-  for (auto& [predicate, table] : tables_) {
-    table.paged.clear();
-    table.paged.reserve(table.partitions.size());
-    for (StoredTable& part : table.partitions) {
-      table.paged.push_back(
-          columnar::PagedTable::FromStored(part, row_group_rows));
-      // Release the decoded columns; keep a schema-shaped empty so code
-      // that inspects partition shape (e.g. the plan checker) still sees
-      // one entry per worker.
-      Schema schema = part.schema();
-      part = StoredTable(std::move(schema));
-    }
-  }
 }
 
 uint64_t VpStore::TotalBytesEstimate() const {
@@ -331,17 +297,10 @@ Status VpStore::WriteTo(const std::string& dir,
       std::string path = StrFormat(
           "%s/vp_%llu_p%u.tbl", dir.c_str(),
           static_cast<unsigned long long>(index), w);
-      if (table.paged_mode()) {
-        // Paged stores persist from the encoded form — decode once here
-        // rather than keeping both representations resident.
-        PROST_ASSIGN_OR_RETURN(StoredTable decoded,
-                               table.paged[w].ToStored());
-        PROST_RETURN_IF_ERROR(
-            columnar::WriteLexicalTableFile(decoded, dictionary, path));
-      } else {
-        PROST_RETURN_IF_ERROR(columnar::WriteLexicalTableFile(
-            table.partitions[w], dictionary, path));
-      }
+      // Persistence writes the decoded form, one partition at a time.
+      PROST_ASSIGN_OR_RETURN(StoredTable decoded, table.paged[w].ToStored());
+      PROST_RETURN_IF_ERROR(
+          columnar::WriteLexicalTableFile(decoded, dictionary, path));
     }
     ++index;
   }

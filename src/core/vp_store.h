@@ -22,20 +22,18 @@ namespace prost::core {
 /// table per distinct predicate, each hash-partitioned on the subject
 /// across workers. This is the storage model of SPARQLGX and the base
 /// layer of both S2RDF and PRoST.
+///
+/// Every partition is held as PagedTable row groups (zone maps plus a
+/// subject bloom filter) and scanned through the store's BufferPool.
 class VpStore {
  public:
   /// One predicate's table, split across workers.
   struct PredicateTable {
-    std::vector<columnar::StoredTable> partitions;
-    /// Serialized-size estimate per partition (cost-model scan charge).
+    /// paged[w]: worker w's (s, o) rows as encoded row groups.
+    std::vector<columnar::PagedTable> paged;
+    /// Lexical-size estimate per partition (cost-model scan charge).
     std::vector<uint64_t> partition_bytes;
     uint64_t total_rows = 0;
-    /// Paged (encoded row-group) form; non-empty once EnablePaging ran,
-    /// at which point `partitions` keeps only schema-shaped empties and
-    /// scans go through the buffer pool.
-    std::vector<columnar::PagedTable> paged;
-
-    bool paged_mode() const { return !paged.empty(); }
   };
 
   VpStore() = default;
@@ -45,13 +43,18 @@ class VpStore {
   VpStore& operator=(VpStore&&) = default;
 
   /// Builds VP tables from an encoded graph (one pass, grouped by
-  /// predicate, subject-hash partitioned over `num_workers`).
-  static VpStore Build(const rdf::EncodedGraph& graph, uint32_t num_workers);
+  /// predicate, subject-hash partitioned over `num_workers`), packed into
+  /// row groups of `row_group_rows` rows (0 = columnar::kRowGroupSize).
+  /// Scans pin through `pool`, which must outlive the store.
+  static VpStore Build(const rdf::EncodedGraph& graph, uint32_t num_workers,
+                       columnar::BufferPool& pool,
+                       uint32_t row_group_rows = 0);
 
   /// Assembles a store from already-built tables (reopening a persisted
   /// database).
   static VpStore Assemble(uint32_t num_workers,
-                          std::map<rdf::TermId, PredicateTable> tables);
+                          std::map<rdf::TermId, PredicateTable> tables,
+                          columnar::BufferPool& pool);
 
   /// The table for `predicate`, or nullptr when the predicate does not
   /// occur in the dataset.
@@ -67,18 +70,16 @@ class VpStore {
   /// producing a distributed relation over the pattern's variables.
   /// Charges scan bytes and CPU rows to `cost` (inside the caller's
   /// stage). Unknown predicates and impossible constants produce an empty
-  /// relation with the right columns. Partition morsels (row groups when
-  /// paged) are scan tasks merged in morsel order, so the output is
-  /// bit-identical at any thread count; all cost charges stay on the
-  /// calling thread.
+  /// relation with the right columns. Runs of row groups are scan tasks
+  /// merged in morsel order, so the output is bit-identical at any thread
+  /// count; all cost charges stay on the calling thread.
   ///
-  /// When the store is paged (EnablePaging), row groups whose zone maps
-  /// exclude a constant term or an equality `hint`, and partitions whose
-  /// key bloom filter excludes a constant subject, are skipped before
-  /// decode — the query result is bit-identical because skipped rows
-  /// could only have been removed by the pattern constants / pushed
-  /// filters anyway. Skips reduce the scan's cost charge and are
-  /// reported through `telemetry` when given.
+  /// Row groups whose zone maps exclude a constant term or an equality
+  /// `hint`, and partitions whose key bloom filter excludes a constant
+  /// subject, are skipped before decode — the query result is unchanged
+  /// because skipped rows could only have been removed by the pattern
+  /// constants / pushed filters anyway. Skips reduce the scan's cost
+  /// charge and are reported through `telemetry` when given.
   Result<engine::Relation> Scan(rdf::TermId predicate,
                                 const PatternTerm& subject,
                                 const PatternTerm& object,
@@ -90,13 +91,12 @@ class VpStore {
   /// Same evaluation over an arbitrary (s, o) PredicateTable — also used
   /// for S2RDF's ExtVP reductions, which share the VP layout. A null
   /// `table` stands for an absent predicate (empty answer, no scan).
-  /// `pool` is required when `table` is paged.
   static Result<engine::Relation> ScanTable(
       const PredicateTable* table, const PatternTerm& subject,
       const PatternTerm& object, uint32_t num_workers,
-      cluster::CostModel& cost, const engine::ExecContext* exec = nullptr,
-      columnar::BufferPool* pool = nullptr, const ScanHints* hints = nullptr,
-      ScanTelemetry* telemetry = nullptr);
+      columnar::BufferPool& pool, cluster::CostModel& cost,
+      const engine::ExecContext* exec = nullptr,
+      const ScanHints* hints = nullptr, ScanTelemetry* telemetry = nullptr);
 
   /// Builds a PredicateTable directly from (subject, object) pairs,
   /// subject-hash partitioned (S2RDF ExtVP construction). `term_lengths`
@@ -105,22 +105,19 @@ class VpStore {
       const std::vector<std::pair<rdf::TermId, rdf::TermId>>& rows,
       uint32_t num_workers, const std::vector<uint32_t>& term_lengths);
 
+  /// Appends one worker's decoded (s, o) partition to `table`: its rows,
+  /// its lexical size estimate and its row groups. The caller drops the
+  /// decoded form afterwards, so it is never resident beside the paged one.
+  static void AddPartition(PredicateTable& table,
+                           const columnar::StoredTable& part,
+                           const std::vector<uint32_t>& term_lengths,
+                           uint32_t row_group_rows);
+
   uint32_t num_workers() const { return num_workers_; }
   size_t num_predicates() const { return tables_.size(); }
   const std::map<rdf::TermId, PredicateTable>& tables() const {
     return tables_;
   }
-
-  /// Switches every predicate table to paged row-group execution:
-  /// partitions are repacked into PagedTables (row groups of
-  /// `row_group_rows` rows with zone maps + key bloom filters), decoded
-  /// columns are released, and subsequent scans decode chunks through
-  /// `pool` pins. `pool` must outlive the store. Idempotent-ish: calling
-  /// again repages from the current paged form is not supported — call
-  /// exactly once after the store is built.
-  void EnablePaging(columnar::BufferPool* pool, uint32_t row_group_rows = 0);
-
-  columnar::BufferPool* buffer_pool() const { return pool_; }
 
   /// Sum of serialized-size estimates over all tables.
   uint64_t TotalBytesEstimate() const;
@@ -133,7 +130,7 @@ class VpStore {
  private:
   uint32_t num_workers_ = 0;
   std::map<rdf::TermId, PredicateTable> tables_;
-  columnar::BufferPool* pool_ = nullptr;  // Non-owning; set by EnablePaging.
+  columnar::BufferPool* pool_ = nullptr;  // Non-owning.
 };
 
 }  // namespace prost::core

@@ -312,65 +312,6 @@ TEST(StoredTableTest, ColumnByName) {
   EXPECT_FALSE(table.ColumnByName("missing").ok());
 }
 
-TEST(StoredTableTest, SerializeRoundTrip) {
-  StoredTable table = MakeTable();
-  std::string bytes;
-  table.Serialize(&bytes);
-  auto restored = StoredTable::Deserialize(bytes);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->schema(), table.schema());
-  EXPECT_EQ(restored->num_rows(), table.num_rows());
-  EXPECT_EQ(restored->column(0), table.column(0));
-  EXPECT_EQ(restored->column(1), table.column(1));
-}
-
-TEST(StoredTableTest, SerializeEmptyTable) {
-  Schema schema;
-  ASSERT_TRUE(schema.AddField({"s", ColumnKind::kId}).ok());
-  StoredTable table(schema);
-  std::string bytes;
-  table.Serialize(&bytes);
-  auto restored = StoredTable::Deserialize(bytes);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->num_rows(), 0u);
-}
-
-TEST(StoredTableTest, MultiRowGroupRoundTrip) {
-  Schema schema;
-  ASSERT_TRUE(schema.AddField({"v", ColumnKind::kId}).ok());
-  IdVector big(kRowGroupSize * 2 + 123);
-  Rng rng(9);
-  for (auto& id : big) id = rng.NextBounded(1 << 22);
-  std::vector<Column> columns;
-  columns.emplace_back(IdVector(big));
-  StoredTable table(schema, std::move(columns));
-  std::string bytes;
-  table.Serialize(&bytes);
-  auto restored = StoredTable::Deserialize(bytes);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->column(0).ids(), big);
-}
-
-TEST(StoredTableTest, CorruptionDetected) {
-  StoredTable table = MakeTable();
-  std::string bytes;
-  table.Serialize(&bytes);
-  bytes[bytes.size() / 2] ^= 0x40;  // Flip a bit in the middle.
-  EXPECT_EQ(StoredTable::Deserialize(bytes).status().code(),
-            StatusCode::kCorruption);
-  EXPECT_FALSE(StoredTable::Deserialize("short").ok());
-}
-
-TEST(StoredTableTest, FileRoundTrip) {
-  std::string path = ::testing::TempDir() + "/prost_table_test.tbl";
-  StoredTable table = MakeTable();
-  ASSERT_TRUE(WriteTableFile(table, path).ok());
-  auto restored = ReadTableFile(path);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->column(0), table.column(0));
-  (void)RemoveAllRecursively(path);
-}
-
 // -------------------------------------------------------- Lexical format
 
 TEST(LexicalFormatTest, RoundTripSameDictionary) {
@@ -475,6 +416,121 @@ TEST(LexicalFormatTest, SizeEstimateCountsDistinctLexicals) {
   Column column(IdVector(1000, a));
   uint64_t estimate = LexicalColumnSizeEstimate(column, lengths);
   EXPECT_LT(estimate, 100u);
+}
+
+// ------------------------------------------------- Hostile persisted input
+//
+// Readers of persisted bytes answer Corruption; they never abort or write
+// out of bounds. Every input below ends in a valid checksum, so only the
+// structural checks stand between it and the decoders.
+
+/// Appends the trailing HashBytes checksum both file formats end with.
+std::string WithChecksum(ByteWriter& writer) {
+  uint64_t checksum = HashBytes(writer.buffer());
+  writer.PutU64(checksum);
+  return writer.TakeBuffer();
+}
+
+/// A lexical table of one id column "s" whose header claims `rows` rows,
+/// followed by `column` (local dictionary plus index stream) verbatim.
+std::string LexicalBytes(uint64_t rows, const std::string& column) {
+  ByteWriter writer;
+  writer.PutU32(0x5052534c);  // "PRSL"
+  writer.PutVarint(1);
+  writer.PutString("s");
+  writer.PutU8(static_cast<uint8_t>(ColumnKind::kId));
+  writer.PutVarint(rows);
+  writer.PutRaw(column.data(), column.size());
+  return WithChecksum(writer);
+}
+
+/// A paged table of one id column and one row group of `group_rows`
+/// rows whose chunk sits at `offset` (2 bytes long) in a 2-byte payload
+/// holding one plain-varint value.
+std::string PagedBytes(uint64_t group_rows, uint64_t offset) {
+  ByteWriter writer;
+  writer.PutU32(0x50525350);  // "PRSP"
+  writer.PutU8(1);
+  writer.PutVarint(1);
+  writer.PutString("s");
+  writer.PutU8(static_cast<uint8_t>(ColumnKind::kId));
+  writer.PutVarint(group_rows);  // Table rows.
+  writer.PutVarint(1);           // Row groups.
+  writer.PutVarint(0);           // row_begin.
+  writer.PutVarint(group_rows);
+  for (uint64_t stat : {1, 1, 0, 1}) writer.PutVarint(stat);
+  writer.PutVarint(offset);
+  writer.PutVarint(2);
+  BloomFilter::Build({1}).Serialize(writer);
+  writer.PutString(
+      std::string{static_cast<char>(Encoding::kPlainVarint), '\x01'});
+  return WithChecksum(writer);
+}
+
+TEST(HostileInputTest, ValueCountBeyondEncodedBytesIsCorruption) {
+  // An empty local dictionary, then an index stream with one value byte
+  // under a header claiming 2^40 or 2^62 rows: sizing the output from
+  // that claim before reading would throw bad_alloc or length_error.
+  {
+    rdf::Dictionary dict;  // The same bytes at one row: a NULL cell.
+    std::string column{'\x00', static_cast<char>(Encoding::kPlainVarint),
+                       '\x00'};
+    ASSERT_TRUE(DeserializeLexicalTable(LexicalBytes(1, column), &dict).ok());
+  }
+  for (uint64_t rows : {uint64_t{1} << 40, uint64_t{1} << 62}) {
+    for (Encoding encoding : {Encoding::kPlainVarint, Encoding::kRle,
+                              Encoding::kDeltaVarint}) {
+      std::string column{'\x00', static_cast<char>(encoding), '\x01'};
+      rdf::Dictionary dict;
+      EXPECT_EQ(DeserializeLexicalTable(LexicalBytes(rows, column), &dict)
+                    .status()
+                    .code(),
+                StatusCode::kCorruption)
+          << EncodingToString(encoding) << " at " << rows << " rows";
+    }
+    // Bit-packed at width 1: eight values per byte, not 2^40.
+    std::string column{'\x00', static_cast<char>(Encoding::kBitPacked),
+                       '\x01', '\x01'};
+    rdf::Dictionary dict;
+    EXPECT_EQ(DeserializeLexicalTable(LexicalBytes(rows, column), &dict)
+                  .status()
+                  .code(),
+              StatusCode::kCorruption)
+        << "bit_packed at " << rows << " rows";
+  }
+}
+
+TEST(HostileInputTest, LocalDictionarySizeBeyondBytesIsCorruption) {
+  // dict_size = 2^64 - 1 would wrap `dict_size + 1` to an empty lookup
+  // vector that the entry loop then writes past.
+  ByteWriter column;
+  column.PutVarint(~uint64_t{0});
+  column.PutString("<a>");
+  column.PutU8(static_cast<uint8_t>(Encoding::kPlainVarint));
+  column.PutVarint(1);
+  rdf::Dictionary dict;
+  EXPECT_EQ(
+      DeserializeLexicalTable(LexicalBytes(1, column.buffer()), &dict)
+          .status()
+          .code(),
+      StatusCode::kCorruption);
+}
+
+TEST(HostileInputTest, ChunkOffsetThatWrapsIsCorruption) {
+  // offset + bytes wraps to 1, inside the 2-byte payload.
+  ASSERT_TRUE(PagedTable::Deserialize(PagedBytes(1, 0)).ok());
+  EXPECT_EQ(PagedTable::Deserialize(PagedBytes(1, ~uint64_t{0})).status()
+                .code(),
+            StatusCode::kCorruption);
+}
+
+TEST(HostileInputTest, RowGroupAboveUint32IsCorruption) {
+  // 2^32 + 1 rows would count in full toward the header total while the
+  // group itself keeps only the truncated 1.
+  EXPECT_EQ(PagedTable::Deserialize(PagedBytes((uint64_t{1} << 32) + 1, 0))
+                .status()
+                .code(),
+            StatusCode::kCorruption);
 }
 
 // ------------------------------------------------------------ Partition

@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 
+#include "columnar/buffer_pool.h"
 #include "common/io.h"
 
 #include "core/executor.h"
@@ -114,19 +115,21 @@ TEST(StatisticsTest, PairwiseSubjectOverlap) {
 
 TEST(VpStoreTest, BuildShape) {
   rdf::EncodedGraph graph = SmallGraph();
-  VpStore vp = VpStore::Build(graph, 3);
+  columnar::BufferPool pool(columnar::kUnboundedBudget);
+  VpStore vp = VpStore::Build(graph, 3, pool);
   EXPECT_EQ(vp.num_predicates(), 4u);
   const auto* likes = vp.Find(IdOf(graph, "<likes>"));
   ASSERT_NE(likes, nullptr);
   EXPECT_EQ(likes->total_rows, 3u);
-  EXPECT_EQ(likes->partitions.size(), 3u);
+  EXPECT_EQ(likes->paged.size(), 3u);
   EXPECT_EQ(vp.Find(9999), nullptr);
   EXPECT_GT(vp.TotalBytesEstimate(), 0u);
 }
 
 TEST(VpStoreTest, ScanOpenPattern) {
   rdf::EncodedGraph graph = SmallGraph();
-  VpStore vp = VpStore::Build(graph, 3);
+  columnar::BufferPool pool(columnar::kUnboundedBudget);
+  VpStore vp = VpStore::Build(graph, 3, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
   auto relation = vp.Scan(IdOf(graph, "<likes>"), PatternTerm::Var("s"),
@@ -142,7 +145,8 @@ TEST(VpStoreTest, ScanOpenPattern) {
 
 TEST(VpStoreTest, ScanConstants) {
   rdf::EncodedGraph graph = SmallGraph();
-  VpStore vp = VpStore::Build(graph, 3);
+  columnar::BufferPool pool(columnar::kUnboundedBudget);
+  VpStore vp = VpStore::Build(graph, 3, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
   // Constant subject.
@@ -175,7 +179,8 @@ TEST(VpStoreTest, ScanSameVariableTwice) {
   rdf::EncodedGraph graph;
   graph.Add({Term::Iri("a"), Term::Iri("p"), Term::Iri("a")});
   graph.Add({Term::Iri("a"), Term::Iri("p"), Term::Iri("b")});
-  VpStore vp = VpStore::Build(graph, 2);
+  columnar::BufferPool pool(columnar::kUnboundedBudget);
+  VpStore vp = VpStore::Build(graph, 2, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
   auto relation = vp.Scan(IdOf(graph, "<p>"), PatternTerm::Var("x"),
@@ -188,7 +193,8 @@ TEST(VpStoreTest, ScanSameVariableTwice) {
 
 TEST(VpStoreTest, NoVariablesIsUnimplemented) {
   rdf::EncodedGraph graph = SmallGraph();
-  VpStore vp = VpStore::Build(graph, 2);
+  columnar::BufferPool pool(columnar::kUnboundedBudget);
+  VpStore vp = VpStore::Build(graph, 2, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   auto result = vp.Scan(IdOf(graph, "<likes>"), PatternTerm::Const(1),
                         PatternTerm::Const(2), cost);
@@ -200,7 +206,8 @@ TEST(VpStoreTest, NoVariablesIsUnimplemented) {
 TEST(PropertyTableTest, BuildShape) {
   rdf::EncodedGraph graph = SmallGraph();
   DatasetStatistics stats = DatasetStatistics::Compute(graph);
-  PropertyTable pt = PropertyTable::Build(graph, stats, 3);
+  columnar::BufferPool pool(columnar::kUnboundedBudget);
+  PropertyTable pt = PropertyTable::Build(graph, stats, 3, pool);
   // Distinct subjects: u1, u2, u3, p1, p2.
   EXPECT_EQ(pt.num_rows(), 5u);
   // Columns: key + 4 predicates.
@@ -213,7 +220,8 @@ TEST(PropertyTableTest, BuildShape) {
 TEST(PropertyTableTest, StarScanJoinsWithinRow) {
   rdf::EncodedGraph graph = SmallGraph();
   DatasetStatistics stats = DatasetStatistics::Compute(graph);
-  PropertyTable pt = PropertyTable::Build(graph, stats, 3);
+  columnar::BufferPool pool(columnar::kUnboundedBudget);
+  PropertyTable pt = PropertyTable::Build(graph, stats, 3, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
   // ?s likes ?o . ?s age ?a  -> only u1 (x2 products) and u2 (x1).
@@ -243,7 +251,8 @@ TEST(PropertyTableTest, ListExplosionCrossProduct) {
   add("s", "q", "z");
   add("t", "p", "a");  // makes p multi-valued overall but t lacks q
   DatasetStatistics stats = DatasetStatistics::Compute(graph);
-  PropertyTable pt = PropertyTable::Build(graph, stats, 2);
+  columnar::BufferPool pool(columnar::kUnboundedBudget);
+  PropertyTable pt = PropertyTable::Build(graph, stats, 2, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
   std::vector<PropertyTable::ColumnPattern> patterns = {
@@ -259,7 +268,8 @@ TEST(PropertyTableTest, ListExplosionCrossProduct) {
 TEST(PropertyTableTest, ConstantsAndRepeatedVariables) {
   rdf::EncodedGraph graph = SmallGraph();
   DatasetStatistics stats = DatasetStatistics::Compute(graph);
-  PropertyTable pt = PropertyTable::Build(graph, stats, 3);
+  columnar::BufferPool pool(columnar::kUnboundedBudget);
+  PropertyTable pt = PropertyTable::Build(graph, stats, 3, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
   // Constant object: ?s likes p1 . ?s age ?a
@@ -298,7 +308,8 @@ TEST(PropertyTableTest, ConstantsAndRepeatedVariables) {
 TEST(PropertyTableTest, AbsentPredicateYieldsEmpty) {
   rdf::EncodedGraph graph = SmallGraph();
   DatasetStatistics stats = DatasetStatistics::Compute(graph);
-  PropertyTable pt = PropertyTable::Build(graph, stats, 3);
+  columnar::BufferPool pool(columnar::kUnboundedBudget);
+  PropertyTable pt = PropertyTable::Build(graph, stats, 3, pool);
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("t");
   std::vector<PropertyTable::ColumnPattern> patterns = {
@@ -315,7 +326,8 @@ TEST(PropertyTableTest, AbsentPredicateYieldsEmpty) {
 TEST(PropertyTableTest, ReverseTableGroupsByObject) {
   rdf::EncodedGraph graph = SmallGraph();
   DatasetStatistics stats = DatasetStatistics::Compute(graph);
-  PropertyTable reverse = PropertyTable::Build(graph, stats, 3,
+  columnar::BufferPool pool(columnar::kUnboundedBudget);
+  PropertyTable reverse = PropertyTable::Build(graph, stats, 3, pool,
                                                /*keyed_on_object=*/true);
   EXPECT_TRUE(reverse.keyed_on_object());
   cluster::CostModel cost((cluster::ClusterConfig()));

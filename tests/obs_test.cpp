@@ -502,11 +502,11 @@ TEST_F(ObsIntegrationTest, GoldenExplainAnalyzeForWatDivL2) {
   std::string masked = MaskTimes(obs::ExplainAnalyze(profile));
   EXPECT_EQ(masked, std::string(
       R"(EXPLAIN ANALYZE  (simulated #ms, 1 stages, charged #ms)
-query  rows=1  charge=#ms (total=#ms)  scanned=175.5 KB  broadcast=216 B
-└─ project v1,v2  rows=1  charge=#ms (total=#ms)  scanned=175.5 KB  broadcast=216 B
-   └─ join PT(?v2 <http://db.uwaterloo.ca/~galuc/wsdbm/likes> <http://db.uwaterloo.ca/~galuc/wsdbm/Product0> ; ?v2 <http://schema.org/nationality> ?v1) [broadcast]  rows=1 (in=98)  est=1.0  charge=#ms (total=#ms)  scanned=175.5 KB  broadcast=216 B
-      ├─ scan VP(<http://db.uwaterloo.ca/~galuc/wsdbm/City0> <http://www.geonames.org/ontology#parentCountry> ?v1) [VP]  rows=1 (in=20)  est=1.0  charge=#ms  scanned=1.7 KB
-      └─ scan PT(?v2 <http://db.uwaterloo.ca/~galuc/wsdbm/likes> <http://db.uwaterloo.ca/~galuc/wsdbm/Product0> ; ?v2 <http://schema.org/nationality> ?v1) [PT]  rows=97 (in=2279)  est=4.0  charge=#ms  scanned=173.8 KB
+query  rows=1  charge=#ms (total=#ms)  scanned=174.1 KB  broadcast=216 B
+└─ project v1,v2  rows=1  charge=#ms (total=#ms)  scanned=174.1 KB  broadcast=216 B
+   └─ join PT(?v2 <http://db.uwaterloo.ca/~galuc/wsdbm/likes> <http://db.uwaterloo.ca/~galuc/wsdbm/Product0> ; ?v2 <http://schema.org/nationality> ?v1) [broadcast]  rows=1 (in=98)  est=1.0  charge=#ms (total=#ms)  scanned=174.1 KB  broadcast=216 B
+      ├─ scan VP(<http://db.uwaterloo.ca/~galuc/wsdbm/City0> <http://www.geonames.org/ontology#parentCountry> ?v1) [VP]  rows=1 (in=20)  est=1.0  charge=#ms  bytes=1.7 KB/337 B, skipped=0 (+8 bloom partitions)
+      └─ scan PT(?v2 <http://db.uwaterloo.ca/~galuc/wsdbm/likes> <http://db.uwaterloo.ca/~galuc/wsdbm/Product0> ; ?v2 <http://schema.org/nationality> ?v1) [PT]  rows=97 (in=2279)  est=4.0  charge=#ms  bytes=173.8 KB/173.8 KB, skipped=0
 )"));
 }
 

@@ -1,14 +1,18 @@
 // Paged-storage differential harness (DESIGN.md §15).
 //
-// The buffer-pool path must be invisible to query semantics: with any
-// pool budget — including one smaller than any single partition — every
-// WatDiv basic query must return a relation *bit-identical* (chunk
-// layout, row order, columns) to the classic fully-in-memory engine,
+// Every store holds its data as row groups behind a buffer pool, and the
+// pool budget must be invisible to query semantics. The baseline is a
+// store built with the default storage options: an unbounded pool
+// (nothing is ever evicted) over default-size row groups. With any
+// budget — including one smaller than any single partition — and
+// 512-row groups, every WatDiv basic query must return a relation
+// *bit-identical* (chunk layout, row order, columns) to that baseline,
 // serial and morsel-parallel alike. On top of identity, the harness
 // checks that paging actually pages (pins, misses, evictions under a
-// tight budget) and actually skips (zone-map row groups on the
-// constant-heavy queries, bloom-filtered partitions on point-subject
-// lookups), and that EXPLAIN ANALYZE surfaces the skips.
+// tight budget; pins and no evictions on the default store) and actually
+// skips (zone-map row groups on the constant-heavy queries,
+// bloom-filtered partitions on point-subject lookups), and that EXPLAIN
+// ANALYZE surfaces the skips.
 
 #include <gtest/gtest.h>
 
@@ -81,6 +85,7 @@ class PagedScanTest : public ::testing::Test {
         std::make_shared<const rdf::EncodedGraph>(std::move(dataset.graph));
     watdiv::WatDivDataset sizing_only;  // Queries depend only on IRIs.
     queries_ = watdiv::BasicQuerySet(sizing_only);
+    // Default storage options: unbounded pool, default-size row groups.
     baseline_ = MakeDb(graph_, /*pool_bytes=*/0, /*num_threads=*/1);
   }
 
@@ -126,6 +131,21 @@ TEST_F(PagedScanTest, BitIdenticalAcrossBudgetsAndThreadCounts) {
       }
     }
   }
+}
+
+TEST_F(PagedScanTest, DefaultStoreIsUnboundedAndNeverEvicts) {
+  auto db =
+      core::ProstDb::LoadFromSharedGraph(graph_, core::ProstDb::Options());
+  ASSERT_TRUE(db.ok()) << db.status();
+  ASSERT_NE((*db)->buffer_pool(), nullptr);
+  for (const watdiv::WatDivQuery& wq : queries_) {
+    auto parsed = sparql::ParseQuery(wq.sparql);
+    ASSERT_TRUE(parsed.ok()) << wq.id;
+    ASSERT_TRUE((*db)->Execute(*parsed).ok()) << wq.id;
+  }
+  obs::MetricsSnapshot snapshot = (*db)->metrics().Snapshot();
+  EXPECT_GT(snapshot.counter("storage.pages_pinned"), 0u);
+  EXPECT_EQ(snapshot.counter("storage.evictions"), 0u);
 }
 
 TEST_F(PagedScanTest, TinyBudgetActuallyPagesAndEvicts) {
@@ -216,13 +236,13 @@ TEST_F(PagedScanTest, ExplainAnalyzeReportsBytesAndSkips) {
   EXPECT_TRUE(found)
       << "no WatDiv query produced a paged EXPLAIN ANALYZE skip clause";
 
-  // The unpaged engine must never render the paged clause.
+  // The default store pages too, so its scans carry the clause as well.
   obs::QueryProfile profile;
   auto parsed = sparql::ParseQuery(queries_.front().sparql);
   ASSERT_TRUE(parsed.ok());
   ASSERT_TRUE(baseline_->Execute(*parsed, &profile).ok());
   std::string report = obs::ExplainAnalyze(profile);
-  EXPECT_EQ(report.find("skipped="), std::string::npos) << report;
+  EXPECT_NE(report.find("skipped="), std::string::npos) << report;
 }
 
 TEST(PagedPersistenceTest, RoundTripWithPagingOnBothSides) {
