@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
@@ -10,6 +12,12 @@
 #include "rdf/triple.h"
 
 namespace prost::rdf {
+
+// Prints a Term in N-Triples form. Without it gtest dumps the raw object
+// bytes, which include padding and heap addresses, so the names of the
+// parameterized tests below would change from one build to the next.
+void PrintTo(const Term& term, std::ostream* os) { *os << term.ToNTriples(); }
+
 namespace {
 
 // ----------------------------------------------------------------- Term
