@@ -12,41 +12,35 @@
 namespace prost::analysis {
 namespace {
 
-using core::JoinTree;
 using core::JoinTreeNode;
 using core::NodeKind;
 using core::NodePattern;
 using core::PatternTerm;
 
-const char* KindName(NodeKind kind) {
-  switch (kind) {
-    case NodeKind::kVerticalPartitioning:
-      return "VP";
-    case NodeKind::kPropertyTable:
-      return "PT";
-    case NodeKind::kReversePropertyTable:
-      return "RPT";
+// ---------------------------------------------------------------------
+// Scan sources (the Join Tree nodes under a freshly built plan).
+// ---------------------------------------------------------------------
+
+/// A plan's scan sources, left to right: the order BuildPlan folds them.
+using ScanSources = std::vector<const JoinTreeNode*>;
+
+void CollectScanSources(const plan::PlanNode& node, ScanSources& sources) {
+  if (node.kind == plan::PlanNodeKind::kVpScan ||
+      node.kind == plan::PlanNodeKind::kPtScan) {
+    sources.push_back(&static_cast<const plan::ScanNodeBase&>(node).source);
+    return;
   }
-  return "?";
+  for (const std::unique_ptr<plan::PlanNode>& child : node.children) {
+    if (child != nullptr) CollectScanSources(*child, sources);
+  }
 }
 
-/// "node 2 PT(?x <p1> ?y; ?x <p2> ?z)" — every diagnostic names the
-/// offending node this way.
-std::string NodeLabel(size_t index, const JoinTreeNode& node) {
-  std::string label =
-      StrFormat("node %zu %s(", index, KindName(node.kind));
-  for (size_t i = 0; i < node.patterns.size(); ++i) {
-    if (i > 0) label += "; ";
-    label += node.patterns[i].source.ToString();
-  }
-  label += ")";
-  return label;
-}
-
-Status NodeError(size_t index, const JoinTreeNode& node,
+/// "plan check: scan 2 PT(?x <p1> ?y ; ?x <p2> ?z): ..." — every
+/// diagnostic names the offending scan this way.
+Status ScanError(size_t index, const JoinTreeNode& node,
                  const std::string& message) {
-  return Status::InvalidArgument("plan check: " + NodeLabel(index, node) +
-                                 ": " + message);
+  return Status::InvalidArgument(StrFormat("plan check: scan %zu ", index) +
+                                 node.Label() + ": " + message);
 }
 
 bool SameTerm(const PatternTerm& a, const PatternTerm& b) {
@@ -60,58 +54,35 @@ const PatternTerm& KeyTerm(NodeKind kind, const NodePattern& pattern) {
   return kind == NodeKind::kReversePropertyTable ? pattern.object
                                                  : pattern.subject;
 }
-const PatternTerm& ValueTerm(NodeKind kind, const NodePattern& pattern) {
-  return kind == NodeKind::kReversePropertyTable ? pattern.subject
-                                                 : pattern.object;
-}
-
-/// The node's output schema, in exactly the order the engine's scans emit
-/// it: key variable first, then each pattern's value variable, repeated
-/// names collapsed (VpStore::ScanTable / PropertyTable::Scan layout).
-std::vector<std::string> NodeOutputColumns(const JoinTreeNode& node) {
-  std::vector<std::string> names;
-  auto add = [&](const PatternTerm& term) {
-    if (!term.is_variable) return;
-    if (std::find(names.begin(), names.end(), term.name) == names.end()) {
-      names.push_back(term.name);
-    }
-  };
-  if (node.patterns.empty()) return names;
-  add(KeyTerm(node.kind, node.patterns[0]));
-  for (const NodePattern& pattern : node.patterns) {
-    add(ValueTerm(node.kind, pattern));
-  }
-  return names;
-}
 
 /// Per-node shape: arity, key sharing, resolution coherence with the
-/// source patterns, no literal subjects, non-empty output schema.
+/// source patterns, no literal subjects, at least one bound variable.
 Status CheckNodeShape(size_t index, const JoinTreeNode& node) {
   if (node.patterns.empty()) {
-    return NodeError(index, node, "node has no triple patterns");
+    return ScanError(index, node, "node has no triple patterns");
   }
   if (node.kind == NodeKind::kVerticalPartitioning &&
       node.patterns.size() != 1) {
-    return NodeError(index, node,
+    return ScanError(index, node,
                      StrFormat("VP nodes evaluate exactly one pattern, got "
                                "%zu",
                                node.patterns.size()));
   }
   for (const NodePattern& pattern : node.patterns) {
     if (pattern.source.predicate.is_variable()) {
-      return NodeError(index, node,
+      return ScanError(index, node,
                        "variable predicate " +
                            pattern.source.predicate.ToNTriples() +
                            " has no partitioned table");
     }
     if (pattern.source.subject.is_literal()) {
-      return NodeError(index, node,
+      return ScanError(index, node,
                        "literal " + pattern.source.subject.ToNTriples() +
                            " in subject position can never match");
     }
     // Resolved terms must mirror the source pattern: same variable-ness,
     // same variable names. (Constant ids are checked against the
-    // dictionary in CheckPlan when one is available.)
+    // dictionary when one is available.)
     struct Position {
       const rdf::Term& source;
       const PatternTerm& resolved;
@@ -123,17 +94,17 @@ Status CheckNodeShape(size_t index, const JoinTreeNode& node) {
     };
     for (const Position& p : positions) {
       if (p.source.is_variable() != p.resolved.is_variable) {
-        return NodeError(index, node,
+        return ScanError(index, node,
                          StrFormat("%s resolution disagrees with the source "
                                    "pattern (variable vs constant)",
                                    p.where));
       }
       if (p.resolved.is_variable && p.resolved.name.empty()) {
-        return NodeError(index, node,
+        return ScanError(index, node,
                          StrFormat("%s variable has an empty name", p.where));
       }
       if (p.resolved.is_variable && p.resolved.name != p.source.value) {
-        return NodeError(index, node,
+        return ScanError(index, node,
                          StrFormat("%s variable renamed during resolution "
                                    "('%s' vs '?%s')",
                                    p.where, p.resolved.name.c_str(),
@@ -145,45 +116,44 @@ Status CheckNodeShape(size_t index, const JoinTreeNode& node) {
     const PatternTerm& key = KeyTerm(node.kind, node.patterns[0]);
     for (const NodePattern& pattern : node.patterns) {
       if (!SameTerm(key, KeyTerm(node.kind, pattern))) {
-        return NodeError(
+        return ScanError(
             index, node,
             StrFormat("%s-node patterns do not share one %s key; the scan "
                       "would silently key every pattern on the first one's",
-                      KindName(node.kind),
+                      core::NodeKindToString(node.kind),
                       node.kind == NodeKind::kReversePropertyTable
                           ? "object"
                           : "subject"));
       }
     }
   }
-  if (NodeOutputColumns(node).empty()) {
-    return NodeError(index, node,
+  if (node.Variables().empty()) {
+    return ScanError(index, node,
                      "node binds no variables (fully-constant sub-queries "
                      "are not executable)");
   }
   return Status::OK();
 }
 
-/// Every BGP triple pattern must be covered by exactly one node, and no
-/// node may evaluate a pattern the query does not contain.
-Status CheckPatternCoverage(const JoinTree& tree, const sparql::Query& query) {
+/// Every BGP triple pattern must be covered by exactly one scan, and no
+/// scan may evaluate a pattern the query does not contain.
+Status CheckPatternCoverage(const ScanSources& sources,
+                            const sparql::Query& query) {
   std::vector<const NodePattern*> plan_patterns;
-  for (const JoinTreeNode& node : tree.nodes) {
-    for (const NodePattern& pattern : node.patterns) {
+  for (const JoinTreeNode* node : sources) {
+    for (const NodePattern& pattern : node->patterns) {
       plan_patterns.push_back(&pattern);
     }
   }
   std::vector<bool> used(plan_patterns.size(), false);
   for (const sparql::TriplePattern& pattern : query.bgp.patterns) {
-    size_t matches = 0;
-    for (size_t i = 0; i < plan_patterns.size(); ++i) {
+    bool matched = false;
+    for (size_t i = 0; i < plan_patterns.size() && !matched; ++i) {
       if (!used[i] && plan_patterns[i]->source == pattern) {
-        used[i] = true;
-        ++matches;
-        break;
+        used[i] = matched = true;
       }
     }
-    if (matches == 0) {
+    if (!matched) {
       // Either genuinely missing or already claimed by an earlier
       // duplicate; distinguish for the diagnostic.
       bool duplicate = false;
@@ -193,7 +163,7 @@ Status CheckPatternCoverage(const JoinTree& tree, const sparql::Query& query) {
       return Status::InvalidArgument(
           "plan check: triple pattern " + pattern.ToString() +
           (duplicate ? " appears more often in the query than in the plan"
-                     : " is not covered by any Join Tree node"));
+                     : " is not covered by any scan"));
     }
   }
   for (size_t i = 0; i < plan_patterns.size(); ++i) {
@@ -203,83 +173,6 @@ Status CheckPatternCoverage(const JoinTree& tree, const sparql::Query& query) {
           " which the query's BGP does not contain (or contains fewer "
           "times)");
     }
-  }
-  return Status::OK();
-}
-
-/// Left-deep fold: each node after the first must share a join variable
-/// with the accumulated result, or the executor would face a cross
-/// product (HashJoin rejects those at runtime; we reject them statically).
-Status CheckConnectivity(const JoinTree& tree) {
-  std::set<std::string> bound;
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    std::vector<std::string> columns = NodeOutputColumns(tree.nodes[i]);
-    if (i > 0) {
-      bool shares = std::any_of(columns.begin(), columns.end(),
-                                [&](const std::string& name) {
-                                  return bound.count(name) > 0;
-                                });
-      if (!shares) {
-        return NodeError(i, tree.nodes[i],
-                         "no join key: node shares no variable with the "
-                         "already-planned sub-tree {" +
-                             StrJoin(std::vector<std::string>(bound.begin(),
-                                                              bound.end()),
-                                     ",") +
-                             "} (cross product)");
-      }
-    }
-    bound.insert(columns.begin(), columns.end());
-  }
-  return Status::OK();
-}
-
-/// Projection / filters / ORDER BY / COUNT may only use variables some
-/// node binds, and the final output schema must be duplicate-free.
-Status CheckVariableCoverage(const JoinTree& tree,
-                             const sparql::Query& query) {
-  std::set<std::string> bound;
-  for (const JoinTreeNode& node : tree.nodes) {
-    std::vector<std::string> columns = NodeOutputColumns(node);
-    bound.insert(columns.begin(), columns.end());
-  }
-  std::set<std::string> projected;
-  for (const std::string& name : query.EffectiveProjection()) {
-    if (!bound.count(name)) {
-      return Status::InvalidArgument(
-          "plan check: projected variable ?" + name +
-          " is not bound by any Join Tree node");
-    }
-    if (!projected.insert(name).second) {
-      return Status::InvalidArgument(
-          "plan check: duplicate output column ?" + name +
-          " in the projection");
-    }
-  }
-  for (const sparql::FilterConstraint& filter : query.filters) {
-    if (!bound.count(filter.variable)) {
-      return Status::InvalidArgument("plan check: filter variable ?" +
-                                     filter.variable +
-                                     " is not bound by any Join Tree node");
-    }
-    if (filter.rhs_is_variable && !bound.count(filter.rhs_variable)) {
-      return Status::InvalidArgument("plan check: filter variable ?" +
-                                     filter.rhs_variable +
-                                     " is not bound by any Join Tree node");
-    }
-  }
-  for (const sparql::OrderKey& key : query.order_by) {
-    if (!bound.count(key.variable)) {
-      return Status::InvalidArgument("plan check: ORDER BY variable ?" +
-                                     key.variable +
-                                     " is not bound by any Join Tree node");
-    }
-  }
-  if (query.count.has_value() && !query.count->variable.empty() &&
-      !bound.count(query.count->variable)) {
-    return Status::InvalidArgument("plan check: COUNT variable ?" +
-                                   query.count->variable +
-                                   " is not bound by any Join Tree node");
   }
   return Status::OK();
 }
@@ -295,7 +188,7 @@ rdf::PredicateStats StatsFor(const core::DatasetStatistics& stats,
 /// (VP) or column (PT/RPT), shaped for the right worker count. Null
 /// predicate ids are constants the dictionary has never seen — a legal
 /// always-empty scan, mirroring the runtime semantics.
-Status CheckStorageResolution(const JoinTree& tree,
+Status CheckStorageResolution(const ScanSources& sources,
                               const PlanContext& context) {
   const uint32_t workers =
       context.cluster != nullptr ? context.cluster->num_workers
@@ -306,47 +199,47 @@ Status CheckStorageResolution(const JoinTree& tree,
                   "cluster has %u workers",
                   context.vp->num_workers(), workers));
   }
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    const JoinTreeNode& node = tree.nodes[i];
+  for (size_t i = 0; i < sources.size(); ++i) {
+    const JoinTreeNode& node = *sources[i];
     const core::PropertyTable* table = nullptr;
     if (node.kind == NodeKind::kPropertyTable) {
       table = context.property_table;
       if (table == nullptr) {
-        return NodeError(i, node,
+        return ScanError(i, node,
                          "plan uses the Property Table but none is loaded");
       }
     } else if (node.kind == NodeKind::kReversePropertyTable) {
       table = context.reverse_property_table;
       if (table == nullptr) {
-        return NodeError(
+        return ScanError(
             i, node,
             "plan uses the reverse Property Table but none is loaded");
       }
     }
     if (table != nullptr && table->num_workers() != workers) {
-      return NodeError(i, node,
+      return ScanError(i, node,
                        StrFormat("%s is partitioned %u ways but the cluster "
                                  "has %u workers",
-                                 KindName(node.kind), table->num_workers(),
-                                 workers));
+                                 core::NodeKindToString(node.kind),
+                                 table->num_workers(), workers));
     }
     for (const NodePattern& pattern : node.patterns) {
       if (pattern.predicate == rdf::kNullTermId) {
         if (pattern.source.predicate.is_concrete()) continue;  // Absent term.
-        return NodeError(i, node, "null predicate id for " +
+        return ScanError(i, node, "null predicate id for " +
                                       pattern.source.predicate.ToNTriples());
       }
       if (node.kind == NodeKind::kVerticalPartitioning) {
         auto it = context.vp->tables().find(pattern.predicate);
         if (it == context.vp->tables().end()) {
-          return NodeError(i, node,
+          return ScanError(i, node,
                            "unknown predicate table: no VP table for " +
                                pattern.source.predicate.ToNTriples());
         }
         const core::VpStore::PredicateTable& vp_table = it->second;
         if (vp_table.paged.size() != workers ||
             vp_table.partition_bytes.size() != vp_table.paged.size()) {
-          return NodeError(
+          return ScanError(
               i, node,
               StrFormat("VP table for %s has %zu partitions / %zu size "
                         "entries, expected %u",
@@ -355,9 +248,9 @@ Status CheckStorageResolution(const JoinTree& tree,
                         vp_table.partition_bytes.size(), workers));
         }
       } else if (!table->HasPredicate(pattern.predicate)) {
-        return NodeError(i, node,
+        return ScanError(i, node,
                          "unknown predicate table: no " +
-                             std::string(KindName(node.kind)) +
+                             std::string(core::NodeKindToString(node.kind)) +
                              " column for " +
                              pattern.source.predicate.ToNTriples());
       }
@@ -369,10 +262,10 @@ Status CheckStorageResolution(const JoinTree& tree,
 /// Resolved constant ids must agree with the dictionary (a translator that
 /// resolves against a stale or foreign dictionary produces silently wrong
 /// — usually empty — results).
-Status CheckDictionaryAgreement(const JoinTree& tree,
+Status CheckDictionaryAgreement(const ScanSources& sources,
                                 const rdf::Dictionary& dictionary) {
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    const JoinTreeNode& node = tree.nodes[i];
+  for (size_t i = 0; i < sources.size(); ++i) {
+    const JoinTreeNode& node = *sources[i];
     for (const NodePattern& pattern : node.patterns) {
       struct Position {
         const rdf::Term& source;
@@ -388,7 +281,7 @@ Status CheckDictionaryAgreement(const JoinTree& tree,
         if (p.source.is_variable()) continue;
         rdf::TermId expected = dictionary.Lookup(p.source.ToNTriples());
         if (p.resolved != expected) {
-          return NodeError(
+          return ScanError(
               i, node,
               StrFormat("%s %s resolved to term id %llu but the dictionary "
                         "says %llu",
@@ -406,32 +299,25 @@ Status CheckDictionaryAgreement(const JoinTree& tree,
 /// statistics while join strategies (broadcast vs shuffle) are planned
 /// from storage-derived planner sizes; both must describe the same
 /// physical data, and every cardinality estimate must stay inside its
-/// statistics upper bound.
-Status CheckStatisticsAgreement(const JoinTree& tree,
+/// statistics upper bound. (Finiteness is CheckPhysicalPlan's.)
+Status CheckStatisticsAgreement(const ScanSources& sources,
                                 const PlanContext& context) {
   const core::DatasetStatistics& stats = *context.stats;
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    const JoinTreeNode& node = tree.nodes[i];
-    if (!std::isfinite(node.estimated_cardinality) ||
-        node.estimated_cardinality < 0) {
-      return NodeError(i, node,
-                       StrFormat("cardinality estimate %g is not a finite "
-                                 "non-negative number",
-                                 node.estimated_cardinality));
-    }
+  for (size_t i = 0; i < sources.size(); ++i) {
+    const JoinTreeNode& node = *sources[i];
     uint64_t upper_bound = ~0ull;
     for (const NodePattern& pattern : node.patterns) {
       rdf::PredicateStats predicate_stats =
           StatsFor(stats, pattern.predicate);
       upper_bound = std::min(upper_bound, predicate_stats.triple_count);
       if (context.vp != nullptr &&
+          node.kind == NodeKind::kVerticalPartitioning &&
           pattern.predicate != rdf::kNullTermId) {
         auto it = context.vp->tables().find(pattern.predicate);
         uint64_t stored_rows =
             it == context.vp->tables().end() ? 0 : it->second.total_rows;
-        if (node.kind == NodeKind::kVerticalPartitioning &&
-            stored_rows != predicate_stats.triple_count) {
-          return NodeError(
+        if (stored_rows != predicate_stats.triple_count) {
+          return ScanError(
               i, node,
               StrFormat("statistics/storage disagreement for %s: statistics "
                         "count %llu triples but the VP table holds %llu — "
@@ -444,9 +330,8 @@ Status CheckStatisticsAgreement(const JoinTree& tree,
         }
       }
     }
-    if (node.estimated_cardinality >
-        static_cast<double>(upper_bound)) {
-      return NodeError(
+    if (node.estimated_cardinality > static_cast<double>(upper_bound)) {
+      return ScanError(
           i, node,
           StrFormat("cardinality estimate %g exceeds the statistics upper "
                     "bound of %llu rows",
@@ -464,17 +349,17 @@ Status CheckStatisticsAgreement(const JoinTree& tree,
 /// entity-only object domains), every join on it is empty by schema —
 /// almost certainly a translation bug, and exactly what S2RDF-style
 /// schema-driven table selection guards against.
-Status CheckJoinKeyTypes(const JoinTree& tree, const PlanContext& context) {
+Status CheckJoinKeyTypes(const ScanSources& sources,
+                         const PlanContext& context) {
   const core::DatasetStatistics& stats = *context.stats;
   struct Evidence {
-    size_t node = 0;
+    size_t scan = 0;
     std::string description;
   };
   std::map<std::string, Evidence> entity_evidence;
   std::map<std::string, Evidence> literal_evidence;
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    const JoinTreeNode& node = tree.nodes[i];
-    for (const NodePattern& pattern : node.patterns) {
+  for (size_t i = 0; i < sources.size(); ++i) {
+    for (const NodePattern& pattern : sources[i]->patterns) {
       if (pattern.subject.is_variable) {
         entity_evidence.emplace(
             pattern.subject.name,
@@ -502,10 +387,10 @@ Status CheckJoinKeyTypes(const JoinTree& tree, const PlanContext& context) {
     const Evidence& entity = it->second;
     return Status::InvalidArgument(StrFormat(
         "plan check: join-key type mismatch for ?%s: bound to entities as "
-        "the %s (node %zu) but to literals as the %s (node %zu); every "
+        "the %s (scan %zu) but to literals as the %s (scan %zu); every "
         "join on it is empty by schema",
-        name.c_str(), entity.description.c_str(), entity.node,
-        literal.description.c_str(), literal.node));
+        name.c_str(), entity.description.c_str(), entity.scan,
+        literal.description.c_str(), literal.scan));
   }
   return Status::OK();
 }
@@ -527,12 +412,6 @@ Status PhysicalError(const plan::PlanNode& node, const std::string& message) {
       (label.empty() ? "" : " " + label) + ": " + message);
 }
 
-/// Everything CheckPhysicalNode accumulates on its way down.
-struct PhysicalWalk {
-  std::vector<const plan::ScanNodeBase*> scans;  // Left-to-right.
-  std::vector<const sparql::FilterConstraint*> filters;  // Tail + pushed.
-};
-
 Status CheckFilterBound(const plan::PlanNode& node,
                         const sparql::FilterConstraint& constraint,
                         const std::vector<std::string>& bound) {
@@ -548,8 +427,11 @@ Status CheckFilterBound(const plan::PlanNode& node,
   return Status::OK();
 }
 
-Status CheckPhysicalNode(const plan::PlanNode& node, bool is_root,
-                         PhysicalWalk& walk) {
+/// Checks `node`'s subtree, collecting every tail and pushed filter it
+/// evaluates into `filters`.
+Status CheckPhysicalNode(
+    const plan::PlanNode& node, bool is_root,
+    std::vector<const sparql::FilterConstraint*>& filters) {
   const bool is_scan = node.kind == plan::PlanNodeKind::kVpScan ||
                        node.kind == plan::PlanNodeKind::kPtScan;
   const size_t expected_children =
@@ -561,7 +443,8 @@ Status CheckPhysicalNode(const plan::PlanNode& node, bool is_root,
   }
   for (const std::unique_ptr<plan::PlanNode>& child : node.children) {
     if (child == nullptr) return PhysicalError(node, "null child");
-    PROST_RETURN_IF_ERROR(CheckPhysicalNode(*child, /*is_root=*/false, walk));
+    PROST_RETURN_IF_ERROR(
+        CheckPhysicalNode(*child, /*is_root=*/false, filters));
   }
 
   // Scans must carry a real estimate (checked below); everywhere else the
@@ -605,9 +488,8 @@ Status CheckPhysicalNode(const plan::PlanNode& node, bool is_root,
         }
         PROST_RETURN_IF_ERROR(
             CheckFilterBound(node, pushed, node.output_columns));
-        walk.filters.push_back(&pushed);
+        filters.push_back(&pushed);
       }
-      walk.scans.push_back(&scan);
       return Status::OK();
     }
     case plan::PlanNodeKind::kHashJoin: {
@@ -655,7 +537,7 @@ Status CheckPhysicalNode(const plan::PlanNode& node, bool is_root,
       const auto& filter = static_cast<const plan::FilterNode&>(node);
       PROST_RETURN_IF_ERROR(CheckFilterBound(
           node, filter.constraint, node.children[0]->output_columns));
-      walk.filters.push_back(&filter.constraint);
+      filters.push_back(&filter.constraint);
       break;
     }
     case plan::PlanNodeKind::kProject: {
@@ -738,35 +620,25 @@ Status CheckPhysicalNode(const plan::PlanNode& node, bool is_root,
 
 }  // namespace
 
-Status CheckPlanStructure(const JoinTree& tree, const sparql::Query& query) {
-  if (tree.nodes.empty()) {
-    return Status::InvalidArgument("plan check: empty join tree");
+Status CheckScanSources(const plan::PhysicalPlan& physical,
+                        const sparql::Query& query,
+                        const PlanContext& context) {
+  ScanSources sources;
+  if (physical.root != nullptr) CollectScanSources(*physical.root, sources);
+  for (size_t i = 0; i < sources.size(); ++i) {
+    PROST_RETURN_IF_ERROR(CheckNodeShape(i, *sources[i]));
   }
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    PROST_RETURN_IF_ERROR(CheckNodeShape(i, tree.nodes[i]));
-  }
-  PROST_RETURN_IF_ERROR(CheckPatternCoverage(tree, query));
-  PROST_RETURN_IF_ERROR(CheckConnectivity(tree));
-  return CheckVariableCoverage(tree, query);
-}
-
-Status CheckPlan(const JoinTree& tree, const sparql::Query& query,
-                 const PlanContext& context,
-                 const PlanCheckerOptions& options) {
-  PROST_RETURN_IF_ERROR(CheckPlanStructure(tree, query));
+  PROST_RETURN_IF_ERROR(CheckPatternCoverage(sources, query));
   if (context.vp != nullptr) {
-    PROST_RETURN_IF_ERROR(CheckStorageResolution(tree, context));
+    PROST_RETURN_IF_ERROR(CheckStorageResolution(sources, context));
   }
   if (context.dictionary != nullptr) {
-    PROST_RETURN_IF_ERROR(CheckDictionaryAgreement(tree, *context.dictionary));
+    PROST_RETURN_IF_ERROR(
+        CheckDictionaryAgreement(sources, *context.dictionary));
   }
   if (context.stats != nullptr) {
-    if (options.check_statistics) {
-      PROST_RETURN_IF_ERROR(CheckStatisticsAgreement(tree, context));
-    }
-    if (options.check_types) {
-      PROST_RETURN_IF_ERROR(CheckJoinKeyTypes(tree, context));
-    }
+    PROST_RETURN_IF_ERROR(CheckStatisticsAgreement(sources, context));
+    PROST_RETURN_IF_ERROR(CheckJoinKeyTypes(sources, context));
   }
   return Status::OK();
 }
@@ -776,49 +648,25 @@ Status CheckPhysicalPlan(const plan::PhysicalPlan& physical,
   if (physical.root == nullptr) {
     return Status::InvalidArgument("physical plan check: empty plan");
   }
-  PhysicalWalk walk;
+  std::vector<const sparql::FilterConstraint*> filters;
   PROST_RETURN_IF_ERROR(
-      CheckPhysicalNode(*physical.root, /*is_root=*/true, walk));
-
-  // The scans' Join Tree nodes must pass the same shape and coverage
-  // rules as the tree they were lowered from.
-  JoinTree tree;
-  for (const plan::ScanNodeBase* scan : walk.scans) {
-    tree.nodes.push_back(scan->source);
-  }
-  if (tree.nodes.empty()) {
-    return Status::InvalidArgument("physical plan check: plan has no scans");
-  }
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    PROST_RETURN_IF_ERROR(CheckNodeShape(i, tree.nodes[i]));
-  }
-  PROST_RETURN_IF_ERROR(CheckPatternCoverage(tree, query));
+      CheckPhysicalNode(*physical.root, /*is_root=*/true, filters));
 
   // Filter conservation: a pass may move or duplicate a constraint (one
   // copy per scan binding its variable) but never invent or drop one.
-  for (const sparql::FilterConstraint* constraint : walk.filters) {
-    bool known = false;
-    for (const sparql::FilterConstraint& filter : query.filters) {
-      if (filter == *constraint) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
+  for (const sparql::FilterConstraint* constraint : filters) {
+    if (std::find(query.filters.begin(), query.filters.end(), *constraint) ==
+        query.filters.end()) {
       return Status::InvalidArgument(
           "physical plan check: plan evaluates " + constraint->ToString() +
           " which the query does not contain");
     }
   }
   for (const sparql::FilterConstraint& filter : query.filters) {
-    bool present = false;
-    for (const sparql::FilterConstraint* constraint : walk.filters) {
-      if (filter == *constraint) {
-        present = true;
-        break;
-      }
-    }
-    if (!present) {
+    if (std::none_of(filters.begin(), filters.end(),
+                     [&](const sparql::FilterConstraint* constraint) {
+                       return *constraint == filter;
+                     })) {
       return Status::InvalidArgument("physical plan check: query filter " +
                                      filter.ToString() +
                                      " was dropped from the plan");

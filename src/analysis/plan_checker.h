@@ -3,7 +3,6 @@
 
 #include "cluster/config.h"
 #include "common/status.h"
-#include "core/join_tree.h"
 #include "core/property_table.h"
 #include "core/statistics.h"
 #include "core/vp_store.h"
@@ -13,9 +12,9 @@
 
 namespace prost::analysis {
 
-/// What a plan is validated against. Every pointer may be null; each check
-/// that needs an absent ingredient is skipped, so callers hand over
-/// whatever they have (the executor has stores, ProstDb has everything).
+/// What a plan's scans are validated against. Every pointer may be null;
+/// each check that needs an absent ingredient is skipped, so callers hand
+/// over whatever they have (ProstDb has everything).
 struct PlanContext {
   const core::VpStore* vp = nullptr;
   const core::PropertyTable* property_table = nullptr;
@@ -25,53 +24,35 @@ struct PlanContext {
   const cluster::ClusterConfig* cluster = nullptr;
 };
 
-/// Knobs for CheckPlan. Defaults run every check the context allows.
-struct PlanCheckerOptions {
-  /// Cross-check node cardinality estimates and storage row counts
-  /// against the §3.3 statistics (requires context.stats).
-  bool check_statistics = true;
-  /// Join-key type agreement from predicate object domains
-  /// (requires context.stats with literal-object counts).
-  bool check_types = true;
-};
-
-/// Structural verification of a Join Tree against its query — no stores or
-/// statistics needed, so the executor can afford it on every debug-build
-/// execution:
-///   - every node is well-formed (non-empty, VP arity 1, PT/RPT patterns
-///     share one key term, variable/constant resolution is coherent);
-///   - the tree covers each BGP triple pattern exactly once;
-///   - the left-deep fold never needs a cross product (each node after the
-///     first shares a join variable with the part already planned);
-///   - node output schemas and the final projection contain no duplicate
-///     columns, and no literal ever occupies a subject position;
-///   - every projected / filtered / ordered / counted variable is bound.
-/// Errors carry the offending node's label and index.
-Status CheckPlanStructure(const core::JoinTree& tree,
-                          const sparql::Query& query);
-
-/// Full static analysis: CheckPlanStructure plus every contextual check
-/// the `context` supports —
-///   - storage availability: a PT/RPT node requires that table to exist;
-///   - column resolution: each non-null predicate resolves to a VP table
-///     (VP nodes) or a Property-Table column (PT/RPT nodes), and resolved
-///     term ids agree with the dictionary;
-///   - physical-shape invariants: every referenced table is partitioned
+/// Once-per-query verification of the scan leaves of a freshly built
+/// plan (plan::BuildPlan output). Each scan's `source` is the Join Tree
+/// node it evaluates, and no optimizer pass rewrites it, so these checks
+/// run once, before the passes:
+///   - node shape: non-empty, VP arity 1, PT/RPT patterns share one key
+///     term, variable/constant resolution mirrors the source pattern, no
+///     literal subjects, at least one bound variable;
+///   - coverage: the scans cover each BGP triple pattern exactly once;
+///   - storage resolution (needs context.vp): a PT/RPT scan requires that
+///     table, each non-null predicate resolves to a VP table or a
+///     Property-Table column, and every referenced table is partitioned
 ///     exactly `cluster.num_workers` ways with per-partition size info;
-///   - statistics agreement: VP row counts must match the §3.3 statistics
-///     (node ordering *and* broadcast eligibility are planned from these
-///     numbers, so a disagreement means the optimizer and the executor see
-///     different worlds), and each node's estimated cardinality must be
-///     finite, non-negative and within its statistics upper bound;
-///   - join-key type agreement: a variable bound in subject position can
-///     never also be bound by a predicate whose objects are all literals
-///     (and literal-only cannot meet entity-only object domains).
-Status CheckPlan(const core::JoinTree& tree, const sparql::Query& query,
-                 const PlanContext& context,
-                 const PlanCheckerOptions& options = {});
+///   - dictionary agreement (needs context.dictionary): resolved constant
+///     ids match the dictionary;
+///   - statistics (needs context.stats): each scan's cardinality estimate
+///     stays within its statistics upper bound, and VP row counts equal
+///     the §3.3 statistics counts (node ordering *and* broadcast
+///     eligibility are planned from these numbers, so a disagreement
+///     means the optimizer and the executor see different worlds);
+///   - join-key type agreement (needs context.stats): a variable bound in
+///     subject position, or as the object of an entity-only predicate,
+///     can never also be the object of a literal-only predicate.
+/// Errors name the offending scan by its left-to-right index and label.
+Status CheckScanSources(const plan::PhysicalPlan& physical,
+                        const sparql::Query& query,
+                        const PlanContext& context);
 
-/// Invariant verification of a *physical* plan against its query. The
-/// PassManager runs this on the freshly-built plan and again after every
+/// Structural invariants of a physical plan against its query. The
+/// PassManager runs this on the freshly built plan and again after every
 /// optimizer pass (paranoid / verify_plans builds), so a pass that breaks
 /// an invariant is caught before anything executes:
 ///   - tree shape: scans are leaves, joins binary, everything else unary,
@@ -80,18 +61,19 @@ Status CheckPlan(const core::JoinTree& tree, const sparql::Query& query,
 ///     bottom-up from its children (scan layout, join left-major layout,
 ///     projection lists, COUNT alias);
 ///   - joins: join_columns is exactly the children's non-empty shared
-///     intersection in left order, and join outputs carry an unknown
-///     planner size (never broadcast — Spark 2.1 semantics);
+///     intersection in left order; a join may carry a planner size (the
+///     join_order pass stamps one on provably exact star intermediates
+///     so joins above can broadcast them) only alongside a cardinality
+///     estimate;
 ///   - projections: no duplicates, all columns bound in the child, and
 ///     optimizer-inserted prunes preserve the child's column order;
 ///   - filters: tail and pushed constraints reference bound variables,
 ///     pushed ones are constant-only, every one comes from the query, and
 ///     no query filter is lost;
-///   - coverage: the scans' source nodes cover the query BGP exactly
-///     once each (CheckPlanStructure node-shape rules included), and the
-///     root's schema is the query's effective projection (COUNT alias for
-///     aggregates);
-///   - estimates: scan cardinality estimates are finite and non-negative.
+///   - root: its schema is the query's effective projection (COUNT alias
+///     for aggregates);
+///   - estimates: scan cardinality estimates are finite and non-negative,
+///     every other estimate is finite.
 Status CheckPhysicalPlan(const plan::PhysicalPlan& physical,
                          const sparql::Query& query);
 

@@ -164,21 +164,7 @@ Result<JoinTree> ProstDb::Plan(const sparql::Query& query) const {
   translator_options.use_reverse_property_table =
       options_.use_reverse_property_table;
   translator_options.enable_stats_ordering = options_.enable_stats_ordering;
-  PROST_ASSIGN_OR_RETURN(
-      JoinTree tree,
-      Translate(query, stats_, graph_->dictionary(), translator_options));
-  if (kForceVerify || options_.verify_plans) {
-    analysis::PlanContext context;
-    context.vp = &vp_;
-    context.property_table = options_.use_property_table ? &pt_ : nullptr;
-    context.reverse_property_table =
-        options_.use_reverse_property_table ? &reverse_pt_ : nullptr;
-    context.stats = &stats_;
-    context.dictionary = &graph_->dictionary();
-    context.cluster = &options_.cluster;
-    PROST_RETURN_IF_ERROR(analysis::CheckPlan(tree, query, context));
-  }
-  return tree;
+  return Translate(query, stats_, graph_->dictionary(), translator_options);
 }
 
 Result<plan::PlannedQuery> ProstDb::BuildOptimizedPlan(
@@ -186,16 +172,26 @@ Result<plan::PlannedQuery> ProstDb::BuildOptimizedPlan(
   PROST_ASSIGN_OR_RETURN(JoinTree tree, Plan(query));
   plan::PlannerInputs inputs;
   inputs.vp = &vp_;
-  inputs.property_table = options_.use_property_table ? &pt_ : nullptr;
-  inputs.reverse_property_table =
-      options_.use_reverse_property_table ? &reverse_pt_ : nullptr;
+  inputs.property_table = property_table();
+  inputs.reverse_property_table = reverse_property_table();
   PROST_ASSIGN_OR_RETURN(plan::PhysicalPlan physical,
                          plan::BuildPlan(tree, query, inputs));
   plan::PassManagerOptions manager_options;
   manager_options.record_snapshots = record_snapshots;
   if (kForceVerify || options_.verify_plans) {
-    // Invariant-check the freshly built plan and again after every pass,
-    // so a rewrite that breaks the plan is caught before execution.
+    // Check the scans against storage, dictionary and statistics once (no
+    // pass rewrites a scan's source), then the plan's structure before
+    // the first pass and after every pass, so a rewrite that breaks the
+    // plan is caught before execution.
+    analysis::PlanContext check_context;
+    check_context.vp = &vp_;
+    check_context.property_table = inputs.property_table;
+    check_context.reverse_property_table = inputs.reverse_property_table;
+    check_context.stats = &stats_;
+    check_context.dictionary = &graph_->dictionary();
+    check_context.cluster = &options_.cluster;
+    PROST_RETURN_IF_ERROR(
+        analysis::CheckScanSources(physical, query, check_context));
     manager_options.validate = [&query](const plan::PhysicalPlan& p) {
       return analysis::CheckPhysicalPlan(p, query);
     };
@@ -234,8 +230,7 @@ Result<QueryResult> ProstDb::RunPlan(const plan::PlannedQuery& planned,
   engine::ExecContext exec(pool_.get(), options_.exec.morsel_rows, profile,
                            budget);
   return ExecutePlan(
-      planned.plan, vp_, options_.use_property_table ? &pt_ : nullptr,
-      options_.use_reverse_property_table ? &reverse_pt_ : nullptr,
+      planned.plan, vp_, property_table(), reverse_property_table(),
       options_.join, graph_->dictionary(), cost, &exec);
 }
 

@@ -50,11 +50,14 @@ class ProstDb {
     /// §5 future work: collect pairwise subject-overlap statistics at
     /// load (extra loading cost) for sharper Join Tree estimates.
     bool collect_precise_statistics = false;
-    /// Statically verify every Join Tree (analysis::CheckPlan) between
-    /// translation and execution: schema resolution, join-key presence
-    /// and type agreement, statistics/storage consistency. Opt-out is
-    /// honored only in plain release builds — debug and sanitizer builds
-    /// (PROST_PARANOID_CHECKS) always verify.
+    /// Statically verify every physical plan before it executes: its
+    /// scans once against storage, dictionary and statistics
+    /// (analysis::CheckScanSources: pattern coverage, schema resolution,
+    /// join-key type agreement, statistics/storage consistency), and its
+    /// structure before the first optimizer pass and after every pass
+    /// (analysis::CheckPhysicalPlan). Opt-out is honored only in plain
+    /// release builds — debug and sanitizer builds (PROST_PARANOID_CHECKS)
+    /// always verify.
     bool verify_plans = true;
     engine::JoinOptions join;
     /// Which optimizer passes rewrite the physical plan between
@@ -110,8 +113,9 @@ class ProstDb {
   static Result<std::unique_ptr<ProstDb>> OpenFrom(const std::string& dir,
                                                    Options options);
 
-  /// Plans a query into a Join Tree without executing (the logical half
-  /// of EXPLAIN; PlanPhysical continues into the physical plan).
+  /// Translates a query into its Join Tree without executing (the logical
+  /// half of EXPLAIN). Does not verify: the checks run on the physical
+  /// plan, in PlanPhysical and Execute.
   Result<JoinTree> Plan(const sparql::Query& query) const;
 
   /// Plans a query all the way to the optimized physical plan without
@@ -171,6 +175,9 @@ class ProstDb {
   const VpStore& vp_store() const { return vp_; }
   const PropertyTable* property_table() const {
     return options_.use_property_table ? &pt_ : nullptr;
+  }
+  const PropertyTable* reverse_property_table() const {
+    return options_.use_reverse_property_table ? &reverse_pt_ : nullptr;
   }
   /// Lifetime query metrics (query.executed / query.rows / query.failed
   /// counters, query.simulated_ms histogram), plus the buffer pool's

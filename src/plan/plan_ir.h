@@ -57,8 +57,10 @@ class PlanNode {
   /// §3.3 cardinality estimate; < 0 = unknown (non-scan nodes).
   double estimated_rows = -1;
   /// What the planner believes the output weighs — equal to the executed
-  /// relation's Relation::PlannerBytes. kUnknownPlannerBytes above joins
-  /// (Spark 2.1 static planning: join outputs are never broadcast).
+  /// relation's Relation::PlannerBytes. Joins carry kUnknownPlannerBytes
+  /// (Spark 2.1 static planning: join outputs are not broadcast) unless
+  /// the join_order pass stamps an exact size on a provably exact star
+  /// intermediate, which joins above may then broadcast.
   uint64_t planner_bytes = engine::Relation::kUnknownPlannerBytes;
   std::vector<std::unique_ptr<PlanNode>> children;
 

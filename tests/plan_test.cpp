@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "analysis/plan_checker.h"
+#include "common/io.h"
 #include "core/prost_db.h"
 #include "engine/relation.h"
 #include "plan/passes.h"
@@ -279,6 +280,88 @@ TEST(PassPipelineTest, InvariantsHoldBeforeAndAfterEveryPass) {
     // Once before the first pass, once after each of the four.
     EXPECT_EQ(validations, 5);
   }
+}
+
+// ----------------------------------------------------- Golden plans
+
+/// The optimized plan of every WatDiv query under three configurations
+/// (VP-only, mixed VP+PT, VP-only in the translator's heuristic order),
+/// each as a "== <config> <query id>" header followed by
+/// PlanPhysical(q).plan.ToString(). Any change to translation, lowering
+/// or a pass that alters a plan — shape, join strategy, pushed filter,
+/// prune or estimate — shows up as a reviewed diff of the golden file.
+std::string RenderGoldenPlans(const PlanWorkload& workload) {
+  const std::pair<const char*, const core::ProstDb*> configs[] = {
+      {"vp-only", workload.vp_on.get()},
+      {"mixed", workload.on.get()},
+      {"vp-only-heuristic-order", workload.vp_heuristic.get()},
+  };
+  std::string out =
+      "# Optimized physical plans of the 20 WatDiv basic queries over the\n"
+      "# 60k-triple plan_test workload (tests/plan_test.cpp, GoldenPlanTest).\n"
+      "# On a mismatch the test writes the actual plans next to its binary\n"
+      "# as golden_plans.actual.txt; review the diff, then copy it here.\n";
+  for (const auto& [name, db] : configs) {
+    for (size_t i = 0; i < workload.parsed.size(); ++i) {
+      out += "== " + std::string(name) + " " + workload.queries[i].id + "\n";
+      auto planned = db->PlanPhysical(workload.parsed[i]);
+      out += planned.ok() ? planned->plan.ToString()
+                          : "error: " + planned.status().ToString() + "\n";
+    }
+  }
+  return out;
+}
+
+/// Splits rendered plans into their "== ..." sections (header → plan
+/// text); lines before the first header are comments.
+std::map<std::string, std::string> GoldenSections(const std::string& text) {
+  std::map<std::string, std::string> sections;
+  std::string* body = nullptr;
+  size_t start = 0;
+  while (start < text.size()) {
+    size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    const std::string line = text.substr(start, end - start);
+    start = end + 1;
+    if (line.rfind("== ", 0) == 0) {
+      body = &sections[line];
+    } else if (body != nullptr) {
+      *body += line + "\n";
+    }
+  }
+  return sections;
+}
+
+TEST(GoldenPlanTest, OptimizedWatDivPlansMatchTheGoldenFile) {
+  const std::string actual = RenderGoldenPlans(Workload());
+  std::string expected;
+  Status read = ReadFileToString(PROST_GOLDEN_PLANS, &expected);
+  const std::map<std::string, std::string> want = GoldenSections(expected);
+  const std::map<std::string, std::string> got = GoldenSections(actual);
+  if (read.ok() && want == got) return;
+
+  std::string diff;
+  std::set<std::string> headers;
+  for (const auto& [header, plan] : want) headers.insert(header);
+  for (const auto& [header, plan] : got) headers.insert(header);
+  for (const std::string& header : headers) {
+    const auto w = want.find(header);
+    const auto g = got.find(header);
+    if (w != want.end() && g != got.end() && w->second == g->second) {
+      continue;
+    }
+    diff += "--- expected " + header + "\n" +
+            (w == want.end() ? "(missing)\n" : w->second);
+    diff += "+++ actual " + header + "\n" +
+            (g == got.end() ? "(missing)\n" : g->second);
+  }
+  Status written = WriteStringToFile(PROST_GOLDEN_PLANS_ACTUAL, actual);
+  ADD_FAILURE() << "optimized plans differ from " << PROST_GOLDEN_PLANS
+                << (read.ok() ? "" : " (unreadable: " + read.ToString() + ")")
+                << "\n"
+                << diff << "actual plans "
+                << (written.ok() ? "written to " : "NOT written to ")
+                << PROST_GOLDEN_PLANS_ACTUAL;
 }
 
 // ------------------------------------------------- Early projection

@@ -8,8 +8,9 @@
 //   ./build/tools/prost_serverd data.nt
 //
 //   curl 'http://127.0.0.1:8090/sparql?query=SELECT%20...'
-//   curl -X POST -H 'Content-Type: application/sparql-query' \
-//        --data 'SELECT * WHERE { ?s ?p ?o . }' http://127.0.0.1:8090/sparql
+//   curl -X POST --data 'SELECT * WHERE { ?s ?p ?o . }'
+//        -H 'Content-Type: application/sparql-query'
+//        http://127.0.0.1:8090/sparql   (one command, split for width)
 //   curl http://127.0.0.1:8090/metrics
 
 #include <chrono>
