@@ -277,9 +277,7 @@ Result<std::vector<std::vector<std::string>>> ProstDb::DecodeRows(
     decoded.reserve(row.size());
     for (rdf::TermId id : row) {
       if (rdf::IsVirtualIntegerId(id)) {
-        decoded.push_back(StrFormat(
-            "\"%llu\"^^<http://www.w3.org/2001/XMLSchema#integer>",
-            static_cast<unsigned long long>(rdf::VirtualIntegerValue(id))));
+        decoded.push_back(rdf::VirtualIntegerLexical(id));
         continue;
       }
       PROST_ASSIGN_OR_RETURN(std::string_view lexical,

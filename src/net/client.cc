@@ -51,7 +51,7 @@ Result<HttpResponseParser::Response> Client::RoundtripOnce(
   wire += "\r\n";
   wire += request.body;
 
-  Status written = socket_.WriteAll(wire);
+  Status written = socket_.WriteAll({wire});
   if (!written.ok()) {
     // EPIPE/RST on a previously idle connection: the server closed it
     // before this request; eligible for one reconnect.
@@ -62,7 +62,7 @@ Result<HttpResponseParser::Response> Client::RoundtripOnce(
 
   HttpResponseParser parser;
   HttpResponseParser::Response response;
-  char buffer[8192];
+  read_buffer_.resize(kReadBytes);
   bool received_any = false;
   while (true) {
     switch (parser.Next(&response)) {
@@ -78,20 +78,25 @@ Result<HttpResponseParser::Response> Client::RoundtripOnce(
       case HttpParser::Outcome::kNeedMore:
         break;
     }
-    Result<size_t> n = socket_.Read(buffer, sizeof(buffer));
+    Result<size_t> n = socket_.Read(read_buffer_.data(), read_buffer_.size());
     if (!n.ok()) {
       Close();
       return n.status();
     }
     if (*n == 0) {
       Close();
+      // EOF ends a close-delimited body. Anywhere else it cuts the
+      // response short — a truncated body is an error, never a result.
+      if (parser.Finish(&response) == HttpParser::Outcome::kRequest) {
+        return response;
+      }
       // EOF before any response bytes means the keep-alive socket was
       // already dead when we wrote; mid-response EOF is a real error.
       *stale_connection = !received_any;
       return Status::IOError("connection closed before full response");
     }
     received_any = true;
-    parser.Feed(std::string_view(buffer, *n));
+    parser.Feed(std::string_view(read_buffer_.data(), *n));
   }
 }
 

@@ -12,8 +12,10 @@
 
 /// A minimal blocking HTTP/1.1 client for exercising the SPARQL endpoint
 /// from tests and the network benchmark: one keep-alive connection per
-/// Client, synchronous request/response round trips, transparent
-/// reconnect when the server (legitimately) closed the previous exchange.
+/// Client, synchronous request/response round trips (Content-Length,
+/// chunked and close-delimited bodies), transparent reconnect when the
+/// server (legitimately) closed the previous exchange. A response cut
+/// short by the connection closing is an error, never a truncated body.
 ///
 /// NOT thread-safe: one Client per thread, which is exactly the shape a
 /// closed-loop load generator wants.
@@ -61,10 +63,14 @@ class Client {
   Result<HttpResponseParser::Response> RoundtripOnce(
       const ClientRequest& request, bool* stale_connection);
 
+  /// Socket reads go through one reused buffer of this size.
+  static constexpr size_t kReadBytes = 64 * 1024;
+
   std::string host_;
   uint16_t port_ = 0;
   double deadline_seconds_ = 10.0;
   Socket socket_;
+  std::vector<char> read_buffer_;
 };
 
 }  // namespace prost::net

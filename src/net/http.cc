@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <utility>
 
 #include "common/str_util.h"
@@ -11,8 +13,12 @@ namespace prost::net {
 
 namespace {
 
-constexpr std::string_view kCrlf = "\r\n";
 constexpr std::string_view kHeaderTerminator = "\r\n\r\n";
+/// Response-side bounds, so a hostile or broken server cannot make the
+/// client buffer without end: the status line plus headers, and one
+/// chunk-size or trailer line.
+constexpr size_t kMaxResponseHeadBytes = 64 * 1024;
+constexpr size_t kMaxResponseLineBytes = 8 * 1024;
 
 std::string ToLowerAscii(std::string_view text) {
   std::string out(text);
@@ -226,7 +232,7 @@ HttpParser::Outcome HttpParser::Next(HttpRequest* request) {
   return Outcome::kRequest;
 }
 
-std::string HttpResponse::Serialize() const {
+std::string HttpResponse::Head(BodyFraming framing) const {
   std::string out = StrFormat("HTTP/1.1 %d %s\r\n", status,
                               HttpReasonPhrase(status));
   for (const auto& [name, value] : headers) {
@@ -235,11 +241,23 @@ std::string HttpResponse::Serialize() const {
     out += value;
     out += "\r\n";
   }
-  out += StrFormat("Content-Length: %zu\r\n", body.size());
+  switch (framing) {
+    case BodyFraming::kContentLength:
+      out += StrFormat("Content-Length: %zu\r\n", body.size());
+      break;
+    case BodyFraming::kChunked:
+      out += "Transfer-Encoding: chunked\r\n";
+      break;
+    case BodyFraming::kClose:
+      break;
+  }
   out += keep_alive ? "Connection: keep-alive\r\n" : "Connection: close\r\n";
   out += "\r\n";
-  out += body;
   return out;
+}
+
+std::string ChunkSizeLine(size_t bytes) {
+  return StrFormat("%zx\r\n", bytes);
 }
 
 const char* HttpReasonPhrase(int status) {
@@ -364,58 +382,201 @@ const std::string* HttpResponseParser::Response::FindHeader(
 
 HttpParser::Outcome HttpResponseParser::Fail(std::string message) {
   error_ = {0, std::move(message)};
+  phase_ = Phase::kFailed;
   return HttpParser::Outcome::kError;
 }
 
 HttpParser::Outcome HttpResponseParser::Next(Response* response) {
-  size_t line_end = buffer_.find(kCrlf);
-  if (line_end == std::string::npos) return HttpParser::Outcome::kNeedMore;
-  size_t terminator = buffer_.find(kHeaderTerminator);
-  if (terminator == std::string::npos) return HttpParser::Outcome::kNeedMore;
+  HttpParser::Outcome outcome = Advance();
+  // Drop the consumed prefix; what stays is at most one read's worth of
+  // unparsed bytes, or a pipelined follower.
+  buffer_.erase(0, position_);
+  scanned_ -= std::min(scanned_, position_);
+  position_ = 0;
+  if (outcome != HttpParser::Outcome::kRequest) return outcome;
+  return Complete(response);
+}
 
-  // Status line: HTTP/1.x SP 3-digit-code SP reason-phrase.
-  std::string_view line(buffer_.data(), line_end);
+HttpParser::Outcome HttpResponseParser::Finish(Response* response) {
+  HttpParser::Outcome outcome = Next(response);
+  if (outcome != HttpParser::Outcome::kNeedMore) return outcome;
+  if (phase_ == Phase::kUntilClose) return Complete(response);
+  if (phase_ == Phase::kHead && buffer_.empty()) {
+    return HttpParser::Outcome::kNeedMore;
+  }
+  return Fail("connection closed before the response was complete");
+}
+
+HttpParser::Outcome HttpResponseParser::Complete(Response* response) {
+  *response = std::move(current_);
+  current_ = Response{};
+  phase_ = Phase::kHead;
+  scanned_ = position_;
+  return HttpParser::Outcome::kRequest;
+}
+
+HttpParser::Outcome HttpResponseParser::Advance() {
+  while (true) {
+    switch (phase_) {
+      case Phase::kFailed:
+        return HttpParser::Outcome::kError;
+      case Phase::kHead: {
+        size_t terminator =
+            buffer_.find(kHeaderTerminator, std::max(position_, scanned_));
+        if (terminator == std::string::npos) {
+          if (buffer_.size() - position_ > kMaxResponseHeadBytes) {
+            return Fail("response head too large");
+          }
+          // The terminator may straddle the next feed: rescan its tail.
+          const size_t tail = kHeaderTerminator.size() - 1;
+          scanned_ = std::max(position_,
+                              buffer_.size() > tail ? buffer_.size() - tail : 0);
+          return HttpParser::Outcome::kNeedMore;
+        }
+        HttpParser::Outcome head = ParseHead(terminator);
+        if (head != HttpParser::Outcome::kNeedMore) return head;
+        break;
+      }
+      case Phase::kLengthBody:
+        TakeBody();
+        if (remaining_ > 0) return HttpParser::Outcome::kNeedMore;
+        return HttpParser::Outcome::kRequest;
+      case Phase::kUntilClose:
+        remaining_ = buffer_.size() - position_;
+        TakeBody();
+        return HttpParser::Outcome::kNeedMore;
+      case Phase::kChunkSize: {
+        size_t line_end = 0;
+        HttpParser::Outcome found = FindLineEnd(&line_end);
+        if (found != HttpParser::Outcome::kRequest) return found;
+        std::string_view line(buffer_.data() + position_,
+                              line_end - position_);
+        size_t digits = 0;
+        size_t size = 0;
+        while (digits < line.size() && IsHexDigit(line[digits])) {
+          if (size > (SIZE_MAX >> 4)) return Fail("chunk size overflows");
+          size = size * 16 + static_cast<size_t>(HexValue(line[digits]));
+          ++digits;
+        }
+        // Anything after the size must be a chunk extension, which is
+        // ignored: ";name=value", optionally after whitespace.
+        std::string_view rest = StrTrim(line.substr(digits));
+        if (digits == 0 || (!rest.empty() && rest.front() != ';')) {
+          return Fail("malformed chunk size line");
+        }
+        position_ = line_end + kCrlf.size();
+        remaining_ = size;
+        phase_ = size == 0 ? Phase::kTrailers : Phase::kChunkData;
+        break;
+      }
+      case Phase::kChunkData:
+        TakeBody();
+        if (remaining_ > 0) return HttpParser::Outcome::kNeedMore;
+        phase_ = Phase::kChunkEnd;
+        break;
+      case Phase::kChunkEnd:
+        if (buffer_.size() - position_ < kCrlf.size()) {
+          return HttpParser::Outcome::kNeedMore;
+        }
+        if (buffer_.compare(position_, kCrlf.size(), kCrlf) != 0) {
+          return Fail("chunk data not followed by CRLF");
+        }
+        position_ += kCrlf.size();
+        phase_ = Phase::kChunkSize;
+        break;
+      case Phase::kTrailers: {
+        size_t line_end = 0;
+        HttpParser::Outcome found = FindLineEnd(&line_end);
+        if (found != HttpParser::Outcome::kRequest) return found;
+        const bool last = line_end == position_;
+        position_ = line_end + kCrlf.size();
+        if (last) return HttpParser::Outcome::kRequest;
+        break;  // A trailer field: read and discarded.
+      }
+    }
+  }
+}
+
+HttpParser::Outcome HttpResponseParser::ParseHead(size_t terminator) {
+  // Status line: HTTP/1.x SP 3-digit-code [SP reason-phrase].
+  size_t line_end = buffer_.find(kCrlf, position_);
+  std::string_view line(buffer_.data() + position_, line_end - position_);
   size_t first_space = line.find(' ');
   if (first_space == std::string_view::npos ||
       line.substr(0, 5) != "HTTP/") {
     return Fail("malformed status line");
   }
   std::string_view code_text = line.substr(first_space + 1);
-  if (code_text.size() < 3 || !std::isdigit(static_cast<unsigned char>(
-                                  code_text[0]))) {
+  if (code_text.size() < 3 || (code_text.size() > 3 && code_text[3] != ' ') ||
+      !std::all_of(code_text.begin(), code_text.begin() + 3, [](char c) {
+        return std::isdigit(static_cast<unsigned char>(c)) != 0;
+      })) {
     return Fail("malformed status code");
   }
-
-  Response parsed;
-  parsed.version = std::string(line.substr(0, first_space));
-  parsed.status = (code_text[0] - '0') * 100 + (code_text[1] - '0') * 10 +
-                  (code_text[2] - '0');
+  current_.version = std::string(line.substr(0, first_space));
+  current_.status = (code_text[0] - '0') * 100 + (code_text[1] - '0') * 10 +
+                    (code_text[2] - '0');
 
   size_t headers_begin = line_end + kCrlf.size();
   std::string header_error = ParseHeaderLines(
       std::string_view(buffer_.data() + headers_begin,
                        terminator + kCrlf.size() - headers_begin),
-      &parsed.headers);
+      &current_.headers);
   if (!header_error.empty()) return Fail(std::move(header_error));
+  position_ = terminator + kHeaderTerminator.size();
 
-  size_t body_bytes = 0;
-  const std::string* content_length = parsed.FindHeader("content-length");
-  if (content_length != nullptr) {
-    if (content_length->find_first_not_of("0123456789") !=
-        std::string::npos) {
-      return Fail("malformed Content-Length");
-    }
-    body_bytes = static_cast<size_t>(
-        std::strtoull(content_length->c_str(), nullptr, 10));
+  // Framing, in RFC 9112 §6.3 order.
+  const int status = current_.status;
+  if (status / 100 == 1 || status == 204 || status == 304) {
+    return HttpParser::Outcome::kRequest;
   }
-  size_t body_begin = terminator + kHeaderTerminator.size();
-  if (buffer_.size() - body_begin < body_bytes) {
+  if (const std::string* coding = current_.FindHeader("transfer-encoding")) {
+    std::vector<std::string> codings = StrSplit(ToLowerAscii(*coding), ',');
+    if (codings.empty() || StrTrim(codings.back()) != "chunked") {
+      return Fail("unsupported transfer coding: " + *coding);
+    }
+    phase_ = Phase::kChunkSize;
     return HttpParser::Outcome::kNeedMore;
   }
-  parsed.body = buffer_.substr(body_begin, body_bytes);
-  buffer_.erase(0, body_begin + body_bytes);
-  *response = std::move(parsed);
-  return HttpParser::Outcome::kRequest;
+  const std::string* content_length = current_.FindHeader("content-length");
+  if (content_length == nullptr) {
+    phase_ = Phase::kUntilClose;
+    return HttpParser::Outcome::kNeedMore;
+  }
+  if (content_length->empty() || content_length->size() > 18 ||
+      content_length->find_first_not_of("0123456789") != std::string::npos) {
+    return Fail("malformed Content-Length");
+  }
+  remaining_ = static_cast<size_t>(std::strtoull(content_length->c_str(),
+                                                 nullptr, 10));
+  phase_ = Phase::kLengthBody;
+  return HttpParser::Outcome::kNeedMore;
+}
+
+void HttpResponseParser::TakeBody() {
+  const size_t take = std::min(remaining_, buffer_.size() - position_);
+  current_.body.append(buffer_, position_, take);
+  position_ += take;
+  remaining_ -= take;
+}
+
+HttpParser::Outcome HttpResponseParser::FindLineEnd(size_t* line_end) {
+  *line_end = buffer_.find(kCrlf, position_);
+  const size_t end =
+      *line_end == std::string::npos ? buffer_.size() : *line_end;
+  // A CR or LF inside the line: a bare line ending, or a lost CRLF.
+  if (std::memchr(buffer_.data() + position_, '\n', end - position_) !=
+          nullptr ||
+      (*line_end != std::string::npos &&
+       std::memchr(buffer_.data() + position_, '\r', end - position_) !=
+           nullptr)) {
+    return Fail("malformed line ending");
+  }
+  if (end - position_ > kMaxResponseLineBytes) {
+    return Fail("chunk size or trailer line too long");
+  }
+  return *line_end == std::string::npos ? HttpParser::Outcome::kNeedMore
+                                        : HttpParser::Outcome::kRequest;
 }
 
 }  // namespace prost::net

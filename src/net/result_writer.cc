@@ -1,13 +1,13 @@
 #include "net/result_writer.h"
 
 #include <cctype>
-#include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/str_util.h"
+#include "rdf/dictionary.h"
 #include "rdf/term.h"
+#include "rdf/triple.h"
 
 namespace prost::net {
 
@@ -224,34 +224,130 @@ class JsonReader {
   size_t position_ = 0;
 };
 
-/// One typed binding object: {"type": ..., "value": ..., ...}.
-std::string BindingJson(const rdf::Term& term) {
-  switch (term.kind) {
-    case rdf::TermKind::kIri:
-      return StrFormat("{\"type\":\"uri\",\"value\":\"%s\"}",
-                       JsonEscape(term.value).c_str());
-    case rdf::TermKind::kBlank:
-      return StrFormat("{\"type\":\"bnode\",\"value\":\"%s\"}",
-                       JsonEscape(term.value).c_str());
-    case rdf::TermKind::kLiteral:
-      if (!term.language.empty()) {
-        return StrFormat(
-            "{\"type\":\"literal\",\"value\":\"%s\",\"xml:lang\":\"%s\"}",
-            JsonEscape(term.value).c_str(),
-            JsonEscape(term.language).c_str());
-      }
-      if (!term.datatype.empty()) {
-        return StrFormat(
-            "{\"type\":\"literal\",\"value\":\"%s\",\"datatype\":\"%s\"}",
-            JsonEscape(term.value).c_str(),
-            JsonEscape(term.datatype).c_str());
-      }
-      return StrFormat("{\"type\":\"literal\",\"value\":\"%s\"}",
-                       JsonEscape(term.value).c_str());
-    case rdf::TermKind::kVariable:
-      break;  // Variables never appear in data.
+/// Appends the JSON escape of control byte `c`.
+void AppendControlEscape(char c, std::string* out) {
+  switch (c) {
+    case '\n':
+      out->append("\\n");
+      break;
+    case '\r':
+      out->append("\\r");
+      break;
+    case '\t':
+      out->append("\\t");
+      break;
+    case '\b':
+      out->append("\\b");
+      break;
+    case '\f':
+      out->append("\\f");
+      break;
+    default:
+      out->append(StrFormat("\\u%04x", c));
   }
-  return "{\"type\":\"literal\",\"value\":\"\"}";
+}
+
+bool IsControl(char c) { return static_cast<unsigned char>(c) < 0x20; }
+
+/// JsonEscape, appending to `out`: unescaped runs are copied whole.
+void AppendJsonEscaped(std::string_view text, std::string* out) {
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == '"' || c == '\\') {
+      out->append(text.data() + run, i - run);
+      out->push_back('\\');
+      out->push_back(c);
+      run = i + 1;
+    } else if (IsControl(c)) {
+      out->append(text.data() + run, i - run);
+      AppendControlEscape(c, out);
+      run = i + 1;
+    }
+  }
+  out->append(text.data() + run, text.size() - run);
+}
+
+/// Appends the JSON string body for an N-Triples literal body (the bytes
+/// between its quotes). The escapes rdf::ParseTerm accepts are JSON
+/// escapes as they stand, so they are copied; raw control bytes are
+/// escaped; any other escape is the ParseError ParseTerm gives it.
+Status AppendLiteralBody(std::string_view body, std::string* out) {
+  size_t run = 0;
+  for (size_t i = 0; i < body.size(); ++i) {
+    const char c = body[i];
+    if (c == '\\') {
+      if (i + 1 == body.size()) {
+        return Status::ParseError("dangling escape in literal");
+      }
+      const char next = body[++i];
+      if (std::string_view("\"\\nrt").find(next) == std::string_view::npos) {
+        return Status::ParseError(std::string("unknown escape \\") + next);
+      }
+    } else if (IsControl(c)) {
+      out->append(body.data() + run, i - run);
+      AppendControlEscape(c, out);
+      run = i + 1;
+    }
+  }
+  out->append(body.data() + run, body.size() - run);
+  return Status::OK();
+}
+
+/// Appends the typed binding object ({"type": ..., "value": ..., ...})
+/// for one term, read from its N-Triples form the way rdf::ParseTerm
+/// reads it.
+Status AppendBinding(std::string_view lexical, std::string* out) {
+  if (lexical.size() >= 2 && lexical.front() == '<' &&
+      lexical.back() == '>') {
+    out->append("{\"type\":\"uri\",\"value\":\"");
+    AppendJsonEscaped(lexical.substr(1, lexical.size() - 2), out);
+    out->append("\"}");
+    return Status::OK();
+  }
+  if (lexical.size() >= 3 && lexical.substr(0, 2) == "_:") {
+    out->append("{\"type\":\"bnode\",\"value\":\"");
+    AppendJsonEscaped(lexical.substr(2), out);
+    out->append("\"}");
+    return Status::OK();
+  }
+  if (lexical.empty() || lexical.front() != '"') {
+    return Status::ParseError("unrecognized term: " + std::string(lexical));
+  }
+  size_t end = 1;
+  while (end < lexical.size() && lexical[end] != '"') {
+    end += lexical[end] == '\\' ? 2 : 1;
+  }
+  if (end >= lexical.size()) {
+    return Status::ParseError("unterminated literal: " +
+                              std::string(lexical));
+  }
+  const std::string_view suffix = lexical.substr(end + 1);
+  std::string_view key;  // "xml:lang" or "datatype", when the suffix has one.
+  std::string_view annotation;
+  if (suffix.size() >= 2 && suffix.front() == '@') {
+    key = "xml:lang";
+    annotation = suffix.substr(1);
+  } else if (suffix.size() >= 4 && suffix.substr(0, 3) == "^^<" &&
+             suffix.back() == '>') {
+    key = "datatype";
+    annotation = suffix.substr(3, suffix.size() - 4);
+  } else if (!suffix.empty()) {
+    return Status::ParseError("malformed literal suffix: " +
+                              std::string(lexical));
+  }
+  out->append("{\"type\":\"literal\",\"value\":\"");
+  PROST_RETURN_IF_ERROR(AppendLiteralBody(lexical.substr(1, end - 1), out));
+  out->push_back('"');
+  if (!annotation.empty()) {
+    out->append(",\"");
+    out->append(key);
+    out->append("\":\"");
+    AppendJsonEscaped(annotation, out);
+    out->push_back('"');
+  }
+  out->push_back('}');
+  return Status::OK();
 }
 
 Result<rdf::Term> TermFromBinding(const JsonValue& binding) {
@@ -310,51 +406,77 @@ const char* SparqlResultWriter::ContentType(ResultFormat format) {
   return "application/sparql-results+json";
 }
 
+Status SparqlResultWriter::Write(const core::ProstDb& db,
+                                 const engine::Relation& relation,
+                                 ResultFormat format,
+                                 const BodySink& emit) {
+  const rdf::Dictionary& dictionary = db.dictionary();
+  const std::vector<std::string>& vars = relation.column_names();
+  const bool json = format == ResultFormat::kJson;
+
+  // The head, and each column's cell prefix, escaped once per query.
+  // TSV is the SPARQL 1.1 "?var" header row, then one N-Triples term per
+  // cell (N-Triples escapes tab and newline, so cells never contain a
+  // separator).
+  std::string out;
+  out.reserve(kChunkBytes);
+  std::vector<std::string> prefixes(vars.size());
+  out += json ? "{\"head\":{\"vars\":[" : "";
+  for (size_t c = 0; c < vars.size(); ++c) {
+    if (json) {
+      const std::string key = "\"" + JsonEscape(vars[c]) + "\"";
+      out += (c == 0 ? "" : ",") + key;
+      prefixes[c] = (c == 0 ? "" : ",") + key + ":";
+    } else {
+      out += (c == 0 ? "?" : "\t?") + vars[c];
+      prefixes[c] = c == 0 ? "" : "\t";
+    }
+  }
+  out += json ? "]},\"results\":{\"bindings\":[" : "\n";
+
+  std::string integer;  // A virtual integer's lexical form.
+  bool first_row = true;
+  for (const engine::RelationChunk& chunk : relation.chunks()) {
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      if (json) out += first_row ? "{" : ",{";
+      first_row = false;
+      for (size_t c = 0; c < chunk.columns.size(); ++c) {
+        out += prefixes[c];
+        const rdf::TermId id = chunk.columns[c][r];
+        std::string_view lexical;
+        if (rdf::IsVirtualIntegerId(id)) {
+          integer = rdf::VirtualIntegerLexical(id);
+          lexical = integer;
+        } else {
+          PROST_ASSIGN_OR_RETURN(lexical, dictionary.LookupId(id));
+        }
+        if (json) {
+          PROST_RETURN_IF_ERROR(AppendBinding(lexical, &out));
+        } else {
+          out += lexical;
+        }
+      }
+      out += json ? "}" : "\n";
+      if (out.size() >= kChunkBytes) {
+        PROST_RETURN_IF_ERROR(emit(out));
+        out.clear();
+      }
+    }
+  }
+  if (json) out += "]}}";
+  return emit(out);
+}
+
 Result<std::string> SparqlResultWriter::Serialize(
     const core::ProstDb& db, const engine::Relation& relation,
     ResultFormat format) {
-  PROST_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> rows,
-                         db.DecodeRows(relation));
-  const std::vector<std::string>& vars = relation.column_names();
-
-  if (format == ResultFormat::kTsv) {
-    // SPARQL 1.1 TSV: "?var" header row, then one N-Triples-encoded term
-    // per cell (tabs/newlines inside literals are backslash-escaped by
-    // the N-Triples serialization, so cells never contain separators).
-    std::string out;
-    for (size_t c = 0; c < vars.size(); ++c) {
-      out += c == 0 ? "?" : "\t?";
-      out += vars[c];
-    }
-    out += "\n";
-    for (const std::vector<std::string>& row : rows) {
-      for (size_t c = 0; c < row.size(); ++c) {
-        if (c > 0) out += "\t";
-        out += row[c];
-      }
-      out += "\n";
-    }
-    return out;
-  }
-
-  std::string out = "{\"head\":{\"vars\":[";
-  for (size_t c = 0; c < vars.size(); ++c) {
-    if (c > 0) out += ",";
-    out += "\"" + JsonEscape(vars[c]) + "\"";
-  }
-  out += "]},\"results\":{\"bindings\":[";
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (r > 0) out += ",";
-    out += "{";
-    for (size_t c = 0; c < vars.size(); ++c) {
-      PROST_ASSIGN_OR_RETURN(rdf::Term term, rdf::ParseTerm(rows[r][c]));
-      if (c > 0) out += ",";
-      out += "\"" + JsonEscape(vars[c]) + "\":" + BindingJson(term);
-    }
-    out += "}";
-  }
-  out += "]}}";
-  return out;
+  std::string body;
+  PROST_RETURN_IF_ERROR(
+      Write(db, relation, format, [&body](std::string_view piece) {
+        body.append(piece);
+        return Status::OK();
+      }));
+  return body;
 }
 
 Result<SparqlResultSet> SparqlResultWriter::ParseJson(
@@ -430,37 +552,7 @@ Result<SparqlResultSet> SparqlResultWriter::ParseTsv(std::string_view tsv) {
 std::string JsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  AppendJsonEscaped(text, &out);
   return out;
 }
 

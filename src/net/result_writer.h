@@ -8,11 +8,15 @@
 #include "common/status.h"
 #include "core/prost_db.h"
 #include "engine/relation.h"
+#include "net/http.h"
 
 /// Result serialization for the SPARQL protocol endpoint: a Relation
 /// (projected variables as columns, dictionary-encoded ids as values)
 /// becomes SPARQL 1.1 Query Results JSON or TSV, chosen by the request's
-/// Accept header. The inverse parser exists so tests and the bench can
+/// Accept header. Each cell is written once, straight from the
+/// dictionary's N-Triples bytes into one reused buffer, which is handed
+/// on in pieces of about kChunkBytes so the server can stream them as
+/// HTTP chunks. The inverse parsers exist so tests and the bench can
 /// deserialize a response back into lexical rows and compare them
 /// row-identically against in-process execution.
 
@@ -32,6 +36,11 @@ struct SparqlResultSet {
 
 class SparqlResultWriter {
  public:
+  /// Write hands its buffer to the sink at the first row boundary at or
+  /// past this many bytes, so a streamed response holds one chunk, not
+  /// the whole body.
+  static constexpr size_t kChunkBytes = 64 * 1024;
+
   /// Content negotiation over the Accept header: the first recognized
   /// media type wins ("application/sparql-results+json" or
   /// "application/json" → JSON; "text/tab-separated-values" → TSV);
@@ -41,10 +50,23 @@ class SparqlResultWriter {
 
   static const char* ContentType(ResultFormat format);
 
-  /// Serializes `relation` in `format`, decoding ids through `db`'s
-  /// dictionary. Row order is the relation's CollectRows order — the
-  /// same order ProstDb::DecodeRows yields — so a network client and an
-  /// in-process caller see identical row sequences.
+  /// Serializes `relation` in `format` into `emit`, looking each id up in
+  /// `db`'s dictionary. Rows go out chunk by chunk and row by row — the
+  /// relation's CollectRows order, the order ProstDb::DecodeRows yields —
+  /// so a network client and an in-process caller see identical row
+  /// sequences. Each view passed to `emit` is valid only during the call;
+  /// a non-OK Status from it stops the write and is returned. JSON
+  /// bindings come straight from the N-Triples form: an IRI or blank node
+  /// loses its `<>` or `_:`, and a literal body keeps its escapes
+  /// (\" \\ \n \r \t are JSON escapes too) while raw control bytes are
+  /// escaped. kParseError on any other backslash escape or an
+  /// unrecognized term, kNotFound on an id the dictionary lacks; pieces
+  /// emitted before the error stay emitted.
+  static Status Write(const core::ProstDb& db,
+                      const engine::Relation& relation, ResultFormat format,
+                      const BodySink& emit);
+
+  /// Write into one string.
   static Result<std::string> Serialize(const core::ProstDb& db,
                                        const engine::Relation& relation,
                                        ResultFormat format);

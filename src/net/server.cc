@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <memory>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -187,7 +188,8 @@ void Server::AcceptLoop() {
       response.keep_alive = false;
       response.AddHeader("Retry-After", "1");
       PROST_IGNORE_ERROR(accepted->SetDeadline(1.0));
-      PROST_IGNORE_ERROR(accepted->WriteAll(response.Serialize()));
+      PROST_IGNORE_ERROR(accepted->WriteAll(
+          {response.Head(BodyFraming::kContentLength), response.body}));
     }
   }
   listener_.Close();
@@ -242,10 +244,7 @@ void Server::ServeConnection(Socket socket) {
             error.http_status, HttpErrorCodeName(error.http_status),
             error.message);
         response.keep_alive = false;
-        metrics_
-            .counter(StrFormat("net.responses.%dxx", response.status / 100))
-            .Increment();
-        PROST_IGNORE_ERROR(socket.WriteAll(response.Serialize()));
+        PROST_IGNORE_ERROR(Send(socket, /*http11=*/true, response));
         return;
       }
       case HttpParser::Outcome::kRequest: {
@@ -263,10 +262,9 @@ void Server::ServeConnection(Socket socket) {
           response = Route(request);
           response.keep_alive = response.keep_alive && request.keep_alive;
         }
-        metrics_
-            .counter(StrFormat("net.responses.%dxx", response.status / 100))
-            .Increment();
-        if (!socket.WriteAll(response.Serialize()).ok()) return;
+        if (!Send(socket, request.version == "HTTP/1.1", response).ok()) {
+          return;
+        }
         if (!response.keep_alive) return;
         request_started = NowSeconds();
         idle_since = NowSeconds();
@@ -286,8 +284,7 @@ void Server::ServeConnection(Socket socket) {
           ErrorResponse(HttpStatusForStatus(timeout),
                         StatusCodeToString(timeout.code()), timeout.message());
       response.keep_alive = false;
-      metrics_.counter("net.responses.4xx").Increment();
-      PROST_IGNORE_ERROR(socket.WriteAll(response.Serialize()));
+      PROST_IGNORE_ERROR(Send(socket, /*http11=*/true, response));
       return;
     }
     if (!mid_request && now - idle_since > options_.idle_timeout_seconds) {
@@ -304,6 +301,53 @@ void Server::ServeConnection(Socket socket) {
     if (!n.ok() || *n == 0) return;  // Error, timeout, or EOF.
     parser.Feed(std::string_view(buffer, *n));
   }
+}
+
+Status Server::Send(Socket& socket, bool http11, HttpResponse& response) {
+  auto count = [this](int status) {
+    metrics_.counter(StrFormat("net.responses.%dxx", status / 100))
+        .Increment();
+  };
+  if (!response.stream) {
+    count(response.status);
+    return socket.WriteAll(
+        {response.Head(BodyFraming::kContentLength), response.body});
+  }
+  const BodyFraming framing =
+      http11 ? BodyFraming::kChunked : BodyFraming::kClose;
+  const bool chunked = framing == BodyFraming::kChunked;
+  if (!chunked) response.keep_alive = false;
+  // The head goes out with the first piece, so the status stays open
+  // until the producer has something to send. Each piece is written as
+  // it comes: the server holds one piece, never the body.
+  bool started = false;
+  auto head_once = [&]() -> std::string {
+    if (started) return "";
+    started = true;
+    count(response.status);
+    return response.Head(framing);
+  };
+  Status produced = response.stream([&](std::string_view piece) -> Status {
+    if (piece.empty()) return Status::OK();
+    return socket.WriteAll({head_once(),
+                            chunked ? ChunkSizeLine(piece.size()) : "", piece,
+                            chunked ? kCrlf : ""},
+                           /*more=*/true);
+  });
+  if (!produced.ok()) {
+    if (started) {
+      // The status is on the wire and can no longer change. Closing
+      // without the last chunk (or, close-delimited, mid-body) is how
+      // the client learns the body is incomplete.
+      metrics_.counter("net.responses.aborted").Increment();
+      response.keep_alive = false;
+      return produced;
+    }
+    HttpResponse error = ErrorResponse(500, "internal", produced.message());
+    error.keep_alive = response.keep_alive;
+    return Send(socket, http11, error);
+  }
+  return socket.WriteAll({head_once(), chunked ? kLastChunk : ""});
 }
 
 HttpResponse Server::Route(const HttpRequest& request) {
@@ -413,14 +457,14 @@ HttpResponse Server::HandleSparql(const HttpRequest& request) {
   const std::string* accept = request.FindHeader("accept");
   const ResultFormat format =
       SparqlResultWriter::Negotiate(accept == nullptr ? "" : *accept);
-  Result<std::string> body =
-      SparqlResultWriter::Serialize(sessions_.db(), result->relation, format);
-  if (!body.ok()) {
-    return ErrorResponse(500, "internal", body.status().message());
-  }
   HttpResponse response;
   response.AddHeader("Content-Type", SparqlResultWriter::ContentType(format));
-  response.body = std::move(*body);
+  // Serialization streams: the body is written while it is sent.
+  auto relation =
+      std::make_shared<const engine::Relation>(std::move(result->relation));
+  response.stream = [this, relation, format](const BodySink& emit) {
+    return SparqlResultWriter::Write(sessions_.db(), *relation, format, emit);
+  };
   return response;
 }
 

@@ -98,7 +98,8 @@ class Server {
 
   /// Transport metrics: net.connections_accepted / handled /
   /// rejected_pending_full counters, net.requests / net.responses.<1xx..5xx
-  /// class counters, net.drain_rejected, and the net.pending_connections /
+  /// class counters, net.responses.aborted (streamed bodies cut after the
+  /// head was sent), net.drain_rejected, and the net.pending_connections /
   /// net.active_connections gauges. Thread-safe.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -109,6 +110,14 @@ class Server {
   void HandlerLoop();
   /// Serves one connection to completion (keep-alive loop included).
   void ServeConnection(Socket socket);
+
+  /// Writes `response` and counts its status class. A streamed body goes
+  /// out as HTTP/1.1 chunks, or close-delimited to an HTTP/1.0 peer
+  /// (which clears keep_alive). A producer failure before the first piece
+  /// becomes a 500; after it, the stream is cut, net.responses.aborted
+  /// counts it, keep_alive is cleared and the error returned. Non-OK
+  /// means the connection must close.
+  Status Send(Socket& socket, bool http11, HttpResponse& response);
 
   /// Routing + execution for one parsed request. Never touches mu_.
   HttpResponse Route(const HttpRequest& request);

@@ -8,7 +8,9 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
+#include <vector>
 
 #include "common/str_util.h"
 
@@ -106,22 +108,42 @@ Result<size_t> Socket::Read(char* buffer, size_t capacity) {
   }
 }
 
-Status Socket::WriteAll(std::string_view data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    // MSG_NOSIGNAL: a peer that closed mid-response yields EPIPE instead
-    // of killing the process with SIGPIPE.
-    ssize_t n = ::send(fd_, data.data() + written, data.size() - written,
-                       MSG_NOSIGNAL);
+Status Socket::WriteAll(std::initializer_list<std::string_view> parts,
+                        bool more) {
+  std::vector<iovec> vectors;
+  vectors.reserve(parts.size());
+  for (std::string_view part : parts) {
+    if (!part.empty()) {
+      vectors.push_back({const_cast<char*>(part.data()), part.size()});
+    }
+  }
+  // MSG_NOSIGNAL: a peer that closed mid-response yields EPIPE instead of
+  // killing the process with SIGPIPE.
+  const int flags = MSG_NOSIGNAL | (more ? MSG_MORE : 0);
+  size_t next = 0;  // First vector not yet fully written.
+  while (next < vectors.size()) {
+    msghdr message{};
+    message.msg_iov = vectors.data() + next;
+    message.msg_iovlen = vectors.size() - next;
+    ssize_t n = ::sendmsg(fd_, &message, flags);
     if (n > 0) {
-      written += static_cast<size_t>(n);
+      size_t written = static_cast<size_t>(n);
+      while (next < vectors.size() && written >= vectors[next].iov_len) {
+        written -= vectors[next].iov_len;
+        ++next;
+      }
+      if (next < vectors.size()) {
+        vectors[next].iov_base =
+            static_cast<char*>(vectors[next].iov_base) + written;
+        vectors[next].iov_len -= written;
+      }
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && IsTimeoutErrno(errno)) {
       return Status::DeadlineExceeded("socket write deadline exceeded");
     }
-    return ErrnoStatus("send", errno);
+    return ErrnoStatus("sendmsg", errno);
   }
   return Status::OK();
 }

@@ -2,6 +2,7 @@
 #define PROST_NET_SOCKET_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 
@@ -53,9 +54,14 @@ class Socket {
   /// kIOError on a transport error.
   Result<size_t> Read(char* buffer, size_t capacity);
 
-  /// Writes all of `data`, looping over partial writes. kDeadlineExceeded
-  /// when the write deadline expires mid-stream.
-  Status WriteAll(std::string_view data);
+  /// Writes all of `parts`, back to back, gathered into as few send calls
+  /// as the kernel allows (no concatenation copy), looping over partial
+  /// writes. kDeadlineExceeded when the write deadline expires
+  /// mid-stream. `more` says more bytes follow soon (MSG_MORE): a short
+  /// tail then waits for them instead of leaving as its own segment; the
+  /// next write without `more` flushes it.
+  Status WriteAll(std::initializer_list<std::string_view> parts,
+                  bool more = false);
 
   /// Waits until the socket is readable: true when readable (or the peer
   /// hung up — the next Read reports it), false when `timeout_millis`

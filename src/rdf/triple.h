@@ -29,6 +29,9 @@ inline bool IsVirtualIntegerId(TermId id) {
 inline uint64_t VirtualIntegerValue(TermId id) {
   return id & ~kVirtualIntegerBit;
 }
+/// The N-Triples lexical form a virtual integer id stands for:
+/// `"N"^^<http://www.w3.org/2001/XMLSchema#integer>`.
+std::string VirtualIntegerLexical(TermId id);
 
 /// An RDF triple over concrete (lexical) terms.
 struct Triple {

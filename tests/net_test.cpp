@@ -1,36 +1,55 @@
-// Tests for the SPARQL protocol endpoint (src/net/), in two tiers:
+// Tests for the SPARQL protocol endpoint (src/net/), in three tiers:
 //
-//  1. Parser tier — the HTTP/1.1 request parser driven by an in-memory
-//     byte stream (no sockets anywhere): table-driven malformed/over-
-//     limit rejections, torn reads split at every byte boundary,
-//     pipelined requests, keep-alive semantics, percent/form decoding,
-//     the typed Status→HTTP map, and Accept-header negotiation.
+//  1. Parser tier — the HTTP/1.1 request and response parsers driven by
+//     an in-memory byte stream (no sockets anywhere): table-driven
+//     malformed/over-limit rejections, torn reads split at every byte
+//     boundary, pipelined requests and chunked responses, keep-alive
+//     semantics, a seeded mutation fuzz of the response parser,
+//     percent/form decoding, the typed Status→HTTP map, and
+//     Accept-header negotiation.
 //
-//  2. Loopback tier — a real net::Server on an ephemeral port over a
+//  2. Writer tier — SparqlResultWriter against the decode → re-parse
+//     serializer it replaced, kept here as a byte-exact oracle: escapes,
+//     language tags, datatypes, blank nodes, COUNT's virtual integers,
+//     chunk boundaries and the errors ParseTerm gives.
+//
+//  3. Loopback tier — a real net::Server on an ephemeral port over a
 //     WatDiv fixture, queried through net::Client: every WatDiv basic
 //     query must come back row-identical (JSON and TSV) to in-process
-//     ProstDb execution, four concurrent clients stay correct, admission
-//     overflow surfaces as 503 + Retry-After, and a graceful drain
-//     finishes in-flight responses while 503ing late requests.
+//     ProstDb execution, a large result streams as chunks (and
+//     close-delimited to HTTP/1.0) that join to Serialize's bytes, a
+//     failure after the head cuts the stream while one before it is a
+//     500, four concurrent clients stay correct, admission overflow
+//     surfaces as 503 + Retry-After, and a graceful drain finishes
+//     in-flight responses while 503ing late requests.
 //
 // Runs under the TSan CI leg (label `net`): the acceptor + handler pool +
 // concurrent clients double as a data-race probe on the net layer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/str_util.h"
 #include "core/prost_db.h"
+#include "engine/relation.h"
 #include "net/client.h"
 #include "net/http.h"
 #include "net/result_writer.h"
 #include "net/server.h"
+#include "net/socket.h"
+#include "rdf/dictionary.h"
+#include "rdf/graph.h"
+#include "rdf/term.h"
 #include "serve/session_manager.h"
 #include "sparql/parser.h"
 #include "watdiv/generator.h"
@@ -208,7 +227,8 @@ TEST(HttpResponseTest, SerializeRoundTripsThroughResponseParser) {
   response.keep_alive = false;
 
   HttpResponseParser parser;
-  parser.Feed(response.Serialize());
+  parser.Feed(response.Head(net::BodyFraming::kContentLength));
+  parser.Feed(response.body);
   HttpResponseParser::Response parsed;
   ASSERT_EQ(parser.Next(&parsed), HttpParser::Outcome::kRequest);
   EXPECT_EQ(parsed.status, 429);
@@ -219,6 +239,191 @@ TEST(HttpResponseTest, SerializeRoundTripsThroughResponseParser) {
             std::to_string(response.body.size()));
   ASSERT_NE(parsed.FindHeader("connection"), nullptr);
   EXPECT_EQ(*parsed.FindHeader("connection"), "close");
+}
+
+/// A chunked response with a chunk extension and a trailer field.
+const std::string kChunkedResponse =
+    "HTTP/1.1 200 OK\r\n"
+    "Content-Type: text/plain\r\n"
+    "Transfer-Encoding: chunked\r\n"
+    "\r\n"
+    "5;name=value\r\nhello\r\n"
+    "7\r\n, world\r\n"
+    "0\r\n"
+    "X-Checksum: 1\r\n"
+    "\r\n";
+
+TEST(HttpResponseParserTest, ChunkedResponseSplitAtEveryByteBoundary) {
+  const std::string& full = kChunkedResponse;
+  for (size_t split = 1; split < full.size(); ++split) {
+    HttpResponseParser parser;
+    HttpResponseParser::Response response;
+    parser.Feed(std::string_view(full).substr(0, split));
+    ASSERT_EQ(parser.Next(&response), HttpParser::Outcome::kNeedMore)
+        << "split at " << split;
+    parser.Feed(std::string_view(full).substr(split));
+    ASSERT_EQ(parser.Next(&response), HttpParser::Outcome::kRequest)
+        << "split at " << split << ": " << parser.error().message;
+    EXPECT_EQ(response.status, 200);
+    EXPECT_EQ(response.body, "hello, world") << "split at " << split;
+    ASSERT_NE(response.FindHeader("content-type"), nullptr);
+  }
+  HttpResponseParser parser;
+  HttpResponseParser::Response response;
+  for (size_t i = 0; i + 1 < full.size(); ++i) {
+    parser.Feed(std::string_view(full).substr(i, 1));
+    ASSERT_EQ(parser.Next(&response), HttpParser::Outcome::kNeedMore)
+        << "byte " << i;
+  }
+  parser.Feed(std::string_view(full).substr(full.size() - 1));
+  ASSERT_EQ(parser.Next(&response), HttpParser::Outcome::kRequest);
+  EXPECT_EQ(response.body, "hello, world");
+}
+
+TEST(HttpResponseParserTest, PipelinedChunkedResponses) {
+  HttpResponseParser parser;
+  parser.Feed(kChunkedResponse +
+              "HTTP/1.1 503 Service Unavailable\r\n"
+              "Transfer-Encoding: gzip, chunked\r\n\r\n"
+              "3\r\nbye\r\n0\r\n\r\n");
+  HttpResponseParser::Response response;
+  ASSERT_EQ(parser.Next(&response), HttpParser::Outcome::kRequest);
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, "hello, world");
+  ASSERT_EQ(parser.Next(&response), HttpParser::Outcome::kRequest)
+      << parser.error().message;
+  EXPECT_EQ(response.status, 503);
+  EXPECT_EQ(response.body, "bye");
+  EXPECT_EQ(parser.Next(&response), HttpParser::Outcome::kNeedMore);
+  // Both consumed: the peer closing now is a clean end.
+  EXPECT_EQ(parser.Finish(&response), HttpParser::Outcome::kNeedMore);
+}
+
+TEST(HttpResponseParserTest, MalformedChunkFramingIsRejected) {
+  const std::string head =
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+  const std::pair<const char*, std::string> kCases[] = {
+      {"NonHexSize", head + "5g\r\nhello\r\n0\r\n\r\n"},
+      {"NoSizeDigits", head + ";ext\r\nhello\r\n0\r\n\r\n"},
+      {"OverflowingSize",
+       head + "1000000000000000000000\r\nhello\r\n0\r\n\r\n"},
+      {"MissingCrlfAfterData", head + "5\r\nhelloX\r\n0\r\n\r\n"},
+      {"BareLfSizeLine", head + "5\nhello\r\n0\r\n\r\n"},
+      {"UnsupportedCoding",
+       "HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\nxx"},
+      {"MalformedContentLength",
+       "HTTP/1.1 200 OK\r\nContent-Length: 1x\r\n\r\nx"},
+      {"MalformedStatusCode", "HTTP/1.1 2x0 OK\r\n\r\n"},
+  };
+  for (const auto& [name, wire] : kCases) {
+    HttpResponseParser parser;
+    parser.Feed(wire);
+    HttpResponseParser::Response response;
+    ASSERT_EQ(parser.Next(&response), HttpParser::Outcome::kError) << name;
+    EXPECT_FALSE(parser.error().message.empty()) << name;
+    // The error is sticky: the stream position is lost for good.
+    EXPECT_EQ(parser.Next(&response), HttpParser::Outcome::kError) << name;
+    EXPECT_EQ(parser.Finish(&response), HttpParser::Outcome::kError) << name;
+  }
+}
+
+TEST(HttpResponseParserTest, CloseDelimitedBodyEndsAtFinish) {
+  HttpResponseParser parser;
+  parser.Feed("HTTP/1.0 200 OK\r\nConnection: close\r\n\r\nall of ");
+  HttpResponseParser::Response response;
+  ASSERT_EQ(parser.Next(&response), HttpParser::Outcome::kNeedMore);
+  parser.Feed("it");
+  ASSERT_EQ(parser.Finish(&response), HttpParser::Outcome::kRequest);
+  EXPECT_EQ(response.version, "HTTP/1.0");
+  EXPECT_EQ(response.body, "all of it");
+
+  // EOF anywhere inside a framed response cuts it short.
+  const std::string cut[] = {
+      "HTTP/1.1 200 OK\r\nContent-Le",
+      "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
+      kChunkedResponse.substr(0, kChunkedResponse.size() - 2),
+  };
+  for (const std::string& wire : cut) {
+    HttpResponseParser truncated;
+    truncated.Feed(wire);
+    ASSERT_EQ(truncated.Next(&response), HttpParser::Outcome::kNeedMore)
+        << wire;
+    EXPECT_EQ(truncated.Finish(&response), HttpParser::Outcome::kError)
+        << wire;
+  }
+  // A body-less status needs no framing at all.
+  HttpResponseParser no_body;
+  no_body.Feed("HTTP/1.1 204 No Content\r\n\r\n");
+  ASSERT_EQ(no_body.Next(&response), HttpParser::Outcome::kRequest);
+  EXPECT_EQ(response.status, 204);
+  EXPECT_EQ(response.body, "");
+}
+
+/// Seeded mutation fuzzing: bit flips, truncations and random feed splits
+/// of well-formed responses. Every case must end in a parsed response or
+/// kError — never a crash, a sanitizer report, or a loop that does not
+/// end.
+TEST(HttpResponseParserTest, SeededMutationsParseOrFail) {
+  const std::string kSeeds[] = {
+      kChunkedResponse,
+      "HTTP/1.1 404 Not Found\r\nContent-Length: 9\r\n"
+      "Connection: keep-alive\r\n\r\nnot found",
+      kChunkedResponse + "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+      "HTTP/1.0 200 OK\r\nConnection: close\r\n\r\nbody until close",
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+      "a\r\n0123456789\r\n1;x=\"y\"\r\n!\r\n0\r\n\r\n",
+  };
+  std::mt19937_64 rng(20240917);
+  auto below = [&rng](size_t n) {
+    return static_cast<size_t>(rng() % std::max<size_t>(n, 1));
+  };
+  size_t parsed_responses = 0;
+  size_t errors = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string wire = kSeeds[below(std::size(kSeeds))];
+    switch (round % 3) {
+      case 0:  // Bit flips.
+        for (size_t flips = 1 + below(4); flips > 0; --flips) {
+          wire[below(wire.size())] ^= static_cast<char>(1 << below(8));
+        }
+        break;
+      case 1:  // Truncation.
+        wire.resize(below(wire.size()));
+        break;
+      default:  // Feed splits alone.
+        break;
+    }
+    HttpResponseParser parser;
+    HttpResponseParser::Response response;
+    HttpParser::Outcome outcome = HttpParser::Outcome::kNeedMore;
+    size_t offset = 0;
+    while (offset < wire.size() && outcome != HttpParser::Outcome::kError) {
+      const size_t piece = 1 + below(wire.size() - offset);
+      parser.Feed(std::string_view(wire).substr(offset, piece));
+      offset += piece;
+      // Each kRequest consumes a head of at least four bytes, so a
+      // well-behaved parser returns something else within this bound.
+      for (size_t calls = 0;; ++calls) {
+        ASSERT_LT(calls, wire.size()) << "round " << round;
+        outcome = parser.Next(&response);
+        if (outcome != HttpParser::Outcome::kRequest) break;
+        ++parsed_responses;
+        EXPECT_GE(response.status, 0);
+        EXPECT_LE(response.status, 999);
+      }
+    }
+    if (outcome != HttpParser::Outcome::kError) {
+      outcome = parser.Finish(&response);
+      if (outcome == HttpParser::Outcome::kRequest) ++parsed_responses;
+    }
+    if (outcome == HttpParser::Outcome::kError) {
+      ++errors;
+      EXPECT_FALSE(parser.error().message.empty()) << "round " << round;
+    }
+  }
+  // The corpus exercises both sides of the contract.
+  EXPECT_GT(parsed_responses, 1000u);
+  EXPECT_GT(errors, 500u);
 }
 
 TEST(HttpUtilTest, PercentAndFormDecoding) {
@@ -316,9 +521,262 @@ TEST(ResultWriterTest, ParseTsvRoundTrip) {
   EXPECT_FALSE(SparqlResultWriter::ParseTsv("?s\n<a>\t<b>\n").ok());
 }
 
-// ---------------------------------------------------------- loopback tier
+// ------------------------------------------------------------ writer tier
+
+/// The serializer this layer used before it wrote cells straight from
+/// dictionary bytes: decode every row to N-Triples strings, parse each
+/// cell back into a Term, and format that. Kept as the oracle the direct
+/// writer must match byte for byte.
+std::string OracleBinding(const rdf::Term& term) {
+  switch (term.kind) {
+    case rdf::TermKind::kIri:
+      return StrFormat("{\"type\":\"uri\",\"value\":\"%s\"}",
+                       net::JsonEscape(term.value).c_str());
+    case rdf::TermKind::kBlank:
+      return StrFormat("{\"type\":\"bnode\",\"value\":\"%s\"}",
+                       net::JsonEscape(term.value).c_str());
+    case rdf::TermKind::kLiteral:
+      if (!term.language.empty()) {
+        return StrFormat(
+            "{\"type\":\"literal\",\"value\":\"%s\",\"xml:lang\":\"%s\"}",
+            net::JsonEscape(term.value).c_str(),
+            net::JsonEscape(term.language).c_str());
+      }
+      if (!term.datatype.empty()) {
+        return StrFormat(
+            "{\"type\":\"literal\",\"value\":\"%s\",\"datatype\":\"%s\"}",
+            net::JsonEscape(term.value).c_str(),
+            net::JsonEscape(term.datatype).c_str());
+      }
+      return StrFormat("{\"type\":\"literal\",\"value\":\"%s\"}",
+                       net::JsonEscape(term.value).c_str());
+    case rdf::TermKind::kVariable:
+      break;
+  }
+  return "{\"type\":\"literal\",\"value\":\"\"}";
+}
+
+Result<std::string> OracleSerialize(const core::ProstDb& db,
+                                    const engine::Relation& relation,
+                                    ResultFormat format) {
+  PROST_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> rows,
+                         db.DecodeRows(relation));
+  const std::vector<std::string>& vars = relation.column_names();
+  std::string out;
+  if (format == ResultFormat::kTsv) {
+    for (size_t c = 0; c < vars.size(); ++c) {
+      out += (c == 0 ? "?" : "\t?") + vars[c];
+    }
+    out += "\n";
+    for (const std::vector<std::string>& row : rows) {
+      for (size_t c = 0; c < row.size(); ++c) {
+        out += (c == 0 ? "" : "\t") + row[c];
+      }
+      out += "\n";
+    }
+    return out;
+  }
+  out = "{\"head\":{\"vars\":[";
+  for (size_t c = 0; c < vars.size(); ++c) {
+    out += (c == 0 ? "\"" : ",\"") + net::JsonEscape(vars[c]) + "\"";
+  }
+  out += "]},\"results\":{\"bindings\":[";
+  for (size_t r = 0; r < rows.size(); ++r) {
+    out += r == 0 ? "{" : ",{";
+    for (size_t c = 0; c < vars.size(); ++c) {
+      PROST_ASSIGN_OR_RETURN(rdf::Term term, rdf::ParseTerm(rows[r][c]));
+      out += (c == 0 ? "\"" : ",\"") + net::JsonEscape(vars[c]) +
+             "\":" + OracleBinding(term);
+    }
+    out += "}";
+  }
+  out += "]}}";
+  return out;
+}
+
+/// Both formats of `relation` serialize byte-identically to the oracle.
+void ExpectMatchesOracle(const core::ProstDb& db,
+                         const engine::Relation& relation,
+                         const std::string& label) {
+  for (ResultFormat format : {ResultFormat::kJson, ResultFormat::kTsv}) {
+    auto oracle = OracleSerialize(db, relation, format);
+    ASSERT_TRUE(oracle.ok()) << label << ": " << oracle.status();
+    auto direct = SparqlResultWriter::Serialize(db, relation, format);
+    ASSERT_TRUE(direct.ok()) << label << ": " << direct.status();
+    EXPECT_EQ(*direct, *oracle) << label;
+  }
+}
 
 using SharedGraph = std::shared_ptr<const rdf::EncodedGraph>;
+
+/// A db with one simulated worker, so every result is one chunk in
+/// storage order.
+std::unique_ptr<core::ProstDb> OneWorkerDb(rdf::EncodedGraph graph) {
+  graph.SortAndDedupe();
+  core::ProstDb::Options options;
+  options.cluster.num_workers = 1;
+  auto db = core::ProstDb::LoadFromSharedGraph(
+      std::make_shared<const rdf::EncodedGraph>(std::move(graph)), options);
+  EXPECT_TRUE(db.ok()) << db.status();
+  return db.ok() ? std::move(db).value() : nullptr;
+}
+
+TEST(ResultWriterTest, MatchesOracleOnEscapesTagsDatatypesAndBlankNodes) {
+  using rdf::Term;
+  rdf::EncodedGraph graph;
+  const Term p = Term::Iri("p");
+  const Term objects[] = {
+      Term::Literal("quote \" backslash \\ nl \n cr \r tab \t end"),
+      Term::Literal("bell \b formfeed \f one \x01 unit \x1f end"),
+      Term::Literal("\xC3\xBC" "nic\xC3\xB6" "de \xE2\x9C\x93 \xE6\x97\xA5"),
+      Term::LangLiteral("bonjour", "fr-CA"),
+      Term::TypedLiteral("7", "http://www.w3.org/2001/XMLSchema#integer"),
+      Term::TypedLiteral("a\tb", "http://x/dt?q=\"1\""),
+      Term::Iri("http://x/o?a=\"q\"&b=\\"),
+      Term::Blank("b1"),
+  };
+  for (size_t i = 0; i < std::size(objects); ++i) {
+    graph.Add({Term::Iri("s" + std::to_string(i)), p, objects[i]});
+  }
+  graph.Add({Term::Blank("b0"), p, Term::Literal("")});
+  std::unique_ptr<core::ProstDb> db = OneWorkerDb(std::move(graph));
+  ASSERT_NE(db, nullptr);
+
+  for (const char* query :
+       {"SELECT ?s ?o WHERE { ?s <p> ?o . }",
+        "SELECT (COUNT(*) AS ?n) WHERE { ?s <p> ?o . }"}) {
+    auto result = db->ExecuteSparql(query);
+    ASSERT_TRUE(result.ok()) << query << ": " << result.status();
+    ExpectMatchesOracle(*db, result->relation, query);
+  }
+  // Spot checks that pin the JSON itself, not just agreement.
+  auto all = db->ExecuteSparql("SELECT ?s ?o WHERE { ?s <p> ?o . }");
+  ASSERT_TRUE(all.ok()) << all.status();
+  auto json =
+      SparqlResultWriter::Serialize(*db, all->relation, ResultFormat::kJson);
+  ASSERT_TRUE(json.ok()) << json.status();
+  for (const char* fragment : {
+           R"("value":"quote \" backslash \\ nl \n cr \r tab \t end")",
+           R"("value":"bell \b formfeed \f one \u0001 unit \u001f end")",
+           R"({"type":"literal","value":"bonjour","xml:lang":"fr-CA"})",
+           R"("datatype":"http://x/dt?q=\"1\"")",
+           R"({"type":"uri","value":"http://x/o?a=\"q\"&b=\\"})",
+           R"({"type":"bnode","value":"b1"})",
+       }) {
+    EXPECT_NE(json->find(fragment), std::string::npos) << fragment;
+  }
+  auto count = db->ExecuteSparql(
+      "SELECT (COUNT(*) AS ?n) WHERE { ?s <p> ?o . }");
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_EQ(*SparqlResultWriter::Serialize(*db, count->relation,
+                                           ResultFormat::kJson),
+            R"({"head":{"vars":["n"]},"results":{"bindings":[{"n":)"
+            R"({"type":"literal","value":"9","datatype":)"
+            R"("http://www.w3.org/2001/XMLSchema#integer"}}]}})");
+}
+
+TEST(ResultWriterTest, RejectsWhatTheTermParserRejects) {
+  rdf::EncodedGraph graph;
+  rdf::Dictionary& dictionary = graph.mutable_dictionary();
+  graph.AddEncoded({dictionary.InternTerm(rdf::Term::Iri("s")),
+                    dictionary.InternTerm(rdf::Term::Iri("p")),
+                    dictionary.Intern("\"unknown \\q escape\"")});
+  std::unique_ptr<core::ProstDb> db = OneWorkerDb(std::move(graph));
+  ASSERT_NE(db, nullptr);
+  auto result = db->ExecuteSparql("SELECT ?o WHERE { ?s <p> ?o . }");
+  ASSERT_TRUE(result.ok()) << result.status();
+  auto json =
+      SparqlResultWriter::Serialize(*db, result->relation, ResultFormat::kJson);
+  EXPECT_EQ(json.status().code(), StatusCode::kParseError) << json.status();
+  // TSV cells are N-Triples already: the bytes go out as stored.
+  auto tsv =
+      SparqlResultWriter::Serialize(*db, result->relation, ResultFormat::kTsv);
+  ASSERT_TRUE(tsv.ok()) << tsv.status();
+  EXPECT_EQ(*tsv, "?o\n\"unknown \\q escape\"\n");
+
+  const engine::Relation unknown =
+      engine::Relation::FromRows({"x"}, {{rdf::TermId{12345}}}, 1);
+  for (ResultFormat format : {ResultFormat::kJson, ResultFormat::kTsv}) {
+    EXPECT_EQ(SparqlResultWriter::Serialize(*db, unknown, format)
+                  .status()
+                  .code(),
+              StatusCode::kNotFound);
+  }
+}
+
+/// `rows` subjects with ~100-byte literal objects under <big>, then one
+/// subject <z> whose <big> and <small> objects carry an escape N-Triples
+/// lacks: JSON output fails on that row, after several writer chunks for
+/// <big> and before any for <small>.
+std::unique_ptr<core::ProstDb> BadLastRowDb(int rows) {
+  rdf::EncodedGraph graph;
+  for (int i = 0; i < rows; ++i) {
+    graph.Add({rdf::Term::Iri(StrFormat("s%05d", i)), rdf::Term::Iri("big"),
+               rdf::Term::Literal(std::string(100, 'x') +
+                                  std::to_string(i))});
+  }
+  rdf::Dictionary& dictionary = graph.mutable_dictionary();
+  const rdf::TermId z = dictionary.InternTerm(rdf::Term::Iri("z"));
+  const rdf::TermId bad = dictionary.Intern("\"bad \\q\"");
+  graph.AddEncoded({z, dictionary.InternTerm(rdf::Term::Iri("big")), bad});
+  graph.AddEncoded({z, dictionary.InternTerm(rdf::Term::Iri("small")), bad});
+  return OneWorkerDb(std::move(graph));
+}
+
+TEST(ResultWriterTest, WriteEmitsWholeRowsInChunksOfAtLeastChunkBytes) {
+  std::unique_ptr<core::ProstDb> db = BadLastRowDb(3000);
+  ASSERT_NE(db, nullptr);
+  auto result = db->ExecuteSparql(
+      "SELECT ?s ?o WHERE { ?s <big> ?o . FILTER(?s != <z>) }");
+  ASSERT_TRUE(result.ok()) << result.status();
+  for (ResultFormat format : {ResultFormat::kJson, ResultFormat::kTsv}) {
+    std::vector<std::string> pieces;
+    Status written = SparqlResultWriter::Write(
+        *db, result->relation, format, [&](std::string_view piece) {
+          pieces.emplace_back(piece);
+          return Status::OK();
+        });
+    ASSERT_TRUE(written.ok()) << written;
+    ASSERT_GT(pieces.size(), 3u);
+    std::string joined;
+    for (size_t i = 0; i < pieces.size(); ++i) {
+      if (i + 1 < pieces.size()) {
+        // Whole rows: every piece but the last ends where a row ends.
+        EXPECT_GE(pieces[i].size(), SparqlResultWriter::kChunkBytes);
+        EXPECT_LT(pieces[i].size(), SparqlResultWriter::kChunkBytes + 512);
+        EXPECT_EQ(pieces[i].back(), format == ResultFormat::kJson ? '}' : '\n');
+      }
+      joined += pieces[i];
+    }
+    EXPECT_EQ(joined, *SparqlResultWriter::Serialize(*db, result->relation,
+                                                     format));
+    ExpectMatchesOracle(*db, result->relation, "big");
+  }
+
+  // A failing row stops the write; what was emitted before it stays.
+  auto with_bad = db->ExecuteSparql("SELECT ?s ?o WHERE { ?s <big> ?o . }");
+  ASSERT_TRUE(with_bad.ok()) << with_bad.status();
+  size_t emitted = 0;
+  Status failed = SparqlResultWriter::Write(
+      *db, with_bad->relation, ResultFormat::kJson,
+      [&](std::string_view piece) {
+        emitted += piece.size();
+        return Status::OK();
+      });
+  EXPECT_EQ(failed.code(), StatusCode::kParseError) << failed;
+  EXPECT_GE(emitted, 3 * SparqlResultWriter::kChunkBytes);
+  // A failing sink stops it too, and its status comes back.
+  int calls = 0;
+  Status refused = SparqlResultWriter::Write(
+      *db, with_bad->relation, ResultFormat::kTsv, [&](std::string_view) {
+        ++calls;
+        return Status::IOError("sink closed");
+      });
+  EXPECT_EQ(refused.code(), StatusCode::kIOError);
+  EXPECT_EQ(calls, 1);
+}
+
+// ---------------------------------------------------------- loopback tier
 
 std::unique_ptr<core::ProstDb> MakeDb(const SharedGraph& graph,
                                       uint32_t num_threads) {
@@ -394,8 +852,12 @@ std::unique_ptr<core::ProstDb> NetEndToEndTest::serial_;
 struct Endpoint {
   explicit Endpoint(const SharedGraph& graph,
                     serve::AdmissionOptions admission = {},
-                    net::ServerOptions options = {}) {
-    db = MakeDb(graph, 2);
+                    net::ServerOptions options = {})
+      : Endpoint(MakeDb(graph, 2), admission, options) {}
+
+  Endpoint(std::unique_ptr<core::ProstDb> served,
+           serve::AdmissionOptions admission, net::ServerOptions options)
+      : db(std::move(served)) {
     manager = std::make_unique<serve::SessionManager>(*db, admission);
     options.port = 0;
     server = std::make_unique<net::Server>(*manager, options);
@@ -679,6 +1141,149 @@ TEST_F(NetEndToEndTest, DrainFinishesInFlightAndRejectsLateRequests) {
   Status connected =
       refused.Connect("127.0.0.1", endpoint.server->port(), 0.5);
   EXPECT_FALSE(connected.ok());
+}
+
+TEST_F(NetEndToEndTest, SerializeMatchesTheDecodeReparseOracle) {
+  for (const watdiv::WatDivQuery& query : raw_queries_) {
+    auto result = serial_->ExecuteSparql(query.sparql);
+    ASSERT_TRUE(result.ok()) << query.id << ": " << result.status();
+    ExpectMatchesOracle(*serial_, result->relation, query.id);
+  }
+}
+
+/// Reads one response off `socket` until the peer closes.
+Result<HttpResponseParser::Response> ReadUntilClose(net::Socket& socket) {
+  HttpResponseParser parser;
+  HttpResponseParser::Response response;
+  char buffer[16384];
+  while (true) {
+    PROST_ASSIGN_OR_RETURN(size_t n, socket.Read(buffer, sizeof(buffer)));
+    if (n == 0) break;
+    parser.Feed(std::string_view(buffer, n));
+  }
+  if (parser.Finish(&response) != HttpParser::Outcome::kRequest) {
+    return Status::ParseError("no complete response: " +
+                              parser.error().message);
+  }
+  return response;
+}
+
+TEST_F(NetEndToEndTest, LargeResultStreamsAsChunksThatJoinToSerialize) {
+  // The WatDiv query with the largest JSON result.
+  size_t largest = 0;
+  std::string expected;
+  for (size_t i = 0; i < raw_queries_.size(); ++i) {
+    auto result = serial_->ExecuteSparql(raw_queries_[i].sparql);
+    ASSERT_TRUE(result.ok()) << result.status();
+    auto json = SparqlResultWriter::Serialize(*serial_, result->relation,
+                                              ResultFormat::kJson);
+    ASSERT_TRUE(json.ok()) << json.status();
+    if (json->size() > expected.size()) {
+      largest = i;
+      expected = std::move(*json);
+    }
+  }
+  ASSERT_GT(expected.size(), 2 * SparqlResultWriter::kChunkBytes);
+  const std::string target =
+      "/sparql?query=" + net::PercentEncode(raw_queries_[largest].sparql);
+
+  Endpoint endpoint(graph_);
+  net::Client client = endpoint.Dial();
+  auto response = client.Get(target);
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_EQ(response->status, 200);
+  ASSERT_NE(response->FindHeader("transfer-encoding"), nullptr);
+  EXPECT_EQ(*response->FindHeader("transfer-encoding"), "chunked");
+  EXPECT_EQ(response->FindHeader("content-length"), nullptr);
+  EXPECT_EQ(response->body, expected) << raw_queries_[largest].id;
+  // Keep-alive survives a streamed response.
+  auto health = client.Get("/healthz");
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_EQ(health->body, "ok\n");
+
+  // HTTP/1.0 peers must not get chunked: the body ends at the close.
+  auto socket = net::ConnectTcp("127.0.0.1", endpoint.server->port(), 60);
+  ASSERT_TRUE(socket.ok()) << socket.status();
+  ASSERT_TRUE(socket->WriteAll({"GET " + target +
+                                " HTTP/1.0\r\n"
+                                "Accept: text/tab-separated-values\r\n\r\n"})
+                  .ok());
+  auto close_delimited = ReadUntilClose(*socket);
+  ASSERT_TRUE(close_delimited.ok()) << close_delimited.status();
+  EXPECT_EQ(close_delimited->status, 200);
+  EXPECT_EQ(close_delimited->FindHeader("transfer-encoding"), nullptr);
+  EXPECT_EQ(close_delimited->FindHeader("content-length"), nullptr);
+  ASSERT_NE(close_delimited->FindHeader("connection"), nullptr);
+  EXPECT_EQ(*close_delimited->FindHeader("connection"), "close");
+  auto result = serial_->ExecuteSparql(raw_queries_[largest].sparql);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(close_delimited->body,
+            *SparqlResultWriter::Serialize(*serial_, result->relation,
+                                           ResultFormat::kTsv));
+}
+
+TEST(NetStreamingTest, FailureAfterTheHeadCutsTheStreamBeforeItIsA500) {
+  Endpoint endpoint(BadLastRowDb(3000), {}, {});
+  net::Client client = endpoint.Dial();
+
+  // <big> fails on its last row, chunks after the 200 head went out: the
+  // stream is cut, and the client reports an error, not a short body.
+  const std::string big = "/sparql?query=" +
+                          net::PercentEncode("SELECT ?s ?o WHERE { ?s <big> ?o . }");
+  auto cut = client.Get(big);
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.status().code(), StatusCode::kIOError) << cut.status();
+  EXPECT_EQ(
+      endpoint.server->metrics().Snapshot().counter("net.responses.aborted"),
+      1u);
+
+  // <small> fails before any byte is written: an ordinary 500.
+  auto small = client.Get("/sparql?query=" +
+                          net::PercentEncode("SELECT ?o WHERE { <z> <small> ?o . }"));
+  ASSERT_TRUE(small.ok()) << small.status();
+  EXPECT_EQ(small->status, 500);
+  EXPECT_NE(small->body.find("\"error\""), std::string::npos) << small->body;
+
+  // TSV copies the stored bytes, so the same rows stream in full.
+  auto tsv = client.Get(big, "text/tab-separated-values");
+  ASSERT_TRUE(tsv.ok()) << tsv.status();
+  EXPECT_EQ(tsv->status, 200);
+  EXPECT_TRUE(tsv->body.ends_with("\t\"bad \\q\"\n"));
+
+  obs::MetricsSnapshot metrics = endpoint.server->metrics().Snapshot();
+  EXPECT_EQ(metrics.counter("net.responses.aborted"), 1u);
+  EXPECT_EQ(metrics.counter("net.responses.5xx"), 1u);
+  EXPECT_EQ(metrics.counter("net.responses.2xx"), 2u);
+}
+
+TEST(NetClientTest, ChunkedStreamCutBeforeItsLastChunkIsAnError) {
+  auto listener = net::ListenSocket::BindAndListen("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  // A peer that answers with a chunked body and closes before "0\r\n\r\n".
+  std::thread peer([&] {
+    auto ready = listener->WaitPending(60000);
+    if (!ready.ok() || !*ready) return;
+    auto socket = listener->Accept();
+    if (!socket.ok()) return;
+    std::string request;
+    char buffer[1024];
+    while (request.find("\r\n\r\n") == std::string::npos) {
+      auto n = socket->Read(buffer, sizeof(buffer));
+      if (!n.ok() || *n == 0) return;
+      request.append(buffer, *n);
+    }
+    PROST_IGNORE_ERROR(socket->WriteAll(
+        {"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+         "5\r\nhello\r\n"}));
+  });
+  net::Client client;
+  Status connected = client.Connect("127.0.0.1", listener->port());
+  EXPECT_TRUE(connected.ok()) << connected;
+  auto response = client.Get("/sparql?query=x");
+  peer.join();
+  ASSERT_FALSE(response.ok()) << "got a truncated body: " << response->body;
+  EXPECT_EQ(response.status().code(), StatusCode::kIOError)
+      << response.status();
 }
 
 }  // namespace

@@ -75,6 +75,11 @@ Checks, each with a short rule id used in diagnostics:
                        either name its guard or carry an "internally
                        synchronized" comment (e.g. it is itself a
                        MetricsRegistry).
+  net-decode           `DecodeRows(`, `ParseTerm(` or `DecodeTerm(` in
+                       src/net/. The result writer turns each id's
+                       dictionary bytes into JSON or TSV directly; decoding
+                       rows into strings and re-parsing them into Terms is
+                       the slow path it replaced, and must not return.
 
 Exit status 0 when clean, 1 with one "path:line: [rule] message" per
 violation otherwise.
@@ -299,6 +304,22 @@ def lint_stats_in_engine(path, lines, raw_lines, failures):
             )
 
 
+NET_DECODE = re.compile(r"\b(DecodeRows|ParseTerm|DecodeTerm)\s*\(")
+
+
+def lint_net_decode(path, lines, failures):
+    """src/net/ writes results from dictionary bytes; the decode and
+    re-parse round trip stays out of it."""
+    for number, line in lines:
+        match = NET_DECODE.search(line)
+        if match:
+            failures.append(
+                f"{path}:{number}: [net-decode] {match.group(1)}( in "
+                "src/net/; write cells from Dictionary::LookupId bytes "
+                "instead of decoding and re-parsing them"
+            )
+
+
 PARALLEL_FOR = re.compile(r"\bParallelFor\s*\(")
 PARALLEL_FOR_OWNERS = (
     "src/common/thread_pool.h",
@@ -396,6 +417,8 @@ def main():
                                      failures)
             if directory == "src":
                 lint_parallel_for(relative, lines, failures)
+            if in_net_layer:
+                lint_net_decode(relative, lines, failures)
             lint_include_order(relative, text, failures)
 
     for failure in failures:
