@@ -670,12 +670,78 @@ int RunProfilingOverheadCheck() {
   return 1;
 }
 
+// ---------------------------------------------------------------------
+// `--plan_cost_check`: planning must stay cheap next to the query it
+// plans. On the BENCH-scale mixed VP+PT store (PROST_BENCH_TRIPLES, by
+// default ~275k triples), takes the median of 5 ProstDb::PlanPhysical
+// walls and the median of 5 ProstDb::Execute walls per WatDiv query, and
+// fails unless the planning medians, summed over the 20 queries, are at
+// most 0.2x the summed execution medians. A ratio of two walls from the
+// same process, so it holds across machines.
+
+int RunPlanCostCheck() {
+  constexpr int kRuns = 5;
+  constexpr double kMaxRatio = 0.2;
+  bench::BenchWorkload workload = bench::BuildWorkload();
+  core::ProstDb::Options options;
+  options.cluster = bench::ScaledCluster(workload);
+  auto db = core::ProstDb::LoadFromSharedGraph(workload.graph, options);
+  if (!db.ok()) {
+    std::fprintf(stderr, "FATAL: load failed: %s\n",
+                 db.status().ToString().c_str());
+    return 2;
+  }
+  auto median_ms = [&](const auto& fn) {
+    fn();  // Warm-up.
+    std::vector<double> walls;
+    for (int i = 0; i < kRuns; ++i) {
+      WallTimer timer;
+      fn();
+      walls.push_back(timer.ElapsedMillis());
+    }
+    std::sort(walls.begin(), walls.end());
+    return walls[kRuns / 2];
+  };
+  double plan_total = 0;
+  double execute_total = 0;
+  for (size_t i = 0; i < workload.queries.size(); ++i) {
+    const sparql::Query& query = workload.parsed[i];
+    bool ok = true;
+    const double plan_ms =
+        median_ms([&] { ok &= (*db)->PlanPhysical(query).ok(); });
+    const double execute_ms =
+        median_ms([&] { ok &= (*db)->Execute(query).ok(); });
+    if (!ok) {
+      std::fprintf(stderr, "FATAL: %s failed to plan or execute\n",
+                   workload.queries[i].id.c_str());
+      return 2;
+    }
+    std::printf("%-4s plan %8.3fms  execute %8.3fms\n",
+                workload.queries[i].id.c_str(), plan_ms, execute_ms);
+    plan_total += plan_ms;
+    execute_total += execute_ms;
+  }
+  const double ratio = plan_total / execute_total;
+  std::printf("plan %.3fms / execute %.3fms = %.3f (bound %.2f)\n",
+              plan_total, execute_total, ratio, kMaxRatio);
+  if (ratio > kMaxRatio) {
+    std::fprintf(stderr, "FAIL: planning costs %.3fx execution (> %.2f)\n",
+                 ratio, kMaxRatio);
+    return 1;
+  }
+  std::printf("PASS: planning within %.2fx of execution\n", kMaxRatio);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--profiling_overhead_check") == 0) {
       return RunProfilingOverheadCheck();
+    }
+    if (std::strcmp(argv[i], "--plan_cost_check") == 0) {
+      return RunPlanCostCheck();
     }
     if (std::strcmp(argv[i], "--write_kernels_json") == 0 &&
         i + 1 < argc) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -292,6 +293,7 @@ class JoinOrderPass final : public OptimizerPass {
                   l.star_key == r.star_key && only_star_key;
       std::vector<rdf::TermId> merged_predicates;
       double merged_selectivity = 1.0;
+      std::optional<stats::CharacteristicSets::StarEstimate> exact;
       if (star) {
         merged_predicates = l.star_predicates;
         merged_predicates.insert(merged_predicates.end(),
@@ -301,8 +303,9 @@ class JoinOrderPass final : public OptimizerPass {
         merged_predicates.erase(
             std::unique(merged_predicates.begin(), merged_predicates.end()),
             merged_predicates.end());
-        const double raw = context->estimator->StarRowsExact(merged_predicates);
-        if (raw >= 0.0) {
+        exact = context->estimator->StarExact(merged_predicates);
+        if (exact.has_value()) {
+          const double raw = exact->rows;
           merged_selectivity = l.star_selectivity * r.star_selectivity;
           rows = std::max(raw * merged_selectivity, stats::kMinEstimatedRows);
           // The unconstrained star is exact, and constants and filters
@@ -354,10 +357,9 @@ class JoinOrderPass final : public OptimizerPass {
       if (star) {
         // The surviving key values are exactly the subjects carrying
         // every merged predicate (scaled by the constants' selectivity).
-        const double subjects =
-            context->estimator->StarSubjectsExact(out->star_predicates);
+        const double subjects = static_cast<double>(exact->subjects);
         const auto it = out->distinct.find(out->star_key);
-        if (subjects >= 0.0 && it != out->distinct.end()) {
+        if (it != out->distinct.end()) {
           it->second = std::min(
               it->second, std::max(subjects * merged_selectivity,
                                    stats::kMinEstimatedRows));
@@ -512,13 +514,14 @@ class JoinOrderPass final : public OptimizerPass {
     EnumeratedPlan out;
     out.rows = est.EstimateScanRows(desc);
     out.planner_bytes = scan.planner_bytes;
+    const double key_distinct = est.EstimateKeyDistinct(desc);
     for (size_t i = 0; i < scan.source.patterns.size(); ++i) {
       const core::NodePattern& p = scan.source.patterns[i];
       const core::PatternTerm& key = desc.key_is_object ? p.object : p.subject;
       const core::PatternTerm& value =
           desc.key_is_object ? p.subject : p.object;
       if (key.is_variable) {
-        MergeDistinct(out.distinct, key.name, est.EstimateKeyDistinct(desc));
+        MergeDistinct(out.distinct, key.name, key_distinct);
       }
       if (value.is_variable) {
         MergeDistinct(out.distinct, value.name,
@@ -631,8 +634,9 @@ class JoinOrderPass final : public OptimizerPass {
         std::sort(predicates.begin(), predicates.end());
         predicates.erase(std::unique(predicates.begin(), predicates.end()),
                          predicates.end());
-        const double raw = est.StarRowsExact(predicates);
-        if (raw > 0.0) {
+        const auto exact = est.StarExact(predicates);
+        if (exact.has_value() && exact->rows > 0.0) {
+          const double raw = exact->rows;
           out.star_key = key;
           out.star_predicates = std::move(predicates);
           out.star_selectivity = out.rows / raw;

@@ -17,7 +17,8 @@ const rdf::PredicateStats* CardinalityEstimator::Lookup(
   return it == per_predicate_->end() ? nullptr : &it->second;
 }
 
-double CardinalityEstimator::StarKeyCount(const StarDescriptor& scan) const {
+CardinalityEstimator::StarCounts CardinalityEstimator::CountStar(
+    const StarDescriptor& scan) const {
   // Characteristic sets answer "how many subjects carry all of these
   // predicates" exactly; they only apply to subject-keyed stars.
   if (!scan.key_is_object && has_characteristic_sets()) {
@@ -26,8 +27,9 @@ double CardinalityEstimator::StarKeyCount(const StarDescriptor& scan) const {
     for (const PatternDescriptor& p : scan.patterns) {
       predicates.push_back(p.predicate);
     }
-    return static_cast<double>(
-        characteristic_sets_->CountStarSubjects(predicates));
+    const CharacteristicSets::StarEstimate star =
+        characteristic_sets_->EstimateStar(predicates);
+    return {static_cast<double>(star.subjects), star.rows};
   }
   // Independence fallback: prod_p d_p / U^(k-1) with U the largest
   // per-predicate distinct count in the star (so a single pattern is just
@@ -36,7 +38,7 @@ double CardinalityEstimator::StarKeyCount(const StarDescriptor& scan) const {
   double universe = 1.0;
   for (const PatternDescriptor& p : scan.patterns) {
     const rdf::PredicateStats* stats = Lookup(p.predicate);
-    if (stats == nullptr || stats->triple_count == 0) return 0.0;
+    if (stats == nullptr || stats->triple_count == 0) return {};
     const double distinct = static_cast<double>(
         scan.key_is_object ? stats->distinct_objects
                            : stats->distinct_subjects);
@@ -44,39 +46,26 @@ double CardinalityEstimator::StarKeyCount(const StarDescriptor& scan) const {
     universe = std::max(universe, distinct);
   }
   for (size_t i = 1; i < scan.patterns.size(); ++i) product /= universe;
-  return product;
-}
-
-double CardinalityEstimator::StarRows(const StarDescriptor& scan) const {
-  if (!scan.key_is_object && has_characteristic_sets()) {
-    std::vector<rdf::TermId> predicates;
-    predicates.reserve(scan.patterns.size());
-    for (const PatternDescriptor& p : scan.patterns) {
-      predicates.push_back(p.predicate);
-    }
-    return characteristic_sets_->EstimateStarRows(predicates);
-  }
   // Keys that survive every pattern, each multiplied by its average
   // per-key multiplicity under each predicate.
-  double rows = StarKeyCount(scan);
+  StarCounts counts{product, product};
   for (const PatternDescriptor& p : scan.patterns) {
     const rdf::PredicateStats* stats = Lookup(p.predicate);
-    if (stats == nullptr || stats->triple_count == 0) return 0.0;
     const uint64_t distinct = scan.key_is_object ? stats->distinct_objects
                                                  : stats->distinct_subjects;
-    if (distinct == 0) return 0.0;
-    rows *= static_cast<double>(stats->triple_count) /
-            static_cast<double>(distinct);
+    if (distinct == 0) return {product, 0.0};
+    counts.rows *= static_cast<double>(stats->triple_count) /
+                   static_cast<double>(distinct);
   }
-  return rows;
+  return counts;
 }
 
 double CardinalityEstimator::EstimateScanRows(
     const StarDescriptor& scan) const {
   if (scan.patterns.empty()) return kMinEstimatedRows;
-  double rows = StarRows(scan);
+  const StarCounts star = CountStar(scan);
+  double rows = star.rows;
   // Constant bindings select a fraction of the key / value domains.
-  const double keys = StarKeyCount(scan);
   bool key_constant = false;
   for (const PatternDescriptor& p : scan.patterns) {
     const bool on_key =
@@ -92,7 +81,7 @@ double CardinalityEstimator::EstimateScanRows(
       rows /= static_cast<double>(std::max<uint64_t>(distinct, 1));
     }
   }
-  if (key_constant) rows /= std::max(keys, 1.0);
+  if (key_constant) rows /= std::max(star.keys, 1.0);
   return Floor(rows);
 }
 
@@ -103,7 +92,7 @@ double CardinalityEstimator::EstimateKeyDistinct(
         scan.key_is_object ? p.object_is_constant : p.subject_is_constant;
     if (on_key) return 1.0;
   }
-  return Floor(StarKeyCount(scan));
+  return Floor(CountStar(scan).keys);
 }
 
 double CardinalityEstimator::EstimateValueDistinct(const StarDescriptor& scan,
@@ -118,17 +107,11 @@ double CardinalityEstimator::EstimateValueDistinct(const StarDescriptor& scan,
   return Floor(std::min(distinct, std::max(scan_rows, 1.0)));
 }
 
-double CardinalityEstimator::StarRowsExact(
+std::optional<CharacteristicSets::StarEstimate>
+CardinalityEstimator::StarExact(
     const std::vector<rdf::TermId>& predicates) const {
-  if (!has_characteristic_sets()) return -1.0;
-  return characteristic_sets_->EstimateStarRows(predicates);
-}
-
-double CardinalityEstimator::StarSubjectsExact(
-    const std::vector<rdf::TermId>& predicates) const {
-  if (!has_characteristic_sets()) return -1.0;
-  return static_cast<double>(
-      characteristic_sets_->CountStarSubjects(predicates));
+  if (!has_characteristic_sets()) return std::nullopt;
+  return characteristic_sets_->EstimateStar(predicates);
 }
 
 double CardinalityEstimator::EstimateJoinRows(double left_rows,

@@ -2,6 +2,7 @@
 #define PROST_STATS_CARDINALITY_ESTIMATOR_H_
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "rdf/graph.h"
@@ -65,16 +66,13 @@ class CardinalityEstimator {
   static double EstimateJoinRows(double left_rows, double left_distinct,
                                  double right_rows, double right_distinct);
 
-  /// Exact subject-star cardinality over the characteristic sets: the
-  /// rows of joining the full VP tables of `predicates` on their shared
-  /// subject. Negative when characteristic sets are unavailable — callers
-  /// fall back to independence.
-  double StarRowsExact(const std::vector<rdf::TermId>& predicates) const;
-
-  /// Exact count of subjects carrying every predicate in `predicates`
-  /// (the distinct key values of the star above). Negative when
-  /// characteristic sets are unavailable.
-  double StarSubjectsExact(const std::vector<rdf::TermId>& predicates) const;
+  /// Exact subject-star statistics over the characteristic sets, from
+  /// one lookup: the rows of joining the full VP tables of `predicates`
+  /// on their shared subject, and the subjects carrying every predicate
+  /// (the star's distinct key values). Empty when characteristic sets
+  /// are unavailable — callers fall back to independence.
+  std::optional<CharacteristicSets::StarEstimate> StarExact(
+      const std::vector<rdf::TermId>& predicates) const;
 
   const rdf::PredicateStats* Lookup(rdf::TermId predicate) const;
   bool has_characteristic_sets() const {
@@ -83,10 +81,13 @@ class CardinalityEstimator {
   }
 
  private:
-  // Distinct key values carried by the star before constant bindings.
-  double StarKeyCount(const StarDescriptor& scan) const;
-  // Expected rows of the star before constant bindings.
-  double StarRows(const StarDescriptor& scan) const;
+  // Distinct key values carried by the star and its expected rows,
+  // before constant bindings.
+  struct StarCounts {
+    double keys = 0.0;
+    double rows = 0.0;
+  };
+  StarCounts CountStar(const StarDescriptor& scan) const;
 
   const std::map<rdf::TermId, rdf::PredicateStats>* per_predicate_;
   const CharacteristicSets* characteristic_sets_;

@@ -1,7 +1,8 @@
 #include "stats/characteristic_sets.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -19,10 +20,30 @@ std::vector<rdf::TermId> Canonical(std::vector<rdf::TermId> predicates) {
   return predicates;
 }
 
-// True when sorted `sub` is a subset of sorted `super`.
-bool IsSubsetOf(const std::vector<rdf::TermId>& sub,
-                const std::vector<rdf::TermId>& super) {
-  return std::includes(super.begin(), super.end(), sub.begin(), sub.end());
+// Drops the postings of ascending `list` below signature `set`. Probes
+// 1, 2, 4, ... entries ahead before a binary search, so a step costs
+// O(log distance): dense walks stay linear, sparse ones logarithmic.
+template <typename Posting>
+std::span<const Posting> SkipTo(std::span<const Posting> list, uint32_t set) {
+  if (list.empty() || list.front().set >= set) return list;
+  size_t below = 0;  // list[below].set < set
+  size_t probe = 1;
+  while (probe < list.size() && list[probe].set < set) {
+    below = probe;
+    probe *= 2;
+  }
+  const auto it = std::lower_bound(
+      list.begin() + below + 1, list.begin() + std::min(probe, list.size()),
+      set, [](const Posting& p, uint32_t s) { return p.set < s; });
+  return list.subspan(static_cast<size_t>(it - list.begin()));
+}
+
+// Parses a whole field as a decimal uint64_t; false on anything else
+// (empty, signs, trailing bytes, overflow).
+bool ParseCount(const std::string& field, uint64_t* value) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, *value);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -68,7 +89,19 @@ CharacteristicSets CharacteristicSets::Builder::Build() && {
     result.total_subjects_ += set.subject_count;
     result.sets_.push_back(std::move(set));
   }
+  result.BuildIndex();
   return result;
+}
+
+void CharacteristicSets::BuildIndex() {
+  postings_.clear();
+  for (size_t i = 0; i < sets_.size(); ++i) {
+    const std::vector<rdf::TermId>& predicates = sets_[i].predicates;
+    for (size_t position = 0; position < predicates.size(); ++position) {
+      postings_[predicates[position]].push_back(
+          {static_cast<uint32_t>(i), static_cast<uint32_t>(position)});
+    }
+  }
 }
 
 CharacteristicSets CharacteristicSets::Compute(const rdf::EncodedGraph& graph) {
@@ -79,38 +112,54 @@ CharacteristicSets CharacteristicSets::Compute(const rdf::EncodedGraph& graph) {
   return std::move(builder).Build();
 }
 
-uint64_t CharacteristicSets::CountStarSubjects(
+CharacteristicSets::StarEstimate CharacteristicSets::EstimateStar(
     const std::vector<rdf::TermId>& predicates) const {
   const std::vector<rdf::TermId> query = Canonical(predicates);
-  uint64_t subjects = 0;
-  for (const CharacteristicSet& set : sets_) {
-    if (set.predicates.size() < query.size()) continue;
-    if (IsSubsetOf(query, set.predicates)) subjects += set.subject_count;
+  StarEstimate star;
+  if (query.empty()) {
+    for (const CharacteristicSet& set : sets_) {
+      star.subjects += set.subject_count;
+      star.rows += static_cast<double>(set.subject_count);
+    }
+    return star;
   }
-  return subjects;
-}
-
-double CharacteristicSets::EstimateStarRows(
-    const std::vector<rdf::TermId>& predicates) const {
-  const std::vector<rdf::TermId> query = Canonical(predicates);
-  double rows = 0.0;
-  for (const CharacteristicSet& set : sets_) {
-    if (set.predicates.size() < query.size()) continue;
-    if (!IsSubsetOf(query, set.predicates)) continue;
+  // The query's posting lists, in query order. The shortest drives the
+  // walk; every list is ascending, so the others only move forward.
+  std::vector<std::span<const Posting>> lists;
+  lists.reserve(query.size());
+  size_t shortest = 0;
+  for (rdf::TermId predicate : query) {
+    const auto it = postings_.find(predicate);
+    if (it == postings_.end()) return star;
+    lists.emplace_back(it->second);
+    if (lists.back().size() < lists[shortest].size()) {
+      shortest = lists.size() - 1;
+    }
+  }
+  for (const Posting& candidate : lists[shortest]) {
+    bool in_all = true;
+    for (size_t i = 0; i < lists.size() && in_all; ++i) {
+      if (i == shortest) continue;
+      lists[i] = SkipTo(lists[i], candidate.set);
+      if (lists[i].empty()) return star;
+      in_all = lists[i].front().set == candidate.set;
+    }
+    if (!in_all) continue;
     // count(S) subjects each contribute the product of their average
-    // per-predicate multiplicities occ_p(S) / count(S).
+    // per-predicate multiplicities occ_p(S) / count(S), multiplied in
+    // query order.
+    const CharacteristicSet& set = sets_[candidate.set];
+    star.subjects += set.subject_count;
     double per_subject = 1.0;
-    for (rdf::TermId predicate : query) {
-      const auto it = std::lower_bound(set.predicates.begin(),
-                                       set.predicates.end(), predicate);
-      const size_t index =
-          static_cast<size_t>(it - set.predicates.begin());
-      per_subject *= static_cast<double>(set.occurrences[index]) /
+    for (size_t i = 0; i < lists.size(); ++i) {
+      const uint32_t position =
+          i == shortest ? candidate.position : lists[i].front().position;
+      per_subject *= static_cast<double>(set.occurrences[position]) /
                      static_cast<double>(set.subject_count);
     }
-    rows += static_cast<double>(set.subject_count) * per_subject;
+    star.rows += static_cast<double>(set.subject_count) * per_subject;
   }
-  return rows;
+  return star;
 }
 
 Status CharacteristicSets::WriteTo(const std::string& path,
@@ -146,26 +195,32 @@ Result<CharacteristicSets> CharacteristicSets::ReadFrom(
   for (size_t line_no = 1; line_no < lines.size(); ++line_no) {
     const std::string& line = lines[line_no];
     if (line.empty()) continue;
-    std::vector<std::string> parts = StrSplit(line, '\t');
-    if (parts.size() < 2) {
-      return Status::Corruption("bad characteristic-set line in " + path);
-    }
+    const std::vector<std::string> parts = StrSplit(line, '\t');
     CharacteristicSet set;
-    set.subject_count = std::strtoull(parts[0].c_str(), nullptr, 10);
-    const size_t num_predicates = std::strtoull(parts[1].c_str(), nullptr, 10);
-    if (parts.size() != 2 + 2 * num_predicates || set.subject_count == 0) {
+    uint64_t num_predicates = 0;
+    // Bound the predicate count by the fields present before any
+    // arithmetic on it, so a huge count can neither wrap nor allocate.
+    if (parts.size() < 2 || !ParseCount(parts[0], &set.subject_count) ||
+        !ParseCount(parts[1], &num_predicates) || set.subject_count == 0 ||
+        num_predicates > (parts.size() - 2) / 2 ||
+        parts.size() != 2 + 2 * num_predicates) {
       return Status::Corruption("bad characteristic-set line in " + path);
     }
     // Re-intern: ids in the file's writing session are meaningless here.
-    std::vector<std::pair<rdf::TermId, uint64_t>> entries;
-    entries.reserve(num_predicates);
+    std::vector<std::pair<rdf::TermId, uint64_t>> entries(num_predicates);
     for (size_t i = 0; i < num_predicates; ++i) {
-      const rdf::TermId id = dictionary.Intern(parts[2 + 2 * i]);
-      entries.emplace_back(id,
-                           std::strtoull(parts[3 + 2 * i].c_str(), nullptr, 10));
+      entries[i].first = dictionary.Intern(parts[2 + 2 * i]);
+      if (!ParseCount(parts[3 + 2 * i], &entries[i].second) ||
+          entries[i].second < set.subject_count) {
+        return Status::Corruption("bad characteristic-set count in " + path);
+      }
     }
     std::sort(entries.begin(), entries.end());
     for (const auto& [id, occ] : entries) {
+      if (!set.predicates.empty() && set.predicates.back() == id) {
+        return Status::Corruption(
+            "repeated predicate in a characteristic set in " + path);
+      }
       set.predicates.push_back(id);
       set.occurrences.push_back(occ);
     }
@@ -173,11 +228,18 @@ Result<CharacteristicSets> CharacteristicSets::ReadFrom(
     result.sets_.push_back(std::move(set));
   }
   // Keep the in-memory order canonical (sorted by signature) so a
-  // round-trip is structurally identical to a fresh Compute().
+  // round-trip is structurally identical to a fresh Compute(), and the
+  // index's ascending postings visit sets in the same order.
   std::sort(result.sets_.begin(), result.sets_.end(),
             [](const CharacteristicSet& a, const CharacteristicSet& b) {
               return a.predicates < b.predicates;
             });
+  for (size_t i = 1; i < result.sets_.size(); ++i) {
+    if (result.sets_[i - 1].predicates == result.sets_[i].predicates) {
+      return Status::Corruption("repeated characteristic set in " + path);
+    }
+  }
+  result.BuildIndex();
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -30,10 +31,25 @@ struct CharacteristicSet {
   std::vector<uint64_t> occurrences;
 };
 
-/// The full collection of characteristic sets for one dataset. Immutable
-/// after construction, so it is safe to share across concurrent queries.
+/// The full collection of characteristic sets for one dataset, with an
+/// inverted index from each predicate to the signatures that carry it.
+/// Immutable after construction, so it is safe to share across
+/// concurrent queries.
 class CharacteristicSets {
  public:
+  /// Both star statistics of one predicate set, from one index walk.
+  struct StarEstimate {
+    /// Distinct subjects that carry *every* predicate of the set. This
+    /// is exact, not an estimate.
+    uint64_t subjects = 0;
+    /// Expected output rows of a subject-star join over the set (one
+    /// scan per predicate, all joined on a shared subject):
+    ///   sum over supersets S of count(S) * prod_p occ_p(S) / count(S),
+    /// i.e. subjects weighted by their expected per-predicate
+    /// multiplicity product. 0 when no signature covers the set.
+    double rows = 0.0;
+  };
+
   /// Incremental construction from (subject, predicate) pairs. Used both
   /// at initial load (from the encoded graph) and when re-opening a
   /// persisted store whose raw triples are gone but whose VP partitions
@@ -55,17 +71,13 @@ class CharacteristicSets {
   size_t num_sets() const { return sets_.size(); }
   uint64_t total_subjects() const { return total_subjects_; }
 
-  /// Number of distinct subjects that carry *every* predicate in
-  /// `predicates` (ids need not be sorted; duplicates are ignored).
-  /// This is exact, not an estimate.
-  uint64_t CountStarSubjects(const std::vector<rdf::TermId>& predicates) const;
-
-  /// Expected output rows of a subject-star join over `predicates`
-  /// (one scan per predicate, all joined on a shared subject):
-  ///   sum over supersets S of count(S) * prod_p occ_p(S) / count(S),
-  /// i.e. subjects weighted by their expected per-predicate multiplicity
-  /// product. Returns 0 when no signature covers the set.
-  double EstimateStarRows(const std::vector<rdf::TermId>& predicates) const;
+  /// Star statistics over `predicates` (ids need not be sorted;
+  /// duplicates are ignored). Walks the shortest of the predicates'
+  /// posting lists and skips forward through the others, so only the
+  /// signatures that are supersets of the set are visited, in ascending
+  /// signature order: both sums add the same terms in the same order as
+  /// a scan over sets().
+  StarEstimate EstimateStar(const std::vector<rdf::TermId>& predicates) const;
 
   /// Persists the sets keyed on *lexical* predicate forms, because term
   /// ids are re-assigned when a persisted store is re-interned on open.
@@ -74,12 +86,30 @@ class CharacteristicSets {
 
   /// Reads a file written by WriteTo, interning predicate lexical forms
   /// into `dictionary` (which may assign different ids than the writer).
+  /// Returns Corruption for a malformed line: a non-numeric or
+  /// overflowing number, a field count that does not match the
+  /// predicate count, a zero subject count, a predicate repeated within
+  /// one signature, an occurrence count below the subject count, or a
+  /// signature listed twice.
   static Result<CharacteristicSets> ReadFrom(const std::string& path,
                                              rdf::Dictionary& dictionary);
 
  private:
+  /// Fills postings_ from sets_, which must be in ascending signature
+  /// order.
+  void BuildIndex();
+
+  /// One signature carrying a predicate: its index in sets_, and the
+  /// predicate's position within it.
+  struct Posting {
+    uint32_t set = 0;
+    uint32_t position = 0;
+  };
+
   std::vector<CharacteristicSet> sets_;
   uint64_t total_subjects_ = 0;
+  /// Predicate -> the signatures that contain it, by ascending index.
+  std::unordered_map<rdf::TermId, std::vector<Posting>> postings_;
 };
 
 }  // namespace prost::stats

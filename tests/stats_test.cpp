@@ -1,12 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/io.h"
+#include "common/rng.h"
+#include "common/str_util.h"
 #include "rdf/graph.h"
 #include "stats/cardinality_estimator.h"
 #include "stats/characteristic_sets.h"
 #include "stats/predicate_index.h"
+#include "watdiv/generator.h"
+#include "watdiv/queries.h"
 
 namespace prost {
 namespace {
@@ -67,13 +76,13 @@ TEST(CharacteristicSetsTest, ComputeGroupsSubjectsBySignature) {
 
   const rdf::TermId p1 = Predicate(graph, "<http://ex/p1>");
   const rdf::TermId p2 = Predicate(graph, "<http://ex/p2>");
-  EXPECT_EQ(sets.CountStarSubjects({p1}), 2u);
-  EXPECT_EQ(sets.CountStarSubjects({p2}), 3u);
-  EXPECT_EQ(sets.CountStarSubjects({p1, p2}), 2u);
+  EXPECT_EQ(sets.EstimateStar({p1}).subjects, 2u);
+  EXPECT_EQ(sets.EstimateStar({p2}).subjects, 3u);
+  EXPECT_EQ(sets.EstimateStar({p1, p2}).subjects, 2u);
   // Order and duplicates must not matter.
-  EXPECT_EQ(sets.CountStarSubjects({p2, p1, p2}), 2u);
+  EXPECT_EQ(sets.EstimateStar({p2, p1, p2}).subjects, 2u);
   // An unknown predicate can never be covered.
-  EXPECT_EQ(sets.CountStarSubjects({p1, rdf::TermId{9999}}), 0u);
+  EXPECT_EQ(sets.EstimateStar({p1, rdf::TermId{9999}}).subjects, 0u);
 }
 
 TEST(CharacteristicSetsTest, StarRowEstimateIsExactOnTheFixture) {
@@ -83,11 +92,11 @@ TEST(CharacteristicSetsTest, StarRowEstimateIsExactOnTheFixture) {
   const rdf::TermId p2 = Predicate(graph, "<http://ex/p2>");
   // Joining VP(p1) and VP(p2) on the subject yields s1:2*1 + s2:1*1 = 3
   // rows; the signature-weighted estimate reproduces it exactly.
-  EXPECT_DOUBLE_EQ(sets.EstimateStarRows({p1, p2}), 3.0);
+  EXPECT_DOUBLE_EQ(sets.EstimateStar({p1, p2}).rows, 3.0);
   // A single-predicate "star" is the full VP table.
-  EXPECT_DOUBLE_EQ(sets.EstimateStarRows({p1}), 3.0);
-  EXPECT_DOUBLE_EQ(sets.EstimateStarRows({p2}), 3.0);
-  EXPECT_DOUBLE_EQ(sets.EstimateStarRows({p1, rdf::TermId{9999}}), 0.0);
+  EXPECT_DOUBLE_EQ(sets.EstimateStar({p1}).rows, 3.0);
+  EXPECT_DOUBLE_EQ(sets.EstimateStar({p2}).rows, 3.0);
+  EXPECT_DOUBLE_EQ(sets.EstimateStar({p1, rdf::TermId{9999}}).rows, 0.0);
 }
 
 TEST(CharacteristicSetsTest, IncrementalBuilderMatchesCompute) {
@@ -103,12 +112,12 @@ TEST(CharacteristicSetsTest, IncrementalBuilderMatchesCompute) {
   EXPECT_EQ(rebuilt.total_subjects(), computed.total_subjects());
   const rdf::TermId p1 = Predicate(graph, "<http://ex/p1>");
   const rdf::TermId p2 = Predicate(graph, "<http://ex/p2>");
-  EXPECT_EQ(rebuilt.CountStarSubjects({p1, p2}),
-            computed.CountStarSubjects({p1, p2}));
+  EXPECT_EQ(rebuilt.EstimateStar({p1, p2}).subjects,
+            computed.EstimateStar({p1, p2}).subjects);
   // Add() accumulates one count per (subject, predicate) pair fed in, so
   // the multi-valued p1 keeps its 3 occurrences and estimates agree.
-  EXPECT_DOUBLE_EQ(rebuilt.EstimateStarRows({p1, p2}),
-                   computed.EstimateStarRows({p1, p2}));
+  EXPECT_DOUBLE_EQ(rebuilt.EstimateStar({p1, p2}).rows,
+                   computed.EstimateStar({p1, p2}).rows);
 }
 
 TEST(CharacteristicSetsTest, PersistenceRoundTripsAcrossReinternedIds) {
@@ -133,8 +142,8 @@ TEST(CharacteristicSetsTest, PersistenceRoundTripsAcrossReinternedIds) {
   ASSERT_NE(p1, rdf::kNullTermId);
   ASSERT_NE(p2, rdf::kNullTermId);
   EXPECT_NE(p1, Predicate(graph, "<http://ex/p1>"));  // Ids really moved.
-  EXPECT_EQ(restored->CountStarSubjects({p1, p2}), 2u);
-  EXPECT_DOUBLE_EQ(restored->EstimateStarRows({p1, p2}), 3.0);
+  EXPECT_EQ(restored->EstimateStar({p1, p2}).subjects, 2u);
+  EXPECT_DOUBLE_EQ(restored->EstimateStar({p1, p2}).rows, 3.0);
 }
 
 // --------------------------------------------------- Predicate index
@@ -187,15 +196,16 @@ TEST(CardinalityEstimatorTest, StarExactAnswersAndFallbackSentinel) {
   const rdf::TermId p2 = Predicate(graph, "<http://ex/p2>");
 
   stats::CardinalityEstimator with(&per_predicate, &sets);
-  EXPECT_DOUBLE_EQ(with.StarRowsExact({p1, p2}), 3.0);
-  EXPECT_DOUBLE_EQ(with.StarSubjectsExact({p1, p2}), 2.0);
+  const auto star = with.StarExact({p1, p2});
+  ASSERT_TRUE(star.has_value());
+  EXPECT_DOUBLE_EQ(star->rows, 3.0);
+  EXPECT_EQ(star->subjects, 2u);
 
-  // Without characteristic sets both go negative so callers fall back
-  // to independence math instead of trusting a bogus zero.
+  // Without characteristic sets the answer is empty so callers fall
+  // back to independence math instead of trusting a bogus zero.
   stats::CardinalityEstimator without(&per_predicate, nullptr);
   EXPECT_FALSE(without.has_characteristic_sets());
-  EXPECT_LT(without.StarRowsExact({p1, p2}), 0.0);
-  EXPECT_LT(without.StarSubjectsExact({p1, p2}), 0.0);
+  EXPECT_FALSE(without.StarExact({p1, p2}).has_value());
 }
 
 TEST(CardinalityEstimatorTest, JoinFormulaAndFloor) {
@@ -206,6 +216,295 @@ TEST(CardinalityEstimatorTest, JoinFormulaAndFloor) {
   EXPECT_DOUBLE_EQ(
       stats::CardinalityEstimator::EstimateJoinRows(0.0, 1.0, 6.0, 3.0),
       stats::kMinEstimatedRows);
+}
+
+// ------------------------------------------- ReadFrom validity rules
+
+// Reads `body` (after the file header) as a characteristic-set file,
+// from a path named after the running test (ctest runs tests at once).
+Result<stats::CharacteristicSets> ReadCharsets(const std::string& body) {
+  const std::string path =
+      ::testing::TempDir() + "/prost_charsets_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt";
+  EXPECT_TRUE(WriteStringToFile(path, "charsets 1 1\n" + body).ok());
+  rdf::Dictionary dictionary;
+  return stats::CharacteristicSets::ReadFrom(path, dictionary);
+}
+
+void ExpectCorruption(const std::string& body) {
+  auto sets = ReadCharsets(body);
+  ASSERT_FALSE(sets.ok()) << body;
+  EXPECT_EQ(sets.status().code(), StatusCode::kCorruption) << body;
+}
+
+TEST(CharacteristicSetsReadTest, AcceptsWellFormedLines) {
+  auto sets = ReadCharsets("2\t2\t<p>\t2\t<q>\t5\n1\t1\t<q>\t1\n");
+  ASSERT_TRUE(sets.ok()) << sets.status();
+  EXPECT_EQ(sets->num_sets(), 2u);
+  EXPECT_EQ(sets->total_subjects(), 3u);
+}
+
+TEST(CharacteristicSetsReadTest, RejectsPredicateCountThatWrapsTheFieldCount) {
+  // 2 + 2 * 2^63 wraps to 2, the field count of this line.
+  ExpectCorruption("5\t9223372036854775808\n");
+  ExpectCorruption("5\t18446744073709551615\t<p>\t5\n");
+  ExpectCorruption("5\t2\t<p>\t5\n");
+}
+
+TEST(CharacteristicSetsReadTest, RejectsPredicateRepeatedWithinASignature) {
+  ExpectCorruption("2\t2\t<p>\t2\t<p>\t3\n");
+}
+
+TEST(CharacteristicSetsReadTest, RejectsSignatureListedTwice) {
+  ExpectCorruption("2\t1\t<p>\t2\n3\t1\t<p>\t3\n");
+  // Field order within a line does not make it a different signature.
+  ExpectCorruption("2\t2\t<p>\t2\t<q>\t2\n1\t2\t<q>\t1\t<p>\t1\n");
+}
+
+TEST(CharacteristicSetsReadTest, RejectsNonNumericOrOverflowingCount) {
+  ExpectCorruption("abc\t1\t<p>\t2\n");
+  ExpectCorruption("2\tx\t<p>\t2\n");
+  ExpectCorruption("2\t1\t<p>\tabc\n");
+  ExpectCorruption("2\t1\t<p>\t2x\n");
+  ExpectCorruption("2\t1\t<p>\t\n");
+  ExpectCorruption("-2\t1\t<p>\t2\n");
+  ExpectCorruption("2\t1\t<p>\t18446744073709551616\n");
+}
+
+TEST(CharacteristicSetsReadTest, RejectsOccurrenceBelowSubjectCount) {
+  ExpectCorruption("3\t1\t<p>\t2\n");
+}
+
+// ------------------------------------------- Indexed lookup vs oracle
+
+// The linear scan EstimateStar replaced, kept as its oracle: every
+// signature in set order, superset test by std::includes.
+stats::CharacteristicSets::StarEstimate LinearStar(
+    const stats::CharacteristicSets& sets,
+    std::vector<rdf::TermId> predicates) {
+  std::sort(predicates.begin(), predicates.end());
+  predicates.erase(std::unique(predicates.begin(), predicates.end()),
+                   predicates.end());
+  stats::CharacteristicSets::StarEstimate star;
+  for (const stats::CharacteristicSet& set : sets.sets()) {
+    if (set.predicates.size() < predicates.size()) continue;
+    if (!std::includes(set.predicates.begin(), set.predicates.end(),
+                       predicates.begin(), predicates.end())) {
+      continue;
+    }
+    star.subjects += set.subject_count;
+    double per_subject = 1.0;
+    for (rdf::TermId predicate : predicates) {
+      const auto it = std::lower_bound(set.predicates.begin(),
+                                       set.predicates.end(), predicate);
+      const size_t index = static_cast<size_t>(it - set.predicates.begin());
+      per_subject *= static_cast<double>(set.occurrences[index]) /
+                     static_cast<double>(set.subject_count);
+    }
+    star.rows += static_cast<double>(set.subject_count) * per_subject;
+  }
+  return star;
+}
+
+// Exact comparison on the raw doubles: the index must add the same terms
+// in the same order as the scan.
+void ExpectMatchesOracle(const stats::CharacteristicSets& sets,
+                         const std::vector<rdf::TermId>& predicates) {
+  const auto indexed = sets.EstimateStar(predicates);
+  const auto linear = LinearStar(sets, predicates);
+  EXPECT_EQ(indexed.subjects, linear.subjects)
+      << ::testing::PrintToString(predicates);
+  EXPECT_EQ(indexed.rows, linear.rows) << ::testing::PrintToString(predicates);
+}
+
+// Every predicate any signature carries, ascending.
+std::vector<rdf::TermId> PredicatesOf(const stats::CharacteristicSets& sets) {
+  std::vector<rdf::TermId> all;
+  for (const stats::CharacteristicSet& set : sets.sets()) {
+    all.insert(all.end(), set.predicates.begin(), set.predicates.end());
+  }
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  return all;
+}
+
+// A random lookup of 3-9 predicates, mostly drawn (with repeats) from one
+// signature so that it has supersets, sometimes mixed with any predicate
+// or an id no signature carries.
+std::vector<rdf::TermId> RandomLookup(const stats::CharacteristicSets& sets,
+                                      const std::vector<rdf::TermId>& all,
+                                      Rng& rng) {
+  const std::vector<rdf::TermId>& base =
+      sets.sets()[rng.NextBounded(sets.num_sets())].predicates;
+  std::vector<rdf::TermId> lookup;
+  const size_t size = rng.NextInRange(3, 9);
+  while (lookup.size() < size) {
+    if (rng.NextBernoulli(0.1)) {
+      lookup.push_back(all[rng.NextBounded(all.size())]);
+    } else if (rng.NextBernoulli(0.02)) {
+      lookup.push_back(all.back() + 1 + rng.NextBounded(1000));
+    } else if (!base.empty()) {
+      lookup.push_back(base[rng.NextBounded(base.size())]);
+    }
+  }
+  return lookup;
+}
+
+// The WatDiv dataset and queries plan_test optimizes, built once.
+struct WatDivStats {
+  std::shared_ptr<const rdf::EncodedGraph> graph;
+  std::vector<sparql::Query> queries;
+  stats::CharacteristicSets computed;
+};
+
+WatDivStats BuildWatDivStats() {
+  WatDivStats built;
+  watdiv::WatDivConfig config;
+  config.target_triples = 60000;
+  watdiv::WatDivDataset dataset = watdiv::Generate(config);
+  dataset.graph.SortAndDedupe();
+  auto parsed = watdiv::ParseQuerySet(watdiv::BasicQuerySet(dataset));
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  if (parsed.ok()) built.queries = std::move(parsed).value();
+  built.graph =
+      std::make_shared<const rdf::EncodedGraph>(std::move(dataset.graph));
+  built.computed = stats::CharacteristicSets::Compute(*built.graph);
+  return built;
+}
+
+const WatDivStats& WatDiv() {
+  static const WatDivStats built = BuildWatDivStats();
+  return built;
+}
+
+// Checks the empty set, every one- and two-predicate set, every WatDiv
+// star's predicate set, and 1,000 seeded random sets. `to_local` maps a predicate id of
+// the WatDiv graph to the id `sets` uses for it.
+template <typename ToLocal>
+void ExpectIndexMatchesOracle(const stats::CharacteristicSets& sets,
+                              const ToLocal& to_local) {
+  const std::vector<rdf::TermId> all = PredicatesOf(sets);
+  ASSERT_GT(all.size(), 10u);
+  ExpectMatchesOracle(sets, {});
+  for (size_t i = 0; i < all.size(); ++i) {
+    ExpectMatchesOracle(sets, {all[i]});
+    for (size_t j = i + 1; j < all.size(); ++j) {
+      ExpectMatchesOracle(sets, {all[i], all[j]});
+    }
+  }
+  const rdf::Dictionary& dictionary = WatDiv().graph->dictionary();
+  size_t stars = 0;
+  for (const sparql::Query& query : WatDiv().queries) {
+    std::map<std::string, std::vector<rdf::TermId>> by_subject;
+    for (const sparql::TriplePattern& p : query.bgp.patterns) {
+      by_subject[p.subject.ToNTriples()].push_back(
+          to_local(dictionary.Lookup(p.predicate.ToNTriples())));
+    }
+    for (const auto& [subject, predicates] : by_subject) {
+      (void)subject;
+      ExpectMatchesOracle(sets, predicates);
+      ++stars;
+    }
+  }
+  EXPECT_GE(stars, WatDiv().queries.size());
+  Rng rng(18);
+  for (int i = 0; i < 1000; ++i) {
+    ExpectMatchesOracle(sets, RandomLookup(sets, all, rng));
+  }
+}
+
+TEST(CharacteristicSetsIndexTest, MatchesLinearScanAfterCompute) {
+  ExpectIndexMatchesOracle(WatDiv().computed,
+                           [](rdf::TermId id) { return id; });
+}
+
+TEST(CharacteristicSetsIndexTest, MatchesLinearScanAfterIncrementalBuild) {
+  stats::CharacteristicSets::Builder builder;
+  for (const rdf::EncodedTriple& t : WatDiv().graph->triples()) {
+    builder.Add(t.subject, t.predicate);
+  }
+  const stats::CharacteristicSets built = std::move(builder).Build();
+  EXPECT_EQ(built.num_sets(), WatDiv().computed.num_sets());
+  ExpectIndexMatchesOracle(built, [](rdf::TermId id) { return id; });
+}
+
+TEST(CharacteristicSetsIndexTest, MatchesLinearScanAfterRoundTrip) {
+  const rdf::Dictionary& original = WatDiv().graph->dictionary();
+  const std::string path = ::testing::TempDir() + "/prost_charsets_index.txt";
+  ASSERT_TRUE(WatDiv().computed.WriteTo(path, original).ok());
+  // Intern the predicates in descending id order first, so the reader's
+  // ids run the other way and ReadFrom must re-sort every set.
+  rdf::Dictionary reader;
+  const std::vector<rdf::TermId> all = PredicatesOf(WatDiv().computed);
+  for (auto it = all.rbegin(); it != all.rend(); ++it) {
+    reader.Intern(original.MustLookupId(*it));
+  }
+  auto restored = stats::CharacteristicSets::ReadFrom(path, reader);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->num_sets(), WatDiv().computed.num_sets());
+  EXPECT_NE(reader.Lookup(original.MustLookupId(all.front())), all.front());
+  ExpectIndexMatchesOracle(*restored, [&](rdf::TermId id) {
+    return reader.Lookup(original.MustLookupId(id));
+  });
+}
+
+// Bit flips, truncations and field swaps of a WatDiv-scale file: each
+// mutant either fails with a Status or loads sets whose indexed lookups
+// match the oracle over those same sets.
+TEST(CharacteristicSetsIndexTest, SeededMutationsLoadOrFail) {
+  const std::string clean_path =
+      ::testing::TempDir() + "/prost_charsets_clean.txt";
+  ASSERT_TRUE(
+      WatDiv().computed.WriteTo(clean_path, WatDiv().graph->dictionary()).ok());
+  std::string clean;
+  ASSERT_TRUE(ReadFileToString(clean_path, &clean).ok());
+  const std::string path = ::testing::TempDir() + "/prost_charsets_mutant.txt";
+  Rng rng(20261017);
+  size_t loaded = 0;
+  size_t rejected = 0;
+  for (int round = 0; round < 300; ++round) {
+    std::string mutant = clean;
+    switch (round % 3) {
+      case 0:  // Bit flips.
+        for (uint64_t flips = rng.NextInRange(1, 4); flips > 0; --flips) {
+          mutant[rng.NextBounded(mutant.size())] ^=
+              static_cast<char>(1 << rng.NextBounded(8));
+        }
+        break;
+      case 1:  // Truncation.
+        mutant.resize(rng.NextBounded(mutant.size()));
+        break;
+      default: {  // Two tab-separated fields of one line trade places.
+        std::vector<std::string> lines = StrSplit(mutant, '\n');
+        std::string& line = lines[1 + rng.NextBounded(lines.size() - 2)];
+        std::vector<std::string> fields = StrSplit(line, '\t');
+        std::swap(fields[rng.NextBounded(fields.size())],
+                  fields[rng.NextBounded(fields.size())]);
+        line = StrJoin(fields, "\t");
+        mutant = StrJoin(lines, "\n");
+        break;
+      }
+    }
+    ASSERT_TRUE(WriteStringToFile(path, mutant).ok());
+    rdf::Dictionary dictionary;
+    auto sets = stats::CharacteristicSets::ReadFrom(path, dictionary);
+    if (!sets.ok()) {
+      ++rejected;
+      EXPECT_EQ(sets.status().code(), StatusCode::kCorruption) << round;
+      continue;
+    }
+    ++loaded;
+    const std::vector<rdf::TermId> all = PredicatesOf(*sets);
+    if (all.empty()) continue;
+    for (rdf::TermId predicate : all) ExpectMatchesOracle(*sets, {predicate});
+    for (int i = 0; i < 20; ++i) {
+      ExpectMatchesOracle(*sets, RandomLookup(*sets, all, rng));
+    }
+  }
+  // The corpus exercises both sides of the contract.
+  EXPECT_GT(loaded, 50u);
+  EXPECT_GT(rejected, 50u);
 }
 
 }  // namespace
