@@ -195,32 +195,38 @@ Result<PropertyTable> PropertyTable::Assemble(
   return table;
 }
 
-uint64_t PropertyTable::ScanPlannerBytes(
+PropertyTable::ChargedColumns PropertyTable::ChargeColumns(
     const std::vector<ColumnPattern>& patterns) const {
-  // Mirrors Scan's charging loop: a pattern touches its predicate column
-  // only when the predicate exists and the constant (if any) can exist.
-  std::vector<int> pattern_column(patterns.size(), -1);
+  // A pattern touches its predicate column only when the predicate exists
+  // and the constant (if any) can exist.
+  ChargedColumns charged;
+  charged.pattern_column.assign(patterns.size(), -1);
+  charged.columns.push_back(0);
   for (size_t i = 0; i < patterns.size(); ++i) {
     auto it = column_of_predicate_.find(patterns[i].predicate);
-    if (it != column_of_predicate_.end() &&
-        !patterns[i].value.IsImpossibleConstant()) {
-      pattern_column[i] = static_cast<int>(it->second);
+    if (it == column_of_predicate_.end() ||
+        patterns[i].value.IsImpossibleConstant()) {
+      continue;
+    }
+    charged.pattern_column[i] = static_cast<int>(it->second);
+    if (std::find(charged.columns.begin(), charged.columns.end(),
+                  it->second) == charged.columns.end()) {
+      charged.columns.push_back(it->second);
     }
   }
-  uint64_t planner_bytes = 0;
+  charged.partition_bytes.assign(num_workers_, 0);
   for (uint32_t w = 0; w < num_workers_; ++w) {
-    uint64_t scan_bytes = column_bytes_[w][0];
-    std::vector<int> charged;
-    for (int c : pattern_column) {
-      if (c >= 0 && std::find(charged.begin(), charged.end(), c) ==
-                        charged.end()) {
-        charged.push_back(c);
-        scan_bytes += column_bytes_[w][static_cast<size_t>(c)];
-      }
+    for (size_t c : charged.columns) {
+      charged.partition_bytes[w] += column_bytes_[w][c];
     }
-    planner_bytes += scan_bytes;
+    charged.planner_bytes += charged.partition_bytes[w];
   }
-  return planner_bytes;
+  return charged;
+}
+
+uint64_t PropertyTable::ScanPlannerBytes(
+    const std::vector<ColumnPattern>& patterns) const {
+  return ChargeColumns(patterns).planner_bytes;
 }
 
 Result<Relation> PropertyTable::Scan(
@@ -233,9 +239,7 @@ Result<Relation> PropertyTable::Scan(
   // Output layout: key variable first, then each new pattern variable.
   std::vector<std::string> names;
   std::unordered_map<std::string, size_t> index_of_name;
-  int key_column = -1;
   if (key.is_variable) {
-    key_column = 0;
     index_of_name.emplace(key.name, names.size());
     names.push_back(key.name);
   }
@@ -254,190 +258,132 @@ Result<Relation> PropertyTable::Scan(
   }
   Relation output(names, num_workers_);
 
-  // Table columns touched by each pattern (-1: predicate absent -> the
-  // whole group has an empty answer, but the scan stage still runs).
-  std::vector<int> pattern_column(patterns.size(), -1);
-  bool possible = !key.IsImpossibleConstant();
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    auto it = column_of_predicate_.find(patterns[i].predicate);
-    if (it == column_of_predicate_.end() ||
-        patterns[i].value.IsImpossibleConstant()) {
-      possible = false;
-    } else {
-      pattern_column[i] = static_cast<int>(it->second);
-    }
-  }
-
   // Columnar pruning charges the key column plus each touched column once
-  // per partition. `charged_cols` is that column set (key first); paged
-  // scans apportion exactly these columns' bytes over row groups. All
-  // charges happen on the calling thread.
-  std::vector<size_t> charged_cols{0};
-  for (int c : pattern_column) {
-    if (c >= 0 && std::find(charged_cols.begin(), charged_cols.end(),
-                            static_cast<size_t>(c)) == charged_cols.end()) {
-      charged_cols.push_back(static_cast<size_t>(c));
-    }
-  }
-  uint64_t planner_bytes = 0;
-  std::vector<uint64_t> full_scan_bytes(num_workers_, 0);
-  for (uint32_t w = 0; w < num_workers_; ++w) {
-    uint64_t scan_bytes = 0;
-    for (size_t c : charged_cols) scan_bytes += column_bytes_[w][c];
-    full_scan_bytes[w] = scan_bytes;
-    planner_bytes += scan_bytes;
-  }
-  if (!possible) {
+  // per partition; paged scans apportion exactly these columns' bytes
+  // over row groups. All charges happen on the calling thread. A pattern
+  // without a column (-1: predicate absent or impossible constant) gives
+  // the whole group an empty answer, but the scan stage still runs.
+  const ChargedColumns charged = ChargeColumns(patterns);
+  const std::vector<int>& pattern_column = charged.pattern_column;
+  const std::vector<size_t>& charged_cols = charged.columns;
+  if (key.IsImpossibleConstant() ||
+      std::find(pattern_column.begin(), pattern_column.end(), -1) !=
+          pattern_column.end()) {
     // The scan stage still runs over every partition and finds nothing;
     // zone maps have nothing to prune (no surviving rows to skip), so it
     // charges the full columnar scan.
     for (uint32_t w = 0; w < num_workers_; ++w) {
-      cost.ChargeScan(w, full_scan_bytes[w]);
+      cost.ChargeScan(w, charged.partition_bytes[w]);
       cost.ChargeCpuRows(w, paged_[w].num_rows());
     }
     if (key.is_variable) output.set_hash_partitioned_by(0);
-    output.set_planner_bytes(planner_bytes);
+    output.set_planner_bytes(charged.planner_bytes);
     return output;
   }
-  // When every touched column is flat (kId), each input row yields at
-  // most one output row and the whole scan vectorizes: constant patterns
-  // and NULL checks refine a selection vector, repeated variables become
-  // column-equality refinements, and the output materializes via
-  // per-column gathers. List columns (multi-valued predicates) take the
-  // general partial-expansion path below.
-  bool all_flat = true;
-  for (int c : pattern_column) {
-    if (paged_[0].schema().field(static_cast<size_t>(c)).kind !=
-        ColumnKind::kId) {
-      all_flat = false;
-      break;
-    }
-  }
 
-  // The scan kernels below take one pinned row group as column views —
+  // The scan kernel takes one pinned row group as column views —
   // `row_keys` plus `cols[i]`, pattern i's table column (row indices are
-  // group-local).
-
-  // Vectorized scan (flat columns only). Produces the exact rows, in
-  // the exact ascending row order, that the general loop emits: with
-  // flat columns every partial binding chain has exactly one row, so
-  // surviving input rows map 1:1 to output rows.
-  auto scan_rows_flat = [&](const IdVector& row_keys,
-                            const std::vector<const Column*>& cols,
-                            RelationChunk& out) {
-    std::vector<uint32_t> sel;
-    if (!key.is_variable) {
-      engine::kernels::Filter(row_keys, key.id, 0, row_keys.size(), sel);
-    } else {
-      engine::kernels::Iota(0, row_keys.size(), sel);
-    }
-    // First column bound to each output variable (the key column for the
-    // key variable); later occurrences refine against it.
-    std::vector<const IdVector*> bound(names.size(), nullptr);
-    if (key_column >= 0) bound[0] = &row_keys;
-    for (size_t i = 0; i < patterns.size() && !sel.empty(); ++i) {
-      const IdVector& column = cols[i]->ids();
-      if (!patterns[i].value.is_variable) {
-        // Constant: equality (constants are never NULL ids).
-        engine::kernels::Refine(column, patterns[i].value.id, sel);
-        continue;
-      }
-      size_t out_col = static_cast<size_t>(pattern_out[i]);
-      if (bound[out_col] != nullptr) {
-        // Repeated variable: intra-row join against the binding column
-        // (already refined non-NULL, so equality implies non-NULL here).
-        engine::kernels::RefineRowsEqual(column, *bound[out_col], sel);
-      } else {
-        engine::kernels::RefineNotNull(column, sel);
-        bound[out_col] = &column;
-      }
-    }
-    for (size_t c = 0; c < names.size(); ++c) {
-      // A variable can be unbound only when sel drained before its first
-      // occurrence — nothing to gather then.
-      if (bound[c] != nullptr) {
-        engine::kernels::Gather(*bound[c], sel, out.columns[c]);
-      }
-    }
+  // group-local) — and appends its rows to `out`, row-major and, within a
+  // row, in list-cell order of the variables' first occurrences.
+  //
+  // Phase 1 refines the row selection once per pattern, expanding
+  // nothing: a constant must be in the cell, a variable's cell must be
+  // non-empty. A row failing either yields no output, whatever the other
+  // patterns hold.
+  //
+  // Phase 2 expands in pattern order. A partial binding is its row plus
+  // one value position per list-bound variable. A variable's first
+  // occurrence on a list column unnests the cells by offsets; on a flat
+  // column (or the key) it reads by row and expands nothing. A repeated
+  // variable keeps the partials whose cell holds the bound value.
+  struct Binding {
+    const IdVector* by_row = nullptr;  // Key or flat column: value by row.
+    const IdVector* values = nullptr;  // List column values, by position.
+    std::vector<uint32_t> positions;   // Per partial, into `values`.
   };
-
-  // General scan: row-at-a-time partial-binding expansion over list
-  // (multi-valued) columns.
-  auto scan_rows_general = [&](const IdVector& row_keys,
-                               const std::vector<const Column*>& cols,
-                               RelationChunk& out) {
-    std::vector<engine::Row> partials;
-    std::vector<engine::Row> next;
-    for (size_t r = 0; r < row_keys.size(); ++r) {
-      if (!key.is_variable && row_keys[r] != key.id) continue;
-      partials.clear();
-      engine::Row seed(names.size(), rdf::kNullTermId);
-      if (key_column >= 0) seed[0] = row_keys[r];
-      partials.push_back(std::move(seed));
-
-      bool row_alive = true;
-      for (size_t i = 0; i < patterns.size() && row_alive; ++i) {
-        const Column& column = *cols[i];
-        // Cell values for this row.
-        const TermId* cell_begin = nullptr;
-        const TermId* cell_end = nullptr;
-        TermId flat_value = rdf::kNullTermId;
-        if (column.kind() == ColumnKind::kId) {
-          flat_value = column.ids()[r];
-          if (flat_value != rdf::kNullTermId) {
-            cell_begin = &flat_value;
-            cell_end = cell_begin + 1;
-          }
-        } else {
-          const IdListColumn& lists = column.lists();
-          cell_begin = lists.values.data() + lists.offsets[r];
-          cell_end = lists.values.data() + lists.offsets[r + 1];
-        }
-        if (cell_begin == cell_end) {
-          row_alive = false;
-          break;
-        }
-        if (!patterns[i].value.is_variable) {
-          bool found = std::find(cell_begin, cell_end,
-                                 patterns[i].value.id) != cell_end;
-          if (!found) row_alive = false;
-          continue;
-        }
-        // Variable: extend or check each partial binding.
-        size_t out_col = static_cast<size_t>(pattern_out[i]);
-        next.clear();
-        for (const engine::Row& partial : partials) {
-          if (partial[out_col] != rdf::kNullTermId) {
-            // Already bound (repeated variable): intra-row join.
-            if (std::find(cell_begin, cell_end, partial[out_col]) !=
-                cell_end) {
-              next.push_back(partial);
-            }
-          } else {
-            for (const TermId* v = cell_begin; v != cell_end; ++v) {
-              engine::Row extended = partial;
-              extended[out_col] = *v;
-              next.push_back(std::move(extended));
-            }
-          }
-        }
-        partials.swap(next);
-        if (partials.empty()) row_alive = false;
-      }
-      if (!row_alive) continue;
-      for (const engine::Row& row : partials) {
-        for (size_t c = 0; c < names.size(); ++c) {
-          out.columns[c].push_back(row[c]);
-        }
-      }
-    }
-  };
-
   auto scan_rows = [&](const IdVector& row_keys,
                        const std::vector<const Column*>& cols,
                        RelationChunk& out) {
-    all_flat ? scan_rows_flat(row_keys, cols, out)
-             : scan_rows_general(row_keys, cols, out);
+    std::vector<uint32_t> rows;  // Per partial: its group-local row.
+    if (!key.is_variable) {
+      engine::kernels::Filter(row_keys, key.id, 0, row_keys.size(), rows);
+    } else {
+      engine::kernels::Iota(0, row_keys.size(), rows);
+    }
+    for (size_t i = 0; i < patterns.size() && !rows.empty(); ++i) {
+      const PatternTerm& value = patterns[i].value;
+      if (cols[i]->kind() == ColumnKind::kId) {
+        value.is_variable
+            ? engine::kernels::RefineNotNull(cols[i]->ids(), rows)
+            : engine::kernels::Refine(cols[i]->ids(), value.id, rows);
+      } else {
+        value.is_variable
+            ? engine::kernels::RefineListNotEmpty(cols[i]->lists(), rows)
+            : engine::kernels::RefineListContains(cols[i]->lists(),
+                                                  value.id, rows);
+      }
+    }
+
+    std::vector<Binding> bound(names.size());
+    if (key.is_variable) bound[0].by_row = &row_keys;
+    std::vector<uint32_t> index;
+    std::vector<uint32_t> scratch;
+    IdVector probe;
+    IdVector cell;
+    // Re-indexes every partial through `index` (repeat or keep indices).
+    auto reindex = [&]() {
+      scratch.clear();
+      engine::kernels::Gather(rows, index, scratch);
+      rows.swap(scratch);
+      for (Binding& b : bound) {
+        if (b.values == nullptr) continue;
+        scratch.clear();
+        engine::kernels::Gather(b.positions, index, scratch);
+        b.positions.swap(scratch);
+      }
+    };
+    for (size_t i = 0; i < patterns.size() && !rows.empty(); ++i) {
+      if (!patterns[i].value.is_variable) continue;
+      const Column& column = *cols[i];
+      Binding& b = bound[static_cast<size_t>(pattern_out[i])];
+      index.clear();
+      if (b.by_row == nullptr && b.values == nullptr) {
+        if (column.kind() == ColumnKind::kId) {
+          b.by_row = &column.ids();
+          continue;
+        }
+        std::vector<uint32_t> positions;
+        engine::kernels::ListExpand(column.lists(), rows, index, positions);
+        reindex();
+        b.values = &column.lists().values;
+        b.positions = std::move(positions);
+        continue;
+      }
+      probe.clear();
+      if (b.by_row != nullptr) {
+        engine::kernels::Gather(*b.by_row, rows, probe);
+      } else {
+        engine::kernels::Gather(*b.values, b.positions, probe);
+      }
+      if (column.kind() == ColumnKind::kId) {
+        cell.clear();
+        engine::kernels::Gather(column.ids(), rows, cell);
+        engine::kernels::FilterRowsEqual(cell, probe, 0, rows.size(), index);
+      } else {
+        engine::kernels::FilterListContains(column.lists(), rows, probe,
+                                            index);
+      }
+      if (index.size() < rows.size()) reindex();
+    }
+    if (rows.empty()) return;
+    for (size_t c = 0; c < names.size(); ++c) {
+      if (bound[c].by_row != nullptr) {
+        engine::kernels::Gather(*bound[c].by_row, rows, out.columns[c]);
+      } else {
+        engine::kernels::Gather(*bound[c].values, bound[c].positions,
+                                out.columns[c]);
+      }
+    }
   };
 
   // Per partition: the row groups the pruner cannot rule out, their rows
@@ -457,7 +403,7 @@ Result<Relation> PropertyTable::Scan(
   for (uint32_t w = 0; w < num_workers_; ++w) {
     if (paged_[w].num_groups() == 0) {
       // Empty partition: nothing to prune; charge the full column bytes.
-      kept[w].charged_bytes = full_scan_bytes[w];
+      kept[w].charged_bytes = charged.partition_bytes[w];
       continue;
     }
     std::vector<RowGroupPruner::ChargeUnit> units;
@@ -514,7 +460,7 @@ Result<Relation> PropertyTable::Scan(
   if (key.is_variable) output.set_hash_partitioned_by(0);
   // The planner sees the touched columns' size (Parquet column pruning is
   // visible to Spark's relation statistics).
-  output.set_planner_bytes(planner_bytes);
+  output.set_planner_bytes(charged.planner_bytes);
   return output;
 }
 

@@ -101,6 +101,11 @@ class PropertyTable {
   uint64_t ScanPlannerBytes(const std::vector<ColumnPattern>& patterns) const;
 
   uint32_t num_workers() const { return num_workers_; }
+  /// Partition `w`'s row groups (column 0 is the key, then one column
+  /// per predicate, named by its lexical form).
+  const columnar::PagedTable& partition(uint32_t w) const {
+    return paged_[w];
+  }
   uint64_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return column_of_predicate_.size() + 1; }
   bool keyed_on_object() const { return keyed_on_object_; }
@@ -114,6 +119,22 @@ class PropertyTable {
                  const rdf::Dictionary& dictionary) const;
 
  private:
+  /// The columns a scan over `patterns` touches and what they cost: the
+  /// one charging rule Scan and ScanPlannerBytes share.
+  struct ChargedColumns {
+    /// Per pattern: its table column, or -1 when the predicate has no
+    /// column or its constant cannot exist.
+    std::vector<int> pattern_column;
+    /// The key column (0) first, then each touched column once.
+    std::vector<size_t> columns;
+    /// Per partition: the lexical bytes of `columns`.
+    std::vector<uint64_t> partition_bytes;
+    /// Sum of `partition_bytes`: the planner-visible scan size.
+    uint64_t planner_bytes = 0;
+  };
+  ChargedColumns ChargeColumns(
+      const std::vector<ColumnPattern>& patterns) const;
+
   /// Appends one decoded partition: its per-column lexical size
   /// estimates and its row groups. The caller drops the decoded form
   /// afterwards, so it is never resident beside the paged one.

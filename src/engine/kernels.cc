@@ -137,15 +137,92 @@ void RefineRowsEqual(const IdVector& a, const IdVector& b,
   sel.resize(static_cast<size_t>(out - sel.data()));
 }
 
-void Gather(const IdVector& src, const std::vector<uint32_t>& sel,
-            IdVector& dst) {
+namespace {
+
+/// True when the cell of row r holds `value`.
+bool CellContains(const IdListColumn& lists, uint32_t r, TermId value) {
+  const TermId* begin = lists.values.data() + lists.offsets[r];
+  const TermId* end = lists.values.data() + lists.offsets[r + 1];
+  return std::find(begin, end, value) != end;
+}
+
+template <typename T>
+void GatherImpl(const std::vector<T>& src, const std::vector<uint32_t>& sel,
+                std::vector<T>& dst) {
   const size_t old = dst.size();
   dst.resize(old + sel.size());
-  TermId* out = dst.data() + old;
-  const TermId* in = src.data();
+  T* out = dst.data() + old;
+  const T* in = src.data();
   for (size_t i = 0; i < sel.size(); ++i) {
     out[i] = in[sel[i]];
   }
+}
+
+}  // namespace
+
+void RefineListContains(const IdListColumn& lists, TermId value,
+                        std::vector<uint32_t>& sel) {
+  uint32_t* out = sel.data();
+  for (uint32_t r : sel) {
+    *out = r;
+    out += CellContains(lists, r, value) ? 1 : 0;
+  }
+  sel.resize(static_cast<size_t>(out - sel.data()));
+}
+
+void RefineListNotEmpty(const IdListColumn& lists,
+                        std::vector<uint32_t>& sel) {
+  const uint32_t* offsets = lists.offsets.data();
+  uint32_t* out = sel.data();
+  for (uint32_t r : sel) {
+    *out = r;
+    out += offsets[r + 1] != offsets[r] ? 1 : 0;
+  }
+  sel.resize(static_cast<size_t>(out - sel.data()));
+}
+
+void FilterListContains(const IdListColumn& lists,
+                        const std::vector<uint32_t>& rows,
+                        const IdVector& values, std::vector<uint32_t>& keep) {
+  const size_t old = keep.size();
+  keep.resize(old + rows.size());
+  uint32_t* out = keep.data() + old;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    *out = static_cast<uint32_t>(i);
+    out += CellContains(lists, rows[i], values[i]) ? 1 : 0;
+  }
+  keep.resize(static_cast<size_t>(out - keep.data()));
+}
+
+void ListExpand(const IdListColumn& lists, const std::vector<uint32_t>& rows,
+                std::vector<uint32_t>& repeat,
+                std::vector<uint32_t>& positions) {
+  const uint32_t* offsets = lists.offsets.data();
+  size_t total = 0;
+  for (uint32_t r : rows) total += offsets[r + 1] - offsets[r];
+  const size_t old_repeat = repeat.size();
+  const size_t old_positions = positions.size();
+  repeat.resize(old_repeat + total);
+  positions.resize(old_positions + total);
+  uint32_t* rep = repeat.data() + old_repeat;
+  uint32_t* pos = positions.data() + old_positions;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const uint32_t r = rows[i];
+    for (uint32_t p = offsets[r]; p < offsets[r + 1]; ++p) {
+      *rep++ = static_cast<uint32_t>(i);
+      *pos++ = p;
+    }
+  }
+}
+
+void Gather(const IdVector& src, const std::vector<uint32_t>& sel,
+            IdVector& dst) {
+  GatherImpl(src, sel, dst);
+}
+
+void Gather(const std::vector<uint32_t>& src,
+            const std::vector<uint32_t>& sel, std::vector<uint32_t>& dst) {
+  GatherImpl(src, sel, dst);
 }
 
 void GatherList(const IdListColumn& src, const std::vector<uint32_t>& sel,

@@ -78,11 +78,44 @@ void RefineNotNull(const columnar::IdVector& column,
 void RefineRowsEqual(const columnar::IdVector& a, const columnar::IdVector& b,
                      std::vector<uint32_t>& sel);
 
+/// Keeps the entries of `sel` whose list cell contains `value` (stable,
+/// in place). An empty (NULL) cell contains nothing.
+void RefineListContains(const columnar::IdListColumn& lists,
+                        rdf::TermId value, std::vector<uint32_t>& sel);
+
+/// Keeps the entries of `sel` whose list cell is non-empty.
+void RefineListNotEmpty(const columnar::IdListColumn& lists,
+                        std::vector<uint32_t>& sel);
+
+/// Appends to `keep` every i in [0, rows.size()) whose list cell
+/// rows[i] contains values[i] — a per-entry membership test.
+void FilterListContains(const columnar::IdListColumn& lists,
+                        const std::vector<uint32_t>& rows,
+                        const columnar::IdVector& values,
+                        std::vector<uint32_t>& keep);
+
+/// Unnests list cells by offsets (CSR). Entry i of `rows` names a row
+/// whose cell holds n_i values; the kernel appends i to `repeat` n_i
+/// times and the cell's value positions (offsets into `lists.values`)
+/// to `positions`, entry by entry and value by value, so both outputs
+/// keep the input order with each cell's values nested inside it. An
+/// empty cell contributes nothing. Gathering any per-entry vector
+/// through `repeat` lines it up with `positions`.
+void ListExpand(const columnar::IdListColumn& lists,
+                const std::vector<uint32_t>& rows,
+                std::vector<uint32_t>& repeat,
+                std::vector<uint32_t>& positions);
+
 /// Appends src[sel[i]] for every selected row to `dst`, reserving once.
 /// The bulk-materialization kernel: callers run it once per column
 /// instead of pushing each row across all columns.
 void Gather(const columnar::IdVector& src, const std::vector<uint32_t>& sel,
             columnar::IdVector& dst);
+
+/// Gather over a row-index vector (e.g. repeating selection entries or
+/// value positions through ListExpand's `repeat`).
+void Gather(const std::vector<uint32_t>& src,
+            const std::vector<uint32_t>& sel, std::vector<uint32_t>& dst);
 
 /// Appends the selected rows of a list column to `dst`, preserving each
 /// row's cell (one offsets entry and a bulk value copy per row; an empty

@@ -254,5 +254,71 @@ TEST(KernelsTest, GatherListPreservesCellsAndNulls) {
   EXPECT_EQ(dst.values, (columnar::IdVector{1, 2, 4, 5, 6, 3}));
 }
 
+columnar::IdListColumn ListOf(
+    const std::vector<columnar::IdVector>& cells) {
+  columnar::IdListColumn lists;
+  for (const columnar::IdVector& cell : cells) lists.AppendRow(cell);
+  return lists;
+}
+
+TEST(KernelsTest, ListRefinesHandleEmptyCellsAndDrain) {
+  columnar::IdListColumn lists = ListOf({{1, 2}, {}, {3}, {2, 4, 2}, {}});
+  std::vector<uint32_t> sel;
+  kernels::Iota(0, lists.num_rows(), sel);
+  kernels::RefineListNotEmpty(lists, sel);
+  EXPECT_EQ(sel, (std::vector<uint32_t>{0, 2, 3}));
+  // Membership, not position: 2 sits first in row 0, twice in row 3.
+  kernels::RefineListContains(lists, 2, sel);
+  EXPECT_EQ(sel, (std::vector<uint32_t>{0, 3}));
+  // An empty cell contains nothing, even a value absent everywhere.
+  std::vector<uint32_t> empty_rows = {1, 4};
+  kernels::RefineListContains(lists, 2, empty_rows);
+  EXPECT_TRUE(empty_rows.empty());
+  // A selection drains to nothing and stays usable.
+  kernels::RefineListContains(lists, 9, sel);
+  EXPECT_TRUE(sel.empty());
+  kernels::RefineListNotEmpty(lists, sel);
+  EXPECT_TRUE(sel.empty());
+}
+
+TEST(KernelsTest, FilterListContainsTestsEachEntry) {
+  columnar::IdListColumn lists = ListOf({{1, 2}, {}, {3, 5}});
+  // Entries may repeat rows; each carries its own probe value.
+  std::vector<uint32_t> rows = {0, 0, 1, 2, 2};
+  columnar::IdVector values = {2, 3, 1, 5, 3};
+  std::vector<uint32_t> keep = {7};  // Appends after existing entries.
+  kernels::FilterListContains(lists, rows, values, keep);
+  EXPECT_EQ(keep, (std::vector<uint32_t>{7, 0, 3, 4}));
+  keep.clear();
+  kernels::FilterListContains(lists, {}, {}, keep);
+  EXPECT_TRUE(keep.empty());
+}
+
+TEST(KernelsTest, ListExpandRepeatsInOrder) {
+  columnar::IdListColumn lists = ListOf({{10, 11}, {}, {12}, {13, 14, 15}});
+  // Entries out of row order and repeated: the output follows the
+  // entries, each cell's positions nested inside its entry.
+  std::vector<uint32_t> rows = {3, 1, 0, 3};
+  std::vector<uint32_t> repeat;
+  std::vector<uint32_t> positions;
+  kernels::ListExpand(lists, rows, repeat, positions);
+  EXPECT_EQ(repeat, (std::vector<uint32_t>{0, 0, 0, 2, 2, 3, 3, 3}));
+  EXPECT_EQ(positions, (std::vector<uint32_t>{3, 4, 5, 0, 1, 3, 4, 5}));
+  columnar::IdVector values;
+  kernels::Gather(lists.values, positions, values);
+  EXPECT_EQ(values, (columnar::IdVector{13, 14, 15, 10, 11, 13, 14, 15}));
+  // Gathering a per-entry vector through `repeat` lines it up.
+  std::vector<uint32_t> repeated_rows;
+  kernels::Gather(rows, repeat, repeated_rows);
+  EXPECT_EQ(repeated_rows, (std::vector<uint32_t>{3, 3, 3, 0, 0, 3, 3, 3}));
+  // Only empty cells (or no entries) expand to nothing.
+  repeat.clear();
+  positions.clear();
+  kernels::ListExpand(lists, {1, 1}, repeat, positions);
+  kernels::ListExpand(lists, {}, repeat, positions);
+  EXPECT_TRUE(repeat.empty());
+  EXPECT_TRUE(positions.empty());
+}
+
 }  // namespace
 }  // namespace prost::engine

@@ -80,6 +80,11 @@ Checks, each with a short rule id used in diagnostics:
                        dictionary bytes into JSON or TSV directly; decoding
                        rows into strings and re-parsing them into Terms is
                        the slow path it replaced, and must not return.
+  pt-row-at-a-time     `engine::Row` in src/core/property_table.cc. The
+                       Property Table scan refines a selection vector and
+                       unnests list cells by offsets (engine/kernels.h);
+                       a per-row partial binding is the row-at-a-time
+                       path it replaced, and must not return.
 
 Exit status 0 when clean, 1 with one "path:line: [rule] message" per
 violation otherwise.
@@ -320,6 +325,22 @@ def lint_net_decode(path, lines, failures):
             )
 
 
+PT_ROW = re.compile(r"\bengine::Row\b")
+PT_SCAN_FILE = "src/core/property_table.cc"
+
+
+def lint_pt_row_at_a_time(path, lines, failures):
+    """The Property Table scan runs on selection vectors and offsets; a
+    per-row partial binding stays out of it."""
+    for number, line in lines:
+        if PT_ROW.search(line):
+            failures.append(
+                f"{path}:{number}: [pt-row-at-a-time] engine::Row in the "
+                "Property Table; refine a selection vector and unnest list "
+                "cells with engine::kernels instead of per-row partials"
+            )
+
+
 PARALLEL_FOR = re.compile(r"\bParallelFor\s*\(")
 PARALLEL_FOR_OWNERS = (
     "src/common/thread_pool.h",
@@ -419,6 +440,8 @@ def main():
                 lint_parallel_for(relative, lines, failures)
             if in_net_layer:
                 lint_net_decode(relative, lines, failures)
+            if relative.as_posix() == PT_SCAN_FILE:
+                lint_pt_row_at_a_time(relative, lines, failures)
             lint_include_order(relative, text, failures)
 
     for failure in failures:
