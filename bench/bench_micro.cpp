@@ -108,18 +108,15 @@ void BM_HashJoin(benchmark::State& state) {
   engine::Relation left = MakeRelation({"a", "b"}, rows, rows / 2, 1);
   engine::Relation right = MakeRelation({"b", "c"}, rows / 8, rows / 2, 2);
   cluster::ClusterConfig config;
-  engine::JoinOptions options;
-  options.allow_broadcast = broadcast;
-  if (broadcast) {
-    options.broadcast_threshold_bytes = ~0ull >> 1;  // Force broadcast.
-  }
+  engine::JoinDecision decision;  // Shuffle unless broadcasting `right`.
+  if (broadcast) decision.strategy = engine::JoinStrategy::kBroadcast;
   for (auto _ : state) {
     cluster::CostModel cost(config);
     cost.BeginStage("bench");
-    auto joined = engine::HashJoin(left, right, options, cost);
+    auto joined = engine::HashJoin(left, right, decision, cost);
     cost.EndStage();
     if (!joined.ok()) state.SkipWithError("join failed");
-    benchmark::DoNotOptimize(joined->relation.TotalRows());
+    benchmark::DoNotOptimize(joined->TotalRows());
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
@@ -232,17 +229,18 @@ void BM_ParallelHashJoin(benchmark::State& state) {
   engine::Relation left = MakeRelation({"a", "b"}, rows, rows / 2, 1);
   engine::Relation right = MakeRelation({"b", "c"}, rows / 4, rows / 2, 2);
   cluster::ClusterConfig config;
-  engine::JoinOptions options;
-  // Broadcast: exercises the partitioned build + parallel probe path.
-  options.broadcast_threshold_bytes = ~0ull >> 1;
+  // Broadcast the smaller `right`: exercises the partitioned build +
+  // parallel probe path.
+  engine::JoinDecision decision;
+  decision.strategy = engine::JoinStrategy::kBroadcast;
 
   auto run_once = [&](const engine::ExecContext* exec) {
     cluster::CostModel cost(config);
     cost.BeginStage("bench");
-    auto joined = engine::HashJoin(left, right, options, cost, exec);
+    auto joined = engine::HashJoin(left, right, decision, cost, exec);
     cost.EndStage();
     if (!joined.ok()) state.SkipWithError("join failed");
-    benchmark::DoNotOptimize(joined->relation.TotalRows());
+    benchmark::DoNotOptimize(joined->TotalRows());
   };
   static double serial_ms = BestOfThreeMs([&] { run_once(nullptr); });
 
@@ -750,21 +748,20 @@ int RunProfilingOverheadCheck() {
   engine::Relation left = MakeRelation({"a", "b"}, rows, rows / 2, 1);
   engine::Relation right = MakeRelation({"b", "c"}, rows / 4, rows / 2, 2);
   cluster::ClusterConfig config;
-  engine::JoinOptions options;
-  options.broadcast_threshold_bytes = 0;  // Force the shuffle path.
+  const engine::JoinDecision shuffle;  // The default decision shuffles.
   ThreadPool pool(4);
 
   auto join_once = [&](const engine::ExecContext& exec) {
     cluster::CostModel cost(config);
     cost.BeginStage("bench");
-    auto joined = engine::HashJoin(left, right, options, cost, &exec);
+    auto joined = engine::HashJoin(left, right, shuffle, cost, &exec);
     cost.EndStage();
     if (!joined.ok()) {
       std::fprintf(stderr, "FATAL: join failed: %s\n",
                    joined.status().ToString().c_str());
       std::exit(2);
     }
-    benchmark::DoNotOptimize(joined->relation.TotalRows());
+    benchmark::DoNotOptimize(joined->TotalRows());
   };
   auto off_ms = [&] {
     engine::ExecContext exec(&pool, 4096);

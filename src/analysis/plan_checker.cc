@@ -525,7 +525,7 @@ Status CheckPhysicalNode(
       // pass may stamp an exact-statistics estimate so joins above can
       // broadcast small intermediates. An annotated size without the
       // matching cardinality estimate means some other component wrote it.
-      if (node.planner_bytes != engine::Relation::kUnknownPlannerBytes &&
+      if (node.planner_bytes != engine::kUnknownPlannerBytes &&
           node.estimated_rows < 0) {
         return PhysicalError(node,
                              "join carries a planner size but no "

@@ -163,6 +163,9 @@ Result<QueryResult> S2RdfSystem::Execute(const sparql::Query& query) const {
   cost.ChargeQueryOverhead();
   cost.BeginStage("pipeline");
   Relation accumulated;
+  // Catalyst plans each fold step from base-table sizes: the chosen
+  // table's partition bytes, while the join so far has an unknown size.
+  uint64_t accumulated_bytes = engine::kUnknownPlannerBytes;
   for (size_t i = 0; i < tree.nodes.size(); ++i) {
     const JoinTreeNode& node = tree.nodes[i];
     // Map the node back to its source-pattern index for ExtVP selection.
@@ -176,6 +179,7 @@ Result<QueryResult> S2RdfSystem::Execute(const sparql::Query& query) const {
     const VpStore::PredicateTable* table =
         BestTableFor(query, source_index, node.patterns[0].predicate);
     if (table == nullptr) table = vp_.Find(node.patterns[0].predicate);
+    const uint64_t scanned_bytes = VpStore::ScanTablePlannerBytes(table);
 
     PROST_ASSIGN_OR_RETURN(
         Relation scanned,
@@ -184,13 +188,15 @@ Result<QueryResult> S2RdfSystem::Execute(const sparql::Query& query) const {
                            pool_, cost));
     if (i == 0) {
       accumulated = std::move(scanned);
+      accumulated_bytes = scanned_bytes;
       continue;
     }
+    const engine::JoinDecision decision = engine::ResolveJoinStrategy(
+        accumulated_bytes, scanned_bytes, join_options, cluster_);
     PROST_ASSIGN_OR_RETURN(
-        engine::JoinResult joined,
-        engine::HashJoin(accumulated, scanned, join_options, cost));
-    result.join_strategies.push_back(joined.strategy);
-    accumulated = std::move(joined.relation);
+        accumulated, engine::HashJoin(accumulated, scanned, decision, cost));
+    result.join_strategies.push_back(decision.strategy);
+    accumulated_bytes = engine::kUnknownPlannerBytes;
   }
   PROST_ASSIGN_OR_RETURN(
       accumulated,

@@ -88,6 +88,11 @@ Result<QueryResult> SparqlGxSystem::Execute(
   engine::JoinOptions join_options;
   join_options.allow_broadcast = false;      // No Catalyst planning.
   join_options.reuse_partitioning = false;   // Plain RDD joins re-shuffle.
+  // Without Catalyst there are no relation sizes, and every join shuffles.
+  const engine::JoinDecision decision =
+      engine::ResolveJoinStrategy(engine::kUnknownPlannerBytes,
+                                  engine::kUnknownPlannerBytes, join_options,
+                                  cluster_);
 
   QueryResult result;
   cost.ChargeQueryOverhead();
@@ -117,10 +122,8 @@ Result<QueryResult> SparqlGxSystem::Execute(
       continue;
     }
     PROST_ASSIGN_OR_RETURN(
-        engine::JoinResult joined,
-        engine::HashJoin(accumulated, scanned, join_options, cost));
-    result.join_strategies.push_back(joined.strategy);
-    accumulated = std::move(joined.relation);
+        accumulated, engine::HashJoin(accumulated, scanned, decision, cost));
+    result.join_strategies.push_back(decision.strategy);
   }
   PROST_ASSIGN_OR_RETURN(
       accumulated,

@@ -121,14 +121,17 @@ Result<Column> PagedTable::DecodeChunk(size_t g, size_t c) const {
   }
   ByteReader reader(
       std::string_view(payload_).substr(chunk.offset, chunk.bytes));
-  if (schema_.field(c).kind == ColumnKind::kId) {
-    IdVector ids;
-    PROST_RETURN_IF_ERROR(DecodeIds(reader, group.num_rows, &ids));
-    return Column(std::move(ids));
-  }
-  IdListColumn lists;
-  PROST_RETURN_IF_ERROR(DecodeIdList(reader, group.num_rows, &lists));
-  return Column(std::move(lists));
+  // Decodes in place into the returned column: moving a freshly built
+  // Column into the Result draws GCC 12 -Wmaybe-uninitialized false
+  // positives from std::variant's move constructor.
+  Result<Column> column = schema_.field(c).kind == ColumnKind::kId
+                              ? Column(IdVector{})
+                              : Column(IdListColumn{});
+  PROST_RETURN_IF_ERROR(
+      column->kind() == ColumnKind::kId
+          ? DecodeIds(reader, group.num_rows, &column->mutable_ids())
+          : DecodeIdList(reader, group.num_rows, &column->mutable_lists()));
+  return column;
 }
 
 Result<StoredTable> PagedTable::ToStored() const {

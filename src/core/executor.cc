@@ -180,7 +180,7 @@ class PlanInterpreter {
     if (telemetry.row_groups_total > 0) {
       // The scan read row groups: surface estimate-vs-actual and skips
       // in EXPLAIN ANALYZE.
-      span.SetStorage(relation.planner_bytes_raw(),
+      span.SetStorage(node.planner_bytes,
                       telemetry.row_groups_skipped,
                       telemetry.partitions_skipped);
     }
@@ -207,25 +207,24 @@ class PlanInterpreter {
     PROST_ASSIGN_OR_RETURN(engine::Relation left, Exec(*node.children[0]));
     PROST_ASSIGN_OR_RETURN(engine::Relation right, Exec(*node.children[1]));
     span.SetRowsIn(left.TotalRows() + right.TotalRows());
-    engine::JoinOptions options = join_options_;
-    options.planned_strategy = node.strategy;
+    // The plan decides: the join_strategy pass's decision, or the same
+    // rule over the children's planner sizes when that pass did not run.
+    const engine::JoinDecision decision =
+        node.decision.has_value()
+            ? *node.decision
+            : engine::ResolveJoinStrategy(node.children[0]->planner_bytes,
+                                          node.children[1]->planner_bytes,
+                                          join_options_, cost_.config());
     PROST_ASSIGN_OR_RETURN(
-        engine::JoinResult joined,
-        engine::HashJoin(left, right, options, cost_, exec_));
-    span.SetDetail(joined.strategy == engine::JoinStrategy::kBroadcast
+        engine::Relation joined,
+        engine::HashJoin(left, right, decision, cost_, exec_));
+    span.SetDetail(decision.strategy == engine::JoinStrategy::kBroadcast
                        ? "broadcast"
                        : "shuffle");
-    span.SetRowsOut(joined.relation.TotalRows());
-    strategies_.push_back(joined.strategy);
-    // The join_order pass stamps exact star intermediates with a planner
-    // size; carrying it onto the relation lets the join above broadcast
-    // this output, and keeps the run-time strategy derivation identical
-    // to the one the join_strategy pass took from these plan nodes.
-    if (node.planner_bytes != engine::Relation::kUnknownPlannerBytes) {
-      joined.relation.set_planner_bytes(node.planner_bytes);
-    }
-    PROST_VALIDATE_RELATION(joined.relation);
-    return std::move(joined.relation);
+    span.SetRowsOut(joined.TotalRows());
+    strategies_.push_back(decision.strategy);
+    PROST_VALIDATE_RELATION(joined);
+    return joined;
   }
 
   Result<engine::Relation> ExecFilter(const plan::FilterNode& node) {
@@ -249,7 +248,7 @@ class PlanInterpreter {
     span.SetRowsIn(relation.TotalRows());
     span.SetRowsOut(relation.TotalRows());
     if (node.optimizer_inserted) {
-      // Zero-cost column drop: no charge, planner size flows through.
+      // Zero-cost column drop: no charge.
       relation = engine::PruneColumns(std::move(relation), node.columns);
       return relation;
     }

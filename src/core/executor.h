@@ -40,8 +40,9 @@ struct QueryResult {
 /// Interprets a physical plan (plan/plan_ir.h) bottom-up: scans
 /// materialize their Join Tree node from storage (evaluating any pushed
 /// filters in place), joins fold the children with broadcast/shuffle
-/// hash joins — honoring a plan-time resolved strategy when the
-/// optimizer set one — and the modifier tail executes node by node.
+/// hash joins as the plan decides — the join_strategy pass's decision,
+/// or engine::ResolveJoinStrategy over the children's planner_bytes when
+/// that pass did not run — and the modifier tail executes node by node.
 /// Every plan node maps 1:1 onto an operator span, nested the way the
 /// plan nests, so EXPLAIN ANALYZE shows exactly the executed plan.
 ///

@@ -149,13 +149,6 @@ Result<Relation> FilterEvaluator::ApplyFilter(
 
   Relation output(input.column_names(), input.num_chunks());
   output.set_hash_partitioned_by(input.hash_partitioned_by());
-  if (input.planner_bytes_set()) {
-    // Spark 2.1 static planning: filters do not discount sizeInBytes, so
-    // a filter pushed below a join leaves the scan's planner size (and
-    // with it every resolved join strategy downstream) untouched.
-    cluster::ClusterConfig dummy;
-    output.set_planner_bytes(input.PlannerBytes(dummy));
-  }
   for (uint32_t w = 0; w < input.num_chunks(); ++w) {
     const RelationChunk& chunk = input.chunks()[w];
     RelationChunk& out = output.mutable_chunks()[w];

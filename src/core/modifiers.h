@@ -32,9 +32,7 @@ class FilterEvaluator {
   FilterEvaluator& operator=(const FilterEvaluator&) = delete;
 
   /// Applies one FILTER constraint row by row. Preserves hash
-  /// partitioning and the planner size (Spark 2.1 static planning:
-  /// filters do not discount sizeInBytes), so a filter pushed below a
-  /// join never flips the join strategy the planner resolved.
+  /// partitioning.
   Result<engine::Relation> ApplyFilter(const engine::Relation& input,
                                        const sparql::FilterConstraint& filter,
                                        cluster::CostModel& cost);

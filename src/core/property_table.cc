@@ -277,7 +277,6 @@ Result<Relation> PropertyTable::Scan(
       cost.ChargeCpuRows(w, paged_[w].num_rows());
     }
     if (key.is_variable) output.set_hash_partitioned_by(0);
-    output.set_planner_bytes(charged.planner_bytes);
     return output;
   }
 
@@ -458,9 +457,6 @@ Result<Relation> PropertyTable::Scan(
   }
   RecordPagedScan(*pool_, bytes_scanned, local, telemetry);
   if (key.is_variable) output.set_hash_partitioned_by(0);
-  // The planner sees the touched columns' size (Parquet column pruning is
-  // visible to Spark's relation statistics).
-  output.set_planner_bytes(charged.planner_bytes);
   return output;
 }
 

@@ -93,9 +93,9 @@ class PropertyTable {
                                 const ScanHints* hints = nullptr,
                                 ScanTelemetry* telemetry = nullptr) const;
 
-  /// The planner-visible size of a Scan over `patterns` — exactly the
-  /// `Relation::PlannerBytes` the scan output will carry: the key column
-  /// plus each touched predicate column, once, per partition. Patterns
+  /// The planner-visible size of a Scan over `patterns`: the key column
+  /// plus each touched predicate column, once, per partition (Parquet
+  /// column pruning is visible to Spark's relation statistics). Patterns
   /// whose predicate has no column (or whose constant cannot exist) touch
   /// nothing, matching the Scan charging rules.
   uint64_t ScanPlannerBytes(const std::vector<ColumnPattern>& patterns) const;

@@ -100,7 +100,10 @@ const VpStore::PredicateTable* VpStore::Find(rdf::TermId predicate) const {
 }
 
 uint64_t VpStore::ScanPlannerBytes(rdf::TermId predicate) const {
-  const PredicateTable* table = Find(predicate);
+  return ScanTablePlannerBytes(Find(predicate));
+}
+
+uint64_t VpStore::ScanTablePlannerBytes(const PredicateTable* table) {
   if (table == nullptr) return 0;
   uint64_t planner_bytes = 0;
   for (uint64_t bytes : table->partition_bytes) planner_bytes += bytes;
@@ -141,15 +144,8 @@ Result<Relation> VpStore::ScanTable(const PredicateTable* table,
 
   Relation output(names, num_workers);
   if (table == nullptr) {
-    output.set_planner_bytes(0);
     return output;  // Unknown predicate: empty relation, nothing scanned.
   }
-
-  // Planner sees the base table's serialized size (filters do not
-  // discount it — Spark 2.1 static planning).
-  uint64_t planner_bytes = 0;
-  for (uint64_t bytes : table->partition_bytes) planner_bytes += bytes;
-  output.set_planner_bytes(planner_bytes);
 
   // Per partition: the row groups the pruner cannot rule out, their rows
   // and the lexical bytes they charge; both columns form one charge unit.

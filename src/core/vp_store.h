@@ -60,11 +60,13 @@ class VpStore {
   /// occur in the dataset.
   const PredicateTable* Find(rdf::TermId predicate) const;
 
-  /// The planner-visible size of a Scan over `predicate` — exactly the
-  /// `Relation::PlannerBytes` the scan output will carry (0 for unknown
-  /// predicates). Lets the plan-time optimizer resolve join strategies
-  /// from the same numbers the runtime would use.
+  /// The planner-visible size of a Scan over `predicate`: the base
+  /// table's serialized size, which filters do not discount (Spark 2.1
+  /// static planning); 0 for unknown predicates. Join strategies are
+  /// resolved from it (engine::ResolveJoinStrategy).
   uint64_t ScanPlannerBytes(rdf::TermId predicate) const;
+  /// The same size for a ScanTable over `table` (nullptr: 0).
+  static uint64_t ScanTablePlannerBytes(const PredicateTable* table);
 
   /// Evaluates one triple pattern against the predicate's VP table,
   /// producing a distributed relation over the pattern's variables.

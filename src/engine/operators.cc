@@ -203,7 +203,7 @@ Status Probe(const Relation& probe_rel, const std::vector<int>& probe_keys,
 
 /// Reorders `input`'s columns into `target_names` order (names must be a
 /// permutation of the input's). Keeps chunk placement; remaps the
-/// partitioning column and preserves the planner estimate.
+/// partitioning column.
 Relation ReorderColumns(Relation&& input,
                         const std::vector<std::string>& target_names) {
   if (input.column_names() == target_names) return std::move(input);
@@ -225,10 +225,6 @@ Relation ReorderColumns(Relation&& input,
             input.hash_partitioned_by())];
     output.set_hash_partitioned_by(output.ColumnIndex(part_name));
   }
-  if (input.planner_bytes_set()) {
-    cluster::ClusterConfig dummy;
-    output.set_planner_bytes(input.PlannerBytes(dummy));
-  }
   return output;
 }
 
@@ -248,17 +244,22 @@ RelationChunk GatherAll(const Relation& relation) {
 
 }  // namespace
 
-JoinStrategy ResolveJoinStrategy(uint64_t left_planner_bytes,
+JoinDecision ResolveJoinStrategy(uint64_t left_planner_bytes,
                                  uint64_t right_planner_bytes,
                                  const JoinOptions& options,
                                  const cluster::ClusterConfig& config) {
   uint64_t threshold = options.broadcast_threshold_bytes != 0
                            ? options.broadcast_threshold_bytes
                            : config.broadcast_threshold_bytes;
-  bool broadcast =
-      options.allow_broadcast &&
-      std::min(left_planner_bytes, right_planner_bytes) <= threshold;
-  return broadcast ? JoinStrategy::kBroadcast : JoinStrategy::kShuffle;
+  const uint64_t smaller = std::min(left_planner_bytes, right_planner_bytes);
+  JoinDecision decision;
+  decision.reuse_partitioning = options.reuse_partitioning;
+  if (options.allow_broadcast && smaller != kUnknownPlannerBytes &&
+      smaller <= threshold) {
+    decision.strategy = JoinStrategy::kBroadcast;
+    decision.broadcast_left = left_planner_bytes <= right_planner_bytes;
+  }
+  return decision;
 }
 
 Relation RepartitionByColumn(const Relation& input, int column_index,
@@ -305,10 +306,10 @@ Relation RepartitionByColumn(const Relation& input, int column_index,
   return output;
 }
 
-Result<JoinResult> HashJoin(const Relation& left, const Relation& right,
-                            const JoinOptions& options,
-                            cluster::CostModel& cost,
-                            const ExecContext* exec) {
+Result<Relation> HashJoin(const Relation& left, const Relation& right,
+                          const JoinDecision& decision,
+                          cluster::CostModel& cost,
+                          const ExecContext* exec) {
   SharedColumns shared = FindSharedColumns(left, right);
   if (shared.left.empty()) {
     return Status::InvalidArgument(
@@ -317,30 +318,12 @@ Result<JoinResult> HashJoin(const Relation& left, const Relation& right,
         StrJoin(right.column_names(), ",") + "]");
   }
   const cluster::ClusterConfig& config = cost.config();
-  // Broadcast planning uses the *planner* estimates: base-relation sizes
-  // from storage, join outputs "unknown" (never broadcast, Spark 2.1
-  // semantics) unless the optimizer stamped an exact-statistics size.
-  uint64_t left_planner = left.PlannerBytes(config);
-  uint64_t right_planner = right.PlannerBytes(config);
   uint32_t num_workers = config.num_workers;
-  JoinStrategy derived =
-      ResolveJoinStrategy(left_planner, right_planner, options, config);
-  JoinStrategy strategy = options.planned_strategy.value_or(derived);
-#if defined(PROST_PARANOID_CHECKS) || !defined(NDEBUG)
-  // The optimizer resolves strategies from the same planner estimates, so
-  // a mismatch means the plan's planner_bytes drifted from execution.
-  if (options.planned_strategy.has_value() &&
-      *options.planned_strategy != derived) {
-    return Status::Internal(
-        "planned join strategy disagrees with the run-time derivation");
-  }
-#endif
 
-  if (strategy == JoinStrategy::kBroadcast) {
-    // Broadcast the (planner-)smaller side; the bigger side never moves.
-    const bool left_is_small = left_planner <= right_planner;
-    const Relation& small = left_is_small ? left : right;
-    const Relation& big = left_is_small ? right : left;
+  if (decision.strategy == JoinStrategy::kBroadcast) {
+    // The planned side ships; the other side never moves.
+    const Relation& small = decision.broadcast_left ? left : right;
+    const Relation& big = decision.broadcast_left ? right : left;
 
     SharedColumns small_big = FindSharedColumns(small, big);
     OutputLayout layout = MakeOutputLayout(small, big, small_big);
@@ -371,13 +354,10 @@ Result<JoinResult> HashJoin(const Relation& left, const Relation& right,
       int out_index = output.ColumnIndex(part_name);
       output.set_hash_partitioned_by(out_index);
     }
-    output.set_planner_bytes(Relation::kUnknownPlannerBytes);
     // Canonical output layout is left-major regardless of which side was
     // broadcast, so plans are insensitive to the physical strategy.
-    SharedColumns left_right = FindSharedColumns(left, right);
-    OutputLayout canonical = MakeOutputLayout(left, right, left_right);
-    return JoinResult{ReorderColumns(std::move(output), canonical.names),
-                      JoinStrategy::kBroadcast};
+    OutputLayout canonical = MakeOutputLayout(left, right, shared);
+    return ReorderColumns(std::move(output), canonical.names);
   }
 
   // Shuffle join: a stage boundary. Close the caller's pipeline stage,
@@ -385,7 +365,7 @@ Result<JoinResult> HashJoin(const Relation& left, const Relation& right,
   cost.EndStage();
   cost.BeginStage("shuffle_join");
   Relation left_parts =
-      options.reuse_partitioning
+      decision.reuse_partitioning
           ? RepartitionByColumn(left, shared.left[0], num_workers, cost,
                                 exec)
           : [&] {
@@ -395,7 +375,7 @@ Result<JoinResult> HashJoin(const Relation& left, const Relation& right,
                                          cost, exec);
             }();
   Relation right_parts =
-      options.reuse_partitioning
+      decision.reuse_partitioning
           ? RepartitionByColumn(right, shared.right[0], num_workers, cost,
                                 exec)
           : [&] {
@@ -426,8 +406,7 @@ Result<JoinResult> HashJoin(const Relation& left, const Relation& right,
                               output.chunks()[w].num_rows());
   }
   output.set_hash_partitioned_by(shared.left[0]);
-  output.set_planner_bytes(Relation::kUnknownPlannerBytes);
-  return JoinResult{std::move(output), JoinStrategy::kShuffle};
+  return output;
 }
 
 Result<Relation> Filter(const Relation& input, const std::string& column_name,
@@ -442,10 +421,6 @@ Result<Relation> Filter(const Relation& input, const std::string& column_name,
   span.SetRowsIn(input.TotalRows());
   Relation output(input.column_names(), input.num_chunks());
   output.set_hash_partitioned_by(input.hash_partitioned_by());
-  // Spark 2.1 static planning: filters do not discount sizeInBytes.
-  if (input.planner_bytes_set()) {
-    output.set_planner_bytes(input.PlannerBytes(cost.config()));
-  }
   const std::vector<Morsel> morsels = PlanMorsels(input, exec);
   PROST_RETURN_IF_ERROR(RunMorsels(
       exec, morsels,
@@ -507,9 +482,6 @@ Result<Relation> Project(const Relation& input,
         input.column_names()[static_cast<size_t>(input.hash_partitioned_by())];
     output.set_hash_partitioned_by(output.ColumnIndex(part_name));
   }
-  if (input.planner_bytes_set()) {
-    output.set_planner_bytes(input.PlannerBytes(cost.config()));
-  }
   return output;
 }
 
@@ -557,7 +529,6 @@ Result<Relation> Distinct(const Relation& input, cluster::CostModel& cost,
     }
     cost.ChargeCpuRows(w, chunk.num_rows());
   }
-  output.set_planner_bytes(Relation::kUnknownPlannerBytes);
   return output;
 }
 
@@ -581,13 +552,6 @@ Relation PruneColumns(Relation&& input,
         input.column_names()[static_cast<size_t>(
             input.hash_partitioned_by())];
     output.set_hash_partitioned_by(output.ColumnIndex(part_name));
-  }
-  // Static planning: the planner priced the unpruned input, and that
-  // number must keep flowing (it is what the resolved join strategies
-  // were derived from).
-  if (input.planner_bytes_set()) {
-    cluster::ClusterConfig dummy;
-    output.set_planner_bytes(input.PlannerBytes(dummy));
   }
   return output;
 }

@@ -1,7 +1,6 @@
 #ifndef PROST_ENGINE_OPERATORS_H_
 #define PROST_ENGINE_OPERATORS_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,13 +11,17 @@
 
 namespace prost::engine {
 
-/// Which physical strategy a join uses (resolved at plan time by the
-/// optimizer's JoinStrategyPass, or derived inside HashJoin when no plan
-/// provided one; exposed for tests and the ablation benches).
+/// Which physical strategy a join uses. The plan decides it, once:
+/// JoinStrategyPass resolves it at plan time, or the executor resolves it
+/// from the plan's sizes when that pass is off; HashJoin only executes it.
 enum class JoinStrategy {
   kBroadcast,
   kShuffle,
 };
+
+/// Planner size of a derived relation whose size is unknown. Spark 2.1
+/// treats join outputs as enormous, so they never broadcast.
+inline constexpr uint64_t kUnknownPlannerBytes = ~0ull;
 
 /// Join-strategy knobs — the engine's stand-in for Catalyst's physical
 /// planning (§3.3: "the optimizer can choose the type of joins to perform,
@@ -26,7 +29,7 @@ enum class JoinStrategy {
 /// will be performed"). The A2/A3 flags here are part of the ablation
 /// matrix documented in DESIGN.md §4.
 struct JoinOptions {
-  /// Relations whose *planner* estimate (Relation::PlannerBytes) is at or
+  /// Inputs whose *planner* size (plan::PlanNode::planner_bytes) is at or
   /// below this are broadcast instead of shuffled. 0 means "use the
   /// cluster config's broadcast_threshold_bytes" (the common case — the
   /// threshold scales with the simulated cluster).
@@ -42,31 +45,34 @@ struct JoinOptions {
   /// the faithful default is false; the A3 ablation bench shows what
   /// partitioning-aware planning would buy.
   bool reuse_partitioning = false;
-
-  /// Strategy pre-resolved by the plan-time optimizer. When set, HashJoin
-  /// executes it (and paranoid builds assert it matches what the run-time
-  /// derivation would have picked); when unset, HashJoin derives the
-  /// strategy itself from the inputs' PlannerBytes.
-  std::optional<JoinStrategy> planned_strategy;
 };
 
-/// The one broadcast/shuffle decision rule, shared by the plan-time
-/// JoinStrategyPass and HashJoin's run-time derivation: broadcast when
-/// allowed and the smaller side's planner estimate is at or below the
-/// effective threshold.
-JoinStrategy ResolveJoinStrategy(uint64_t left_planner_bytes,
+/// One join's resolved physical plan: everything HashJoin executes.
+struct JoinDecision {
+  JoinStrategy strategy = JoinStrategy::kShuffle;
+  /// Broadcast only: true when the left input ships to every worker.
+  bool broadcast_left = false;
+  /// Shuffle only: an input already hash-partitioned on the join key
+  /// skips its exchange (JoinOptions::reuse_partitioning).
+  bool reuse_partitioning = false;
+
+  bool operator==(const JoinDecision&) const = default;
+};
+
+/// The one join decision rule, shared by the plan-time JoinStrategyPass,
+/// the executor (for plans that pass did not resolve), the join-order
+/// cost model and the baselines: broadcast when allowed and the smaller
+/// side's planner size is at or below the effective threshold. The
+/// smaller side ships, the left one on a tie. kUnknownPlannerBytes never
+/// broadcasts.
+JoinDecision ResolveJoinStrategy(uint64_t left_planner_bytes,
                                  uint64_t right_planner_bytes,
                                  const JoinOptions& options,
                                  const cluster::ClusterConfig& config);
 
-struct JoinResult {
-  Relation relation;
-  JoinStrategy strategy = JoinStrategy::kShuffle;
-};
-
-/// Hash equi-join on all column names shared between `left` and `right`.
-/// Errors if they share no column (the Join Tree translator never emits
-/// cross products).
+/// Hash equi-join on all column names shared between `left` and `right`,
+/// executed as `decision` says. Errors if they share no column (the Join
+/// Tree translator never emits cross products).
 ///
 /// Stage protocol (Spark pipelining): the caller keeps one stage open for
 /// the whole query pipeline. A *broadcast* join charges its work into the
@@ -77,14 +83,15 @@ struct JoinResult {
 ///
 /// Output order is deterministic regardless of `exec`: within each output
 /// chunk, rows are ordered by (probe row, build row). A broadcast join
-/// builds one index over the small side, hash-partitioned into one part
-/// per thread, and probes the big side one task per morsel, merged back
+/// builds one index over the shipped side, hash-partitioned into one part
+/// per thread, and probes the other side one task per morsel, merged back
 /// in morsel order. A shuffle join runs one task per co-located
-/// partition that builds and probes that partition's table.
-Result<JoinResult> HashJoin(const Relation& left, const Relation& right,
-                            const JoinOptions& options,
-                            cluster::CostModel& cost,
-                            const ExecContext* exec = nullptr);
+/// partition that builds and probes that partition's table. Either way
+/// the output columns are left-major.
+Result<Relation> HashJoin(const Relation& left, const Relation& right,
+                          const JoinDecision& decision,
+                          cluster::CostModel& cost,
+                          const ExecContext* exec = nullptr);
 
 /// Keeps rows where column `column_name` equals `value`: one task per
 /// morsel, merged in morsel order.
@@ -103,9 +110,7 @@ Result<Relation> Project(const Relation& input,
 /// columns, listed in input order). Unlike Project this is free — no CPU
 /// charge, no span: it models the optimizer's early projection, where the
 /// pruned columns are simply never materialized into the next exchange.
-/// planner_bytes carries over verbatim (static planning: the planner
-/// priced the unpruned scan) and the hash-partition column is remapped by
-/// name.
+/// The hash-partition column is remapped by name.
 Relation PruneColumns(Relation&& input, const std::vector<std::string>& keep);
 
 /// Removes duplicate rows globally (shuffles by row hash, then dedupes

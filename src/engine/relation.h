@@ -55,29 +55,6 @@ class Relation {
   int hash_partitioned_by() const { return hash_partitioned_by_; }
   void set_hash_partitioned_by(int column) { hash_partitioned_by_ = column; }
 
-  /// Sentinel planner size: "derived relation, size unknown" — Spark 2.1
-  /// treats join outputs as enormous, so they never broadcast.
-  static constexpr uint64_t kUnknownPlannerBytes = ~0ull;
-
-  /// The *planner's* size estimate, used for broadcast decisions. Scans
-  /// set it from storage statistics; derived relations (join outputs)
-  /// carry kUnknownPlannerBytes, mirroring Spark 2.1's static planning
-  /// where only base relations have trustworthy sizeInBytes — except
-  /// join outputs the optimizer priced exactly from characteristic
-  /// sets, which the executor stamps with that size. When never set,
-  /// falls back to the actual estimated size.
-  uint64_t PlannerBytes(const cluster::ClusterConfig& config) const {
-    return planner_bytes_set_ ? planner_bytes_ : EstimatedBytes(config);
-  }
-  void set_planner_bytes(uint64_t bytes) {
-    planner_bytes_ = bytes;
-    planner_bytes_set_ = true;
-  }
-  bool planner_bytes_set() const { return planner_bytes_set_; }
-  /// The raw stamped value (0 when never set) — config-free, for
-  /// observability rather than broadcast decisions.
-  uint64_t planner_bytes_raw() const { return planner_bytes_; }
-
   /// Checks chunk/column shape consistency.
   Status Validate() const;
 
@@ -96,8 +73,6 @@ class Relation {
   std::vector<std::string> column_names_;
   std::vector<RelationChunk> chunks_;
   int hash_partitioned_by_ = -1;
-  uint64_t planner_bytes_ = 0;
-  bool planner_bytes_set_ = false;
 };
 
 }  // namespace prost::engine

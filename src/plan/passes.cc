@@ -120,6 +120,9 @@ class JoinOrderPass final : public OptimizerPass {
       return Status::OK();
     }
     const size_t n = scans.size();
+    // Leaf sets are 32-bit masks; a larger segment keeps the translator's
+    // order and estimates.
+    if (n > kJoinOrderMaxLeaves) return Status::OK();
     for (size_t i = 0; i < n; ++i) {
       e.leaves.push_back(EstimateLeaf(*scans[i], *context.estimator));
       e.leaves.back().mask = 1u << i;
@@ -137,7 +140,7 @@ class JoinOrderPass final : public OptimizerPass {
       leaf.adjacency &= ~leaf.mask;
     }
 
-    if (n >= 2 && n <= (8 * sizeof(uint32_t))) {
+    if (n >= 2) {
       // Price the translator's order (the left-deep fold over the leaves
       // in their current left-to-right sequence) as the baseline.
       EnumeratedPlan heuristic = e.leaves[0];
@@ -158,8 +161,7 @@ class JoinOrderPass final : public OptimizerPass {
         // Detach the leaves and rebuild the tree the enumerator chose.
         std::vector<std::unique_ptr<PlanNode>> leaf_nodes =
             DetachJoinLeaves(std::move(*link));
-        auto rebuilt =
-            BuildTree(split, leaf_nodes, (1u << n) - 1, n, split.size() - 1);
+        auto rebuilt = BuildTree(split, leaf_nodes, (1u << n) - 1);
         if (!rebuilt.ok()) return rebuilt.status();
         *link = std::move(rebuilt.value());
         PlanBuilder::RecomputeSchemas(*plan.root);
@@ -176,13 +178,12 @@ class JoinOrderPass final : public OptimizerPass {
  private:
   /// One join input during enumeration: modeled cost of everything below
   /// it, estimated output rows, per-column distinct-value estimates, and
-  /// the planner bytes HashJoin will use to pick broadcast vs shuffle
-  /// (scans keep their storage bytes; join outputs are unknown, exactly
-  /// as at run time).
+  /// the planner bytes the join decision is resolved from (scans keep
+  /// their storage bytes; join outputs are unknown unless exact).
   struct EnumeratedPlan {
     double cost = 0.0;
     double rows = 0.0;
-    uint64_t planner_bytes = engine::Relation::kUnknownPlannerBytes;
+    uint64_t planner_bytes = engine::kUnknownPlannerBytes;
     uint32_t mask = 0;       // Leaves covered.
     uint32_t adjacency = 0;  // Leaves sharing a variable (leaf-only).
     std::map<std::string, double> distinct;
@@ -319,7 +320,7 @@ class JoinOrderPass final : public OptimizerPass {
 
       out->mask = l.mask | r.mask;
       out->rows = rows;
-      out->planner_bytes = engine::Relation::kUnknownPlannerBytes;
+      out->planner_bytes = engine::kUnknownPlannerBytes;
       if (star) {
         out->star_key = l.star_key;
         out->star_predicates = std::move(merged_predicates);
@@ -374,17 +375,16 @@ class JoinOrderPass final : public OptimizerPass {
         }
       }
 
-      // The strategy decision the join_strategy pass (and the engine)
-      // will take on these planner bytes.
-      const engine::JoinStrategy strategy = engine::ResolveJoinStrategy(
+      // The decision the join will execute on these planner bytes.
+      const engine::JoinDecision decision = engine::ResolveJoinStrategy(
           l.planner_bytes, r.planner_bytes, context->join, cc);
       const double l_bytes = LiveBytes(l);
       const double r_bytes = LiveBytes(r);
       double increment = 0.0;
-      if (strategy == engine::JoinStrategy::kBroadcast) {
-        // The smaller planner side ships to every worker and each worker
-        // builds its table; probe + emit spread across the cluster.
-        const bool l_small = l.planner_bytes <= r.planner_bytes;
+      if (decision.strategy == engine::JoinStrategy::kBroadcast) {
+        // The decided side ships to every worker and each worker builds
+        // its table; probe + emit spread across the cluster.
+        const bool l_small = decision.broadcast_left;
         const double small_bytes = l_small ? l_bytes : r_bytes;
         const double small_rows = l_small ? l.rows : r.rows;
         const double big_rows = l_small ? r.rows : l.rows;
@@ -736,19 +736,14 @@ class JoinOrderPass final : public OptimizerPass {
   /// the detached leaves.
   static Result<std::unique_ptr<PlanNode>> BuildTree(
       const std::vector<std::pair<uint32_t, uint32_t>>& split,
-      std::vector<std::unique_ptr<PlanNode>>& leaves, uint32_t mask, size_t n,
-      size_t depth) {
-    (void)n;
-    (void)depth;
+      std::vector<std::unique_ptr<PlanNode>>& leaves, uint32_t mask) {
     if (std::popcount(mask) == 1) {
       const size_t index = static_cast<size_t>(std::countr_zero(mask));
       return std::move(leaves[index]);
     }
     const auto [left_mask, right_mask] = split[mask];
-    PROST_ASSIGN_OR_RETURN(auto left,
-                           BuildTree(split, leaves, left_mask, n, depth));
-    PROST_ASSIGN_OR_RETURN(auto right,
-                           BuildTree(split, leaves, right_mask, n, depth));
+    PROST_ASSIGN_OR_RETURN(auto left, BuildTree(split, leaves, left_mask));
+    PROST_ASSIGN_OR_RETURN(auto right, BuildTree(split, leaves, right_mask));
     return PlanBuilder::MakeHashJoin(std::move(left), std::move(right));
   }
 
@@ -765,10 +760,9 @@ class JoinOrderPass final : public OptimizerPass {
     EnumeratedPlan joined;
     if (e.Join(left, right, &joined)) {
       node.estimated_rows = joined.rows;
-      // Exact star intermediates publish their size so the downstream
-      // join_strategy pass (and the engine) can broadcast them; the
-      // executor stamps the same value on the run-time relation, keeping
-      // the plan-time and run-time strategy derivations in agreement.
+      // Exact star intermediates publish their size so the join above
+      // may broadcast them (ResolveJoinStrategy reads it, in the
+      // join_strategy pass or in the executor).
       node.planner_bytes = joined.planner_bytes;
       return joined;
     }
@@ -807,10 +801,9 @@ class JoinOrderPass final : public OptimizerPass {
   }
 };
 
-/// Plan-time join-strategy resolution: the exact decision rule HashJoin
-/// applies at run time (engine::ResolveJoinStrategy), evaluated on the
-/// plan's planner_bytes. Paranoid builds later assert the executed
-/// strategy matches.
+/// Plan-time join-strategy resolution: engine::ResolveJoinStrategy over
+/// each join's children's planner_bytes. HashJoin executes the decision
+/// as given.
 class JoinStrategyPass final : public OptimizerPass {
  public:
   const char* name() const override { return "join_strategy"; }
@@ -830,7 +823,7 @@ class JoinStrategyPass final : public OptimizerPass {
     }
     if (node.kind != PlanNodeKind::kHashJoin) return;
     auto& join = static_cast<HashJoinNode&>(node);
-    join.strategy = engine::ResolveJoinStrategy(
+    join.decision = engine::ResolveJoinStrategy(
         join.children[0]->planner_bytes, join.children[1]->planner_bytes,
         context.join, *context.cluster);
   }

@@ -81,8 +81,9 @@ std::unique_ptr<OptimizerPass> MakeFilterPushdownPass();
 
 /// Cost-based join reordering. Re-enumerates the join tree over the
 /// scan leaves — DPsize over connected subgraphs up to
-/// kJoinOrderDpThreshold leaves, greedy operator ordering beyond —
-/// producing bushy trees costed with the cluster::CostModel recipe
+/// kJoinOrderDpThreshold leaves, greedy operator ordering beyond, none
+/// above kJoinOrderMaxLeaves — producing bushy trees costed with the
+/// cluster::CostModel recipe
 /// (scan + shuffle + broadcast charges) over stats::CardinalityEstimator
 /// row estimates. Keeps the translator's heuristic order whenever the
 /// model does not predict a strictly cheaper tree, and annotates every
@@ -94,6 +95,10 @@ std::unique_ptr<OptimizerPass> MakeJoinOrderPass();
 /// DPsize enumeration to greedy operator ordering.
 inline constexpr size_t kJoinOrderDpThreshold = 10;
 
+/// Leaf count above which the join_order pass leaves the segment as the
+/// translator ordered it (leaf sets are 32-bit masks).
+inline constexpr size_t kJoinOrderMaxLeaves = 32;
+
 /// Relative model-cost advantage the enumerated tree must show over the
 /// translator's heuristic order before the pass rewrites. Margins below
 /// this are estimate noise (constants and cross-star correlations are
@@ -101,9 +106,10 @@ inline constexpr size_t kJoinOrderDpThreshold = 10;
 /// not; real improvements clear it by an order of magnitude.
 inline constexpr double kJoinOrderRewriteMargin = 0.02;
 
-/// Resolves each join's broadcast/shuffle choice at plan time from the
-/// children's planner_bytes — the same numbers HashJoin would use — so
-/// EXPLAIN shows the strategy before anything executes.
+/// Resolves each join's broadcast/shuffle choice, and the side a
+/// broadcast ships, at plan time from the children's planner_bytes, so
+/// EXPLAIN shows the strategy before anything executes. Without this
+/// pass the executor resolves the same rule over the same sizes.
 std::unique_ptr<OptimizerPass> MakeJoinStrategyPass();
 
 /// Inserts zero-cost column prunes below every join input that carries

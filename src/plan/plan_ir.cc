@@ -26,7 +26,7 @@ std::string NodeLine(const PlanNode& node) {
       const auto& scan = static_cast<const ScanNodeBase&>(node);
       out += " " + scan.Label();
       out += StrFormat("  est=%.0f", scan.estimated_rows);
-      if (scan.planner_bytes != engine::Relation::kUnknownPlannerBytes) {
+      if (scan.planner_bytes != engine::kUnknownPlannerBytes) {
         out += StrFormat("  bytes=%llu",
                          static_cast<unsigned long long>(scan.planner_bytes));
       }
@@ -37,11 +37,13 @@ std::string NodeLine(const PlanNode& node) {
     }
     case PlanNodeKind::kHashJoin: {
       const auto& join = static_cast<const HashJoinNode&>(node);
-      out += join.strategy.has_value()
-                 ? (*join.strategy == engine::JoinStrategy::kBroadcast
-                        ? "[broadcast]"
-                        : "[shuffle]")
-                 : "[unresolved]";
+      if (!join.decision.has_value()) {
+        out += "[unresolved]";
+      } else if (join.decision->strategy == engine::JoinStrategy::kBroadcast) {
+        out += "[broadcast]";
+      } else {
+        out += "[shuffle]";
+      }
       out += " " + join.Label() + " on " + ColumnList(join.join_columns);
       break;
     }

@@ -35,9 +35,9 @@ class PlanBuilder;
 /// One node of the typed physical plan: a tree (left-deep under the
 /// joins) whose shape maps 1:1 to execution spans. Every node carries its
 /// output schema, the §3.3 cardinality estimate (scans only) and the
-/// planner's size estimate — the same number Relation::PlannerBytes
-/// reports at run time, which is what makes plan-time join-strategy
-/// resolution exact.
+/// planner's size estimate, from which every join's broadcast/shuffle
+/// decision is resolved (engine::ResolveJoinStrategy) — at plan time by
+/// JoinStrategyPass, or by the executor when that pass did not run.
 ///
 /// Construction is builder-only (PlanBuilder computes schemas and size
 /// rules in one place); tools/lint.py enforces this outside src/plan/.
@@ -56,12 +56,13 @@ class PlanNode {
   std::vector<std::string> output_columns;
   /// §3.3 cardinality estimate; < 0 = unknown (non-scan nodes).
   double estimated_rows = -1;
-  /// What the planner believes the output weighs — equal to the executed
-  /// relation's Relation::PlannerBytes. Joins carry kUnknownPlannerBytes
-  /// (Spark 2.1 static planning: join outputs are not broadcast) unless
+  /// What the planner believes the output weighs. Scans carry their
+  /// storage size; filters and projections pass their child's through
+  /// (Spark 2.1 static planning: they do not discount sizeInBytes). Joins
+  /// carry kUnknownPlannerBytes (join outputs are not broadcast) unless
   /// the join_order pass stamps an exact size on a provably exact star
   /// intermediate, which joins above may then broadcast.
-  uint64_t planner_bytes = engine::Relation::kUnknownPlannerBytes;
+  uint64_t planner_bytes = engine::kUnknownPlannerBytes;
   std::vector<std::unique_ptr<PlanNode>> children;
 
  protected:
@@ -110,10 +111,10 @@ class HashJoinNode final : public PlanNode {
   std::string label;
   /// Shared columns joined on, in left-child column order.
   std::vector<std::string> join_columns;
-  /// Resolved by JoinStrategyPass from the children's planner_bytes.
-  /// Unset plans derive the strategy inside HashJoin at run time (the
-  /// seed behavior); paranoid builds assert executed == planned.
-  std::optional<engine::JoinStrategy> strategy;
+  /// Strategy and broadcast side, resolved by JoinStrategyPass from the
+  /// children's planner_bytes. When unset, the executor resolves the same
+  /// rule over the same sizes just before the join runs.
+  std::optional<engine::JoinDecision> decision;
 
  private:
   friend class PlanBuilder;
@@ -224,8 +225,7 @@ struct PhysicalPlan {
 class PlanBuilder {
  public:
   /// Leaf over a Join Tree node. `planner_bytes` is the storage-derived
-  /// scan size (VpStore/PropertyTable::ScanPlannerBytes) — the value the
-  /// executed scan relation will carry.
+  /// scan size (VpStore/PropertyTable::ScanPlannerBytes).
   static std::unique_ptr<PlanNode> MakeScan(core::JoinTreeNode source,
                                             uint64_t planner_bytes);
 

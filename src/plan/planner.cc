@@ -5,8 +5,8 @@
 namespace prost::plan {
 namespace {
 
-/// Planner-visible scan size for one Join Tree node — the exact
-/// Relation::PlannerBytes its executed scan will carry.
+/// Planner-visible scan size for one Join Tree node, from storage
+/// statistics (the size its joins' decisions are resolved from).
 Result<uint64_t> NodePlannerBytes(const core::JoinTreeNode& node,
                                   const PlannerInputs& inputs) {
   switch (node.kind) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 
@@ -46,14 +47,6 @@ TEST(RelationTest, EstimatedBytesUsesConfigWidth) {
   cluster::ClusterConfig config = TestConfig();
   config.bytes_per_value = 10.0;
   EXPECT_EQ(r.EstimatedBytes(config), 2u * 2u * 10u);
-}
-
-TEST(RelationTest, PlannerBytesFallsBackToActual) {
-  Relation r = RelationOf({"a"}, {{1}, {2}});
-  cluster::ClusterConfig config = TestConfig();
-  EXPECT_EQ(r.PlannerBytes(config), r.EstimatedBytes(config));
-  r.set_planner_bytes(12345);
-  EXPECT_EQ(r.PlannerBytes(config), 12345u);
 }
 
 TEST(RelationTest, ValidateCatchesRaggedChunks) {
@@ -101,23 +94,41 @@ std::vector<Row> NaiveJoin(const Relation& left, const Relation& right) {
   return out;
 }
 
-std::vector<Row> RunJoin(const Relation& left, const Relation& right,
-                         const JoinOptions& options,
-                         JoinStrategy* strategy = nullptr) {
-  cluster::CostModel cost(TestConfig());
-  cost.BeginStage("test");
-  auto joined = HashJoin(left, right, options, cost);
-  cost.EndStage();
-  EXPECT_TRUE(joined.ok()) << joined.status();
-  if (strategy != nullptr) *strategy = joined->strategy;
-  EXPECT_TRUE(joined->relation.Validate().ok());
-  return joined->relation.CollectSortedRows();
+JoinDecision Broadcast(bool left) {
+  JoinDecision decision;
+  decision.strategy = JoinStrategy::kBroadcast;
+  decision.broadcast_left = left;
+  return decision;
+}
+
+/// Joins `left` and `right` under every decision — shuffle, and a
+/// broadcast of either side — checks that all three give the same rows,
+/// and returns them sorted.
+std::vector<Row> RunJoin(const Relation& left, const Relation& right) {
+  const JoinDecision decisions[] = {JoinDecision{}, Broadcast(true),
+                                    Broadcast(false)};
+  std::vector<Row> first;
+  for (size_t i = 0; i < std::size(decisions); ++i) {
+    cluster::CostModel cost(TestConfig());
+    cost.BeginStage("test");
+    auto joined = HashJoin(left, right, decisions[i], cost);
+    cost.EndStage();
+    EXPECT_TRUE(joined.ok()) << joined.status();
+    EXPECT_TRUE(joined->Validate().ok());
+    std::vector<Row> rows = joined->CollectSortedRows();
+    if (i == 0) {
+      first = std::move(rows);
+    } else {
+      EXPECT_EQ(rows, first) << "decision " << i;
+    }
+  }
+  return first;
 }
 
 TEST(HashJoinTest, SimpleEquiJoin) {
   Relation users = RelationOf({"u", "city"}, {{1, 10}, {2, 10}, {3, 20}});
   Relation cities = RelationOf({"city", "country"}, {{10, 100}, {20, 200}});
-  std::vector<Row> rows = RunJoin(users, cities, JoinOptions{});
+  std::vector<Row> rows = RunJoin(users, cities);
   EXPECT_EQ(rows, NaiveJoin(users, cities));
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0], (Row{1, 10, 100}));
@@ -127,14 +138,16 @@ TEST(HashJoinTest, NoSharedColumnIsError) {
   Relation a = RelationOf({"x"}, {{1}});
   Relation b = RelationOf({"y"}, {{1}});
   cluster::CostModel cost(TestConfig());
-  EXPECT_EQ(HashJoin(a, b, JoinOptions{}, cost).status().code(),
+  EXPECT_EQ(HashJoin(a, b, JoinDecision{}, cost).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(HashJoin(a, b, Broadcast(true), cost).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(HashJoinTest, MultiColumnKeys) {
   Relation a = RelationOf({"x", "y", "p"}, {{1, 2, 7}, {1, 3, 8}, {2, 2, 9}});
   Relation b = RelationOf({"x", "y", "q"}, {{1, 2, 70}, {2, 2, 90}, {1, 9, 0}});
-  std::vector<Row> rows = RunJoin(a, b, JoinOptions{});
+  std::vector<Row> rows = RunJoin(a, b);
   EXPECT_EQ(rows, NaiveJoin(a, b));
   EXPECT_EQ(rows.size(), 2u);
 }
@@ -142,7 +155,7 @@ TEST(HashJoinTest, MultiColumnKeys) {
 TEST(HashJoinTest, DuplicateKeysProduceBagSemantics) {
   Relation a = RelationOf({"k", "va"}, {{1, 1}, {1, 2}});
   Relation b = RelationOf({"k", "vb"}, {{1, 5}, {1, 6}, {1, 7}});
-  std::vector<Row> rows = RunJoin(a, b, JoinOptions{});
+  std::vector<Row> rows = RunJoin(a, b);
   EXPECT_EQ(rows.size(), 6u);  // 2 x 3 cross within the key group.
   EXPECT_EQ(rows, NaiveJoin(a, b));
 }
@@ -164,51 +177,96 @@ TEST(HashJoinTest, BroadcastAndShuffleAgree) {
     }
     Relation left = RelationOf({"k", "a"}, left_rows);
     Relation right = RelationOf({"k", "b"}, right_rows);
-
-    JoinOptions broadcast;
-    broadcast.broadcast_threshold_bytes = ~0ull >> 1;
-    JoinOptions shuffle;
-    shuffle.allow_broadcast = false;
-
-    JoinStrategy s1, s2;
-    std::vector<Row> via_broadcast = RunJoin(left, right, broadcast, &s1);
-    std::vector<Row> via_shuffle = RunJoin(left, right, shuffle, &s2);
-    EXPECT_EQ(s1, JoinStrategy::kBroadcast);
-    EXPECT_EQ(s2, JoinStrategy::kShuffle);
-    EXPECT_EQ(via_broadcast, via_shuffle) << "round " << round;
-    EXPECT_EQ(via_shuffle, NaiveJoin(left, right)) << "round " << round;
+    EXPECT_EQ(RunJoin(left, right), NaiveJoin(left, right))
+        << "round " << round;
   }
 }
 
-TEST(HashJoinTest, PlannerEstimateDrivesStrategy) {
-  Relation small = RelationOf({"k", "a"}, {{1, 2}});
-  Relation big = RelationOf({"k", "b"}, {{1, 3}, {2, 4}});
-  small.set_planner_bytes(1);  // Leaf scan: known tiny.
-  big.set_planner_bytes(Relation::kUnknownPlannerBytes);
-
-  JoinOptions options;
-  options.broadcast_threshold_bytes = 100;
-  JoinStrategy strategy;
-  RunJoin(small, big, options, &strategy);
-  EXPECT_EQ(strategy, JoinStrategy::kBroadcast);
-
-  // Derived relations (unknown planner size) never broadcast even when
-  // actually tiny.
-  small.set_planner_bytes(Relation::kUnknownPlannerBytes);
-  RunJoin(small, big, options, &strategy);
-  EXPECT_EQ(strategy, JoinStrategy::kShuffle);
+TEST(HashJoinTest, BroadcastShipsTheDecidedSide) {
+  Relation a = RelationOf({"k", "a"}, {{1, 2}, {2, 3}, {3, 4}, {4, 5}});
+  Relation b = RelationOf({"k", "b", "c"}, {{1, 9, 5}, {2, 8, 6}});
+  for (bool left : {true, false}) {
+    SCOPED_TRACE(left ? "broadcast left" : "broadcast right");
+    cluster::CostModel cost(TestConfig());
+    cost.BeginStage("t");
+    auto joined = HashJoin(a, b, Broadcast(left), cost);
+    cost.EndStage();
+    ASSERT_TRUE(joined.ok()) << joined.status();
+    // The shipped side reaches every worker.
+    const Relation& shipped = left ? a : b;
+    EXPECT_EQ(cost.counters().bytes_broadcast,
+              shipped.EstimatedBytes(cost.config()) * 4);
+    EXPECT_EQ(cost.counters().bytes_shuffled, 0u);
+    // Left-major output whichever side shipped.
+    EXPECT_EQ(joined->column_names(),
+              (std::vector<std::string>{"k", "a", "b", "c"}));
+  }
 }
 
-TEST(HashJoinTest, JoinOutputPlannerIsUnknown) {
-  Relation a = RelationOf({"k", "a"}, {{1, 2}});
-  Relation b = RelationOf({"k", "b"}, {{1, 3}});
-  cluster::CostModel cost(TestConfig());
-  cost.BeginStage("t");
-  auto joined = HashJoin(a, b, JoinOptions{}, cost);
-  cost.EndStage();
-  ASSERT_TRUE(joined.ok());
-  EXPECT_EQ(joined->relation.PlannerBytes(TestConfig()),
-            Relation::kUnknownPlannerBytes);
+// ------------------------------------------------ Strategy resolution
+
+TEST(ResolveJoinStrategyTest, ThresholdDecides) {
+  const cluster::ClusterConfig config = TestConfig();
+  JoinOptions options;
+  options.broadcast_threshold_bytes = 100;
+  // The smaller side's size is compared with the threshold, inclusive.
+  EXPECT_EQ(ResolveJoinStrategy(1, kUnknownPlannerBytes, options, config)
+                .strategy,
+            JoinStrategy::kBroadcast);
+  EXPECT_EQ(ResolveJoinStrategy(500, 100, options, config).strategy,
+            JoinStrategy::kBroadcast);
+  EXPECT_EQ(ResolveJoinStrategy(500, 101, options, config).strategy,
+            JoinStrategy::kShuffle);
+  // 0 defers to the cluster's threshold.
+  options.broadcast_threshold_bytes = 0;
+  const uint64_t cluster_threshold = config.broadcast_threshold_bytes;
+  EXPECT_EQ(ResolveJoinStrategy(cluster_threshold, kUnknownPlannerBytes,
+                                options, config)
+                .strategy,
+            JoinStrategy::kBroadcast);
+  EXPECT_EQ(ResolveJoinStrategy(cluster_threshold + 1, kUnknownPlannerBytes,
+                                options, config)
+                .strategy,
+            JoinStrategy::kShuffle);
+}
+
+TEST(ResolveJoinStrategyTest, UnknownSizeNeverBroadcasts) {
+  const cluster::ClusterConfig config = TestConfig();
+  JoinOptions options;
+  // Join outputs (unknown planner size) never broadcast, even under the
+  // largest threshold there is.
+  const uint64_t thresholds[] = {0, ~0ull >> 1, ~0ull};
+  for (uint64_t threshold : thresholds) {
+    options.broadcast_threshold_bytes = threshold;
+    EXPECT_EQ(ResolveJoinStrategy(kUnknownPlannerBytes, kUnknownPlannerBytes,
+                                  options, config),
+              JoinDecision{})
+        << threshold;
+  }
+}
+
+TEST(ResolveJoinStrategyTest, DisallowedBroadcastAlwaysShuffles) {
+  const cluster::ClusterConfig config = TestConfig();
+  JoinOptions options;
+  options.allow_broadcast = false;
+  options.broadcast_threshold_bytes = ~0ull >> 1;
+  EXPECT_EQ(ResolveJoinStrategy(0, 0, options, config), JoinDecision{});
+  EXPECT_EQ(ResolveJoinStrategy(1, kUnknownPlannerBytes, options, config),
+            JoinDecision{});
+  // The partitioning policy rides along on every decision.
+  options.reuse_partitioning = true;
+  EXPECT_TRUE(ResolveJoinStrategy(0, 0, options, config).reuse_partitioning);
+}
+
+TEST(ResolveJoinStrategyTest, SmallerSideShipsLeftOnTies) {
+  const cluster::ClusterConfig config = TestConfig();
+  JoinOptions options;
+  options.broadcast_threshold_bytes = 100;
+  EXPECT_EQ(ResolveJoinStrategy(5, 10, options, config), Broadcast(true));
+  EXPECT_EQ(ResolveJoinStrategy(10, 5, options, config), Broadcast(false));
+  EXPECT_EQ(ResolveJoinStrategy(7, 7, options, config), Broadcast(true));
+  EXPECT_EQ(ResolveJoinStrategy(kUnknownPlannerBytes, 7, options, config),
+            Broadcast(false));
 }
 
 TEST(HashJoinTest, ShuffleJoinCoLocatesOutput) {
@@ -216,15 +274,13 @@ TEST(HashJoinTest, ShuffleJoinCoLocatesOutput) {
   Relation b = RelationOf({"k", "b"}, {{1, 9}, {2, 8}, {3, 7}, {4, 6}});
   cluster::CostModel cost(TestConfig());
   cost.BeginStage("t");
-  JoinOptions options;
-  options.allow_broadcast = false;
-  auto joined = HashJoin(a, b, options, cost);
+  auto joined = HashJoin(a, b, JoinDecision{}, cost);
   cost.EndStage();
   ASSERT_TRUE(joined.ok());
-  EXPECT_EQ(joined->relation.hash_partitioned_by(), 0);
+  EXPECT_EQ(joined->hash_partitioned_by(), 0);
   // Every row sits on the worker its key hashes to.
-  for (uint32_t w = 0; w < joined->relation.num_chunks(); ++w) {
-    const RelationChunk& chunk = joined->relation.chunks()[w];
+  for (uint32_t w = 0; w < joined->num_chunks(); ++w) {
+    const RelationChunk& chunk = joined->chunks()[w];
     for (size_t r = 0; r < chunk.num_rows(); ++r) {
       EXPECT_EQ(Mix64(chunk.columns[0][r]) % 4, w);
     }
@@ -242,11 +298,10 @@ TEST(HashJoinTest, ShuffleSkipsAlreadyPartitionedSideWhenAllowed) {
   cost.EndStage();
   uint64_t shuffled_before = cost.counters().bytes_shuffled;
 
-  JoinOptions options;
-  options.allow_broadcast = false;
-  options.reuse_partitioning = true;
+  JoinDecision shuffle;
+  shuffle.reuse_partitioning = true;
   cost.BeginStage("join");
-  auto joined = HashJoin(a_parts, b, options, cost);
+  auto joined = HashJoin(a_parts, b, shuffle, cost);
   cost.EndStage();
   ASSERT_TRUE(joined.ok());
   // Only b's bytes were shuffled for the join.
@@ -255,14 +310,13 @@ TEST(HashJoinTest, ShuffleSkipsAlreadyPartitionedSideWhenAllowed) {
 
   // Without reuse, both sides move again.
   cluster::CostModel cost2(TestConfig());
-  options.reuse_partitioning = false;
+  shuffle.reuse_partitioning = false;
   cost2.BeginStage("join");
-  auto joined2 = HashJoin(a_parts, b, options, cost2);
+  auto joined2 = HashJoin(a_parts, b, shuffle, cost2);
   cost2.EndStage();
   ASSERT_TRUE(joined2.ok());
   EXPECT_GT(cost2.counters().bytes_shuffled, join_shuffle);
-  EXPECT_EQ(joined->relation.CollectSortedRows(),
-            joined2->relation.CollectSortedRows());
+  EXPECT_EQ(joined->CollectSortedRows(), joined2->CollectSortedRows());
 }
 
 // ------------------------------------------------------ Other operators

@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <memory>
-#include <regex>
 #include <set>
 #include <string>
 #include <thread>
@@ -483,8 +482,31 @@ TEST_F(ObsIntegrationTest, ProfileJsonIsWellFormed) {
 /// constant is tuned) while keeping structure, labels, row counts, and
 /// estimates — the parts EXPLAIN ANALYZE must keep stable.
 std::string MaskTimes(const std::string& text) {
-  static const std::regex times(R"(\d+\.\d+ ?ms)");
-  return std::regex_replace(text, times, "#ms");
+  auto is_digit = [&](size_t i) {
+    return i < text.size() && text[i] >= '0' && text[i] <= '9';
+  };
+  // Length of a `\d+\.\d+ ?ms` figure starting at `i`, or 0.
+  auto figure_at = [&](size_t i) -> size_t {
+    size_t j = i;
+    while (is_digit(j)) ++j;
+    if (j == i || j >= text.size() || text[j] != '.') return 0;
+    size_t k = j + 1;
+    while (is_digit(k)) ++k;
+    if (k == j + 1) return 0;
+    if (k < text.size() && text[k] == ' ') ++k;
+    return text.compare(k, 2, "ms") == 0 ? k + 2 - i : 0;
+  };
+  std::string out;
+  for (size_t i = 0; i < text.size();) {
+    const size_t length = figure_at(i);
+    if (length > 0) {
+      out += "#ms";
+      i += length;
+    } else {
+      out += text[i++];
+    }
+  }
+  return out;
 }
 
 TEST_F(ObsIntegrationTest, GoldenExplainAnalyzeForWatDivL2) {

@@ -22,6 +22,7 @@
 #include "plan/plan_ir.h"
 #include "plan/planner.h"
 #include "rdf/graph.h"
+#include "reference_evaluator.h"
 #include "sparql/parser.h"
 #include "watdiv/generator.h"
 #include "watdiv/queries.h"
@@ -240,7 +241,7 @@ TEST(PassPipelineTest, AllPassesOffPlansTheUnoptimizedTree) {
     std::vector<const plan::HashJoinNode*> joins;
     CollectJoins(*planned->plan.root, joins);
     for (const plan::HashJoinNode* join : joins) {
-      EXPECT_FALSE(join->strategy.has_value());
+      EXPECT_FALSE(join->decision.has_value());
     }
     std::vector<const plan::ScanNodeBase*> scans;
     CollectScans(*planned->plan.root, scans);
@@ -593,13 +594,54 @@ TEST(JoinStrategyTest, PlannedStrategyMatchesExecutedOnEveryQuery) {
     CollectJoins(*planned->plan.root, joins);
     std::vector<engine::JoinStrategy> resolved;
     for (const plan::HashJoinNode* join : joins) {
-      ASSERT_TRUE(join->strategy.has_value()) << join->Label();
-      resolved.push_back(*join->strategy);
+      ASSERT_TRUE(join->decision.has_value()) << join->Label();
+      resolved.push_back(join->decision->strategy);
     }
     auto result = workload.on->Execute(workload.parsed[i]);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->join_strategies, resolved);
   }
+}
+
+/// The join decision is a plan-only fact: with the join_strategy pass
+/// off, the executor resolves the same rule over the same planner sizes,
+/// so execution is bit-identical to running the pass.
+TEST(JoinStrategyTest, ExecutorResolvesUnresolvedPlansIdentically) {
+  const PlanWorkload& workload = Workload();
+  size_t broadcasts = 0;
+  for (const core::ProstDb* resolving :
+       {workload.on.get(), workload.vp_on.get()}) {
+    core::ProstDb::Options options = resolving->options();
+    options.passes.resolve_join_strategy = false;
+    auto unresolved =
+        core::ProstDb::LoadFromSharedGraph(workload.graph, options);
+    ASSERT_TRUE(unresolved.ok()) << unresolved.status();
+    for (size_t i = 0; i < workload.parsed.size(); ++i) {
+      SCOPED_TRACE(workload.queries[i].id +
+                   (options.use_property_table ? " mixed" : " vp-only"));
+      auto planned = resolving->Execute(workload.parsed[i]);
+      auto executed = (*unresolved)->Execute(workload.parsed[i]);
+      ASSERT_TRUE(planned.ok()) << planned.status();
+      ASSERT_TRUE(executed.ok()) << executed.status();
+      EXPECT_EQ(executed->join_strategies, planned->join_strategies);
+      EXPECT_EQ(executed->simulated_millis, planned->simulated_millis);
+      EXPECT_EQ(executed->relation.column_names(),
+                planned->relation.column_names());
+      ASSERT_EQ(executed->relation.num_chunks(),
+                planned->relation.num_chunks());
+      for (uint32_t w = 0; w < planned->relation.num_chunks(); ++w) {
+        EXPECT_EQ(executed->relation.chunks()[w].columns,
+                  planned->relation.chunks()[w].columns)
+            << "chunk " << w;
+      }
+      broadcasts += static_cast<size_t>(
+          std::count(planned->join_strategies.begin(),
+                     planned->join_strategies.end(),
+                     engine::JoinStrategy::kBroadcast));
+    }
+  }
+  // Some joins broadcast, so the shipped side was compared too.
+  EXPECT_GT(broadcasts, 0u);
 }
 
 // ------------------------------------------------- Differential suite
@@ -711,6 +753,152 @@ TEST(PlanBuilderTest, EmptyTreeAndCrossProductAreRejected) {
       plan::PlanBuilder::MakeScan(left_tree->nodes[0], 0),
       plan::PlanBuilder::MakeScan(right_tree->nodes[0], 0));
   EXPECT_FALSE(cross.ok());
+}
+
+TEST(PlanBuilderTest, JoinOutputPlannerSizeIsUnknown) {
+  std::unique_ptr<core::ProstDb> db = TinyDb();
+  auto query = sparql::ParseQuery(
+      "SELECT * WHERE { ?a <http://ex/livesIn> ?b . "
+      "?b <http://ex/population> ?p . }");
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto tree = db->Plan(*query);
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  ASSERT_EQ(tree->nodes.size(), 2u);
+  // Scans carry their storage size and prunes pass it through (static
+  // planning); a join's output size is unknown, so it never broadcasts.
+  auto left = plan::PlanBuilder::MakeScan(tree->nodes[0], 10);
+  std::vector<std::string> left_columns = left->output_columns;
+  left = plan::PlanBuilder::MakeProject(std::move(left), left_columns,
+                                        /*optimizer_inserted=*/true);
+  EXPECT_EQ(left->planner_bytes, 10u);
+  auto joined = plan::PlanBuilder::MakeHashJoin(
+      std::move(left), plan::PlanBuilder::MakeScan(tree->nodes[1], 20));
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  EXPECT_EQ((*joined)->planner_bytes, engine::kUnknownPlannerBytes);
+}
+
+// ------------------------------------------- Greedy join order and skip
+
+/// A ring of eight people: person i knows persons i+1 and (for even i)
+/// i+3, follows person i+1 alone, likes one or two of four typed items,
+/// and has one name.
+std::shared_ptr<const rdf::EncodedGraph> RingGraph() {
+  using rdf::Term;
+  constexpr int kPeople = 8;
+  auto person = [](int i) {
+    return Term::Iri("http://ex/person" + std::to_string(i % kPeople));
+  };
+  auto item = [](int i) {
+    return Term::Iri("http://ex/item" + std::to_string(i % 4));
+  };
+  rdf::EncodedGraph graph;
+  for (int i = 0; i < kPeople; ++i) {
+    graph.Add({person(i), Term::Iri("http://ex/knows"), person(i + 1)});
+    if (i % 2 == 0) {
+      graph.Add({person(i), Term::Iri("http://ex/knows"), person(i + 3)});
+    }
+    graph.Add({person(i), Term::Iri("http://ex/follows"), person(i + 1)});
+    graph.Add({person(i), Term::Iri("http://ex/likes"), item(i)});
+    if (i % 3 == 0) {
+      graph.Add({person(i), Term::Iri("http://ex/likes"), item(i + 1)});
+    }
+    graph.Add({person(i), Term::Iri("http://ex/name"),
+               Term::Literal("name" + std::to_string(i))});
+  }
+  for (int i = 0; i < 4; ++i) {
+    graph.Add({item(i), Term::Iri("http://ex/type"),
+               Term::Iri("http://ex/type" + std::to_string(i % 2))});
+  }
+  graph.SortAndDedupe();
+  return std::make_shared<const rdf::EncodedGraph>(std::move(graph));
+}
+
+/// Plans `text` on a VP-only store over RingGraph (one scan per pattern)
+/// and checks the plan, its leaf count against `min_leaves` /
+/// `max_leaves`, and its answer against the reference evaluator. Returns
+/// the optimized plan's rendering.
+std::string CheckRingQuery(const core::ProstDb& db, const std::string& text,
+                           size_t min_leaves, size_t max_leaves) {
+  auto query = sparql::ParseQuery(text);
+  EXPECT_TRUE(query.ok()) << query.status();
+  if (!query.ok()) return "";
+  auto planned = db.PlanPhysical(*query);
+  EXPECT_TRUE(planned.ok()) << planned.status();
+  if (!planned.ok()) return "";
+  Status checked = analysis::CheckPhysicalPlan(planned->plan, *query);
+  EXPECT_TRUE(checked.ok()) << checked;
+  std::vector<const plan::ScanNodeBase*> scans;
+  CollectScans(*planned->plan.root, scans);
+  EXPECT_GE(scans.size(), min_leaves);
+  EXPECT_LE(scans.size(), max_leaves);
+
+  auto result = db.Execute(*query);
+  EXPECT_TRUE(result.ok()) << result.status();
+  if (!result.ok()) return "";
+  EXPECT_EQ(result->relation.column_names(), query->EffectiveProjection());
+  const auto expected = testing::ReferenceEvaluate(*query, *RingGraph());
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(result->relation.CollectSortedRows(), expected);
+  return planned->plan.ToString();
+}
+
+std::unique_ptr<core::ProstDb> RingDb(bool join_order) {
+  core::ProstDb::Options options;
+  options.use_property_table = false;
+  options.passes.join_order = join_order;
+  auto db = core::ProstDb::LoadFromSharedGraph(RingGraph(), options);
+  EXPECT_TRUE(db.ok()) << db.status();
+  return std::move(db).value();
+}
+
+TEST(JoinOrderTest, GreedyOrderAboveTheDpThresholdIsCorrect) {
+  // Twelve patterns: a four-hop path, what each hop likes, two liked
+  // items sharing a type, and a name.
+  const std::string text =
+      "SELECT * WHERE { "
+      "?a <http://ex/knows> ?b . ?b <http://ex/knows> ?c . "
+      "?c <http://ex/knows> ?d . ?d <http://ex/knows> ?e . "
+      "?a <http://ex/likes> ?i . ?b <http://ex/likes> ?j . "
+      "?c <http://ex/likes> ?k . ?d <http://ex/likes> ?l . "
+      "?e <http://ex/likes> ?m . ?i <http://ex/type> ?t . "
+      "?j <http://ex/type> ?t . ?a <http://ex/name> ?n . }";
+  std::unique_ptr<core::ProstDb> db = RingDb(/*join_order=*/true);
+  const std::string rendered =
+      CheckRingQuery(*db, text, plan::kJoinOrderDpThreshold + 1,
+                     plan::kJoinOrderMaxLeaves);
+  // The pass ran: every join line carries its estimate.
+  size_t joins = 0;
+  size_t start = 0;
+  while ((start = rendered.find("HashJoin", start)) != std::string::npos) {
+    const size_t end = rendered.find('\n', start);
+    EXPECT_NE(rendered.substr(start, end - start).find("  est="),
+              std::string::npos)
+        << rendered;
+    ++joins;
+    start = end;
+  }
+  EXPECT_EQ(joins, 11u);
+}
+
+TEST(JoinOrderTest, SegmentsAboveMaxLeavesKeepTheTranslatorOrder) {
+  // 33 patterns: a sixteen-hop follows chain and each member's name.
+  std::string text = "SELECT * WHERE { ";
+  for (int i = 0; i < 16; ++i) {
+    text += "?x" + std::to_string(i) + " <http://ex/follows> ?x" +
+            std::to_string(i + 1) + " . ";
+  }
+  for (int i = 0; i <= 16; ++i) {
+    text += "?x" + std::to_string(i) + " <http://ex/name> ?n" +
+            std::to_string(i) + " . ";
+  }
+  text += "}";
+  std::unique_ptr<core::ProstDb> ordered = RingDb(/*join_order=*/true);
+  std::unique_ptr<core::ProstDb> heuristic = RingDb(/*join_order=*/false);
+  const std::string with_pass =
+      CheckRingQuery(*ordered, text, plan::kJoinOrderMaxLeaves + 1, 33);
+  const std::string without_pass =
+      CheckRingQuery(*heuristic, text, plan::kJoinOrderMaxLeaves + 1, 33);
+  EXPECT_EQ(with_pass, without_pass);
 }
 
 }  // namespace

@@ -53,6 +53,14 @@ Checks, each with a short rule id used in diagnostics:
                        operator consulting statistics directly would
                        bypass the plan as the single source of planning
                        truth.
+  relation-planner-size
+                       `planner` (any case) in src/engine/relation.{h,cc},
+                       or a `set_planner_bytes(` / `PlannerBytes(` call
+                       anywhere in src/. The broadcast/shuffle decision is
+                       a plan fact, resolved from PlanNode::planner_bytes
+                       (engine::ResolveJoinStrategy); a run-time copy of
+                       the planner size on Relation is the duplicate it
+                       replaced, and must not return.
   buffer-pool-internals
                        buffer-pool page internals (PageFrame / PageKey /
                        PageKeyHash, or the pool's frame-map and LRU
@@ -309,6 +317,32 @@ def lint_stats_in_engine(path, lines, raw_lines, failures):
             )
 
 
+RELATION_FILES = ("src/engine/relation.h", "src/engine/relation.cc")
+PLANNER_SIZE_CALL = re.compile(r"\b(set_planner_bytes|PlannerBytes)\s*\(")
+
+
+def lint_relation_planner_size(path, lines, raw_lines, failures):
+    """Relations carry no planner size: join decisions are resolved from
+    the plan. Relation's own files are checked on raw lines (not even a
+    comment should promise one), calls on blanked lines."""
+    if path.as_posix() in RELATION_FILES:
+        for number, raw in enumerate(raw_lines, start=1):
+            if re.search(r"planner", raw, re.IGNORECASE):
+                failures.append(
+                    f"{path}:{number}: [relation-planner-size] "
+                    "engine::Relation carries no planner size; join "
+                    "decisions come from PlanNode::planner_bytes"
+                )
+    for number, line in lines:
+        match = PLANNER_SIZE_CALL.search(line)
+        if match:
+            failures.append(
+                f"{path}:{number}: [relation-planner-size] "
+                f"{match.group(1)}( stamps a run-time planner size; resolve "
+                "join decisions from the plan (engine::ResolveJoinStrategy)"
+            )
+
+
 NET_DECODE = re.compile(r"\b(DecodeRows|ParseTerm|DecodeTerm)\s*\(")
 
 
@@ -438,6 +472,8 @@ def main():
                                      failures)
             if directory == "src":
                 lint_parallel_for(relative, lines, failures)
+                lint_relation_planner_size(relative, lines,
+                                           text.splitlines(), failures)
             if in_net_layer:
                 lint_net_decode(relative, lines, failures)
             if relative.as_posix() == PT_SCAN_FILE:
