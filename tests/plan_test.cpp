@@ -23,6 +23,7 @@
 #include "plan/planner.h"
 #include "rdf/graph.h"
 #include "reference_evaluator.h"
+#include "random_workload.h"
 #include "sparql/parser.h"
 #include "watdiv/generator.h"
 #include "watdiv/queries.h"
@@ -285,12 +286,104 @@ TEST(PassPipelineTest, InvariantsHoldBeforeAndAfterEveryPass) {
 
 // ----------------------------------------------------- Golden plans
 
+std::unique_ptr<core::ProstDb> RingDb(bool join_order);
+
+/// Appends one "== <header>" section holding `query`'s text and its
+/// optimized plan on `db` (or the planning error).
+void AppendGoldenPlan(const std::string& header, const core::ProstDb& db,
+                      const sparql::Query& query, std::string& out) {
+  out.append("== ").append(header).append("\n");
+  out.append("query: ").append(query.ToString()).append("\n");
+  auto planned = db.PlanPhysical(query);
+  if (planned.ok()) {
+    out += planned->plan.ToString();
+  } else {
+    out.append("error: ").append(planned.status().ToString()).append("\n");
+  }
+}
+
+/// Plans the join-order pass reaches outside the WatDiv set: the 12-leaf
+/// ring query (greedy enumeration), seeded random BGPs of 2-10 patterns
+/// (DPsize over varied shapes, constants and tail filters), and
+/// hand-written modifier tails (the columns the tail keeps live at the
+/// top of the joins), each on a VP-only and a mixed store.
+void RenderExtraGoldenPlans(std::string& out) {
+  auto ring = sparql::ParseQuery(
+      "SELECT * WHERE { "
+      "?a <http://ex/knows> ?b . ?b <http://ex/knows> ?c . "
+      "?c <http://ex/knows> ?d . ?d <http://ex/knows> ?e . "
+      "?a <http://ex/likes> ?i . ?b <http://ex/likes> ?j . "
+      "?c <http://ex/likes> ?k . ?d <http://ex/likes> ?l . "
+      "?e <http://ex/likes> ?m . ?i <http://ex/type> ?t . "
+      "?j <http://ex/type> ?t . ?a <http://ex/name> ?n . }");
+  EXPECT_TRUE(ring.ok()) << ring.status();
+  if (ring.ok()) {
+    AppendGoldenPlan("ring greedy", *RingDb(/*join_order=*/true), *ring, out);
+  }
+
+  constexpr size_t kPredicates = 6;
+  Rng rng(20261019);
+  auto graph = std::make_shared<const rdf::EncodedGraph>(
+      testing::RandomGraph(rng, /*triples=*/600, /*entities=*/40,
+                           kPredicates));
+  core::ProstDb::Options mixed_options;
+  mixed_options.cluster.ScaleToDataset(graph->size());
+  core::ProstDb::Options vp_options = mixed_options;
+  vp_options.use_property_table = false;
+  auto mixed = core::ProstDb::LoadFromSharedGraph(graph, mixed_options);
+  auto vp = core::ProstDb::LoadFromSharedGraph(graph, vp_options);
+  EXPECT_TRUE(mixed.ok() && vp.ok());
+  if (!mixed.ok() || !vp.ok()) return;
+  const std::pair<const char*, const core::ProstDb*> stores[] = {
+      {"vp-only", vp->get()},
+      {"mixed", mixed->get()},
+  };
+  for (size_t i = 0; i < 50; ++i) {
+    // RandomQuery may reference its never-used seed variable ?v0; draw
+    // until planning accepts the query.
+    sparql::Query query;
+    do {
+      const size_t patterns = 2 + rng.NextBounded(9);
+      query = testing::RandomQuery(rng, *graph, patterns, kPredicates);
+    } while (!sparql::ValidateQuery(query).ok());
+    for (const auto& [name, db] : stores) {
+      AppendGoldenPlan(StrFormat("random %s %02zu", name, i), *db, query,
+                       out);
+    }
+  }
+
+  const std::pair<const char*, const char*> tails[] = {
+      {"order-by-unprojected",
+       "SELECT ?a WHERE { ?a <http://p/0> ?b . ?b <http://p/1> ?c . "
+       "?a <http://p/2> ?d . } ORDER BY DESC(?d) LIMIT 5"},
+      {"count-variable",
+       "SELECT (COUNT(DISTINCT ?c) AS ?n) WHERE { ?a <http://p/0> ?b . "
+       "?b <http://p/1> ?c . ?c <http://p/3> ?e . }"},
+      {"count-star-filter",
+       "SELECT (COUNT(*) AS ?n) WHERE { ?a <http://p/0> ?b . "
+       "?b <http://p/1> ?c . ?a <http://p/2> ?d . "
+       "FILTER(?b != ?d) FILTER(?c != <http://e/3>) }"},
+      {"distinct",
+       "SELECT DISTINCT ?b ?c WHERE { ?a <http://p/0> ?b . "
+       "?b <http://p/1> ?c . ?c <http://p/4> ?e . ?a <http://p/5> ?f . }"},
+  };
+  for (const auto& [tail, text] : tails) {
+    auto query = sparql::ParseQuery(text);
+    EXPECT_TRUE(query.ok()) << tail << ": " << query.status();
+    if (!query.ok()) continue;
+    for (const auto& [name, db] : stores) {
+      AppendGoldenPlan(StrFormat("tail %s %s", name, tail), *db, *query, out);
+    }
+  }
+}
+
 /// The optimized plan of every WatDiv query under three configurations
 /// (VP-only, mixed VP+PT, VP-only in the translator's heuristic order),
 /// each as a "== <config> <query id>" header followed by
-/// PlanPhysical(q).plan.ToString(). Any change to translation, lowering
-/// or a pass that alters a plan — shape, join strategy, pushed filter,
-/// prune or estimate — shows up as a reviewed diff of the golden file.
+/// PlanPhysical(q).plan.ToString(), then the RenderExtraGoldenPlans
+/// sections. Any change to translation, lowering or a pass that alters a
+/// plan — shape, join strategy, pushed filter, prune or estimate — shows
+/// up as a reviewed diff of the golden file.
 std::string RenderGoldenPlans(const PlanWorkload& workload) {
   const std::pair<const char*, const core::ProstDb*> configs[] = {
       {"vp-only", workload.vp_on.get()},
@@ -299,17 +392,24 @@ std::string RenderGoldenPlans(const PlanWorkload& workload) {
   };
   std::string out =
       "# Optimized physical plans of the 20 WatDiv basic queries over the\n"
-      "# 60k-triple plan_test workload (tests/plan_test.cpp, GoldenPlanTest).\n"
+      "# 60k-triple plan_test workload (tests/plan_test.cpp, GoldenPlanTest),\n"
+      "# then the ring, random and tail sections (RenderExtraGoldenPlans).\n"
       "# On a mismatch the test writes the actual plans next to its binary\n"
       "# as golden_plans.actual.txt; review the diff, then copy it here.\n";
   for (const auto& [name, db] : configs) {
     for (size_t i = 0; i < workload.parsed.size(); ++i) {
-      out += "== " + std::string(name) + " " + workload.queries[i].id + "\n";
+      out.append("== ").append(name).append(" ");
+      out.append(workload.queries[i].id).append("\n");
       auto planned = db->PlanPhysical(workload.parsed[i]);
-      out += planned.ok() ? planned->plan.ToString()
-                          : "error: " + planned.status().ToString() + "\n";
+      if (planned.ok()) {
+        out += planned->plan.ToString();
+      } else {
+        out.append("error: ").append(planned.status().ToString());
+        out += "\n";
+      }
     }
   }
+  RenderExtraGoldenPlans(out);
   return out;
 }
 
