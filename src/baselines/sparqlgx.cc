@@ -36,7 +36,7 @@ Result<std::unique_ptr<RdfSystem>> SparqlGxSystem::Load(
   for (const rdf::EncodedTriple& t : g.triples()) {
     auto [it, inserted] = system->text_bytes_.try_emplace(
         t.predicate, std::vector<uint64_t>(workers, 0));
-    uint32_t w = static_cast<uint32_t>(Mix64(t.subject) % workers);
+    const uint32_t w = PartitionOf(t.subject, workers);
     it->second[w] += lengths[t.subject] + lengths[t.object] + 2;
   }
 

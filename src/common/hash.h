@@ -18,6 +18,14 @@ inline uint64_t Mix64(uint64_t x) {
   return x;
 }
 
+/// The worker a row keyed by `key` lives on: the subject-hash placement
+/// of §3.1. The VP and PT stores load by it and RepartitionByColumn
+/// shuffles by it; A3's partitioning reuse is correct only while they
+/// agree, so every one of them calls this.
+inline uint32_t PartitionOf(uint64_t key, uint32_t num_workers) {
+  return static_cast<uint32_t>(Mix64(key) % num_workers);
+}
+
 /// 64-bit FNV-1a over a byte string. Used for dictionary buckets and for
 /// content checksums in the columnar file format.
 uint64_t HashBytes(std::string_view bytes);

@@ -53,7 +53,7 @@ PropertyTable PropertyTable::Build(const rdf::EncodedGraph& graph,
   std::vector<uint32_t> rows_per_partition(num_workers, 0);
   std::vector<IdVector> key_columns(num_workers);
   for (TermId key : keys) {
-    uint32_t w = static_cast<uint32_t>(Mix64(key) % num_workers);
+    const uint32_t w = PartitionOf(key, num_workers);
     slot_of_key.emplace(key, Slot{w, rows_per_partition[w]++});
     key_columns[w].push_back(key);
   }

@@ -75,11 +75,8 @@ Result<std::unique_ptr<ProstDb>> ProstDb::LoadFromSharedGraph(
   const uint32_t workers = options.cluster.num_workers;
 
   // Statistics pass (§3.3: "calculated during the loading phase without
-  // any significant overhead"). The optional pairwise pass is the §5
-  // future-work extension and is *not* free — its cost is charged below.
-  db->stats_ = options.collect_precise_statistics
-                   ? DatasetStatistics::ComputeWithPairwise(*db->graph_)
-                   : DatasetStatistics::Compute(*db->graph_);
+  // any significant overhead").
+  db->stats_ = DatasetStatistics::Compute(*db->graph_);
   // Characteristic sets ride the same in-memory pass over the triples as
   // the §3.3 statistics (one grouping by subject), so like them they add
   // no separate simulated loading stage.
@@ -128,15 +125,6 @@ Result<std::unique_ptr<ProstDb>> ProstDb::LoadFromSharedGraph(
   }
   if (options.use_reverse_property_table) {
     charge_pt_pass("load: reverse property table");
-  }
-  if (options.collect_precise_statistics) {
-    // Pairwise overlap counting: a groupBy-subject aggregation pass.
-    cost.BeginStage("load: pairwise statistics");
-    for (uint32_t w = 0; w < workers; ++w) {
-      cost.ChargeLoadRows(w, triples * 4 / 10 / workers);
-    }
-    cost.ChargeShuffle(input_bytes / 4);
-    cost.EndStage();
   }
 
   db->load_report_.input_triples = triples;

@@ -47,9 +47,6 @@ class ProstDb {
     bool use_reverse_property_table = false;
     /// A1 ablation: disable §3.3 statistics-based node ordering.
     bool enable_stats_ordering = true;
-    /// §5 future work: collect pairwise subject-overlap statistics at
-    /// load (extra loading cost) for sharper Join Tree estimates.
-    bool collect_precise_statistics = false;
     /// Statically verify every physical plan before it executes: its
     /// scans once against storage, dictionary and statistics
     /// (analysis::CheckScanSources: pattern coverage, schema resolution,

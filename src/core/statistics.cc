@@ -1,8 +1,6 @@
 #include "core/statistics.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <vector>
 
 namespace prost::core {
 
@@ -11,42 +9,6 @@ DatasetStatistics DatasetStatistics::Compute(const rdf::EncodedGraph& graph) {
   stats.total_triples_ = graph.size();
   stats.per_predicate_ = graph.ComputePredicateStats();
   return stats;
-}
-
-DatasetStatistics DatasetStatistics::ComputeWithPairwise(
-    const rdf::EncodedGraph& graph) {
-  DatasetStatistics stats = Compute(graph);
-  stats.has_pairwise_ = true;
-  // Group each subject's distinct predicates, then count every pair once
-  // per subject. Work is Σ_s deg(s)², fine for the predicate-per-subject
-  // degrees of RDF data.
-  std::unordered_map<rdf::TermId, std::vector<rdf::TermId>> preds_of_subject;
-  for (const rdf::EncodedTriple& t : graph.triples()) {
-    auto& preds = preds_of_subject[t.subject];
-    if (std::find(preds.begin(), preds.end(), t.predicate) == preds.end()) {
-      preds.push_back(t.predicate);
-    }
-  }
-  for (auto& [subject, preds] : preds_of_subject) {
-    std::sort(preds.begin(), preds.end());
-    for (size_t i = 0; i < preds.size(); ++i) {
-      for (size_t j = i + 1; j < preds.size(); ++j) {
-        ++stats.subject_overlap_[{preds[i], preds[j]}];
-      }
-    }
-  }
-  return stats;
-}
-
-uint64_t DatasetStatistics::SubjectOverlap(rdf::TermId p,
-                                           rdf::TermId q) const {
-  if (p == q) return ForPredicate(p).distinct_subjects;
-  if (!has_pairwise_) {
-    return std::min(ForPredicate(p).distinct_subjects,
-                    ForPredicate(q).distinct_subjects);
-  }
-  auto it = subject_overlap_.find({std::min(p, q), std::max(p, q)});
-  return it == subject_overlap_.end() ? 0 : it->second;
 }
 
 DatasetStatistics DatasetStatistics::FromPerPredicate(

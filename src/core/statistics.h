@@ -22,15 +22,6 @@ class DatasetStatistics {
   /// One pass over the encoded graph.
   static DatasetStatistics Compute(const rdf::EncodedGraph& graph);
 
-  /// §5 future work ("collect more precise statistics of the input
-  /// dataset in order to produce better trees"): additionally computes,
-  /// for every predicate pair, how many distinct subjects carry *both*
-  /// predicates. Sharpens the Property-Table-node cardinality estimate
-  /// from min(distinct_subjects(pᵢ)) to the true pairwise intersection
-  /// bound. Costs an extra O(|P|²·|D|)-ish pass at loading time — the
-  /// trade-off the paper names.
-  static DatasetStatistics ComputeWithPairwise(const rdf::EncodedGraph& graph);
-
   /// Assembles statistics from precomputed per-predicate entries (used
   /// when reopening a persisted database, where the stats are recomputed
   /// from the VP tables instead of the raw triples).
@@ -55,20 +46,9 @@ class DatasetStatistics {
   double EstimatePatternCardinality(const sparql::TriplePattern& pattern,
                                     rdf::TermId predicate_id) const;
 
-  /// Whether pairwise subject-overlap statistics were collected.
-  bool has_pairwise() const { return has_pairwise_; }
-
-  /// Number of distinct subjects carrying both `p` and `q`. Only
-  /// meaningful when has_pairwise(); returns the min of the single-
-  /// predicate subject counts otherwise (the classic upper bound).
-  uint64_t SubjectOverlap(rdf::TermId p, rdf::TermId q) const;
-
  private:
   uint64_t total_triples_ = 0;
   std::map<rdf::TermId, rdf::PredicateStats> per_predicate_;
-  bool has_pairwise_ = false;
-  /// Keyed on (min(p,q), max(p,q)); absent pairs share no subject.
-  std::map<std::pair<rdf::TermId, rdf::TermId>, uint64_t> subject_overlap_;
 };
 
 }  // namespace prost::core

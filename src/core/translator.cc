@@ -6,6 +6,11 @@
 namespace prost::core {
 namespace {
 
+/// Minimum same-subject group size that becomes a PT node. The paper
+/// uses 2 ("all the other groups with a single triple pattern are
+/// translated to nodes that will use the vertical partitioning tables").
+constexpr size_t kMinGroupSize = 2;
+
 PatternTerm Resolve(const rdf::Term& term, const rdf::Dictionary& dictionary) {
   if (term.is_variable()) return PatternTerm::Var(term.value);
   // Unknown constants resolve to id 0, which matches nothing.
@@ -48,22 +53,7 @@ double EstimateNode(const JoinTreeNode& node, const DatasetStatistics& stats) {
     }
     if (best < 0 || estimate < best) best = estimate;
   }
-  double result = best < 0 ? 0 : best;
-  // §5 future work: with pairwise subject-overlap statistics, a PT
-  // group's subject count is bounded by the tightest pairwise
-  // intersection, which is never larger than the per-pattern minimum.
-  if (stats.has_pairwise() && node.kind == NodeKind::kPropertyTable &&
-      node.patterns.size() >= 2) {
-    for (size_t i = 0; i < node.patterns.size(); ++i) {
-      for (size_t j = i + 1; j < node.patterns.size(); ++j) {
-        result = std::min(
-            result, static_cast<double>(stats.SubjectOverlap(
-                        node.patterns[i].predicate,
-                        node.patterns[j].predicate)));
-      }
-    }
-  }
-  return result;
+  return best < 0 ? 0 : best;
 }
 
 bool SharesVariable(const std::set<std::string>& bound,
@@ -113,7 +103,7 @@ Result<JoinTree> Translate(const sparql::Query& query,
   std::vector<const sparql::TriplePattern*> leftovers;
   for (const std::string& key : group_order) {
     const auto& group = groups[key];
-    if (options.use_property_table && group.size() >= options.min_group_size) {
+    if (options.use_property_table && group.size() >= kMinGroupSize) {
       JoinTreeNode node;
       node.kind = NodeKind::kPropertyTable;
       for (const sparql::TriplePattern* p : group) {
@@ -139,7 +129,7 @@ Result<JoinTree> Translate(const sparql::Query& query,
       if (!p.subject.is_variable()) continue;
       bool in_pt_group =
           options.use_property_table &&
-          groups.at(GroupKey(p.subject)).size() >= options.min_group_size;
+          groups.at(GroupKey(p.subject)).size() >= kMinGroupSize;
       if (in_pt_group || p.object.is_concrete()) {
         selectively_bound.insert(p.subject.value);
       }
@@ -162,7 +152,7 @@ Result<JoinTree> Translate(const sparql::Query& query,
     std::set<const sparql::TriplePattern*> grouped;
     for (const std::string& key : object_order) {
       const auto& group = object_groups[key];
-      if (group.size() >= options.min_group_size) {
+      if (group.size() >= kMinGroupSize) {
         JoinTreeNode node;
         node.kind = NodeKind::kReversePropertyTable;
         for (const sparql::TriplePattern* p : group) {

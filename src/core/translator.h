@@ -24,16 +24,11 @@ struct TranslatorOptions {
   /// When false, nodes keep query order instead of the §3.3
   /// statistics-based priority order (the A1 ablation).
   bool enable_stats_ordering = true;
-
-  /// Minimum same-subject group size that becomes a PT node. The paper
-  /// uses 2 ("all the other groups with a single triple pattern are
-  /// translated to nodes that will use the vertical partitioning tables").
-  size_t min_group_size = 2;
 };
 
 /// Translates a validated query into a Join Tree (§3.2):
-///   1. group triple patterns sharing a subject; groups of
-///      `min_group_size`+ become Property Table nodes, the rest VP nodes
+///   1. group triple patterns sharing a subject; groups of two or more
+///      become Property Table nodes, the rest VP nodes
 ///      (optionally, leftover same-object groups become reverse-PT nodes);
 ///   2. estimate each node's cardinality from the dataset statistics
 ///      (§3.3: literals weigh heavily; tuple counts adjusted by distinct

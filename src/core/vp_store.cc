@@ -52,7 +52,7 @@ VpStore VpStore::Build(const rdf::EncodedGraph& graph, uint32_t num_workers,
       b.subjects.resize(num_workers);
       b.objects.resize(num_workers);
     }
-    uint32_t w = static_cast<uint32_t>(Mix64(t.subject) % num_workers);
+    const uint32_t w = PartitionOf(t.subject, num_workers);
     b.subjects[w].push_back(t.subject);
     b.objects[w].push_back(t.object);
   }
@@ -254,7 +254,7 @@ VpStore::PredicateTable VpStore::BuildTable(
   std::vector<IdVector> subjects(num_workers);
   std::vector<IdVector> objects(num_workers);
   for (const auto& [s, o] : rows) {
-    uint32_t w = static_cast<uint32_t>(Mix64(s) % num_workers);
+    const uint32_t w = PartitionOf(s, num_workers);
     subjects[w].push_back(s);
     objects[w].push_back(o);
   }

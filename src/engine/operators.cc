@@ -285,7 +285,7 @@ Relation RepartitionByColumn(const Relation& input, int column_index,
     const IdVector& keys =
         input.chunks()[morsel.chunk].columns[static_cast<size_t>(column_index)];
     for (size_t r = morsel.begin; r < morsel.end; ++r) {
-      uint32_t target = static_cast<uint32_t>(Mix64(keys[r]) % num_workers);
+      const uint32_t target = PartitionOf(keys[r], num_workers);
       buckets[m * num_workers + target].push_back(static_cast<uint32_t>(r));
     }
   });

@@ -424,12 +424,13 @@ Status SparqlResultWriter::Write(const core::ProstDb& db,
   out += json ? "{\"head\":{\"vars\":[" : "";
   for (size_t c = 0; c < vars.size(); ++c) {
     if (json) {
-      const std::string key = "\"" + JsonEscape(vars[c]) + "\"";
+      std::string key = "\"";
+      key.append(JsonEscape(vars[c])).append("\"");
       out += (c == 0 ? "" : ",") + key;
       prefixes[c] = (c == 0 ? "" : ",") + key + ":";
     } else {
       out += (c == 0 ? "?" : "\t?") + vars[c];
-      prefixes[c] = c == 0 ? "" : "\t";
+      if (c > 0) prefixes[c] = '\t';
     }
   }
   out += json ? "]},\"results\":{\"bindings\":[" : "\n";

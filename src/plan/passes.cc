@@ -4,9 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -77,6 +75,49 @@ class FilterPushdownPass final : public OptimizerPass {
 /// inequality comparisons), the classic System R default.
 constexpr double kRangeFilterSelectivity = 1.0 / 3.0;
 
+/// The columns unary tail node `node` reads from its child, given the
+/// columns its parent needs from it. The one liveness rule of the tail:
+/// join ordering prices exchanges by what reaches the top of the joins,
+/// and early projection prunes everything else.
+std::vector<std::string> TailReads(const PlanNode& node,
+                                   std::vector<std::string> needed) {
+  auto add = [&needed](const std::string& name) {
+    if (!Contains(needed, name)) needed.push_back(name);
+  };
+  switch (node.kind) {
+    case PlanNodeKind::kFilter: {
+      const auto& filter = static_cast<const FilterNode&>(node);
+      add(filter.constraint.variable);
+      if (filter.constraint.rhs_is_variable) {
+        add(filter.constraint.rhs_variable);
+      }
+      return needed;
+    }
+    case PlanNodeKind::kProject:
+      return static_cast<const ProjectNode&>(node).columns;
+    case PlanNodeKind::kOrderBy:
+      for (const sparql::OrderKey& key :
+           static_cast<const OrderByNode&>(node).keys) {
+        add(key.variable);
+      }
+      return needed;
+    case PlanNodeKind::kAggregate: {
+      const auto& aggregate = static_cast<const AggregateNode&>(node);
+      // COUNT(*) counts rows; a zero-column relation holds none, so
+      // everything the child produces must survive.
+      if (aggregate.count.variable.empty()) {
+        return node.children[0]->output_columns;
+      }
+      return {aggregate.count.variable};
+    }
+    case PlanNodeKind::kDistinct:
+      // DISTINCT compares whole rows: every input column is live.
+      return node.children[0]->output_columns;
+    default:
+      return needed;  // LIMIT is a pure slice: liveness passes through.
+  }
+}
+
 /// Cost-based join ordering (see DESIGN.md §14). The translator's §3.3
 /// heuristic sorts scans by cardinality estimate; this pass re-enumerates
 /// the join tree with real statistics instead: DPsize over connected
@@ -87,6 +128,10 @@ constexpr double kRangeFilterSelectivity = 1.0 / 3.0;
 /// itself costed as a candidate, and the pass only rewrites when the
 /// model predicts a strictly cheaper tree — so it can refine the paper's
 /// order but never regress it under its own model.
+///
+/// The segment's variables are numbered once, in name order, and every
+/// per-plan fact about a variable lives in an array indexed by that
+/// number, so enumeration itself never touches a variable name.
 class JoinOrderPass final : public OptimizerPass {
  public:
   const char* name() const override { return "join_order"; }
@@ -98,20 +143,15 @@ class JoinOrderPass final : public OptimizerPass {
     // No statistics, no cost model: keep the translator's order.
     if (context.estimator == nullptr) return Status::OK();
 
-    // Walk the unary tail above the join segment, collecting the columns
-    // it still reads — the live set at the top of the joins, which is
-    // what early projection will let flow through the exchanges.
+    // Walk the unary tail above the join segment with early projection's
+    // rule: what it needs at the top of the joins is what will flow
+    // through the exchanges.
     std::unique_ptr<PlanNode>* link = &plan.root;
-    std::set<std::string> required(plan.root->output_columns.begin(),
-                                   plan.root->output_columns.end());
+    std::vector<std::string> live = plan.root->output_columns;
     while ((*link)->children.size() == 1) {
-      CollectTailRequirements(**link, required);
+      live = TailReads(**link, std::move(live));
       link = &(*link)->children[0];
     }
-
-    Enumeration e;
-    e.context = &context;
-    e.required = &required;
 
     // Gather the join leaves. Anything but hash joins over scans means
     // some other component already reshaped this subtree; leave it be.
@@ -123,21 +163,38 @@ class JoinOrderPass final : public OptimizerPass {
     // Leaf sets are 32-bit masks; a larger segment keeps the translator's
     // order and estimates.
     if (n > kJoinOrderMaxLeaves) return Status::OK();
-    for (size_t i = 0; i < n; ++i) {
-      e.leaves.push_back(EstimateLeaf(*scans[i], *context.estimator));
-      e.leaves.back().mask = 1u << i;
-      for (const auto& [var, d] : e.leaves.back().distinct) {
-        (void)d;
-        e.var_leaves[var] |= 1u << i;
+
+    // Number the variables in name order, so ascending numbers visit
+    // them in the order Join divides its row estimate in.
+    Enumeration e;
+    e.context = &context;
+    for (const ScanNodeBase* scan : scans) {
+      for (const core::NodePattern& p : scan->source.patterns) {
+        if (p.subject.is_variable) e.variables.push_back(p.subject.name);
+        if (p.object.is_variable) e.variables.push_back(p.object.name);
       }
-      e.leaf_index[scans[i]] = i;
     }
-    for (auto& leaf : e.leaves) {
-      for (const auto& [var, d] : leaf.distinct) {
-        (void)d;
-        leaf.adjacency |= e.var_leaves[var];
+    std::sort(e.variables.begin(), e.variables.end());
+    e.variables.erase(std::unique(e.variables.begin(), e.variables.end()),
+                      e.variables.end());
+    e.required.assign(e.variables.size(), 0);
+    for (const std::string& name : live) {
+      const size_t var = e.Number(name);
+      if (var < e.variables.size()) e.required[var] = 1;
+    }
+    e.var_leaves.assign(e.variables.size(), 0);
+    for (size_t i = 0; i < n; ++i) {
+      for (const core::NodePattern& p : scans[i]->source.patterns) {
+        if (p.subject.is_variable) {
+          e.var_leaves[e.Number(p.subject.name)] |= 1u << i;
+        }
+        if (p.object.is_variable) {
+          e.var_leaves[e.Number(p.object.name)] |= 1u << i;
+        }
       }
-      leaf.adjacency &= ~leaf.mask;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      e.leaves.push_back(EstimateLeaf(*scans[i], i, e));
     }
 
     if (n >= 2) {
@@ -148,20 +205,19 @@ class JoinOrderPass final : public OptimizerPass {
       for (size_t i = 1; i < n && heuristic_ok; ++i) {
         EnumeratedPlan next;
         if (!e.Join(heuristic, e.leaves[i], &next)) heuristic_ok = false;
-        heuristic = next;
+        heuristic = std::move(next);
       }
 
-      std::vector<std::pair<uint32_t, uint32_t>> split;
+      std::vector<Merge> merges;
       EnumeratedPlan best;
       const bool found = n <= kJoinOrderDpThreshold
-                             ? EnumerateDp(e, &best, &split)
-                             : EnumerateGreedy(e, &best, &split);
+                             ? EnumerateDp(e, &best, &merges)
+                             : EnumerateGreedy(e, &best, &merges);
       if (found && heuristic_ok &&
           best.cost < heuristic.cost * (1.0 - kJoinOrderRewriteMargin)) {
         // Detach the leaves and rebuild the tree the enumerator chose.
-        std::vector<std::unique_ptr<PlanNode>> leaf_nodes =
-            DetachJoinLeaves(std::move(*link));
-        auto rebuilt = BuildTree(split, leaf_nodes, (1u << n) - 1);
+        auto rebuilt =
+            BuildTree(merges, DetachJoinLeaves(std::move(*link)));
         if (!rebuilt.ok()) return rebuilt.status();
         *link = std::move(rebuilt.value());
         PlanBuilder::RecomputeSchemas(*plan.root);
@@ -170,23 +226,26 @@ class JoinOrderPass final : public OptimizerPass {
 
     // Annotate estimated_rows over the final shape: refined scan
     // estimates, independence-estimated joins, then the unary tail.
-    AnnotateSegment(**link, e);
+    AnnotateSegment(**link, e, scans);
     AnnotateTail(*plan.root);
     return Status::OK();
   }
 
  private:
+  static constexpr size_t kNoStar = std::numeric_limits<size_t>::max();
+
   /// One join input during enumeration: modeled cost of everything below
-  /// it, estimated output rows, per-column distinct-value estimates, and
+  /// it, estimated output rows, per-variable distinct-value estimates, and
   /// the planner bytes the join decision is resolved from (scans keep
-  /// their storage bytes; join outputs are unknown unless exact).
+  /// their storage bytes; join outputs are unknown unless exact). The
+  /// per-variable arrays are indexed by variable number and hold a value
+  /// only for the variables the covered leaves bind.
   struct EnumeratedPlan {
     double cost = 0.0;
     double rows = 0.0;
     uint64_t planner_bytes = engine::kUnknownPlannerBytes;
-    uint32_t mask = 0;       // Leaves covered.
-    uint32_t adjacency = 0;  // Leaves sharing a variable (leaf-only).
-    std::map<std::string, double> distinct;
+    uint32_t mask = 0;  // Leaves covered.
+    std::vector<double> distinct;
     /// Worst-case output rows, from per-predicate max-fanout caps (and
     /// characteristic sets where they apply). `rows` is the expectation
     /// under independence; skewed joins land anywhere between the two,
@@ -194,39 +253,51 @@ class JoinOrderPass final : public OptimizerPass {
     double rows_upper = 0.0;
     /// Per-variable cap: no single value of the variable can occur on
     /// more rows than this. This is what lets a join bound its fan-out.
-    std::map<std::string, double> max_fanout;
-    /// Non-empty when this plan is a pure subject star: every covered
-    /// scan is keyed by this subject variable and joined only on it.
-    /// Characteristic sets then price the star merge exactly instead of
-    /// by independence — `star_predicates` are the star's columns and
-    /// `star_selectivity` the fraction the leaves' constants and filters
-    /// keep of the raw star.
-    std::string star_key;
+    std::vector<double> max_fanout;
+    /// The subject variable's number when this plan is a pure subject
+    /// star: every covered scan is keyed by it and joined only on it
+    /// (kNoStar otherwise). Characteristic sets then price the star
+    /// merge exactly instead of by independence — `star_predicates` are
+    /// the star's columns and `star_selectivity` the fraction the
+    /// leaves' constants and filters keep of the raw star.
+    size_t star_key = kNoStar;
     std::vector<rdf::TermId> star_predicates;
     double star_selectivity = 1.0;
   };
 
+  /// One join of the chosen tree: the leaf masks of its (left, right)
+  /// inputs.
+  using Merge = std::pair<uint32_t, uint32_t>;
+
   struct Enumeration {
     const PassContext* context = nullptr;
-    const std::set<std::string>* required = nullptr;
+    /// The segment's variable names, sorted; a variable's number is its
+    /// index here.
+    std::vector<std::string> variables;
+    /// Per variable: whether the tail reads it, and the leaves binding it.
+    std::vector<char> required;
+    std::vector<uint32_t> var_leaves;
     std::vector<EnumeratedPlan> leaves;
-    std::map<std::string, uint32_t> var_leaves;
-    std::map<const PlanNode*, size_t> leaf_index;
 
-    /// Per-value row cap of `var` in `p` (infinite when untracked).
-    static double FanoutOf(const EnumeratedPlan& p, const std::string& var) {
-      const auto it = p.max_fanout.find(var);
-      return it == p.max_fanout.end()
-                 ? std::numeric_limits<double>::infinity()
-                 : it->second;
+    /// The number of variable `name`, or variables.size() when the
+    /// segment does not bind it.
+    size_t Number(const std::string& name) const {
+      const auto it =
+          std::lower_bound(variables.begin(), variables.end(), name);
+      return it != variables.end() && *it == name
+                 ? static_cast<size_t>(it - variables.begin())
+                 : variables.size();
+    }
+
+    /// True when one of the leaves `p` covers binds variable `var`.
+    bool Binds(const EnumeratedPlan& p, size_t var) const {
+      return (var_leaves[var] & p.mask) != 0;
     }
 
     /// True when `var` must flow out of the side covering `side_mask`:
     /// either the tail reads it or a leaf outside the side binds it.
-    bool Live(const std::string& var, uint32_t side_mask) const {
-      if (required->count(var) != 0) return true;
-      const auto it = var_leaves.find(var);
-      return it != var_leaves.end() && (it->second & ~side_mask) != 0;
+    bool Live(size_t var, uint32_t side_mask) const {
+      return required[var] != 0 || (var_leaves[var] & ~side_mask) != 0;
     }
 
     /// Row count an exchange of `p` is priced at: the geometric mean of
@@ -245,9 +316,8 @@ class JoinOrderPass final : public OptimizerPass {
     /// columns (early projection prunes the rest before bytes travel).
     double LiveBytes(const EnumeratedPlan& p) const {
       size_t columns = 0;
-      for (const auto& [var, d] : p.distinct) {
-        (void)d;
-        if (Live(var, p.mask)) ++columns;
+      for (size_t var = 0; var < variables.size(); ++var) {
+        if (Binds(p, var) && Live(var, p.mask)) ++columns;
       }
       columns = std::max<size_t>(columns, 1);
       return CostRows(p) * static_cast<double>(columns) *
@@ -261,6 +331,7 @@ class JoinOrderPass final : public OptimizerPass {
               EnumeratedPlan* out) const {
       const cluster::ClusterConfig& cc = *context->cluster;
       const double workers = std::max<uint32_t>(cc.num_workers, 1);
+      const size_t num_vars = variables.size();
 
       double rows = l.rows * r.rows;
       bool shared = false;
@@ -269,14 +340,13 @@ class JoinOrderPass final : public OptimizerPass {
       // per-value cap among the shared variables.
       double l_match = std::numeric_limits<double>::infinity();
       double r_match = std::numeric_limits<double>::infinity();
-      for (const auto& [var, dl] : l.distinct) {
-        const auto it = r.distinct.find(var);
-        if (it == r.distinct.end()) continue;
+      for (size_t var = 0; var < num_vars; ++var) {
+        if (!Binds(l, var) || !Binds(r, var)) continue;
         shared = true;
         if (var != l.star_key) only_star_key = false;
-        rows /= std::max(std::max(dl, it->second), 1.0);
-        l_match = std::min(l_match, FanoutOf(r, var));
-        r_match = std::min(r_match, FanoutOf(l, var));
+        rows /= std::max(std::max(l.distinct[var], r.distinct[var]), 1.0);
+        l_match = std::min(l_match, r.max_fanout[var]);
+        r_match = std::min(r_match, l.max_fanout[var]);
       }
       if (!shared) return false;
       double rows_upper =
@@ -290,8 +360,8 @@ class JoinOrderPass final : public OptimizerPass {
       // Two halves of one subject star, meeting only on their shared
       // key: characteristic sets price the merged star exactly, so use
       // that instead of the independence product.
-      bool star = context->estimator != nullptr && !l.star_key.empty() &&
-                  l.star_key == r.star_key && only_star_key;
+      bool star = l.star_key != kNoStar && l.star_key == r.star_key &&
+                  only_star_key;
       std::vector<rdf::TermId> merged_predicates;
       double merged_selectivity = 1.0;
       std::optional<stats::CharacteristicSets::StarEstimate> exact;
@@ -326,45 +396,37 @@ class JoinOrderPass final : public OptimizerPass {
         out->star_predicates = std::move(merged_predicates);
         out->star_selectivity = merged_selectivity;
       } else {
-        out->star_key.clear();
+        out->star_key = kNoStar;
         out->star_predicates.clear();
         out->star_selectivity = 1.0;
       }
-      out->distinct.clear();
-      for (const auto& [var, dl] : l.distinct) {
-        const auto it = r.distinct.find(var);
-        const double d = it == r.distinct.end() ? dl : std::min(dl, it->second);
-        out->distinct[var] = std::min(d, std::max(rows, 1.0));
-      }
-      for (const auto& [var, dr] : r.distinct) {
-        if (out->distinct.count(var) != 0) continue;
-        out->distinct[var] = std::min(dr, std::max(rows, 1.0));
-      }
-      // Per-value caps: rows carrying one value of `var` are its side's
-      // cap times the matches each such row finds on the other side.
-      out->max_fanout.clear();
-      for (const auto& [var, fl] : l.max_fanout) {
-        double cap = fl * l_match;
-        const auto it = r.max_fanout.find(var);
-        if (it != r.max_fanout.end()) {
-          cap = std::min(cap, it->second * r_match);
-        }
+      // Distinct values cannot exceed the output rows. Per-value caps:
+      // rows carrying one value of a variable are its side's cap times
+      // the matches each such row finds on the other side.
+      out->distinct.resize(num_vars);
+      out->max_fanout.resize(num_vars);
+      const double max_distinct = std::max(rows, 1.0);
+      for (size_t var = 0; var < num_vars; ++var) {
+        const bool in_l = Binds(l, var);
+        const bool in_r = Binds(r, var);
+        if (!in_l && !in_r) continue;
+        const double d = !in_r   ? l.distinct[var]
+                         : !in_l ? r.distinct[var]
+                                 : std::min(l.distinct[var], r.distinct[var]);
+        out->distinct[var] = std::min(d, max_distinct);
+        double cap = std::numeric_limits<double>::infinity();
+        if (in_l) cap = l.max_fanout[var] * l_match;
+        if (in_r) cap = std::min(cap, r.max_fanout[var] * r_match);
         out->max_fanout[var] = std::min(cap, out->rows_upper);
-      }
-      for (const auto& [var, fr] : r.max_fanout) {
-        if (out->max_fanout.count(var) != 0) continue;
-        out->max_fanout[var] = std::min(fr * r_match, out->rows_upper);
       }
       if (star) {
         // The surviving key values are exactly the subjects carrying
         // every merged predicate (scaled by the constants' selectivity).
         const double subjects = static_cast<double>(exact->subjects);
-        const auto it = out->distinct.find(out->star_key);
-        if (it != out->distinct.end()) {
-          it->second = std::min(
-              it->second, std::max(subjects * merged_selectivity,
-                                   stats::kMinEstimatedRows));
-        }
+        double& key_distinct = out->distinct[out->star_key];
+        key_distinct = std::min(
+            key_distinct,
+            std::max(subjects * merged_selectivity, stats::kMinEstimatedRows));
         // A star merge untouched by constants or filters is priced
         // *exactly* by the characteristic sets, so its output size is a
         // fact, not a guess: publish it as the planner size, letting
@@ -401,51 +463,6 @@ class JoinOrderPass final : public OptimizerPass {
       return true;
     }
   };
-
-  /// Adds the columns one unary tail node reads to `required`.
-  static void CollectTailRequirements(const PlanNode& node,
-                                      std::set<std::string>& required) {
-    switch (node.kind) {
-      case PlanNodeKind::kFilter: {
-        const auto& filter = static_cast<const FilterNode&>(node);
-        required.insert(filter.constraint.variable);
-        if (filter.constraint.rhs_is_variable) {
-          required.insert(filter.constraint.rhs_variable);
-        }
-        break;
-      }
-      case PlanNodeKind::kProject: {
-        const auto& project = static_cast<const ProjectNode&>(node);
-        required.insert(project.columns.begin(), project.columns.end());
-        break;
-      }
-      case PlanNodeKind::kOrderBy: {
-        const auto& order = static_cast<const OrderByNode&>(node);
-        for (const sparql::OrderKey& key : order.keys) {
-          required.insert(key.variable);
-        }
-        break;
-      }
-      case PlanNodeKind::kAggregate: {
-        const auto& aggregate = static_cast<const AggregateNode&>(node);
-        if (aggregate.count.variable.empty()) {
-          // COUNT(*) counts rows: every child column is live.
-          required.insert(node.children[0]->output_columns.begin(),
-                          node.children[0]->output_columns.end());
-        } else {
-          required.insert(aggregate.count.variable);
-        }
-        break;
-      }
-      case PlanNodeKind::kDistinct:
-        // DISTINCT compares whole rows.
-        required.insert(node.children[0]->output_columns.begin(),
-                        node.children[0]->output_columns.end());
-        break;
-      default:
-        break;
-    }
-  }
 
   /// Collects the scan leaves of the join segment in left-to-right
   /// order. Returns false when the segment is not hash joins over scans.
@@ -494,26 +511,21 @@ class JoinOrderPass final : public OptimizerPass {
     return desc;
   }
 
-  /// Takes the smaller of an existing and a new distinct estimate (a
-  /// variable bound twice in one scan is an implicit self-join).
-  static void MergeDistinct(std::map<std::string, double>& distinct,
-                            const std::string& var, double value) {
-    const auto it = distinct.find(var);
-    if (it == distinct.end()) {
-      distinct[var] = value;
-    } else {
-      it->second = std::min(it->second, value);
-    }
-  }
-
-  /// Estimates one scan leaf: output rows, per-column distinct values,
-  /// and the thinning effect of its pushed constant filters.
-  static EnumeratedPlan EstimateLeaf(
-      const ScanNodeBase& scan, const stats::CardinalityEstimator& est) {
+  /// Estimates scan leaf `index`: output rows, per-variable distinct
+  /// values and fan-out caps, and the thinning effect of its pushed
+  /// constant filters. A variable bound twice in one scan is an
+  /// implicit self-join, so it keeps the smaller of its estimates.
+  static EnumeratedPlan EstimateLeaf(const ScanNodeBase& scan, size_t index,
+                                     const Enumeration& e) {
+    const stats::CardinalityEstimator& est = *e.context->estimator;
     const stats::StarDescriptor desc = Describe(scan.source);
+    const double inf = std::numeric_limits<double>::infinity();
     EnumeratedPlan out;
+    out.mask = 1u << index;
     out.rows = est.EstimateScanRows(desc);
     out.planner_bytes = scan.planner_bytes;
+    out.distinct.assign(e.variables.size(), inf);
+    out.max_fanout.assign(e.variables.size(), inf);
     const double key_distinct = est.EstimateKeyDistinct(desc);
     for (size_t i = 0; i < scan.source.patterns.size(); ++i) {
       const core::NodePattern& p = scan.source.patterns[i];
@@ -521,42 +533,42 @@ class JoinOrderPass final : public OptimizerPass {
       const core::PatternTerm& value =
           desc.key_is_object ? p.subject : p.object;
       if (key.is_variable) {
-        MergeDistinct(out.distinct, key.name, key_distinct);
+        double& d = out.distinct[e.Number(key.name)];
+        d = std::min(d, key_distinct);
       }
       if (value.is_variable) {
-        MergeDistinct(out.distinct, value.name,
-                      est.EstimateValueDistinct(desc, i, out.rows));
+        double& d = out.distinct[e.Number(value.name)];
+        d = std::min(d, est.EstimateValueDistinct(desc, i, out.rows));
       }
     }
     for (const sparql::FilterConstraint& f : scan.pushed_filters) {
-      const auto it = out.distinct.find(f.variable);
-      const double d = it == out.distinct.end() ? 1.0 : it->second;
+      const size_t var = e.Number(f.variable);
+      double* distinct = var < e.variables.size() && e.Binds(out, var)
+                             ? &out.distinct[var]
+                             : nullptr;
+      const double d = distinct == nullptr ? 1.0 : *distinct;
       double selectivity = 1.0;
       switch (f.op) {
         case sparql::CompareOp::kEq:
           selectivity = 1.0 / std::max(d, 1.0);
-          if (it != out.distinct.end()) it->second = 1.0;
+          if (distinct != nullptr) *distinct = 1.0;
           break;
         case sparql::CompareOp::kNe:
           selectivity = d <= 1.0 ? 1.0 : 1.0 - 1.0 / d;
           break;
         default:
           selectivity = kRangeFilterSelectivity;
-          if (it != out.distinct.end()) {
-            it->second = std::max(it->second * selectivity, 1.0);
+          if (distinct != nullptr) {
+            *distinct = std::max(*distinct * selectivity, 1.0);
           }
           break;
       }
       out.rows = std::max(out.rows * selectivity, stats::kMinEstimatedRows);
     }
-    for (auto& [var, dv] : out.distinct) {
-      (void)var;
-      dv = std::min(dv, std::max(out.rows, 1.0));
-    }
+    for (double& d : out.distinct) d = std::min(d, std::max(out.rows, 1.0));
     // Worst-case size: per-pattern max-fanout caps compose into a bound
     // no skew can exceed — each extra pattern multiplies the rows one
     // key value contributes by at most its key-side fanout.
-    const double inf = std::numeric_limits<double>::infinity();
     const size_t np = desc.patterns.size();
     std::vector<double> f_key(np, inf);
     std::vector<double> f_val(np, inf);
@@ -600,14 +612,16 @@ class JoinOrderPass final : public OptimizerPass {
       if (key.is_variable) {
         double cap = 1.0;
         for (size_t j = 0; j < np; ++j) cap *= f_key[j];
-        MergeDistinct(out.max_fanout, key.name, cap);
+        double& f = out.max_fanout[e.Number(key.name)];
+        f = std::min(f, cap);
       }
       if (value.is_variable) {
         double cap = f_val[i];
         for (size_t j = 0; j < np; ++j) {
           if (j != i) cap *= f_key[j];
         }
-        MergeDistinct(out.max_fanout, value.name, cap);
+        double& f = out.max_fanout[e.Number(value.name)];
+        f = std::min(f, cap);
       }
     }
     if (std::isfinite(out.rows_upper)) {
@@ -637,7 +651,7 @@ class JoinOrderPass final : public OptimizerPass {
         const auto exact = est.StarExact(predicates);
         if (exact.has_value() && exact->rows > 0.0) {
           const double raw = exact->rows;
-          out.star_key = key;
+          out.star_key = e.Number(key);
           out.star_predicates = std::move(predicates);
           out.star_selectivity = out.rows / raw;
           // The unconstrained star count is exact; constants and
@@ -647,28 +661,25 @@ class JoinOrderPass final : public OptimizerPass {
       }
     }
     out.rows_upper = std::max(out.rows_upper, out.rows);
-    for (auto& [var, f] : out.max_fanout) {
-      (void)var;
-      f = std::min(f, out.rows_upper);
-    }
+    for (double& f : out.max_fanout) f = std::min(f, out.rows_upper);
     return out;
   }
 
   /// DPsize over connected subgraphs. Fills `best` with the optimum for
-  /// the full leaf set and `split` with the winning (left, right) mask
-  /// per subset (indexed by mask). Returns false when the join graph is
-  /// disconnected.
+  /// the full leaf set and `merges` with its joins, inputs before the
+  /// joins over them. Returns false when the join graph is disconnected.
   static bool EnumerateDp(const Enumeration& e, EnumeratedPlan* best,
-                          std::vector<std::pair<uint32_t, uint32_t>>* split) {
+                          std::vector<Merge>* merges) {
     const size_t n = e.leaves.size();
     const uint32_t full = (1u << n) - 1;
     std::vector<EnumeratedPlan> table(full + 1);
     std::vector<char> valid(full + 1, 0);
-    split->assign(full + 1, {0, 0});
+    std::vector<Merge> split(full + 1);  // The winning split per subset.
     for (size_t i = 0; i < n; ++i) {
       table[1u << i] = e.leaves[i];
       valid[1u << i] = 1;
     }
+    EnumeratedPlan joined;
     for (uint32_t mask = 3; mask <= full; ++mask) {
       if (std::popcount(mask) < 2) continue;
       for (uint32_t sub = (mask - 1) & mask; sub != 0;
@@ -676,42 +687,46 @@ class JoinOrderPass final : public OptimizerPass {
         const uint32_t other = mask ^ sub;
         if (sub > other) continue;  // Unordered split: visit each once.
         if (valid[sub] == 0 || valid[other] == 0) continue;
-        EnumeratedPlan joined;
         if (!e.Join(table[sub], table[other], &joined)) continue;
         if (valid[mask] == 0 || joined.cost < table[mask].cost) {
           table[mask] = joined;
-          (*split)[mask] = {sub, other};
+          split[mask] = {sub, other};
           valid[mask] = 1;
         }
       }
     }
     if (valid[full] == 0) return false;
-    *best = table[full];
+    *best = std::move(table[full]);
+    AppendMerges(split, full, merges);
     return true;
+  }
+
+  /// Appends the joins building `mask` from the split table, post-order.
+  static void AppendMerges(const std::vector<Merge>& split, uint32_t mask,
+                           std::vector<Merge>* merges) {
+    if (std::popcount(mask) == 1) return;
+    AppendMerges(split, split[mask].first, merges);
+    AppendMerges(split, split[mask].second, merges);
+    merges->push_back(split[mask]);
   }
 
   /// Greedy operator ordering for joins too wide for DPsize: repeatedly
   /// merge the connected pair with the cheapest modeled join, recording
-  /// each merge as a split entry appended past the leaf masks so
-  /// BuildTree can replay it.
-  static bool EnumerateGreedy(
-      const Enumeration& e, EnumeratedPlan* best,
-      std::vector<std::pair<uint32_t, uint32_t>>* split) {
+  /// each merge in the order it happened.
+  static bool EnumerateGreedy(const Enumeration& e, EnumeratedPlan* best,
+                              std::vector<Merge>* merges) {
     std::vector<EnumeratedPlan> components = e.leaves;
-    std::map<uint32_t, std::pair<uint32_t, uint32_t>> merges;
     while (components.size() > 1) {
-      double best_cost = 0.0;
       size_t best_i = 0;
       size_t best_j = 0;
       EnumeratedPlan best_joined;
       bool found = false;
+      EnumeratedPlan joined;
       for (size_t i = 0; i < components.size(); ++i) {
         for (size_t j = i + 1; j < components.size(); ++j) {
-          EnumeratedPlan joined;
           if (!e.Join(components[i], components[j], &joined)) continue;
-          if (!found || joined.cost < best_cost) {
+          if (!found || joined.cost < best_joined.cost) {
             found = true;
-            best_cost = joined.cost;
             best_i = i;
             best_j = j;
             best_joined = joined;
@@ -719,44 +734,43 @@ class JoinOrderPass final : public OptimizerPass {
         }
       }
       if (!found) return false;  // Disconnected join graph.
-      merges[best_joined.mask] = {components[best_i].mask,
-                                  components[best_j].mask};
+      merges->push_back({components[best_i].mask, components[best_j].mask});
       components.erase(components.begin() + best_j);
-      components[best_i] = best_joined;
+      components[best_i] = std::move(best_joined);
     }
-    *best = components[0];
-    // Re-encode as a mask-indexed split table compatible with BuildTree.
-    const uint32_t full = (1u << e.leaves.size()) - 1;
-    split->assign(full + 1, {0, 0});
-    for (const auto& [mask, halves] : merges) (*split)[mask] = halves;
+    *best = std::move(components[0]);
     return true;
   }
 
-  /// Rebuilds the physical join tree for `mask` from the split table and
-  /// the detached leaves.
+  /// Rebuilds the physical join tree by replaying `merges` over the
+  /// detached leaves. Each partial tree sits at the index of its lowest
+  /// leaf, so the last merge leaves the whole tree at index 0.
   static Result<std::unique_ptr<PlanNode>> BuildTree(
-      const std::vector<std::pair<uint32_t, uint32_t>>& split,
-      std::vector<std::unique_ptr<PlanNode>>& leaves, uint32_t mask) {
-    if (std::popcount(mask) == 1) {
-      const size_t index = static_cast<size_t>(std::countr_zero(mask));
-      return std::move(leaves[index]);
+      const std::vector<Merge>& merges,
+      std::vector<std::unique_ptr<PlanNode>> parts) {
+    for (const auto& [left, right] : merges) {
+      PROST_ASSIGN_OR_RETURN(
+          parts[std::countr_zero(left | right)],
+          PlanBuilder::MakeHashJoin(std::move(parts[std::countr_zero(left)]),
+                                    std::move(parts[std::countr_zero(right)])));
     }
-    const auto [left_mask, right_mask] = split[mask];
-    PROST_ASSIGN_OR_RETURN(auto left, BuildTree(split, leaves, left_mask));
-    PROST_ASSIGN_OR_RETURN(auto right, BuildTree(split, leaves, right_mask));
-    return PlanBuilder::MakeHashJoin(std::move(left), std::move(right));
+    return std::move(parts[0]);
   }
 
-  /// Bottom-up estimate annotation over the final join segment.
-  EnumeratedPlan AnnotateSegment(PlanNode& node, const Enumeration& e) {
+  /// Bottom-up estimate annotation over the final join segment; `scans`
+  /// are the leaves in their enumeration order.
+  static EnumeratedPlan AnnotateSegment(
+      PlanNode& node, const Enumeration& e,
+      const std::vector<ScanNodeBase*>& scans) {
     if (node.kind != PlanNodeKind::kHashJoin) {
-      const auto it = e.leaf_index.find(&node);
-      if (it == e.leaf_index.end()) return EnumeratedPlan{};
-      node.estimated_rows = e.leaves[it->second].rows;
-      return e.leaves[it->second];
+      const auto it = std::find(scans.begin(), scans.end(), &node);
+      if (it == scans.end()) return EnumeratedPlan{};
+      const EnumeratedPlan& leaf = e.leaves[it - scans.begin()];
+      node.estimated_rows = leaf.rows;
+      return leaf;
     }
-    EnumeratedPlan left = AnnotateSegment(*node.children[0], e);
-    EnumeratedPlan right = AnnotateSegment(*node.children[1], e);
+    EnumeratedPlan left = AnnotateSegment(*node.children[0], e, scans);
+    EnumeratedPlan right = AnnotateSegment(*node.children[1], e, scans);
     EnumeratedPlan joined;
     if (e.Join(left, right, &joined)) {
       node.estimated_rows = joined.rows;
@@ -863,75 +877,32 @@ class EarlyProjectionPass final : public OptimizerPass {
 
   void Prune(std::unique_ptr<PlanNode>& node,
              std::vector<std::string> required) {
-    switch (node->kind) {
-      case PlanNodeKind::kVpScan:
-      case PlanNodeKind::kPtScan:
-        return;  // Scans already emit only pattern variables.
-      case PlanNodeKind::kHashJoin: {
-        auto& join = static_cast<HashJoinNode&>(*node);
-        for (std::unique_ptr<PlanNode>& child : join.children) {
-          // A join input must keep what downstream reads plus the join
-          // keys themselves.
-          std::vector<std::string> child_required;
-          for (const std::string& name : child->output_columns) {
-            if (Contains(required, name) ||
-                Contains(join.join_columns, name)) {
-              child_required.push_back(name);
-            }
-          }
-          if (child_required.size() < child->output_columns.size()) {
-            child = PlanBuilder::MakeProject(std::move(child),
-                                             child_required,
-                                             /*optimizer_inserted=*/true);
-            Prune(child->children[0], std::move(child_required));
-          } else {
-            Prune(child, std::move(child_required));
-          }
-        }
-        return;
-      }
-      case PlanNodeKind::kFilter: {
-        const auto& filter = static_cast<const FilterNode&>(*node);
-        if (!Contains(required, filter.constraint.variable)) {
-          required.push_back(filter.constraint.variable);
-        }
-        if (filter.constraint.rhs_is_variable &&
-            !Contains(required, filter.constraint.rhs_variable)) {
-          required.push_back(filter.constraint.rhs_variable);
-        }
-        break;
-      }
-      case PlanNodeKind::kProject:
-        required = static_cast<const ProjectNode&>(*node).columns;
-        break;
-      case PlanNodeKind::kOrderBy: {
-        const auto& order = static_cast<const OrderByNode&>(*node);
-        for (const sparql::OrderKey& key : order.keys) {
-          if (!Contains(required, key.variable)) {
-            required.push_back(key.variable);
-          }
-        }
-        break;
-      }
-      case PlanNodeKind::kAggregate: {
-        const auto& aggregate = static_cast<const AggregateNode&>(*node);
-        if (aggregate.count.variable.empty()) {
-          // COUNT(*) counts rows; a zero-column relation holds none, so
-          // everything the child produces must survive.
-          required = node->children[0]->output_columns;
-        } else {
-          required = {aggregate.count.variable};
-        }
-        break;
-      }
-      case PlanNodeKind::kDistinct:
-        // DISTINCT compares whole rows: every input column is live.
-        required = node->children[0]->output_columns;
-        break;
-      case PlanNodeKind::kLimit:
-        break;  // Pure slice: liveness passes through.
+    if (node->kind == PlanNodeKind::kVpScan ||
+        node->kind == PlanNodeKind::kPtScan) {
+      return;  // Scans already emit only pattern variables.
     }
-    Prune(node->children[0], std::move(required));
+    if (node->kind != PlanNodeKind::kHashJoin) {
+      Prune(node->children[0], TailReads(*node, std::move(required)));
+      return;
+    }
+    auto& join = static_cast<HashJoinNode&>(*node);
+    for (std::unique_ptr<PlanNode>& child : join.children) {
+      // A join input must keep what downstream reads plus the join keys
+      // themselves.
+      std::vector<std::string> child_required;
+      for (const std::string& name : child->output_columns) {
+        if (Contains(required, name) || Contains(join.join_columns, name)) {
+          child_required.push_back(name);
+        }
+      }
+      if (child_required.size() < child->output_columns.size()) {
+        child = PlanBuilder::MakeProject(std::move(child), child_required,
+                                         /*optimizer_inserted=*/true);
+        Prune(child->children[0], std::move(child_required));
+      } else {
+        Prune(child, std::move(child_required));
+      }
+    }
   }
 };
 

@@ -15,7 +15,9 @@ bool Contains(const std::vector<std::string>& names, const std::string& name) {
 }
 
 std::string ColumnList(const std::vector<std::string>& names) {
-  return "(" + StrJoin(names, ",") + ")";
+  std::string out = "(";
+  out.append(StrJoin(names, ",")).append(")");
+  return out;
 }
 
 std::string NodeLine(const PlanNode& node) {
@@ -24,14 +26,14 @@ std::string NodeLine(const PlanNode& node) {
     case PlanNodeKind::kVpScan:
     case PlanNodeKind::kPtScan: {
       const auto& scan = static_cast<const ScanNodeBase&>(node);
-      out += " " + scan.Label();
+      out.append(" ").append(scan.Label());
       out += StrFormat("  est=%.0f", scan.estimated_rows);
       if (scan.planner_bytes != engine::kUnknownPlannerBytes) {
         out += StrFormat("  bytes=%llu",
                          static_cast<unsigned long long>(scan.planner_bytes));
       }
       for (const sparql::FilterConstraint& filter : scan.pushed_filters) {
-        out += "  pushed[" + filter.ToString() + "]";
+        out.append("  pushed[").append(filter.ToString()).append("]");
       }
       break;
     }
@@ -44,12 +46,13 @@ std::string NodeLine(const PlanNode& node) {
       } else {
         out += "[shuffle]";
       }
-      out += " " + join.Label() + " on " + ColumnList(join.join_columns);
+      out.append(" ").append(join.Label()).append(" on ");
+      out.append(ColumnList(join.join_columns));
       break;
     }
     case PlanNodeKind::kFilter: {
       const auto& filter = static_cast<const FilterNode&>(node);
-      out += " " + filter.constraint.ToString();
+      out.append(" ").append(filter.constraint.ToString());
       break;
     }
     case PlanNodeKind::kProject: {
@@ -64,7 +67,7 @@ std::string NodeLine(const PlanNode& node) {
       for (const sparql::OrderKey& key : order.keys) {
         keys.push_back("?" + key.variable + (key.descending ? " DESC" : ""));
       }
-      out += " " + StrJoin(keys, ", ");
+      out.append(" ").append(StrJoin(keys, ", "));
       break;
     }
     case PlanNodeKind::kAggregate: {
@@ -86,7 +89,7 @@ std::string NodeLine(const PlanNode& node) {
       break;
     }
     case PlanNodeKind::kLimit: {
-      out += " " + node.Label();
+      out.append(" ").append(node.Label());
       break;
     }
   }

@@ -113,7 +113,8 @@ std::string Term::ToNTriples() const {
     case TermKind::kIri:
       return "<" + value + ">";
     case TermKind::kLiteral: {
-      std::string out = "\"" + EscapeLiteral(value) + "\"";
+      std::string out = "\"";
+      out.append(EscapeLiteral(value)).append("\"");
       if (!language.empty()) {
         out += "@" + language;
       } else if (!datatype.empty()) {

@@ -3,8 +3,10 @@
 namespace prost::rdf {
 
 std::string VirtualIntegerLexical(TermId id) {
-  return "\"" + std::to_string(VirtualIntegerValue(id)) +
-         "\"^^<http://www.w3.org/2001/XMLSchema#integer>";
+  std::string out = "\"";
+  out.append(std::to_string(VirtualIntegerValue(id)))
+      .append("\"^^<http://www.w3.org/2001/XMLSchema#integer>");
+  return out;
 }
 
 std::string Triple::ToNTriples() const {

@@ -189,6 +189,12 @@ Status ValidateQuery(const Query& query) {
     if (query.count->alias.empty()) {
       return Status::InvalidArgument("COUNT requires an AS ?alias");
     }
+    // SPARQL 1.1 §18.2.1: the variable of (expr AS ?v) must not already
+    // be in scope.
+    if (bound.count(query.count->alias)) {
+      return Status::InvalidArgument("COUNT alias ?" + query.count->alias +
+                                     " is already bound in the BGP");
+    }
   }
   if (!query.bgp.IsConnected()) {
     return Status::Unimplemented(

@@ -8,7 +8,6 @@
 #include "columnar/encoding.h"
 #include "columnar/lexical_format.h"
 #include "columnar/paged_table.h"
-#include "columnar/partition.h"
 #include "columnar/table.h"
 #include "columnar/types.h"
 #include "common/hash.h"
@@ -532,72 +531,6 @@ TEST(HostileInputTest, RowGroupAboveUint32IsCorruption) {
                 .code(),
             StatusCode::kCorruption);
 }
-
-// ------------------------------------------------------------ Partition
-
-TEST(PartitionTest, HashAssignmentIsDeterministicAndComplete) {
-  IdVector keys = RandomIds(5000, 1 << 20, 12);
-  auto assignment = AssignPartitionsByHash(keys, 9);
-  auto assignment2 = AssignPartitionsByHash(keys, 9);
-  EXPECT_EQ(assignment, assignment2);
-  std::vector<int> counts(9, 0);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_LT(assignment[i], 9u);
-    ++counts[assignment[i]];
-    // Equal keys always land together.
-    EXPECT_EQ(assignment[i],
-              static_cast<uint32_t>(Mix64(keys[i]) % 9));
-  }
-  for (int c : counts) EXPECT_GT(c, 300);  // Roughly balanced.
-}
-
-TEST(PartitionTest, RoundRobin) {
-  auto assignment = AssignPartitionsRoundRobin(10, 3);
-  EXPECT_EQ(assignment,
-            (std::vector<uint32_t>{0, 1, 2, 0, 1, 2, 0, 1, 2, 0}));
-}
-
-TEST(PartitionTest, SplitPreservesRowsAndLists) {
-  Schema schema;
-  ASSERT_TRUE(schema.AddField({"k", ColumnKind::kId}).ok());
-  ASSERT_TRUE(schema.AddField({"l", ColumnKind::kIdList}).ok());
-  IdVector keys{10, 20, 30, 40, 50};
-  IdListColumn lists;
-  lists.AppendRow({1});
-  lists.AppendRow({2, 3});
-  lists.AppendRow({});
-  lists.AppendRow({4, 5, 6});
-  lists.AppendRow({7});
-  std::vector<Column> columns;
-  columns.emplace_back(IdVector(keys));
-  columns.emplace_back(std::move(lists));
-  StoredTable table(schema, std::move(columns));
-
-  auto partitions = HashPartitionTable(table, 0, 3);
-  ASSERT_TRUE(partitions.ok()) << partitions.status();
-  size_t total_rows = 0, total_values = 0;
-  for (const StoredTable& part : *partitions) {
-    ASSERT_TRUE(part.Validate().ok());
-    total_rows += part.num_rows();
-    total_values += part.column(1).lists().values.size();
-    // Placement invariant: every row's key hashes to this partition.
-  }
-  EXPECT_EQ(total_rows, 5u);
-  EXPECT_EQ(total_values, 7u);
-}
-
-TEST(PartitionTest, SplitRejectsBadInput) {
-  Schema schema;
-  ASSERT_TRUE(schema.AddField({"k", ColumnKind::kId}).ok());
-  std::vector<Column> columns;
-  columns.emplace_back(IdVector{1, 2});
-  StoredTable table(schema, std::move(columns));
-  EXPECT_FALSE(SplitByAssignment(table, {0}, 2).ok());     // Size mismatch.
-  EXPECT_FALSE(SplitByAssignment(table, {0, 5}, 2).ok());  // Out of range.
-  EXPECT_FALSE(SplitByAssignment(table, {0, 1}, 0).ok());  // Zero parts.
-  EXPECT_FALSE(HashPartitionTable(table, 3, 2).ok());      // Bad column.
-}
-
 
 // ---------------------------------------------------------------- Bloom
 

@@ -17,6 +17,7 @@
 #include "core/statistics.h"
 #include "core/translator.h"
 #include "core/vp_store.h"
+#include "engine/operators.h"
 #include "plan/planner.h"
 #include "rdf/graph.h"
 #include "sparql/parser.h"
@@ -85,30 +86,6 @@ TEST(StatisticsTest, PatternCardinality) {
                                       Term::Variable("o")};
   EXPECT_DOUBLE_EQ(stats.EstimatePatternCardinality(bound_subject, likes),
                    1.5);
-}
-
-TEST(StatisticsTest, PairwiseSubjectOverlap) {
-  rdf::EncodedGraph graph = SmallGraph();
-  DatasetStatistics basic = DatasetStatistics::Compute(graph);
-  DatasetStatistics precise = DatasetStatistics::ComputeWithPairwise(graph);
-  TermId likes = IdOf(graph, "<likes>");
-  TermId age = IdOf(graph, "<age>");
-  TermId name = IdOf(graph, "<name>");
-  TermId label = IdOf(graph, "<label>");
-  EXPECT_FALSE(basic.has_pairwise());
-  EXPECT_TRUE(precise.has_pairwise());
-  // Without pairwise data the overlap falls back to min of singles.
-  EXPECT_EQ(basic.SubjectOverlap(likes, age), 2u);
-  // u1 and u2 have both likes and age.
-  EXPECT_EQ(precise.SubjectOverlap(likes, age), 2u);
-  EXPECT_EQ(precise.SubjectOverlap(age, likes), 2u);  // Symmetric.
-  // Only u1 has both likes and name; basic's bound is 2.
-  EXPECT_EQ(precise.SubjectOverlap(likes, name), 1u);
-  EXPECT_EQ(basic.SubjectOverlap(likes, name), 2u);
-  // likes and label never share a subject.
-  EXPECT_EQ(precise.SubjectOverlap(likes, label), 0u);
-  // Same predicate: its own distinct-subject count.
-  EXPECT_EQ(precise.SubjectOverlap(likes, likes), 2u);
 }
 
 // -------------------------------------------------------------- VpStore
@@ -323,6 +300,74 @@ TEST(PropertyTableTest, AbsentPredicateYieldsEmpty) {
   EXPECT_EQ(relation->num_columns(), 3u);
 }
 
+// ------------------------------------------------ Partitioning agreement
+
+/// A3's partitioning reuse skips the shuffle of a join side that is
+/// already hash-partitioned on the join key. That is correct only if
+/// every scanned row already sits on the worker RepartitionByColumn
+/// would send it to: re-shuffling a copy must leave each chunk as it is.
+void ExpectPlacedAsRepartitioned(const engine::Relation& scanned,
+                                 uint32_t workers) {
+  ASSERT_EQ(scanned.hash_partitioned_by(), 0);
+  ASSERT_EQ(scanned.num_chunks(), workers);
+  engine::Relation unplaced = scanned;
+  unplaced.set_hash_partitioned_by(-1);
+  cluster::CostModel cost((cluster::ClusterConfig()));
+  cost.BeginStage("repartition");
+  const engine::Relation moved =
+      engine::RepartitionByColumn(unplaced, 0, workers, cost);
+  cost.EndStage();
+  ASSERT_EQ(moved.num_chunks(), workers);
+  EXPECT_GT(scanned.TotalRows(), 0u);
+  for (uint32_t w = 0; w < workers; ++w) {
+    EXPECT_EQ(scanned.chunks()[w].columns, moved.chunks()[w].columns)
+        << "worker " << w;
+  }
+}
+
+TEST(PartitioningTest, ScanRowsSitWhereRepartitionPutsTheirKey) {
+  // 120 subjects over four predicates; p0 is multi-valued.
+  rdf::EncodedGraph graph;
+  for (int s = 0; s < 120; ++s) {
+    const Term subject = Term::Iri("http://ex/s" + std::to_string(s));
+    for (int p = 0; p < 4; ++p) {
+      if ((s + p) % 3 == 0) continue;
+      for (int v = 0; v < (p == 0 ? 1 + s % 3 : 1); ++v) {
+        const int object = (s * 7 + v) % 50;
+        graph.Add({subject, Term::Iri("http://ex/p" + std::to_string(p)),
+                   Term::Iri("http://ex/o" + std::to_string(object))});
+      }
+    }
+  }
+  graph.SortAndDedupe();
+  constexpr uint32_t kWorkers = 4;
+  DatasetStatistics stats = DatasetStatistics::Compute(graph);
+  columnar::BufferPool pool(columnar::kUnboundedBudget);
+  VpStore vp = VpStore::Build(graph, kWorkers, pool);
+  PropertyTable pt = PropertyTable::Build(graph, stats, kWorkers, pool);
+  std::vector<TermId> predicates;
+  for (int p = 0; p < 4; ++p) {
+    predicates.push_back(
+        IdOf(graph, "<http://ex/p" + std::to_string(p) + ">"));
+  }
+  cluster::CostModel cost((cluster::ClusterConfig()));
+  cost.BeginStage("scan");
+  for (TermId predicate : predicates) {
+    auto scanned = vp.Scan(predicate, PatternTerm::Var("s"),
+                           PatternTerm::Var("o"), cost);
+    ASSERT_TRUE(scanned.ok()) << scanned.status();
+    ExpectPlacedAsRepartitioned(*scanned, kWorkers);
+  }
+  auto star = pt.Scan(PatternTerm::Var("s"),
+                      {{predicates[0], PatternTerm::Var("a")},
+                       {predicates[1], PatternTerm::Var("b")},
+                       {predicates[3], PatternTerm::Var("c")}},
+                      cost);
+  cost.EndStage();
+  ASSERT_TRUE(star.ok()) << star.status();
+  ExpectPlacedAsRepartitioned(*star, kWorkers);
+}
+
 TEST(PropertyTableTest, ReverseTableGroupsByObject) {
   rdf::EncodedGraph graph = SmallGraph();
   DatasetStatistics stats = DatasetStatistics::Compute(graph);
@@ -442,26 +487,6 @@ TEST(TranslatorTest, ReversePtGroupsLeftoverSameObjectPatterns) {
   ASSERT_TRUE(tree.ok());
   ASSERT_EQ(tree->nodes.size(), 1u);
   EXPECT_EQ(tree->nodes[0].kind, NodeKind::kReversePropertyTable);
-}
-
-TEST(TranslatorTest, PairwiseStatsSharpenPtEstimates) {
-  rdf::EncodedGraph graph = SmallGraph();
-  auto query = sparql::ParseQuery(
-      "SELECT * WHERE { ?s <likes> ?o . ?s <name> ?n . }");
-  ASSERT_TRUE(query.ok());
-  DatasetStatistics basic = DatasetStatistics::Compute(graph);
-  DatasetStatistics precise = DatasetStatistics::ComputeWithPairwise(graph);
-  TranslatorOptions options;
-  auto basic_tree = Translate(*query, basic, graph.dictionary(), options);
-  auto precise_tree =
-      Translate(*query, precise, graph.dictionary(), options);
-  ASSERT_TRUE(basic_tree.ok());
-  ASSERT_TRUE(precise_tree.ok());
-  // Only u1 carries both predicates; the precise estimate must be
-  // strictly tighter than the basic min-of-singles.
-  EXPECT_LT(precise_tree->nodes[0].estimated_cardinality,
-            basic_tree->nodes[0].estimated_cardinality);
-  EXPECT_DOUBLE_EQ(precise_tree->nodes[0].estimated_cardinality, 1.0);
 }
 
 TEST(TranslatorTest, ReversePtGateSkipsSelectivelyBoundObjects) {

@@ -636,7 +636,9 @@ TEST(ResultWriterTest, MatchesOracleOnEscapesTagsDatatypesAndBlankNodes) {
       Term::Blank("b1"),
   };
   for (size_t i = 0; i < std::size(objects); ++i) {
-    graph.Add({Term::Iri("s" + std::to_string(i)), p, objects[i]});
+    std::string subject = "s";
+    subject += std::to_string(i);
+    graph.Add({Term::Iri(std::move(subject)), p, objects[i]});
   }
   graph.Add({Term::Blank("b0"), p, Term::Literal("")});
   std::unique_ptr<core::ProstDb> db = OneWorkerDb(std::move(graph));

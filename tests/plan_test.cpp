@@ -21,9 +21,9 @@
 #include "plan/passes.h"
 #include "plan/plan_ir.h"
 #include "plan/planner.h"
+#include "random_workload.h"
 #include "rdf/graph.h"
 #include "reference_evaluator.h"
-#include "random_workload.h"
 #include "sparql/parser.h"
 #include "watdiv/generator.h"
 #include "watdiv/queries.h"
@@ -398,15 +398,10 @@ std::string RenderGoldenPlans(const PlanWorkload& workload) {
       "# as golden_plans.actual.txt; review the diff, then copy it here.\n";
   for (const auto& [name, db] : configs) {
     for (size_t i = 0; i < workload.parsed.size(); ++i) {
-      out.append("== ").append(name).append(" ");
-      out.append(workload.queries[i].id).append("\n");
+      out += "== " + std::string(name) + " " + workload.queries[i].id + "\n";
       auto planned = db->PlanPhysical(workload.parsed[i]);
-      if (planned.ok()) {
-        out += planned->plan.ToString();
-      } else {
-        out.append("error: ").append(planned.status().ToString());
-        out += "\n";
-      }
+      out += planned.ok() ? planned->plan.ToString()
+                          : "error: " + planned.status().ToString() + "\n";
     }
   }
   RenderExtraGoldenPlans(out);
@@ -978,6 +973,23 @@ TEST(JoinOrderTest, GreedyOrderAboveTheDpThresholdIsCorrect) {
     start = end;
   }
   EXPECT_EQ(joins, 11u);
+}
+
+TEST(JoinOrderTest, SegmentOfMaxLeavesIsOrderedCorrectly) {
+  // 32 patterns, the most the pass orders: a sixteen-hop follows chain
+  // and the names of its first sixteen members.
+  std::string text = "SELECT * WHERE { ";
+  for (int i = 0; i < 16; ++i) {
+    text += "?x" + std::to_string(i) + " <http://ex/follows> ?x" +
+            std::to_string(i + 1) + " . ";
+    text += "?x" + std::to_string(i) + " <http://ex/name> ?n" +
+            std::to_string(i) + " . ";
+  }
+  text += "}";
+  // Plans (greedy over all 32 leaves) and answers like the reference.
+  std::unique_ptr<core::ProstDb> db = RingDb(/*join_order=*/true);
+  CheckRingQuery(*db, text, plan::kJoinOrderMaxLeaves,
+                 plan::kJoinOrderMaxLeaves);
 }
 
 TEST(JoinOrderTest, SegmentsAboveMaxLeavesKeepTheTranslatorOrder) {

@@ -188,23 +188,28 @@ size_t ExpectScanMatchesOracle(const PropertyTable& pt,
 rdf::EncodedGraph RandomGraph(uint64_t seed) {
   Rng rng(seed);
   rdf::EncodedGraph graph;
+  auto iri = [](const char* stem, uint64_t i) {
+    std::string name = stem;
+    name += std::to_string(i);
+    return Term::Iri(std::move(name));
+  };
   auto value = [&]() {
     uint64_t v = rng.NextBounded(12);
-    return Term::Iri((v < 6 ? "v" : "s") + std::to_string(v % 6));
+    return iri(v < 6 ? "v" : "s", v % 6);
   };
   for (int p = 0; p < 6; ++p) {
-    const Term predicate = Term::Iri("p" + std::to_string(p));
+    const Term predicate = iri("p", p);
     // Every predicate gets a triple, and every list predicate a
     // two-value cell, so all six columns exist with the intended kind.
     graph.Add({Term::Iri("s0"), predicate, Term::Iri("v0")});
     if (p < 3) graph.Add({Term::Iri("s0"), predicate, Term::Iri("s1")});
     for (int s = 1; s < 40; ++s) {
       if (rng.NextBounded(3) == 0) continue;  // Empty cell.
-      const Term subject = Term::Iri("s" + std::to_string(s));
+      const Term subject = iri("s", s);
       const uint64_t count = p < 3 ? 1 + rng.NextBounded(4) : 1;
       for (uint64_t k = 0; k < count; ++k) {
         graph.Add({subject, predicate,
-                   p == 5 ? Term::Iri("u" + std::to_string(s)) : value()});
+                   p == 5 ? iri("u", s) : value()});
       }
     }
   }
@@ -242,8 +247,9 @@ std::unique_ptr<RandomTable> MakeRandomTable(uint64_t seed, bool reverse,
   }
   for (int i = 0; i < 40; ++i) {
     for (const char* stem : {"s", "v"}) {
-      TermId id = dictionary.Lookup("<" + std::string(stem) +
-                                    std::to_string(i) + ">");
+      std::string iri = "<";
+      iri.append(stem).append(std::to_string(i)).append(">");
+      TermId id = dictionary.Lookup(iri);
       if (id != rdf::kNullTermId) table->values.push_back(id);
     }
   }

@@ -153,6 +153,20 @@ TEST(ValidationTest, DisconnectedBgpRejected) {
   EXPECT_EQ(query.status().code(), StatusCode::kUnimplemented);
 }
 
+TEST(ValidationTest, CountAliasMustNotBeABgpVariable) {
+  // SPARQL 1.1 §18.2.1: (expr AS ?v) may not rebind an in-scope ?v.
+  for (const char* text :
+       {"SELECT (COUNT(?s) AS ?o) WHERE { ?s <http://p> ?o . }",
+        "SELECT (COUNT(*) AS ?s) WHERE { ?s <http://p> ?o . }"}) {
+    SCOPED_TRACE(text);
+    auto query = ParseQuery(text);
+    EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto fresh =
+      ParseQuery("SELECT (COUNT(?s) AS ?n) WHERE { ?s <http://p> ?o . }");
+  EXPECT_TRUE(fresh.ok()) << fresh.status();
+}
+
 TEST(ValidationTest, ConnectedThroughChainAccepted) {
   auto query = ParseQuery(
       "SELECT * WHERE { ?a <http://p> ?b . ?b <http://q> ?c . "

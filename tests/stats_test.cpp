@@ -85,6 +85,90 @@ TEST(CharacteristicSetsTest, ComputeGroupsSubjectsBySignature) {
   EXPECT_EQ(sets.EstimateStar({p1, rdf::TermId{9999}}).subjects, 0u);
 }
 
+// For every predicate pair (a predicate with itself included), the
+// subjects of the two-predicate star are exactly the subjects carrying
+// both predicates, counted by brute force over the triples.
+void ExpectPairStarsCountSubjectOverlap(const rdf::EncodedGraph& graph) {
+  std::map<rdf::TermId, std::vector<rdf::TermId>> predicates_of;
+  for (const rdf::EncodedTriple& t : graph.triples()) {
+    predicates_of[t.subject].push_back(t.predicate);
+  }
+  std::vector<rdf::TermId> all;
+  for (auto& [subject, predicates] : predicates_of) {
+    (void)subject;
+    std::sort(predicates.begin(), predicates.end());
+    predicates.erase(std::unique(predicates.begin(), predicates.end()),
+                     predicates.end());
+    all.insert(all.end(), predicates.begin(), predicates.end());
+  }
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  const stats::CharacteristicSets sets =
+      stats::CharacteristicSets::Compute(graph);
+  for (rdf::TermId p : all) {
+    for (rdf::TermId q : all) {
+      uint64_t overlap = 0;
+      for (const auto& [subject, predicates] : predicates_of) {
+        (void)subject;
+        if (std::binary_search(predicates.begin(), predicates.end(), p) &&
+            std::binary_search(predicates.begin(), predicates.end(), q)) {
+          ++overlap;
+        }
+      }
+      EXPECT_EQ(sets.EstimateStar({p, q}).subjects, overlap)
+          << "predicates " << p << ", " << q;
+    }
+  }
+}
+
+TEST(CharacteristicSetsTest, PairStarSubjectsEqualSubjectOverlap) {
+  // Nine triples: u1 and u2 both carry likes and age, only u1 carries
+  // likes and name, and likes and label never share a subject.
+  const std::string triples =
+      "<http://ex/u1> <http://ex/likes> <http://ex/p1> .\n"
+      "<http://ex/u1> <http://ex/likes> <http://ex/p2> .\n"
+      "<http://ex/u1> <http://ex/age> \"30\" .\n"
+      "<http://ex/u1> <http://ex/name> \"ann\" .\n"
+      "<http://ex/u2> <http://ex/likes> <http://ex/p1> .\n"
+      "<http://ex/u2> <http://ex/age> \"30\" .\n"
+      "<http://ex/u3> <http://ex/name> \"cat\" .\n"
+      "<http://ex/p1> <http://ex/label> \"x\" .\n"
+      "<http://ex/p2> <http://ex/label> \"y\" .\n";
+  auto graph = rdf::EncodeNTriples(triples);
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  const stats::CharacteristicSets sets =
+      stats::CharacteristicSets::Compute(*graph);
+  const rdf::TermId likes = Predicate(*graph, "<http://ex/likes>");
+  const rdf::TermId age = Predicate(*graph, "<http://ex/age>");
+  const rdf::TermId name = Predicate(*graph, "<http://ex/name>");
+  const rdf::TermId label = Predicate(*graph, "<http://ex/label>");
+  EXPECT_EQ(sets.EstimateStar({likes, age}).subjects, 2u);
+  EXPECT_EQ(sets.EstimateStar({age, likes}).subjects, 2u);
+  EXPECT_EQ(sets.EstimateStar({likes, name}).subjects, 1u);
+  EXPECT_EQ(sets.EstimateStar({likes, label}).subjects, 0u);
+  EXPECT_EQ(sets.EstimateStar({likes, likes}).subjects, 2u);
+
+  ExpectPairStarsCountSubjectOverlap(*graph);
+  ExpectPairStarsCountSubjectOverlap(Fixture());
+  Rng rng(3);
+  auto iri = [&rng](const char* prefix, uint64_t bound) {
+    return rdf::Term::Iri(StrFormat("%s%llu", prefix,
+                                    static_cast<unsigned long long>(
+                                        rng.NextBounded(bound))));
+  };
+  for (int i = 0; i < 5; ++i) {
+    rdf::EncodedGraph random;
+    for (int t = 0; t < 300; ++t) {
+      rdf::Term subject = iri("http://e/", 40);
+      rdf::Term predicate = iri("http://p/", 8);
+      random.Add({std::move(subject), std::move(predicate),
+                  iri("http://e/", 40)});
+    }
+    random.SortAndDedupe();
+    ExpectPairStarsCountSubjectOverlap(random);
+  }
+}
+
 TEST(CharacteristicSetsTest, StarRowEstimateIsExactOnTheFixture) {
   rdf::EncodedGraph graph = Fixture();
   stats::CharacteristicSets sets = stats::CharacteristicSets::Compute(graph);

@@ -137,8 +137,10 @@ TEST(GeneratorTest, PowerLawPopularity) {
   config.target_triples = 40000;
   WatDivDataset dataset = Generate(config);
   const rdf::Dictionary& dict = dataset.graph.dictionary();
-  rdf::TermId likes = dict.Lookup("<" + Predicates::likes() + ">");
-  rdf::TermId popular = dict.Lookup("<" + ProductIri(0) + ">");
+  rdf::TermId likes =
+      dict.Lookup(rdf::Term::Iri(Predicates::likes()).ToNTriples());
+  rdf::TermId popular =
+      dict.Lookup(rdf::Term::Iri(ProductIri(0)).ToNTriples());
   ASSERT_NE(likes, rdf::kNullTermId);
   size_t popular_count = 0, total = 0;
   for (const auto& t : dataset.graph.triples()) {
