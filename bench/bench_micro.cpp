@@ -128,17 +128,17 @@ BENCHMARK(BM_HashJoin)
 
 void BM_KvStoreSeek(benchmark::State& state) {
   kvstore::SortedKvStore store;
-  std::vector<std::pair<std::string, std::string>> entries;
+  std::vector<std::string> keys;
   Rng rng(3);
   for (size_t i = 0; i < 1u << 16; ++i) {
-    entries.emplace_back(kvstore::BigEndianKey(rng.Next()), "");
+    keys.push_back(kvstore::BigEndianKey(rng.Next()));
   }
-  store.BulkLoad(std::move(entries));
+  store.BulkLoad(std::move(keys));
   Rng probe(4);
   for (auto _ : state) {
-    auto it = store.ScanPrefix(
+    auto range = store.ScanPrefix(
         kvstore::BigEndianKey(probe.Next()).substr(0, 2));
-    benchmark::DoNotOptimize(it.size());
+    benchmark::DoNotOptimize(range.size());
   }
 }
 BENCHMARK(BM_KvStoreSeek);

@@ -1,10 +1,9 @@
 #include "baselines/rya.h"
 
 #include <algorithm>
-#include <set>
+#include <span>
 
 #include "common/compression.h"
-#include "common/hash.h"
 #include "common/io.h"
 #include "common/str_util.h"
 #include "common/timer.h"
@@ -52,18 +51,15 @@ Result<std::unique_ptr<RdfSystem>> RyaSystem::Load(
   system->cluster_.stage_overhead_sec = 0.05;
   system->cluster_.query_overhead_sec = 0.02;
 
-  // Three index layouts, bulk-loaded as sorted runs.
-  std::vector<std::pair<std::string, std::string>> entries;
-  entries.reserve(g.size() * 3);
+  // Three index layouts, bulk-loaded into one sorted key store.
+  std::vector<std::string> keys;
+  keys.reserve(g.size() * 3);
   for (const rdf::EncodedTriple& t : g.triples()) {
-    entries.emplace_back(
-        IndexKey(Layout::kSpo, t.subject, t.predicate, t.object), "");
-    entries.emplace_back(
-        IndexKey(Layout::kPos, t.predicate, t.object, t.subject), "");
-    entries.emplace_back(
-        IndexKey(Layout::kOsp, t.object, t.subject, t.predicate), "");
+    keys.push_back(IndexKey(Layout::kSpo, t.subject, t.predicate, t.object));
+    keys.push_back(IndexKey(Layout::kPos, t.predicate, t.object, t.subject));
+    keys.push_back(IndexKey(Layout::kOsp, t.object, t.subject, t.predicate));
   }
-  system->store_.BulkLoad(std::move(entries));
+  system->store_.BulkLoad(std::move(keys));
   system->metrics_.counter("rya.index.entries")
       .Add(system->store_.num_entries());
   system->metrics_.counter("rya.index.layouts").Add(3);
@@ -178,12 +174,11 @@ Result<QueryResult> RyaSystem::Execute(const sparql::Query& query) const {
         prefix.push_back(static_cast<char>(layout));
         prefix += BigEndianKey(p.predicate);
       }
-      kvstore::SortedKvStore::Iterator it = store_.ScanPrefix(prefix);
+      std::span<const std::string> keys = store_.ScanPrefix(prefix);
       // The whole nested loop runs through the client (worker 0): this
       // serialization is Rya's Achilles heel on large intermediates.
-      cost.ChargeKvSeek(0, it.size());
-      for (; it.Valid(); it.Next()) {
-        std::string_view key = it.key();
+      cost.ChargeKvSeek(0, keys.size());
+      for (std::string_view key : keys) {
         rdf::TermId a = DecodeBigEndianKey(key.substr(1, 8));
         rdf::TermId b = DecodeBigEndianKey(key.substr(9, 8));
         rdf::TermId c = DecodeBigEndianKey(key.substr(17, 8));
@@ -273,10 +268,7 @@ Result<uint64_t> RyaSystem::PersistTo(const std::string& dir) const {
   uint64_t timestamp = 0;
   for (char layout : {'s', 'p', 'o'}) {
     std::string text;
-    kvstore::SortedKvStore::Iterator it =
-        store_.ScanPrefix(std::string(1, layout));
-    for (; it.Valid(); it.Next()) {
-      std::string_view key = it.key();
+    for (std::string_view key : store_.ScanPrefix(std::string(1, layout))) {
       for (int i = 0; i < 3; ++i) {
         rdf::TermId id = DecodeBigEndianKey(key.substr(1 + 8 * i, 8));
         text += std::string(dictionary.MustLookupId(id));

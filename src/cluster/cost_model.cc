@@ -105,8 +105,6 @@ void CostModel::ChargeQueryOverhead() {
   elapsed_sec_ += config_.query_overhead_sec;
 }
 
-void CostModel::AdvanceSeconds(double seconds) { elapsed_sec_ += seconds; }
-
 void CostModel::Reset() {
   elapsed_sec_ = 0;
   counters_ = ExecutionCounters{};

@@ -72,10 +72,6 @@ class CostModel {
   /// Charges the fixed per-query driver overhead.
   void ChargeQueryOverhead();
 
-  /// Advances the clock directly by `seconds` (loading-phase items that
-  /// are not stage-shaped, e.g. dictionary write-out).
-  void AdvanceSeconds(double seconds);
-
   double ElapsedMillis() const { return elapsed_sec_ * 1000.0; }
   double ElapsedSeconds() const { return elapsed_sec_; }
 

@@ -13,15 +13,6 @@ inline uint64_t SecondHash(TermId id) {
   return Mix64(id ^ 0x9e3779b97f4a7c15ULL) | 1;
 }
 
-inline uint64_t VarintLen(uint64_t value) {
-  uint64_t n = 1;
-  while (value >= 128) {
-    value >>= 7;
-    ++n;
-  }
-  return n;
-}
-
 }  // namespace
 
 BloomFilter BloomFilter::Build(const IdVector& keys, uint32_t bits_per_key) {
@@ -62,36 +53,6 @@ bool BloomFilter::MayContain(TermId id) const {
     h += step;
   }
   return true;
-}
-
-uint64_t BloomFilter::SerializedBytes() const {
-  return VarintLen(num_hashes_) + VarintLen(bits_.size()) + 8 * bits_.size();
-}
-
-void BloomFilter::Serialize(ByteWriter& writer) const {
-  writer.PutVarint(num_hashes_);
-  writer.PutVarint(bits_.size());
-  for (uint64_t word : bits_) writer.PutU64(word);
-}
-
-Result<BloomFilter> BloomFilter::Deserialize(ByteReader& reader) {
-  BloomFilter filter;
-  uint64_t num_hashes, num_words;
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&num_hashes));
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&num_words));
-  if (num_hashes > 64) return Status::Corruption("bloom probe count");
-  if (num_words > reader.remaining() / 8) {
-    return Status::Corruption("bloom filter truncated");
-  }
-  filter.num_hashes_ = static_cast<uint32_t>(num_hashes);
-  filter.bits_.resize(num_words);
-  for (uint64_t i = 0; i < num_words; ++i) {
-    PROST_RETURN_IF_ERROR(reader.GetU64(&filter.bits_[i]));
-  }
-  if (!filter.bits_.empty() && filter.num_hashes_ == 0) {
-    return Status::Corruption("bloom filter with zero probes");
-  }
-  return filter;
 }
 
 }  // namespace prost::columnar

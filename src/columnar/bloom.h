@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "columnar/column.h"
-#include "common/io.h"
-#include "common/status.h"
 
 namespace prost::columnar {
 
@@ -36,15 +34,6 @@ class BloomFilter {
 
   bool empty() const { return bits_.empty(); }
   uint64_t num_bits() const { return uint64_t{64} * bits_.size(); }
-  uint32_t num_hashes() const { return num_hashes_; }
-  /// Exact size Serialize() will write.
-  uint64_t SerializedBytes() const;
-
-  void Serialize(ByteWriter& writer) const;
-  static Result<BloomFilter> Deserialize(ByteReader& reader);
-
-  bool operator==(const BloomFilter& other) const = default;
-
  private:
   uint32_t num_hashes_ = 0;
   std::vector<uint64_t> bits_;

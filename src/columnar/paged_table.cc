@@ -4,30 +4,11 @@
 #include <utility>
 
 #include "columnar/encoding.h"
-#include "common/hash.h"
 #include "common/io.h"
 #include "common/str_util.h"
 
 namespace prost::columnar {
 namespace {
-
-constexpr uint32_t kPagedMagic = 0x50525350;  // "PRSP"
-constexpr uint8_t kPagedVersion = 1;
-
-void WriteColumnStats(const ColumnStats& stats, ByteWriter& writer) {
-  writer.PutVarint(stats.min_id);
-  writer.PutVarint(stats.max_id);
-  writer.PutVarint(stats.null_count);
-  writer.PutVarint(stats.value_count);
-}
-
-Status ReadColumnStats(ByteReader& reader, ColumnStats* stats) {
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&stats->min_id));
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&stats->max_id));
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&stats->null_count));
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&stats->value_count));
-  return Status::OK();
-}
 
 /// Whether `chunk` lies inside a payload of `payload_bytes`, without the
 /// offset + bytes sum that untrusted metadata could wrap.
@@ -167,106 +148,6 @@ Result<StoredTable> PagedTable::ToStored() const {
     return Status::Corruption("paged table row count disagrees with groups");
   }
   return table;
-}
-
-void PagedTable::Serialize(std::string* out) const {
-  ByteWriter writer;
-  writer.PutU32(kPagedMagic);
-  writer.PutU8(kPagedVersion);
-  writer.PutVarint(schema_.num_fields());
-  for (const Field& field : schema_.fields()) {
-    writer.PutString(field.name);
-    writer.PutU8(static_cast<uint8_t>(field.kind));
-  }
-  writer.PutVarint(num_rows_);
-  writer.PutVarint(groups_.size());
-  for (const RowGroupMeta& group : groups_) {
-    writer.PutVarint(group.row_begin);
-    writer.PutVarint(group.num_rows);
-    for (const ChunkMeta& chunk : group.chunks) {
-      WriteColumnStats(chunk.stats, writer);
-      writer.PutVarint(chunk.offset);
-      writer.PutVarint(chunk.bytes);
-    }
-  }
-  key_bloom_.Serialize(writer);
-  writer.PutString(payload_);
-  uint64_t checksum = HashBytes(writer.buffer());
-  writer.PutU64(checksum);
-  *out = std::move(writer.TakeBuffer());
-}
-
-Result<PagedTable> PagedTable::Deserialize(std::string_view data) {
-  if (data.size() < 8) return Status::Corruption("paged table too small");
-  std::string_view body = data.substr(0, data.size() - 8);
-  ByteReader checksum_reader(data.substr(data.size() - 8));
-  uint64_t stored_checksum;
-  PROST_RETURN_IF_ERROR(checksum_reader.GetU64(&stored_checksum));
-  if (HashBytes(body) != stored_checksum) {
-    return Status::Corruption("paged table checksum mismatch");
-  }
-
-  ByteReader reader(body);
-  uint32_t magic;
-  PROST_RETURN_IF_ERROR(reader.GetU32(&magic));
-  if (magic != kPagedMagic) return Status::Corruption("bad paged magic");
-  uint8_t version;
-  PROST_RETURN_IF_ERROR(reader.GetU8(&version));
-  if (version != kPagedVersion) {
-    return Status::Corruption("unsupported paged format version");
-  }
-  PagedTable paged;
-  uint64_t num_fields;
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&num_fields));
-  for (uint64_t i = 0; i < num_fields; ++i) {
-    std::string name;
-    uint8_t kind;
-    PROST_RETURN_IF_ERROR(reader.GetString(&name));
-    PROST_RETURN_IF_ERROR(reader.GetU8(&kind));
-    if (kind > static_cast<uint8_t>(ColumnKind::kIdList)) {
-      return Status::Corruption("bad column kind in paged schema");
-    }
-    PROST_RETURN_IF_ERROR(paged.schema_.AddField(
-        Field{std::move(name), static_cast<ColumnKind>(kind)}));
-  }
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&paged.num_rows_));
-  uint64_t num_groups;
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&num_groups));
-  uint64_t rows_seen = 0;
-  for (uint64_t g = 0; g < num_groups; ++g) {
-    RowGroupMeta group;
-    PROST_RETURN_IF_ERROR(reader.GetVarint(&group.row_begin));
-    uint64_t group_rows;
-    PROST_RETURN_IF_ERROR(reader.GetVarint(&group_rows));
-    if (group_rows > UINT32_MAX) {
-      return Status::Corruption("paged row group too large");
-    }
-    group.num_rows = static_cast<uint32_t>(group_rows);
-    rows_seen += group_rows;
-    for (uint64_t c = 0; c < num_fields; ++c) {
-      ChunkMeta chunk;
-      PROST_RETURN_IF_ERROR(ReadColumnStats(reader, &chunk.stats));
-      PROST_RETURN_IF_ERROR(reader.GetVarint(&chunk.offset));
-      PROST_RETURN_IF_ERROR(reader.GetVarint(&chunk.bytes));
-      group.chunks.push_back(chunk);
-    }
-    paged.groups_.push_back(std::move(group));
-  }
-  if (rows_seen != paged.num_rows_) {
-    return Status::Corruption("paged group row counts disagree with header");
-  }
-  Result<BloomFilter> bloom = BloomFilter::Deserialize(reader);
-  PROST_RETURN_IF_ERROR(bloom.status());
-  paged.key_bloom_ = std::move(bloom).value();
-  PROST_RETURN_IF_ERROR(reader.GetString(&paged.payload_));
-  for (const RowGroupMeta& group : paged.groups_) {
-    for (const ChunkMeta& chunk : group.chunks) {
-      if (!ChunkInPayload(chunk, paged.payload_.size())) {
-        return Status::Corruption("paged chunk extends past payload");
-      }
-    }
-  }
-  return paged;
 }
 
 }  // namespace prost::columnar

@@ -74,11 +74,6 @@ class PagedTable {
   /// decoded form in the lexical format).
   Result<StoredTable> ToStored() const;
 
-  /// Own serialized form: encoded chunks plus a chunk directory and the
-  /// bloom filter, so zone maps round-trip without a decode.
-  void Serialize(std::string* out) const;
-  static Result<PagedTable> Deserialize(std::string_view data);
-
  private:
   Schema schema_;
   uint64_t num_rows_ = 0;

@@ -2,16 +2,6 @@
 
 namespace prost::columnar {
 
-const char* ColumnKindToString(ColumnKind kind) {
-  switch (kind) {
-    case ColumnKind::kId:
-      return "id";
-    case ColumnKind::kIdList:
-      return "id_list";
-  }
-  return "?";
-}
-
 Schema::Schema(std::vector<Field> fields) : fields_(std::move(fields)) {}
 
 Status Schema::AddField(Field field) {

@@ -17,8 +17,6 @@ enum class ColumnKind : uint8_t {
   kIdList = 1,
 };
 
-const char* ColumnKindToString(ColumnKind kind);
-
 /// A named, typed column slot in a schema.
 struct Field {
   std::string name;

@@ -1,6 +1,5 @@
 #include "common/io.h"
 
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -20,12 +19,6 @@ void ByteWriter::PutU64(uint64_t v) {
   char bytes[8];
   for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
   buffer_.append(bytes, 8);
-}
-
-void ByteWriter::PutDouble(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
 }
 
 void ByteWriter::PutVarint(uint64_t v) {
@@ -75,13 +68,6 @@ Status ByteReader::GetU64(uint64_t* out) {
   return Status::OK();
 }
 
-Status ByteReader::GetDouble(double* out) {
-  uint64_t bits;
-  PROST_RETURN_IF_ERROR(GetU64(&bits));
-  std::memcpy(out, &bits, sizeof(*out));
-  return Status::OK();
-}
-
 Status ByteReader::GetVarint(uint64_t* out) {
   uint64_t v = 0;
   int shift = 0;
@@ -102,13 +88,6 @@ Status ByteReader::GetString(std::string* out) {
   PROST_RETURN_IF_ERROR(GetVarint(&size));
   if (remaining() < size) return Status::Corruption("truncated string");
   out->assign(data_.data() + pos_, size);
-  pos_ += size;
-  return Status::OK();
-}
-
-Status ByteReader::GetRaw(void* out, size_t size) {
-  if (remaining() < size) return Status::Corruption("truncated raw bytes");
-  std::memcpy(out, data_.data() + pos_, size);
   pos_ += size;
   return Status::OK();
 }
@@ -137,13 +116,6 @@ Status WriteStringToFile(const std::string& path, std::string_view data) {
   file.write(data.data(), static_cast<std::streamsize>(data.size()));
   if (!file) return Status::IOError("short write: " + path);
   return Status::OK();
-}
-
-Result<uint64_t> FileSize(const std::string& path) {
-  std::error_code ec;
-  uint64_t size = fs::file_size(path, ec);
-  if (ec) return Status::IOError("file_size failed: " + path);
-  return size;
 }
 
 Status MakeDirectories(const std::string& path) {

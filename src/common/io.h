@@ -10,14 +10,13 @@
 namespace prost {
 
 /// Appends binary little-endian primitives and length-prefixed strings to
-/// an owned buffer. The columnar file format and the KV store's sorted
-/// runs are serialized through this writer.
+/// an owned buffer. The lexical columnar format and the encoded column
+/// chunks are written through this writer.
 class ByteWriter {
  public:
   void PutU8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
-  void PutDouble(double v);
   /// LEB128 variable-length encoding; small values take one byte.
   void PutVarint(uint64_t v);
   /// Varint length prefix followed by raw bytes.
@@ -42,14 +41,11 @@ class ByteReader {
   Status GetU8(uint8_t* out);
   Status GetU32(uint32_t* out);
   Status GetU64(uint64_t* out);
-  Status GetDouble(double* out);
   Status GetVarint(uint64_t* out);
   Status GetString(std::string* out);
-  Status GetRaw(void* out, size_t size);
   Status Skip(size_t size);
 
   size_t remaining() const { return data_.size() - pos_; }
-  size_t position() const { return pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
 
  private:
@@ -62,9 +58,6 @@ Status ReadFileToString(const std::string& path, std::string* out);
 
 /// Writes `data` to `path`, replacing any existing file.
 Status WriteStringToFile(const std::string& path, std::string_view data);
-
-/// Returns the size in bytes of the file at `path`, or an error.
-Result<uint64_t> FileSize(const std::string& path);
 
 /// Creates `path` and any missing parents (mkdir -p semantics).
 Status MakeDirectories(const std::string& path);

@@ -1,16 +1,9 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace prost {
 namespace {
-
-// Relaxed ordering throughout (DESIGN.md §11 atomics inventory): the
-// level is a single word with no dependent state, so a racing
-// SetLogLevel may drop or admit one in-flight message but can never
-// corrupt anything.
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kWarning)};
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -29,14 +22,6 @@ const char* LevelName(LogLevel level) {
 }
 
 }  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
 
 void LogMessage(LogLevel level, const std::string& message) {
   std::fprintf(stderr, "[prost %s] %s\n", LevelName(level), message.c_str());

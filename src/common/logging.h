@@ -13,13 +13,12 @@ enum class LogLevel {
   kOff = 4,
 };
 
-/// Minimum level that is emitted; defaults to kWarning so that library
-/// internals stay quiet under tests. Benches and examples raise verbosity
-/// explicitly.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+/// Minimum level that is emitted: kWarning, so that library internals
+/// stay quiet under tests.
+inline constexpr LogLevel kMinLogLevel = LogLevel::kWarning;
 
-/// Emits `message` to stderr if `level` passes the configured threshold.
+/// Emits `message` to stderr. The PROST_* macros call it only for levels
+/// at or above kMinLogLevel.
 void LogMessage(LogLevel level, const std::string& message);
 
 }  // namespace prost
@@ -27,7 +26,7 @@ void LogMessage(LogLevel level, const std::string& message);
 #define PROST_LOG(level, ...)                                       \
   do {                                                              \
     if (static_cast<int>(level) >=                                  \
-        static_cast<int>(::prost::GetLogLevel())) {                 \
+        static_cast<int>(::prost::kMinLogLevel)) {                  \
       ::prost::LogMessage(level, ::prost::StrFormat(__VA_ARGS__));  \
     }                                                               \
   } while (false)

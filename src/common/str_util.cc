@@ -61,16 +61,6 @@ std::string StrJoin(const std::vector<std::string>& parts,
   return out;
 }
 
-bool StartsWith(std::string_view input, std::string_view prefix) {
-  return input.size() >= prefix.size() &&
-         input.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view input, std::string_view suffix) {
-  return input.size() >= suffix.size() &&
-         input.substr(input.size() - suffix.size()) == suffix;
-}
-
 std::string HumanBytes(uint64_t bytes) {
   constexpr const char* kUnits[] = {"B", "KB", "MB", "GB", "TB"};
   double value = static_cast<double>(bytes);

@@ -23,10 +23,6 @@ std::string_view StrTrim(std::string_view input);
 std::string StrJoin(const std::vector<std::string>& parts,
                     std::string_view separator);
 
-/// True if `input` begins with / ends with the given prefix or suffix.
-bool StartsWith(std::string_view input, std::string_view prefix);
-bool EndsWith(std::string_view input, std::string_view suffix);
-
 /// Formats a byte count as a human-readable string ("2.1 GB", "532 KB").
 std::string HumanBytes(uint64_t bytes);
 

@@ -6,9 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/str_util.h"
 #include "engine/operators.h"
-#include "obs/trace.h"
 
 namespace prost::core {
 namespace {
@@ -274,48 +272,25 @@ Relation ApplyOffset(Relation relation, uint64_t offset) {
 Result<Relation> ApplyFiltersAndModifiers(Relation relation,
                                           const sparql::Query& query,
                                           const rdf::Dictionary& dictionary,
-                                          cluster::CostModel& cost,
-                                          const engine::ExecContext* exec) {
+                                          cluster::CostModel& cost) {
   FilterEvaluator evaluator(dictionary);
-  obs::QueryProfile* profile = engine::ProfileOf(exec);
-  obs::OperatorSpan modifiers_span(profile, cost, obs::SpanKind::kModifiers,
-                                   "");
-  modifiers_span.SetRowsIn(relation.TotalRows());
-
   // FILTER constraints, pipelined (no stage boundaries of their own).
   for (const sparql::FilterConstraint& filter : query.filters) {
-    obs::OperatorSpan filter_span(profile, cost, obs::SpanKind::kFilter,
-                                  "?" + filter.variable);
-    filter_span.SetDetail("FILTER");
-    filter_span.SetRowsIn(relation.TotalRows());
     PROST_ASSIGN_OR_RETURN(relation,
                            evaluator.ApplyFilter(relation, filter, cost));
-    filter_span.SetRowsOut(relation.TotalRows());
   }
 
   // COUNT aggregates collapse the (filtered) solutions to a single row
   // carrying a virtual integer id; the remaining modifiers reduce to the
   // trivial slice of one row.
   if (query.count.has_value()) {
-    const sparql::CountAggregate& count = *query.count;
-    obs::OperatorSpan agg_span(profile, cost, obs::SpanKind::kAggregate,
-                               count.alias);
-    agg_span.SetDetail(count.distinct ? "COUNT DISTINCT" : "COUNT");
-    agg_span.SetRowsIn(relation.TotalRows());
-    PROST_ASSIGN_OR_RETURN(
-        relation, ApplyCountAggregate(relation, count, query.offset, cost));
-    agg_span.SetRowsOut(relation.TotalRows());
-    modifiers_span.SetRowsOut(relation.TotalRows());
-    return relation;
+    return ApplyCountAggregate(relation, *query.count, query.offset, cost);
   }
 
   // SPARQL evaluation order: ORDER BY sees the *full* solutions (its keys
   // may be dropped by the projection that follows).
   const bool ordered = !query.order_by.empty();
   if (ordered) {
-    obs::OperatorSpan sort_span(profile, cost, obs::SpanKind::kOrderBy, "");
-    sort_span.SetRowsIn(relation.TotalRows());
-    sort_span.SetRowsOut(relation.TotalRows());
     PROST_ASSIGN_OR_RETURN(
         relation,
         evaluator.ApplyOrderBy(std::move(relation), query.order_by, cost));
@@ -323,30 +298,13 @@ Result<Relation> ApplyFiltersAndModifiers(Relation relation,
 
   // Projection preserves per-chunk row order (ordered results live in one
   // chunk).
-  {
-    std::vector<std::string> projection = query.EffectiveProjection();
-    obs::OperatorSpan project_span(profile, cost, obs::SpanKind::kProject,
-                                   StrJoin(projection, ","));
-    project_span.SetRowsIn(relation.TotalRows());
-    project_span.SetRowsOut(relation.TotalRows());
-    PROST_ASSIGN_OR_RETURN(relation,
-                           engine::Project(relation, projection, cost, exec));
-  }
+  PROST_ASSIGN_OR_RETURN(
+      relation, engine::Project(relation, query.EffectiveProjection(), cost));
   if (query.distinct) {
     if (ordered) {
-      obs::OperatorSpan dedupe_span(profile, cost, obs::SpanKind::kDistinct,
-                                    "");
-      dedupe_span.SetDetail("order-preserving");
-      dedupe_span.SetRowsIn(relation.TotalRows());
       relation = OrderPreservingDistinct(relation, cost);
-      dedupe_span.SetRowsOut(relation.TotalRows());
     } else {
-      obs::OperatorSpan dedupe_span(profile, cost, obs::SpanKind::kDistinct,
-                                    "");
-      dedupe_span.SetRowsIn(relation.TotalRows());
-      PROST_ASSIGN_OR_RETURN(relation,
-                             engine::Distinct(relation, cost, exec));
-      dedupe_span.SetRowsOut(relation.TotalRows());
+      PROST_ASSIGN_OR_RETURN(relation, engine::Distinct(relation, cost));
     }
   }
 
@@ -354,7 +312,6 @@ Result<Relation> ApplyFiltersAndModifiers(Relation relation,
   if (query.limit > 0) {
     relation = engine::Limit(relation, query.limit);
   }
-  modifiers_span.SetRowsOut(relation.TotalRows());
   return relation;
 }
 

@@ -6,7 +6,6 @@
 
 #include "cluster/cost_model.h"
 #include "common/status.h"
-#include "engine/exec_context.h"
 #include "engine/relation.h"
 #include "rdf/dictionary.h"
 #include "sparql/algebra.h"
@@ -80,7 +79,11 @@ engine::Relation ApplyOffset(engine::Relation relation, uint64_t offset);
 /// Applies a query's FILTER constraints and solution modifiers to a
 /// relation of bound variables, in SPARQL evaluation order:
 ///
-///   FILTER → projection → DISTINCT → ORDER BY → OFFSET → LIMIT
+///   FILTER → ORDER BY → projection → DISTINCT → OFFSET → LIMIT
+///
+/// ORDER BY runs before the projection because its keys may be
+/// variables the projection drops. A COUNT aggregate replaces everything
+/// after FILTER (see ApplyCountAggregate).
 ///
 /// The baseline systems' modifier tail. PRoST itself executes these
 /// steps as plan nodes (see plan/planner.h) through the same helpers
@@ -88,15 +91,9 @@ engine::Relation ApplyOffset(engine::Relation relation, uint64_t offset);
 ///
 /// ORDER BY materializes the result on the driver (like Spark's collect)
 /// into chunk 0, preserving row order for consumers.
-///
-/// `exec` (nullable) parallelizes the projection only. FILTER evaluation
-/// shares a memoizing dictionary cache (not thread-safe), the sort is
-/// already a driver-side stable_sort, and DISTINCT/OFFSET/LIMIT are
-/// order-sensitive slices — those stay serial by design.
 Result<engine::Relation> ApplyFiltersAndModifiers(
     engine::Relation relation, const sparql::Query& query,
-    const rdf::Dictionary& dictionary, cluster::CostModel& cost,
-    const engine::ExecContext* exec = nullptr);
+    const rdf::Dictionary& dictionary, cluster::CostModel& cost);
 
 }  // namespace prost::core
 

@@ -125,18 +125,6 @@ void RefineNotNull(const IdVector& column, std::vector<uint32_t>& sel) {
   sel.resize(static_cast<size_t>(out - sel.data()));
 }
 
-void RefineRowsEqual(const IdVector& a, const IdVector& b,
-                     std::vector<uint32_t>& sel) {
-  const TermId* pa = a.data();
-  const TermId* pb = b.data();
-  uint32_t* out = sel.data();
-  for (uint32_t r : sel) {
-    *out = r;
-    out += pa[r] == pb[r] ? 1 : 0;
-  }
-  sel.resize(static_cast<size_t>(out - sel.data()));
-}
-
 namespace {
 
 /// True when the cell of row r holds `value`.
@@ -223,19 +211,6 @@ void Gather(const IdVector& src, const std::vector<uint32_t>& sel,
 void Gather(const std::vector<uint32_t>& src,
             const std::vector<uint32_t>& sel, std::vector<uint32_t>& dst) {
   GatherImpl(src, sel, dst);
-}
-
-void GatherList(const IdListColumn& src, const std::vector<uint32_t>& sel,
-                IdListColumn& dst) {
-  size_t total = 0;
-  for (uint32_t r : sel) total += src.RowSize(r);
-  dst.offsets.reserve(dst.offsets.size() + sel.size());
-  dst.values.reserve(dst.values.size() + total);
-  for (uint32_t r : sel) {
-    dst.values.insert(dst.values.end(), src.values.begin() + src.offsets[r],
-                      src.values.begin() + src.offsets[r + 1]);
-    dst.offsets.push_back(static_cast<uint32_t>(dst.values.size()));
-  }
 }
 
 }  // namespace prost::engine::kernels

@@ -74,10 +74,6 @@ void Refine(const columnar::IdVector& column, rdf::TermId value,
 void RefineNotNull(const columnar::IdVector& column,
                    std::vector<uint32_t>& sel);
 
-/// Keeps the entries of `sel` where a[r] == b[r] (stable, in place).
-void RefineRowsEqual(const columnar::IdVector& a, const columnar::IdVector& b,
-                     std::vector<uint32_t>& sel);
-
 /// Keeps the entries of `sel` whose list cell contains `value` (stable,
 /// in place). An empty (NULL) cell contains nothing.
 void RefineListContains(const columnar::IdListColumn& lists,
@@ -116,12 +112,6 @@ void Gather(const columnar::IdVector& src, const std::vector<uint32_t>& sel,
 /// value positions through ListExpand's `repeat`).
 void Gather(const std::vector<uint32_t>& src,
             const std::vector<uint32_t>& sel, std::vector<uint32_t>& dst);
-
-/// Appends the selected rows of a list column to `dst`, preserving each
-/// row's cell (one offsets entry and a bulk value copy per row; an empty
-/// cell stays an empty — NULL — row).
-void GatherList(const columnar::IdListColumn& src,
-                const std::vector<uint32_t>& sel, columnar::IdListColumn& dst);
 
 }  // namespace prost::engine::kernels
 

@@ -573,24 +573,4 @@ Relation Limit(const Relation& input, uint64_t limit) {
   return output;
 }
 
-Result<Relation> Union(const Relation& a, const Relation& b) {
-  if (a.column_names() != b.column_names()) {
-    return Status::InvalidArgument("union requires identical column names");
-  }
-  if (a.num_chunks() != b.num_chunks()) {
-    return Status::InvalidArgument("union requires equal chunk counts");
-  }
-  Relation output(a.column_names(), a.num_chunks());
-  for (uint32_t w = 0; w < a.num_chunks(); ++w) {
-    RelationChunk& out = output.mutable_chunks()[w];
-    for (size_t c = 0; c < out.columns.size(); ++c) {
-      out.columns[c] = a.chunks()[w].columns[c];
-      out.columns[c].insert(out.columns[c].end(),
-                            b.chunks()[w].columns[c].begin(),
-                            b.chunks()[w].columns[c].end());
-    }
-  }
-  return output;
-}
-
 }  // namespace prost::engine

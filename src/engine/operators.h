@@ -122,9 +122,6 @@ Result<Relation> Distinct(const Relation& input, cluster::CostModel& cost,
 /// paper's WatDiv queries do not push limits down).
 Relation Limit(const Relation& input, uint64_t limit);
 
-/// Concatenates two relations with identical column names chunk-wise.
-Result<Relation> Union(const Relation& a, const Relation& b);
-
 /// Re-distributes `input` so rows with equal values in `column_index` land
 /// on the same worker. Charges shuffle bytes unless already partitioned.
 /// One task per morsel buckets rows, then one task per target assembles

@@ -2,215 +2,22 @@
 
 #include <algorithm>
 
-#include "common/io.h"
-
 namespace prost::kvstore {
-namespace {
 
-/// Smallest key strictly greater than every key with prefix `prefix`
-/// (i.e. prefix with its last byte incremented, dropping 0xff tails).
-/// Empty result means "scan to the end of the keyspace".
-std::string PrefixUpperBound(std::string_view prefix) {
-  std::string upper(prefix);
-  while (!upper.empty()) {
-    if (static_cast<unsigned char>(upper.back()) != 0xff) {
-      upper.back() = static_cast<char>(
-          static_cast<unsigned char>(upper.back()) + 1);
-      return upper;
-    }
-    upper.pop_back();
-  }
-  return upper;
+void SortedKvStore::BulkLoad(std::vector<std::string> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  keys_ = std::move(keys);
 }
 
-}  // namespace
-
-void SortedKvStore::Put(std::string key, std::string value) {
-  memtable_.insert_or_assign(std::move(key), std::move(value));
-}
-
-void SortedKvStore::BulkLoad(
-    std::vector<std::pair<std::string, std::string>> entries) {
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return a.first < b.first;
-                   });
-  // Keep the last occurrence of each key (matches Put overwrite
-  // semantics under a stable sort).
-  Run run;
-  run.reserve(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (i + 1 < entries.size() && entries[i + 1].first == entries[i].first) {
-      continue;
-    }
-    run.push_back(std::move(entries[i]));
-  }
-  runs_.push_back(std::move(run));
-}
-
-std::optional<std::string> SortedKvStore::Get(std::string_view key) const {
-  auto it = memtable_.find(key);
-  if (it != memtable_.end()) return it->second;
-  // Newest run wins.
-  for (auto run = runs_.rbegin(); run != runs_.rend(); ++run) {
-    auto pos = std::lower_bound(
-        run->begin(), run->end(), key,
-        [](const Entry& e, std::string_view k) { return e.first < k; });
-    if (pos != run->end() && pos->first == key) return pos->second;
-  }
-  return std::nullopt;
-}
-
-void SortedKvStore::Flush() {
-  if (memtable_.empty()) return;
-  Run run;
-  run.reserve(memtable_.size());
-  for (auto& [key, value] : memtable_) {
-    run.emplace_back(key, value);
-  }
-  memtable_.clear();
-  runs_.push_back(std::move(run));
-}
-
-void SortedKvStore::Compact() {
-  Flush();
-  if (runs_.size() <= 1) return;
-  std::vector<Entry> merged;
-  MergeRange("", "", &merged);
-  runs_.clear();
-  runs_.push_back(std::move(merged));
-}
-
-void SortedKvStore::MergeRange(std::string_view start, std::string_view end,
-                               std::vector<Entry>* out) const {
-  // K-way merge over sorted sources with last-writer-wins on duplicate
-  // keys. Sources ordered oldest-to-newest; the newest duplicate is kept.
-  struct Source {
-    const Entry* pos;
-    const Entry* limit;
-    size_t priority;  // Higher wins on ties.
-  };
-  std::vector<Source> sources;
-  std::vector<Entry> memtable_snapshot;
-
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    const Run& run = runs_[i];
-    auto lo = std::lower_bound(
-        run.begin(), run.end(), start,
-        [](const Entry& e, std::string_view k) { return e.first < k; });
-    auto hi = end.empty()
-                  ? run.end()
-                  : std::lower_bound(run.begin(), run.end(), end,
-                                     [](const Entry& e, std::string_view k) {
-                                       return e.first < k;
-                                     });
-    if (lo < hi) {
-      sources.push_back({&*lo, &*lo + (hi - lo), i});
-    }
-  }
-  {
-    auto lo = memtable_.lower_bound(start);
-    auto hi = end.empty() ? memtable_.end() : memtable_.lower_bound(end);
-    for (auto it = lo; it != hi; ++it) {
-      memtable_snapshot.emplace_back(it->first, it->second);
-    }
-    if (!memtable_snapshot.empty()) {
-      sources.push_back({memtable_snapshot.data(),
-                         memtable_snapshot.data() + memtable_snapshot.size(),
-                         runs_.size()});
-    }
-  }
-
-  while (true) {
-    // Find the smallest current key; among equals, the highest priority.
-    const Source* best = nullptr;
-    for (Source& source : sources) {
-      if (source.pos == source.limit) continue;
-      if (best == nullptr || source.pos->first < best->pos->first ||
-          (source.pos->first == best->pos->first &&
-           source.priority > best->priority)) {
-        best = &source;
-      }
-    }
-    if (best == nullptr) break;
-    out->push_back(*best->pos);
-    const std::string& emitted = out->back().first;
-    // Advance every source past this key (drops stale duplicates).
-    for (Source& source : sources) {
-      while (source.pos != source.limit && source.pos->first == emitted) {
-        ++source.pos;
-      }
-    }
-  }
-}
-
-SortedKvStore::Iterator SortedKvStore::Scan(std::string_view start,
-                                            std::string_view end) const {
-  Iterator it;
-  MergeRange(start, end, &it.entries_);
-  return it;
-}
-
-SortedKvStore::Iterator SortedKvStore::ScanPrefix(
+std::span<const std::string> SortedKvStore::ScanPrefix(
     std::string_view prefix) const {
-  return Scan(prefix, PrefixUpperBound(prefix));
-}
-
-size_t SortedKvStore::num_entries() const {
-  // Exact live count requires merge semantics; count via a full scan.
-  Iterator it = Scan("", "");
-  return it.size();
-}
-
-uint64_t SortedKvStore::ApproximateBytes() const {
-  uint64_t bytes = 0;
-  auto add_entry = [&bytes](const Entry& e) {
-    // Key + value + ~12 bytes RFile-ish per-entry overhead (timestamps,
-    // visibility, block index amortization).
-    bytes += e.first.size() + e.second.size() + 12;
-  };
-  for (const Run& run : runs_) {
-    for (const Entry& e : run) add_entry(e);
-  }
-  for (const auto& [key, value] : memtable_) {
-    bytes += key.size() + value.size() + 12;
-  }
-  return bytes;
-}
-
-void SortedKvStore::Serialize(std::string* out) const {
-  Iterator it = Scan("", "");
-  ByteWriter writer;
-  writer.PutVarint(it.size());
-  for (; it.Valid(); it.Next()) {
-    writer.PutString(it.key());
-    writer.PutString(it.value());
-  }
-  *out = std::move(writer.TakeBuffer());
-}
-
-Result<SortedKvStore> SortedKvStore::Deserialize(std::string_view data) {
-  ByteReader reader(data);
-  uint64_t count;
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&count));
-  SortedKvStore store;
-  Run run;
-  run.reserve(count);
-  std::string key, value;
-  std::string previous;
-  for (uint64_t i = 0; i < count; ++i) {
-    PROST_RETURN_IF_ERROR(reader.GetString(&key));
-    PROST_RETURN_IF_ERROR(reader.GetString(&value));
-    if (i > 0 && key <= previous) {
-      return Status::Corruption("serialized KV entries out of order");
-    }
-    previous = key;
-    run.emplace_back(std::move(key), std::move(value));
-    key.clear();
-    value.clear();
-  }
-  if (!run.empty()) store.runs_.push_back(std::move(run));
-  return store;
+  // Among the keys >= prefix, those starting with it come first.
+  auto begin = std::lower_bound(keys_.begin(), keys_.end(), prefix);
+  auto end = std::partition_point(
+      begin, keys_.end(),
+      [prefix](const std::string& key) { return key.starts_with(prefix); });
+  return {begin, end};
 }
 
 std::string BigEndianKey(uint64_t value) {

@@ -1,28 +1,22 @@
 #ifndef PROST_KVSTORE_KV_STORE_H_
 #define PROST_KVSTORE_KV_STORE_H_
 
-#include <map>
-#include <optional>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/status.h"
-
 namespace prost::kvstore {
 
-/// A sorted key-value store: the substrate standing in for Apache Accumulo
-/// in the Rya baseline ("Accumulo keeps all its information sorted and
+/// A sorted key store: the substrate standing in for Apache Accumulo in
+/// the Rya baseline ("Accumulo keeps all its information sorted and
 /// indexed by key; Rya stores whole RDF triples as keys").
 ///
-/// Structure is a miniature LSM tree: an ordered memtable absorbs writes;
-/// Flush() freezes it into an immutable sorted run; Compact() merges all
-/// runs into one. Reads merge the memtable and every run, newest first
-/// (last writer wins). Entries are never mutated in place.
-///
-/// NOT thread-safe by contract: the Rya baseline drives it from a single
-/// thread, so it owns no Mutex and sits outside the DESIGN.md §11 lock
-/// hierarchy. Wrap it in an annotated prost::Mutex before sharing.
+/// Rya bulk-loads its index keys once and then only scans them by
+/// prefix, so the store is one sorted, duplicate-free key vector. Keys
+/// carry no values. The store is immutable once loaded, so concurrent
+/// readers need no lock.
 class SortedKvStore {
  public:
   SortedKvStore() = default;
@@ -31,70 +25,19 @@ class SortedKvStore {
   SortedKvStore(SortedKvStore&&) = default;
   SortedKvStore& operator=(SortedKvStore&&) = default;
 
-  /// Inserts or overwrites `key`.
-  void Put(std::string key, std::string value);
+  /// Replaces the contents with `keys`, sorted and deduplicated (bulk
+  /// ingest, like Accumulo RFile import).
+  void BulkLoad(std::vector<std::string> keys);
 
-  /// Installs a batch as one sorted run, bypassing the memtable (bulk
-  /// ingest, like Accumulo RFile import). Entries are sorted in place;
-  /// duplicate keys keep the last occurrence.
-  void BulkLoad(std::vector<std::pair<std::string, std::string>> entries);
+  /// The keys that start with `prefix`, in key order. A view into the
+  /// store: nothing is copied.
+  std::span<const std::string> ScanPrefix(std::string_view prefix) const;
 
-  /// Point lookup across memtable and runs.
-  std::optional<std::string> Get(std::string_view key) const;
-
-  /// Freezes the memtable into a new sorted run.
-  void Flush();
-
-  /// Merges all runs (and the memtable) into a single run.
-  void Compact();
-
-  /// Forward iterator over the merged view of a key range.
-  class Iterator {
-   public:
-    bool Valid() const { return index_ < entries_.size(); }
-    void Next() { ++index_; }
-    std::string_view key() const { return entries_[index_].first; }
-    std::string_view value() const { return entries_[index_].second; }
-    /// Number of entries in the range (the scan is materialized).
-    size_t size() const { return entries_.size(); }
-
-   private:
-    friend class SortedKvStore;
-    std::vector<std::pair<std::string, std::string>> entries_;
-    size_t index_ = 0;
-  };
-
-  /// Merged scan over [start, end). With empty `end`, scans to the end of
-  /// the keyspace.
-  Iterator Scan(std::string_view start, std::string_view end) const;
-
-  /// Scan of all keys with the given prefix.
-  Iterator ScanPrefix(std::string_view prefix) const;
-
-  /// Total number of live entries (after merge semantics).
-  size_t num_entries() const;
-
-  /// Number of frozen runs (compaction observability).
-  size_t num_runs() const { return runs_.size(); }
-
-  /// Approximate storage footprint (keys + values + per-entry index
-  /// overhead, mirroring Accumulo RFile overhead).
-  uint64_t ApproximateBytes() const;
-
-  /// Serialization for persisted databases.
-  void Serialize(std::string* out) const;
-  static Result<SortedKvStore> Deserialize(std::string_view data);
+  /// Number of stored keys.
+  size_t num_entries() const { return keys_.size(); }
 
  private:
-  using Entry = std::pair<std::string, std::string>;
-  using Run = std::vector<Entry>;
-
-  /// Collects the merged view of [start, end) into `out`.
-  void MergeRange(std::string_view start, std::string_view end,
-                  std::vector<Entry>* out) const;
-
-  std::map<std::string, std::string, std::less<>> memtable_;
-  std::vector<Run> runs_;  // runs_[0] oldest
+  std::vector<std::string> keys_;
 };
 
 /// Encodes a uint64 as 8 big-endian bytes so that lexicographic key order

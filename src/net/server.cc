@@ -64,6 +64,18 @@ std::string LowercaseMediaType(const std::string& content_type) {
   return out;
 }
 
+/// The `query` field of a form-encoded GET query string or POST body.
+/// Fails with the form parser's message, or with `missing_message` when
+/// the form has no `query` field.
+Result<std::string> FormQueryField(std::string_view form,
+                                   const char* missing_message) {
+  PROST_ASSIGN_OR_RETURN(auto params, ParseFormEncoded(form));
+  for (auto& [name, value] : params) {
+    if (name == "query") return std::move(value);
+  }
+  return Status::InvalidArgument(missing_message);
+}
+
 }  // namespace
 
 Server::Server(serve::SessionManager& sessions, ServerOptions options)
@@ -386,26 +398,10 @@ HttpResponse Server::Route(const HttpRequest& request) {
 }
 
 HttpResponse Server::HandleSparql(const HttpRequest& request) {
-  std::string query_text;
+  Result<std::string> query_text = std::string();
   if (request.method == "GET") {
-    Result<std::vector<std::pair<std::string, std::string>>> params =
-        ParseFormEncoded(request.query_string);
-    if (!params.ok()) {
-      return ErrorResponse(400, HttpErrorCodeName(400),
-                           params.status().message());
-    }
-    bool found = false;
-    for (const auto& [name, value] : *params) {
-      if (name == "query") {
-        query_text = value;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return ErrorResponse(400, HttpErrorCodeName(400),
-                           "missing query parameter");
-    }
+    query_text =
+        FormQueryField(request.query_string, "missing query parameter");
   } else {
     const std::string* content_type = request.FindHeader("content-type");
     const std::string media =
@@ -413,24 +409,8 @@ HttpResponse Server::HandleSparql(const HttpRequest& request) {
     if (media == "application/sparql-query") {
       query_text = request.body;
     } else if (media == "application/x-www-form-urlencoded") {
-      Result<std::vector<std::pair<std::string, std::string>>> params =
-          ParseFormEncoded(request.body);
-      if (!params.ok()) {
-        return ErrorResponse(400, HttpErrorCodeName(400),
-                             params.status().message());
-      }
-      bool found = false;
-      for (const auto& [name, value] : *params) {
-        if (name == "query") {
-          query_text = value;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return ErrorResponse(400, HttpErrorCodeName(400),
-                             "missing query form parameter");
-      }
+      query_text =
+          FormQueryField(request.body, "missing query form parameter");
     } else {
       return ErrorResponse(
           415, HttpErrorCodeName(415),
@@ -439,10 +419,14 @@ HttpResponse Server::HandleSparql(const HttpRequest& request) {
               media + "\"");
     }
   }
+  if (!query_text.ok()) {
+    return ErrorResponse(400, HttpErrorCodeName(400),
+                         query_text.status().message());
+  }
 
   // Admission, budget, and execution all live in the serve layer; the
   // translator's message (e.g. an unparseable query) rides back on 400s.
-  Result<core::QueryResult> result = sessions_.ExecuteSparql(query_text);
+  Result<core::QueryResult> result = sessions_.ExecuteSparql(*query_text);
   if (!result.ok()) {
     const Status& status = result.status();
     HttpResponse response =

@@ -1,7 +1,5 @@
 #include "rdf/dictionary.h"
 
-#include "common/io.h"
-
 namespace prost::rdf {
 
 TermId Dictionary::Intern(std::string_view lexical) {
@@ -51,40 +49,6 @@ std::vector<uint32_t> Dictionary::TermLengths() const {
     lengths[i + 1] = static_cast<uint32_t>(lexicals_[i].size());
   }
   return lengths;
-}
-
-uint64_t Dictionary::EstimatedBytes() const {
-  uint64_t bytes = 0;
-  for (const auto& lexical : lexicals_) {
-    // Lexical payload + varint length + 8-byte index entry.
-    bytes += lexical.size() + 2 + 8;
-  }
-  return bytes;
-}
-
-void Dictionary::Serialize(std::string* out) const {
-  ByteWriter writer;
-  writer.PutVarint(lexicals_.size());
-  for (const auto& lexical : lexicals_) {
-    writer.PutString(lexical);
-  }
-  *out = std::move(writer.TakeBuffer());
-}
-
-Result<Dictionary> Dictionary::Deserialize(std::string_view data) {
-  ByteReader reader(data);
-  uint64_t count;
-  PROST_RETURN_IF_ERROR(reader.GetVarint(&count));
-  Dictionary dict;
-  std::string lexical;
-  for (uint64_t i = 0; i < count; ++i) {
-    PROST_RETURN_IF_ERROR(reader.GetString(&lexical));
-    dict.Intern(lexical);
-  }
-  if (dict.size() != count) {
-    return Status::Corruption("duplicate entries in serialized dictionary");
-  }
-  return dict;
 }
 
 }  // namespace prost::rdf

@@ -64,14 +64,6 @@ class Dictionary {
   /// Number of interned terms.
   size_t size() const { return lexicals_.size(); }
 
-  /// Serialized byte footprint of the dictionary (lexical bytes + index).
-  /// Counted into every system's on-disk size for Table 1.
-  uint64_t EstimatedBytes() const;
-
-  /// Serialization (for persisted databases).
-  void Serialize(std::string* out) const;
-  static Result<Dictionary> Deserialize(std::string_view data);
-
  private:
   // deque keeps element addresses stable so index_ may key on views into
   // the stored strings.

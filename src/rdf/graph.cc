@@ -77,10 +77,4 @@ Result<EncodedGraph> EncodeNTriples(std::string_view document) {
   return graph;
 }
 
-EncodedGraph EncodeTriples(const std::vector<Triple>& triples) {
-  EncodedGraph graph;
-  for (const Triple& t : triples) graph.Add(t);
-  return graph;
-}
-
 }  // namespace prost::rdf

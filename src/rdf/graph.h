@@ -96,9 +96,6 @@ class EncodedGraph {
 /// Parses an N-Triples document straight into an encoded graph.
 Result<EncodedGraph> EncodeNTriples(std::string_view document);
 
-/// Encodes a parsed triple vector.
-EncodedGraph EncodeTriples(const std::vector<Triple>& triples);
-
 }  // namespace prost::rdf
 
 #endif  // PROST_RDF_GRAPH_H_

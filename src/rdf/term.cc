@@ -70,20 +70,6 @@ Result<std::string> UnescapeLiteral(std::string_view raw) {
 
 }  // namespace
 
-const char* TermKindToString(TermKind kind) {
-  switch (kind) {
-    case TermKind::kIri:
-      return "iri";
-    case TermKind::kLiteral:
-      return "literal";
-    case TermKind::kBlank:
-      return "blank";
-    case TermKind::kVariable:
-      return "variable";
-  }
-  return "?";
-}
-
 Term Term::Iri(std::string iri) {
   return Term{TermKind::kIri, std::move(iri), {}, {}};
 }

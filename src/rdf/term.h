@@ -18,8 +18,6 @@ enum class TermKind : uint8_t {
   kVariable = 3,
 };
 
-const char* TermKindToString(TermKind kind);
-
 /// A single RDF term. IRIs store the IRI without angle brackets; literals
 /// store the lexical value plus optional datatype IRI and language tag;
 /// blank nodes store the label without the `_:` prefix; variables store

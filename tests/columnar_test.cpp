@@ -423,7 +423,7 @@ TEST(LexicalFormatTest, SizeEstimateCountsDistinctLexicals) {
 // out of bounds. Every input below ends in a valid checksum, so only the
 // structural checks stand between it and the decoders.
 
-/// Appends the trailing HashBytes checksum both file formats end with.
+/// Appends the trailing HashBytes checksum the lexical format ends with.
 std::string WithChecksum(ByteWriter& writer) {
   uint64_t checksum = HashBytes(writer.buffer());
   writer.PutU64(checksum);
@@ -440,29 +440,6 @@ std::string LexicalBytes(uint64_t rows, const std::string& column) {
   writer.PutU8(static_cast<uint8_t>(ColumnKind::kId));
   writer.PutVarint(rows);
   writer.PutRaw(column.data(), column.size());
-  return WithChecksum(writer);
-}
-
-/// A paged table of one id column and one row group of `group_rows`
-/// rows whose chunk sits at `offset` (2 bytes long) in a 2-byte payload
-/// holding one plain-varint value.
-std::string PagedBytes(uint64_t group_rows, uint64_t offset) {
-  ByteWriter writer;
-  writer.PutU32(0x50525350);  // "PRSP"
-  writer.PutU8(1);
-  writer.PutVarint(1);
-  writer.PutString("s");
-  writer.PutU8(static_cast<uint8_t>(ColumnKind::kId));
-  writer.PutVarint(group_rows);  // Table rows.
-  writer.PutVarint(1);           // Row groups.
-  writer.PutVarint(0);           // row_begin.
-  writer.PutVarint(group_rows);
-  for (uint64_t stat : {1, 1, 0, 1}) writer.PutVarint(stat);
-  writer.PutVarint(offset);
-  writer.PutVarint(2);
-  BloomFilter::Build({1}).Serialize(writer);
-  writer.PutString(
-      std::string{static_cast<char>(Encoding::kPlainVarint), '\x01'});
   return WithChecksum(writer);
 }
 
@@ -515,23 +492,6 @@ TEST(HostileInputTest, LocalDictionarySizeBeyondBytesIsCorruption) {
       StatusCode::kCorruption);
 }
 
-TEST(HostileInputTest, ChunkOffsetThatWrapsIsCorruption) {
-  // offset + bytes wraps to 1, inside the 2-byte payload.
-  ASSERT_TRUE(PagedTable::Deserialize(PagedBytes(1, 0)).ok());
-  EXPECT_EQ(PagedTable::Deserialize(PagedBytes(1, ~uint64_t{0})).status()
-                .code(),
-            StatusCode::kCorruption);
-}
-
-TEST(HostileInputTest, RowGroupAboveUint32IsCorruption) {
-  // 2^32 + 1 rows would count in full toward the header total while the
-  // group itself keeps only the truncated 1.
-  EXPECT_EQ(PagedTable::Deserialize(PagedBytes((uint64_t{1} << 32) + 1, 0))
-                .status()
-                .code(),
-            StatusCode::kCorruption);
-}
-
 // ---------------------------------------------------------------- Bloom
 
 TEST(BloomTest, NoFalseNegatives) {
@@ -567,18 +527,13 @@ TEST(BloomTest, EmptyAndDefaultSemantics) {
   EXPECT_TRUE(none.MayContain(42));
 }
 
-TEST(BloomTest, SkipsNullKeysAndRoundTrips) {
+TEST(BloomTest, SkipsNullKeys) {
   BloomFilter bloom = BloomFilter::Build({5, rdf::kNullTermId, 9});
   EXPECT_TRUE(bloom.MayContain(5));
   EXPECT_TRUE(bloom.MayContain(9));
-  ByteWriter writer;
-  bloom.Serialize(writer);
-  EXPECT_EQ(writer.size(), bloom.SerializedBytes());
-  std::string buffer = std::move(writer).TakeBuffer();
-  ByteReader reader{std::string_view(buffer)};
-  Result<BloomFilter> reopened = BloomFilter::Deserialize(reader);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_TRUE(*reopened == bloom);
+  // NULL is never inserted: a filter over NULL alone holds no key.
+  EXPECT_FALSE(BloomFilter::Build({rdf::kNullTermId})
+                   .MayContain(rdf::kNullTermId));
 }
 
 // ----------------------------------------------------------- PagedTable
@@ -648,44 +603,6 @@ TEST(PagedTableTest, ZoneMapsMatchPerGroupStats) {
     uint64_t values = lists.offsets[end] - lists.offsets[begin];
     EXPECT_EQ(paged.stats(g, 1).value_count, values);
   }
-}
-
-TEST(PagedTableTest, SerializationPreservesStatsAndBloom) {
-  StoredTable table = MakeMixedTable(500, 9);
-  PagedTable paged = PagedTable::FromStored(table, 100);
-  std::string buffer;
-  paged.Serialize(&buffer);
-  Result<PagedTable> reopened = PagedTable::Deserialize(buffer);
-  ASSERT_TRUE(reopened.ok());
-  ASSERT_EQ(reopened->num_groups(), paged.num_groups());
-  for (size_t g = 0; g < paged.num_groups(); ++g) {
-    for (size_t c = 0; c < 2; ++c) {
-      // ColumnStats round-trip, per row group per column.
-      EXPECT_EQ(reopened->stats(g, c).min_id, paged.stats(g, c).min_id);
-      EXPECT_EQ(reopened->stats(g, c).max_id, paged.stats(g, c).max_id);
-      EXPECT_EQ(reopened->stats(g, c).null_count,
-                paged.stats(g, c).null_count);
-      EXPECT_EQ(reopened->stats(g, c).value_count,
-                paged.stats(g, c).value_count);
-    }
-  }
-  EXPECT_TRUE(reopened->key_bloom() == paged.key_bloom());
-  Result<StoredTable> back = reopened->ToStored();
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(SameTable(*back, table));
-}
-
-TEST(PagedTableTest, DeserializeRejectsCorruption) {
-  StoredTable table = MakeMixedTable(200, 13);
-  PagedTable paged = PagedTable::FromStored(table, 64);
-  std::string buffer;
-  paged.Serialize(&buffer);
-  std::string flipped = buffer;
-  flipped[flipped.size() / 2] ^= 0x40;
-  EXPECT_FALSE(PagedTable::Deserialize(flipped).ok());
-  EXPECT_FALSE(PagedTable::Deserialize(std::string_view(buffer)
-                                           .substr(0, buffer.size() - 3))
-                   .ok());
 }
 
 // ----------------------------------------------------------- BufferPool

@@ -381,16 +381,6 @@ TEST(LimitTest, TruncatesAcrossChunks) {
   EXPECT_EQ(Limit(r, 99).TotalRows(), 5u);
 }
 
-TEST(UnionTest, ConcatenatesAndValidates) {
-  Relation a = RelationOf({"x"}, {{1}, {2}});
-  Relation b = RelationOf({"x"}, {{3}});
-  auto u = Union(a, b);
-  ASSERT_TRUE(u.ok());
-  EXPECT_EQ(u->CollectSortedRows(), (std::vector<Row>{{1}, {2}, {3}}));
-  Relation c = RelationOf({"y"}, {{3}});
-  EXPECT_FALSE(Union(a, c).ok());
-}
-
 TEST(RepartitionTest, CoLocatesEqualKeys) {
   Rng rng(5);
   std::vector<Row> rows;

@@ -205,8 +205,6 @@ TEST(KernelsTest, RowEqualityAndNullKernels) {
   sel.clear();
   kernels::Iota(2, 5, sel);
   EXPECT_EQ(sel, (std::vector<uint32_t>{2, 3, 4}));
-  kernels::RefineRowsEqual(a, b, sel);
-  EXPECT_EQ(sel, (std::vector<uint32_t>{4}));
 }
 
 TEST(KernelsTest, CompareKeysAtCompactsStably) {
@@ -233,25 +231,6 @@ TEST(KernelsTest, CompareKeysAtCompactsStably) {
   EXPECT_EQ(kept, 2u);  // (0,0): 1==1; (1,0): 2!=1; (2,1): 3==3.
   EXPECT_EQ(build_rows, (std::vector<uint32_t>{0, 2}));
   EXPECT_EQ(probe_rows, (std::vector<uint32_t>{0, 1}));
-}
-
-TEST(KernelsTest, GatherListPreservesCellsAndNulls) {
-  columnar::IdListColumn src;
-  src.AppendRow({1, 2});
-  src.AppendRow({});  // NULL row.
-  src.AppendRow({3});
-  src.AppendRow({4, 5, 6});
-  columnar::IdListColumn dst;
-  kernels::GatherList(src, {0, 1, 3}, dst);
-  ASSERT_EQ(dst.num_rows(), 3u);
-  EXPECT_EQ(dst.RowSize(0), 2u);
-  EXPECT_EQ(dst.RowSize(1), 0u);  // NULL survives as empty cell.
-  EXPECT_EQ(dst.RowSize(2), 3u);
-  EXPECT_EQ(dst.values, (columnar::IdVector{1, 2, 4, 5, 6}));
-  // Appends to existing contents.
-  kernels::GatherList(src, {2}, dst);
-  ASSERT_EQ(dst.num_rows(), 4u);
-  EXPECT_EQ(dst.values, (columnar::IdVector{1, 2, 4, 5, 6, 3}));
 }
 
 columnar::IdListColumn ListOf(

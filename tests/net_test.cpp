@@ -972,6 +972,14 @@ TEST_F(NetEndToEndTest, HealthMetricsAndErrorRoutes) {
        "method_not_allowed"},
       {"MissingQueryParam", [&] { return client.Get("/sparql"); }, 400,
        "bad_request"},
+      {"MissingQueryFormParam",
+       [&] {
+         return client.Post("/sparql", "application/x-www-form-urlencoded",
+                            "format=json");
+       },
+       400, "bad_request"},
+      {"MalformedQueryParam", [&] { return client.Get("/sparql?query=%zz"); },
+       400, "bad_request"},
       {"UnsupportedMediaType",
        [&] { return client.Post("/sparql", "application/xml", "<q/>"); },
        415, "unsupported_media_type"},

@@ -339,13 +339,10 @@ void RenderExtraGoldenPlans(std::string& out) {
       {"mixed", mixed->get()},
   };
   for (size_t i = 0; i < 50; ++i) {
-    // RandomQuery may reference its never-used seed variable ?v0; draw
-    // until planning accepts the query.
-    sparql::Query query;
-    do {
-      const size_t patterns = 2 + rng.NextBounded(9);
-      query = testing::RandomQuery(rng, *graph, patterns, kPredicates);
-    } while (!sparql::ValidateQuery(query).ok());
+    const size_t patterns = 2 + rng.NextBounded(9);
+    sparql::Query query =
+        testing::RandomQuery(rng, *graph, patterns, kPredicates);
+    ASSERT_TRUE(sparql::ValidateQuery(query).ok()) << query.ToString();
     for (const auto& [name, db] : stores) {
       AppendGoldenPlan(StrFormat("random %s %02zu", name, i), *db, query,
                        out);

@@ -46,13 +46,14 @@ inline rdf::EncodedGraph RandomGraph(Rng& rng, size_t triples,
 }
 
 /// A random connected BGP: each pattern after the first reuses one
-/// already-bound variable in subject or object position.
+/// already-bound variable in subject or object position. Every query it
+/// draws passes sparql::ValidateQuery.
 inline sparql::Query RandomQuery(Rng& rng, const rdf::EncodedGraph& graph,
                                  size_t num_patterns, size_t predicates) {
   using rdf::Term;
   sparql::Query query;
-  std::vector<std::string> bound = {"v0"};
-  size_t next_var = 1;
+  std::vector<std::string> bound;
+  size_t next_var = 0;
   auto fresh_var = [&] {
     std::string name = StrFormat("v%zu", next_var++);
     bound.push_back(name);
@@ -72,9 +73,12 @@ inline sparql::Query RandomQuery(Rng& rng, const rdf::EncodedGraph& graph,
         "http://p/%llu",
         static_cast<unsigned long long>(rng.NextBounded(predicates))));
     bool reuse_in_subject = i == 0 || rng.NextBernoulli(0.5);
+    // Drawn before this pattern binds a fresh variable, so the reused
+    // variable always connects it to an earlier pattern.
+    const std::string reused = i > 0 ? random_bound() : std::string();
     // Subject position.
     if (i > 0 && reuse_in_subject) {
-      pattern.subject = Term::Variable(random_bound());
+      pattern.subject = Term::Variable(reused);
     } else if (i == 0 || rng.NextBernoulli(0.85)) {
       pattern.subject = Term::Variable(fresh_var());
     } else {
@@ -85,7 +89,7 @@ inline sparql::Query RandomQuery(Rng& rng, const rdf::EncodedGraph& graph,
     }
     // Object position.
     if (i > 0 && !reuse_in_subject) {
-      pattern.object = Term::Variable(random_bound());
+      pattern.object = Term::Variable(reused);
     } else if (rng.NextBernoulli(0.75)) {
       pattern.object = Term::Variable(fresh_var());
     } else {

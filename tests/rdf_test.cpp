@@ -206,24 +206,6 @@ TEST(DictionaryTest, ViewsSurviveGrowth) {
   }
 }
 
-TEST(DictionaryTest, SerializeRoundTrip) {
-  Dictionary dict;
-  dict.Intern("<a>");
-  dict.Intern("\"literal with \\\" quote\"");
-  dict.Intern("_:b");
-  std::string bytes;
-  dict.Serialize(&bytes);
-  auto restored = Dictionary::Deserialize(bytes);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->size(), 3u);
-  EXPECT_EQ(restored->Lookup("<a>"), 1u);
-  EXPECT_EQ(restored->Lookup("_:b"), 3u);
-}
-
-TEST(DictionaryTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(Dictionary::Deserialize("\xff\xff\xff").ok());
-}
-
 TEST(DictionaryTest, TermLengths) {
   Dictionary dict;
   dict.Intern("<abc>");

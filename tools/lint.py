@@ -94,6 +94,16 @@ Checks, each with a short rule id used in diagnostics:
                        a per-row partial binding is the row-at-a-time
                        path it replaced, and must not return.
 
+  test-only-api        a free function declared in a src/ header that no
+                       program names: every one must appear in a
+                       non-test C++ file under src/, bench/, perfbench/,
+                       tools/ or examples/ on a line other than a
+                       declaration or definition of that name. Names are
+                       matched as identifiers, so a same-named member
+                       counts as a use. TEST_SUPPORT_API lists the few
+                       functions kept for tests on purpose, each with
+                       the test that needs it.
+
 Exit status 0 when clean, 1 with one "path:line: [rule] message" per
 violation otherwise.
 """
@@ -398,6 +408,147 @@ def lint_parallel_for(path, lines, failures):
             )
 
 
+# Free functions declared in src/ headers that only tests call, kept on
+# purpose: name -> the test that needs it.
+TEST_SUPPORT_API = {
+    "ParseNTriplesToVector": "tests/rdf_test.cpp (N-Triples parsing)",
+    "WriteNTriples": "tests/rdf_test.cpp (write/parse round trip)",
+    "ToNTriplesText": "tests/watdiv_test.cpp (watdiv:: generator output)",
+    "ParseQuerySet": "tests/watdiv_test.cpp (watdiv:: query-set text)",
+    "ProfileJson": "tests/obs_test.cpp (obs:: profile JSON shape)",
+    "EncodingToString": "tests/columnar_test.cpp (hostile-input messages)",
+    "RankHeldDepth": "tests/common_test.cpp (lock-rank checker depth)",
+}
+PROGRAM_DIRS = ["src", "bench", "perfbench", "tools", "examples"]
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+FUNCTION_NAME = re.compile(r"([A-Za-z_]\w*)\s*\($")
+NOT_FUNCTIONS = re.compile(
+    r"^\s*(?:using|typedef|class|struct|union|enum|namespace|"
+    r"static_assert)\b"
+)
+TEMPLATE_HEAD = re.compile(r"^\s*template\s*<")
+
+
+def strip_template_heads(statement):
+    """Drops leading `template <...>` heads (angle brackets balanced)."""
+    while TEMPLATE_HEAD.match(statement):
+        start = statement.index("<")
+        depth = 0
+        for i in range(start, len(statement)):
+            if statement[i] == "<":
+                depth += 1
+            elif statement[i] == ">":
+                depth -= 1
+                if depth == 0:
+                    statement = statement[i + 1 :]
+                    break
+        else:
+            return statement
+    return statement
+
+
+def namespace_scope_functions(lines):
+    """Yields (name, line_number, qualified) for every function declared
+    or defined at namespace scope in `lines` (comment/string-blanked).
+    Braces are tracked as namespace or other; text inside class, enum and
+    function bodies is skipped. Preprocessor lines are ignored."""
+    scopes = []  # True for a namespace brace.
+    statement = ""  # Namespace-scope text since the last ; { or }.
+    name_lines = []  # (offset into statement, line number) per line.
+    continued = False
+    for number, line in lines:
+        if continued or line.lstrip().startswith("#"):
+            continued = line.rstrip().endswith("\\")
+            continue
+        for char in line:
+            at_namespace_scope = all(scopes)
+            if char in ";{}" and at_namespace_scope:
+                found = function_name(statement, name_lines)
+                if found is not None:
+                    yield found
+            if char == "{":
+                scopes.append(at_namespace_scope and
+                              re.search(r"\bnamespace\b|\bextern\b",
+                                        statement) is not None)
+            elif char == "}":
+                if scopes:
+                    scopes.pop()
+            if char in ";{}":
+                statement = ""
+                name_lines = []
+            elif all(scopes):
+                if not name_lines or name_lines[-1][1] != number:
+                    name_lines.append((len(statement), number))
+                statement += char
+        if all(scopes):
+            statement += " "
+
+
+def function_name(statement, name_lines):
+    """The (name, line, qualified) a namespace-scope statement declares,
+    when it declares or defines a function; None otherwise. `qualified`
+    marks an out-of-line member definition such as `Result<T>::Get(`."""
+    body = strip_template_heads(statement)
+    if NOT_FUNCTIONS.match(body):
+        return None
+    offset = len(statement) - len(body)
+    paren = body.find("(")
+    if paren < 0 or "=" in body[:paren]:
+        return None  # No call syntax, or a variable's initializer.
+    match = FUNCTION_NAME.search(body[: paren + 1])
+    if match is None or match.group(1) == "operator":
+        return None
+    head = body[: match.start(1)].strip()
+    if not head or head.endswith("operator"):
+        return None  # A macro invocation: no return type precedes it.
+    position = offset + match.start(1)
+    number = max(n for start, n in name_lines if start <= position)
+    return match.group(1), number, head.endswith("::")
+
+
+def lint_test_only_api(root, failures):
+    """Every free function a src/ header declares must be named by some
+    program: src/, bench/, perfbench/, tools/ or examples/."""
+    declared = {}  # name -> first (path, line) of a header declaration.
+    definition_sites = set()  # (path, line, name) of every declaration.
+    blanked = {}  # path -> comment/string-blanked lines.
+    for directory in PROGRAM_DIRS:
+        for path in sorted((root / directory).rglob("*")):
+            if path.suffix not in CPP_SUFFIXES:
+                continue
+            relative = path.relative_to(root)
+            lines = code_lines(path.read_text(encoding="utf-8"))
+            blanked[relative] = lines
+            for name, number, qualified in namespace_scope_functions(lines):
+                definition_sites.add((relative, number, name))
+                if (relative.parts[0] == "src" and path.suffix == ".h"
+                        and not qualified):
+                    declared.setdefault(name, (relative, number))
+    used = {
+        name
+        for relative, lines in blanked.items()
+        for number, line in lines
+        for name in IDENTIFIER.findall(line)
+        if name in declared
+        and (relative, number, name) not in definition_sites
+    }
+    for name, (path, number) in sorted(declared.items(),
+                                       key=lambda item: item[1]):
+        if name in used or name in TEST_SUPPORT_API:
+            continue
+        failures.append(
+            f"{path}:{number}: [test-only-api] {name}() is named by no "
+            "program (src/, bench/, perfbench/, tools/, examples/); "
+            "delete it with its tests, or list it in TEST_SUPPORT_API "
+            "with the test that needs it"
+        )
+    for name in sorted(set(TEST_SUPPORT_API) - set(declared)):
+        failures.append(
+            f"tools/lint.py:1: [test-only-api] TEST_SUPPORT_API names "
+            f"{name}(), which no src/ header declares"
+        )
+
+
 def lint_include_order(path, text, failures):
     blocks = []
     current = []
@@ -479,6 +630,7 @@ def main():
             if relative.as_posix() == PT_SCAN_FILE:
                 lint_pt_row_at_a_time(relative, lines, failures)
             lint_include_order(relative, text, failures)
+    lint_test_only_api(root, failures)
 
     for failure in failures:
         print(failure)
