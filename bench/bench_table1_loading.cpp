@@ -12,26 +12,29 @@
 //   Rya       3.1 GB   41m 32s
 // Expected shape: size SPARQLGX < PRoST < Rya < S2RDF; loading
 // SPARQLGX <~ PRoST << Rya < S2RDF (S2RDF ~an order of magnitude out).
+//
+// Pass --json <path> to also write the rows as BENCH_table1.json.
 
 #include <cstdio>
+#include <cstring>
 
 #include "bench_util.h"
 #include "common/io.h"
 #include "common/str_util.h"
 #include "common/timer.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace prost;
+  std::string json_path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      json_path = argv[i + 1];
+    }
+  }
   bench::BenchWorkload workload = bench::BuildWorkload();
   cluster::ClusterConfig cluster = bench::ScaledCluster(workload);
 
-  struct Row {
-    std::string system;
-    uint64_t size_bytes;
-    double sim_millis;
-    double real_build_millis;
-  };
-  std::vector<Row> rows;
+  std::vector<bench::LoadRun> rows;
 
   auto systems = baselines::MakeAllSystems(workload.graph, cluster);
   if (!systems.ok()) {
@@ -65,17 +68,20 @@ int main() {
   for (const std::string& name :
        {std::string("PRoST"), std::string("SPARQLGX"), std::string("S2RDF"),
         std::string("Rya")}) {
-    for (const Row& row : rows) {
+    for (const bench::LoadRun& row : rows) {
       if (row.system != name) continue;
       std::printf("%-10s | %10s | %14s | %16.0f\n", row.system.c_str(),
                   HumanBytes(row.size_bytes).c_str(),
-                  HumanDuration(row.sim_millis).c_str(),
-                  row.real_build_millis);
+                  HumanDuration(row.simulated_load_millis).c_str(),
+                  row.real_load_millis);
     }
   }
   bench::PrintRule(66);
   std::printf(
       "Paper (100M): PRoST 2.1GB/25m32s, SPARQLGX 0.9GB/20m01s,\n"
       "              S2RDF 6.2GB/3h11m44s, Rya 3.1GB/41m32s\n");
+  if (!json_path.empty()) {
+    bench::WriteBenchJson(json_path, "table1_loading", workload, rows);
+  }
   return 0;
 }

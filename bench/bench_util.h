@@ -144,6 +144,30 @@ inline std::map<std::string, double> RunQuerySet(
   return millis;
 }
 
+/// Writes a BENCH_*.json document; exits on error.
+inline void WriteJsonFile(const std::string& path, const std::string& json) {
+  Status written = WriteStringToFile(path, json);
+  if (!written.ok()) {
+    std::fprintf(stderr, "[bench] FATAL: writing %s: %s\n", path.c_str(),
+                 written.ToString().c_str());
+    std::exit(1);
+  }
+  std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
+}
+
+/// The "benchmark", "triples" and "seed" fields every per-workload
+/// BENCH_*.json file opens with.
+inline std::string JsonHeader(const std::string& benchmark,
+                              const BenchWorkload& workload) {
+  std::string out = "{\n";
+  out += StrFormat("  \"benchmark\": \"%s\",\n", benchmark.c_str());
+  out += StrFormat("  \"triples\": %llu,\n",
+                   static_cast<unsigned long long>(workload.graph->size()));
+  out += StrFormat("  \"seed\": %llu,\n",
+                   static_cast<unsigned long long>(BenchSeed()));
+  return out;
+}
+
 /// Writes per-query results for several systems as a BENCH_*.json file:
 /// {"benchmark": ..., "triples": N, "seed": N, "systems": [{"system": ...,
 /// "queries": [{"query": ..., "class": ..., "simulated_millis": ...,
@@ -153,12 +177,7 @@ inline void WriteBenchJson(const std::string& path,
                            const std::string& benchmark,
                            const BenchWorkload& workload,
                            const std::vector<SystemRun>& runs) {
-  std::string out = "{\n";
-  out += StrFormat("  \"benchmark\": \"%s\",\n", benchmark.c_str());
-  out += StrFormat("  \"triples\": %llu,\n",
-                   static_cast<unsigned long long>(workload.graph->size()));
-  out += StrFormat("  \"seed\": %llu,\n",
-                   static_cast<unsigned long long>(BenchSeed()));
+  std::string out = JsonHeader(benchmark, workload);
   out += "  \"systems\": [";
   for (size_t s = 0; s < runs.size(); ++s) {
     out += s == 0 ? "\n" : ",\n";
@@ -184,13 +203,37 @@ inline void WriteBenchJson(const std::string& path,
     out += "\n    ]}";
   }
   out += "\n  ]\n}\n";
-  Status written = WriteStringToFile(path, out);
-  if (!written.ok()) {
-    std::fprintf(stderr, "[bench] FATAL: writing %s: %s\n", path.c_str(),
-                 written.ToString().c_str());
-    std::exit(1);
+  WriteJsonFile(path, out);
+}
+
+/// One system's Table 1 row: bytes its persister wrote, and its load.
+struct LoadRun {
+  std::string system;
+  uint64_t size_bytes = 0;
+  double simulated_load_millis = 0;
+  double real_load_millis = 0;
+};
+
+/// Writes Table 1 as a BENCH_*.json file: {"benchmark": ..., "triples": N,
+/// "seed": N, "systems": [{"system": ..., "size_bytes": N,
+/// "simulated_load_millis": ..., "real_load_millis": ...}]}.
+inline void WriteBenchJson(const std::string& path,
+                           const std::string& benchmark,
+                           const BenchWorkload& workload,
+                           const std::vector<LoadRun>& loads) {
+  std::string out = JsonHeader(benchmark, workload);
+  out += "  \"systems\": [";
+  for (size_t i = 0; i < loads.size(); ++i) {
+    const LoadRun& load = loads[i];
+    out += i == 0 ? "\n" : ",\n";
+    out += StrFormat(
+        "    {\"system\": \"%s\", \"size_bytes\": %llu, "
+        "\"simulated_load_millis\": %.6f, \"real_load_millis\": %.3f}",
+        load.system.c_str(), static_cast<unsigned long long>(load.size_bytes),
+        load.simulated_load_millis, load.real_load_millis);
   }
-  std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
+  out += "\n  ]\n}\n";
+  WriteJsonFile(path, out);
 }
 
 /// One kernel micro-benchmark measurement: the vectorized implementation
@@ -228,13 +271,7 @@ inline void WriteBenchJson(const std::string& path,
                                 : 0.0);
   }
   out += "\n  ]\n}\n";
-  Status written = WriteStringToFile(path, out);
-  if (!written.ok()) {
-    std::fprintf(stderr, "[bench] FATAL: writing %s: %s\n", path.c_str(),
-                 written.ToString().c_str());
-    std::exit(1);
-  }
-  std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
+  WriteJsonFile(path, out);
 }
 
 /// Average per query class ('C','F','L','S').

@@ -28,9 +28,6 @@ struct ClusterConfig {
   /// from HDFS with OS page cache; 300 MB/s is typical for the hardware.
   double scan_bytes_per_sec = 300.0 * 1024 * 1024;
 
-  /// Disk write throughput per worker, bytes/second (loading phase).
-  double write_bytes_per_sec = 120.0 * 1024 * 1024;
-
   /// Row-processing rate per worker for hash-join build/probe, filtering,
   /// and projection (rows/second). A 6-core worker doing ~4M rows/s/core.
   double cpu_rows_per_sec = 24.0 * 1e6;
@@ -88,7 +85,6 @@ struct ClusterConfig {
     double s = static_cast<double>(actual_triples) /
                static_cast<double>(reference_triples);
     scan_bytes_per_sec *= s;
-    write_bytes_per_sec *= s;
     cpu_rows_per_sec *= s;
     network_bytes_per_sec *= s;
     load_rows_per_sec *= s;

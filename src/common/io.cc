@@ -34,10 +34,6 @@ void ByteWriter::PutString(std::string_view s) {
   buffer_.append(s.data(), s.size());
 }
 
-void ByteWriter::PutRaw(const void* data, size_t size) {
-  buffer_.append(static_cast<const char*>(data), size);
-}
-
 Status ByteReader::GetU8(uint8_t* out) {
   if (remaining() < 1) return Status::Corruption("truncated u8");
   *out = static_cast<uint8_t>(data_[pos_++]);
@@ -88,12 +84,6 @@ Status ByteReader::GetString(std::string* out) {
   PROST_RETURN_IF_ERROR(GetVarint(&size));
   if (remaining() < size) return Status::Corruption("truncated string");
   out->assign(data_.data() + pos_, size);
-  pos_ += size;
-  return Status::OK();
-}
-
-Status ByteReader::Skip(size_t size) {
-  if (remaining() < size) return Status::Corruption("skip past end");
   pos_ += size;
   return Status::OK();
 }

@@ -21,7 +21,6 @@ class ByteWriter {
   void PutVarint(uint64_t v);
   /// Varint length prefix followed by raw bytes.
   void PutString(std::string_view s);
-  void PutRaw(const void* data, size_t size);
 
   const std::string& buffer() const { return buffer_; }
   std::string&& TakeBuffer() { return std::move(buffer_); }
@@ -43,10 +42,8 @@ class ByteReader {
   Status GetU64(uint64_t* out);
   Status GetVarint(uint64_t* out);
   Status GetString(std::string* out);
-  Status Skip(size_t size);
 
   size_t remaining() const { return data_.size() - pos_; }
-  bool AtEnd() const { return pos_ == data_.size(); }
 
  private:
   std::string_view data_;

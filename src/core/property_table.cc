@@ -106,8 +106,7 @@ PropertyTable PropertyTable::Build(const rdf::EncodedGraph& graph,
   (void)schema.AddField(Field{"s", ColumnKind::kId});
   for (size_t c = 0; c < predicates.size(); ++c) {
     // Column names carry the predicate's lexical form, so persisted
-    // tables are fully self-describing and can be reopened against a
-    // fresh dictionary.
+    // tables are self-describing.
     std::string name(graph.dictionary().MustLookupId(predicates[c]));
     (void)schema.AddField(Field{
         std::move(name),
@@ -158,41 +157,6 @@ void PropertyTable::AddPartition(const StoredTable& part,
         columnar::LexicalColumnSizeEstimate(part.column(c), term_lengths));
   }
   paged_.push_back(columnar::PagedTable::FromStored(part, row_group_rows));
-}
-
-Result<PropertyTable> PropertyTable::Assemble(
-    std::vector<StoredTable> partitions, const rdf::Dictionary& dictionary,
-    bool keyed_on_object, columnar::BufferPool& pool,
-    uint32_t row_group_rows) {
-  if (partitions.empty()) {
-    return Status::InvalidArgument("property table needs >= 1 partition");
-  }
-  PropertyTable table;
-  table.num_workers_ = static_cast<uint32_t>(partitions.size());
-  table.keyed_on_object_ = keyed_on_object;
-  table.pool_ = &pool;
-  const columnar::Schema& schema = partitions[0].schema();
-  for (const StoredTable& part : partitions) {
-    if (!(part.schema() == schema)) {
-      return Status::Corruption("property table partitions disagree on schema");
-    }
-    PROST_RETURN_IF_ERROR(part.Validate());
-    table.num_rows_ += part.num_rows();
-  }
-  for (size_t c = 1; c < schema.num_fields(); ++c) {
-    TermId predicate = dictionary.Lookup(schema.field(c).name);
-    if (predicate == rdf::kNullTermId) {
-      return Status::Corruption("unknown predicate column '" +
-                                schema.field(c).name + "'");
-    }
-    table.column_of_predicate_.emplace(predicate, c);
-  }
-  std::vector<uint32_t> term_lengths = dictionary.TermLengths();
-  for (StoredTable& part : partitions) {
-    table.AddPartition(part, term_lengths, row_group_rows);
-    part = StoredTable();  // Release the decoded columns now.
-  }
-  return table;
 }
 
 PropertyTable::ChargedColumns PropertyTable::ChargeColumns(

@@ -58,14 +58,6 @@ class PropertyTable {
                              bool keyed_on_object = false,
                              uint32_t row_group_rows = 0);
 
-  /// Reassembles a table from persisted partitions (column 0 is the key;
-  /// the remaining field names are predicate lexical forms, resolved
-  /// against `dictionary`). All partitions must share one schema.
-  static Result<PropertyTable> Assemble(
-      std::vector<columnar::StoredTable> partitions,
-      const rdf::Dictionary& dictionary, bool keyed_on_object,
-      columnar::BufferPool& pool, uint32_t row_group_rows = 0);
-
   /// True when `predicate` has a column in this table.
   bool HasPredicate(rdf::TermId predicate) const {
     return column_of_predicate_.count(predicate) > 0;

@@ -8,7 +8,6 @@
 #include "common/timer.h"
 
 #include <cstdlib>
-#include <unordered_set>
 #include <utility>
 #include "plan/planner.h"
 #include "rdf/ntriples.h"
@@ -288,31 +287,21 @@ Result<uint64_t> ProstDb::PersistTo(const std::string& dir) const {
     PROST_RETURN_IF_ERROR(
         reverse_pt_.WriteTo(dir + "/ptrev", graph_->dictionary()));
   }
-  // Characteristic sets persist keyed on lexical predicates: term ids are
-  // re-assigned when the store is re-interned on open.
-  PROST_RETURN_IF_ERROR(
-      char_sets_.WriteTo(dir + "/charsets.txt", graph_->dictionary()));
   std::string manifest = StrFormat(
-      "prostdb 1\nworkers %u\npt %d\nptrev %d\nstats %d\n",
+      "prostdb 1\nworkers %u\npt %d\nptrev %d\n",
       options_.cluster.num_workers, options_.use_property_table ? 1 : 0,
-      options_.use_reverse_property_table ? 1 : 0,
-      char_sets_.num_sets() > 0 ? 1 : 0);
+      options_.use_reverse_property_table ? 1 : 0);
   PROST_RETURN_IF_ERROR(WriteStringToFile(dir + "/MANIFEST", manifest));
   return DirectorySize(dir);
 }
 
 Result<std::unique_ptr<ProstDb>> ProstDb::OpenFrom(const std::string& dir,
                                                    Options options) {
-  WallTimer timer;
-
   // 1. Top-level manifest: worker count and which structures exist.
   std::string manifest;
   PROST_RETURN_IF_ERROR(ReadFileToString(dir + "/MANIFEST", &manifest));
   uint32_t workers = 0;
   int pt_flag = -1, ptrev_flag = -1;
-  // Older stores predate persisted characteristic sets; absent flag means
-  // "recompute from the VP tables below".
-  int stats_flag = 0;
   for (const std::string& line : StrSplit(StrTrim(manifest), '\n')) {
     std::vector<std::string> parts = StrSplit(line, ' ');
     if (parts.size() != 2) continue;
@@ -323,8 +312,6 @@ Result<std::unique_ptr<ProstDb>> ProstDb::OpenFrom(const std::string& dir,
       pt_flag = parts[1] == "1";
     } else if (parts[0] == "ptrev") {
       ptrev_flag = parts[1] == "1";
-    } else if (parts[0] == "stats") {
-      stats_flag = parts[1] == "1";
     }
   }
   if (workers == 0 || pt_flag < 0 || ptrev_flag < 0) {
@@ -334,132 +321,39 @@ Result<std::unique_ptr<ProstDb>> ProstDb::OpenFrom(const std::string& dir,
   options.use_property_table = pt_flag == 1;
   options.use_reverse_property_table = ptrev_flag == 1;
 
-  auto graph = std::make_shared<rdf::EncodedGraph>();
-  rdf::Dictionary& dictionary = graph->mutable_dictionary();
-
-  // 2. Vertical Partitioning tables via the VP manifest.
+  // 2. Every VP row is one triple of the store: re-intern the VP tables
+  // into a fresh graph, then load it like any other.
+  rdf::EncodedGraph graph;
+  rdf::Dictionary& dictionary = graph.mutable_dictionary();
   std::string vp_manifest;
   PROST_RETURN_IF_ERROR(
       ReadFileToString(dir + "/vp/vp_manifest.txt", &vp_manifest));
-  struct PendingTable {
-    rdf::TermId predicate;
-    std::vector<columnar::StoredTable> partitions;
-  };
-  std::vector<PendingTable> pending;
   for (const std::string& line : StrSplit(StrTrim(vp_manifest), '\n')) {
     if (line.empty()) continue;
     std::vector<std::string> parts = StrSplit(line, '\t');
     if (parts.size() != 2) {
       return Status::Corruption("malformed vp manifest line: " + line);
     }
-    PendingTable table;
-    table.predicate = dictionary.Intern(parts[1]);
+    const rdf::TermId predicate = dictionary.Intern(parts[1]);
     for (uint32_t w = 0; w < workers; ++w) {
       std::string path = StrFormat("%s/vp/vp_%s_p%u.tbl", dir.c_str(),
                                    parts[0].c_str(), w);
       PROST_ASSIGN_OR_RETURN(
           columnar::StoredTable part,
           columnar::ReadLexicalTableFile(path, &dictionary));
-      table.partitions.push_back(std::move(part));
-    }
-    pending.push_back(std::move(table));
-  }
-
-  // 3. Property Table partitions (the dictionary keeps growing).
-  auto read_pt =
-      [&](const char* stem) -> Result<std::vector<columnar::StoredTable>> {
-    std::vector<columnar::StoredTable> partitions;
-    for (uint32_t w = 0; w < workers; ++w) {
-      std::string path =
-          StrFormat("%s/%s/%s_p%u.tbl", dir.c_str(), stem, stem, w);
-      PROST_ASSIGN_OR_RETURN(
-          columnar::StoredTable part,
-          columnar::ReadLexicalTableFile(path, &dictionary));
-      partitions.push_back(std::move(part));
-    }
-    return partitions;
-  };
-  std::vector<columnar::StoredTable> pt_partitions, ptrev_partitions;
-  if (options.use_property_table) {
-    PROST_ASSIGN_OR_RETURN(pt_partitions, read_pt("pt"));
-  }
-  if (options.use_reverse_property_table) {
-    PROST_ASSIGN_OR_RETURN(ptrev_partitions, read_pt("ptrev"));
-  }
-
-  // 4. Assemble the stores against the final dictionary, straight into
-  // row groups; recompute the §3.3 statistics from the VP tables
-  // themselves.
-  auto db = std::unique_ptr<ProstDb>(new ProstDb());
-  db->options_ = options;
-  db->InitThreadPool();
-  db->InitBufferPool();
-  columnar::BufferPool& pool = *db->buffer_pool_;
-  const uint32_t group_rows = options.storage.row_group_rows;
-  std::vector<uint32_t> term_lengths = dictionary.TermLengths();
-  std::map<rdf::TermId, VpStore::PredicateTable> tables;
-  std::map<rdf::TermId, rdf::PredicateStats> per_predicate;
-  stats::CharacteristicSets::Builder char_set_builder;
-  for (PendingTable& p : pending) {
-    VpStore::PredicateTable table;
-    rdf::PredicateStats stats;
-    std::unordered_set<rdf::TermId> subjects, objects;
-    for (columnar::StoredTable& part : p.partitions) {
-      for (rdf::TermId id : part.column(0).ids()) {
-        subjects.insert(id);
-        // Every VP row is one (subject, predicate) pair, so the
-        // characteristic sets can be rebuilt exactly when the persisted
-        // file is missing.
-        if (stats_flag == 0) char_set_builder.Add(id, p.predicate);
+      if (part.num_columns() != 2 ||
+          part.column(0).kind() != columnar::ColumnKind::kId ||
+          part.column(1).kind() != columnar::ColumnKind::kId) {
+        return Status::Corruption("not a (subject, object) table: " + path);
       }
-      for (rdf::TermId id : part.column(1).ids()) {
-        objects.insert(id);
-        if (dictionary.IsLiteralId(id)) ++stats.literal_objects;
+      const columnar::IdVector& subjects = part.column(0).ids();
+      const columnar::IdVector& objects = part.column(1).ids();
+      for (size_t r = 0; r < subjects.size(); ++r) {
+        graph.AddEncoded({subjects[r], predicate, objects[r]});
       }
-      VpStore::AddPartition(table, part, term_lengths, group_rows);
-      part = columnar::StoredTable();  // Release the decoded columns now.
     }
-    stats.triple_count = table.total_rows;
-    stats.distinct_subjects = subjects.size();
-    stats.distinct_objects = objects.size();
-    per_predicate.emplace(p.predicate, stats);
-    tables.emplace(p.predicate, std::move(table));
   }
-
-  db->stats_ = DatasetStatistics::FromPerPredicate(std::move(per_predicate));
-  if (stats_flag == 1) {
-    PROST_ASSIGN_OR_RETURN(
-        db->char_sets_,
-        stats::CharacteristicSets::ReadFrom(dir + "/charsets.txt",
-                                            dictionary));
-  } else {
-    db->char_sets_ = std::move(char_set_builder).Build();
-  }
-  db->estimator_ = std::make_unique<stats::CardinalityEstimator>(
-      &db->stats_.per_predicate(), &db->char_sets_);
-  db->vp_ = VpStore::Assemble(workers, std::move(tables), pool);
-  if (options.use_property_table) {
-    PROST_ASSIGN_OR_RETURN(
-        db->pt_, PropertyTable::Assemble(std::move(pt_partitions),
-                                         dictionary, false, pool,
-                                         group_rows));
-  }
-  if (options.use_reverse_property_table) {
-    PROST_ASSIGN_OR_RETURN(
-        db->reverse_pt_,
-        PropertyTable::Assemble(std::move(ptrev_partitions), dictionary,
-                                true, pool, group_rows));
-  }
-  db->graph_ = std::move(graph);  // Dictionary only; no raw triples kept.
-  db->load_report_.input_triples = db->stats_.total_triples();
-  db->load_report_.storage_bytes =
-      db->vp_.TotalBytesEstimate() +
-      (options.use_property_table ? db->pt_.TotalBytesEstimate() : 0) +
-      (options.use_reverse_property_table
-           ? db->reverse_pt_.TotalBytesEstimate()
-           : 0);
-  db->load_report_.real_load_millis = timer.ElapsedMillis();
-  return db;
+  return LoadFromGraph(std::move(graph), options);
 }
 
 }  // namespace prost::core

@@ -102,11 +102,13 @@ class ProstDb {
   static Result<std::unique_ptr<ProstDb>> LoadFromNTriples(
       std::string_view text, const Options& options);
 
-  /// Reopens a database persisted by PersistTo: reads the lexical
-  /// columnar files back into a fresh dictionary, reassembles the VP
-  /// tables and Property Table(s), and recomputes the §3.3 statistics
-  /// from the VP tables. Which structures exist is taken from the
-  /// persisted manifest, overriding `options` flags.
+  /// Reopens a database persisted by PersistTo: reads the VP tables
+  /// back into a fresh graph (every VP row is one triple) and loads it
+  /// with LoadFromGraph, so statistics, characteristic sets, placement
+  /// and load_report() are those of a fresh load. The worker count and
+  /// which Property Tables exist come from the persisted manifest,
+  /// overriding `options`; the persisted Property Table files are not
+  /// read.
   static Result<std::unique_ptr<ProstDb>> OpenFrom(const std::string& dir,
                                                    Options options);
 
@@ -153,14 +155,15 @@ class ProstDb {
   Result<std::vector<std::vector<std::string>>> DecodeRows(
       const engine::Relation& relation) const;
 
-  /// Persists the database (VP + PT as lexical columnar files) under
-  /// `dir` and returns the total bytes written.
+  /// Persists the database (VP + PT as lexical columnar files, plus a
+  /// MANIFEST) under `dir` and returns the total bytes written: the
+  /// on-disk footprint of Table 1.
   Result<uint64_t> PersistTo(const std::string& dir) const;
 
   const LoadReport& load_report() const { return load_report_; }
   const DatasetStatistics& statistics() const { return stats_; }
-  /// Characteristic sets collected at load (or reloaded from the
-  /// persisted store) — the star-cardinality side of the estimator.
+  /// Characteristic sets collected at load — the star-cardinality side
+  /// of the estimator.
   const stats::CharacteristicSets& characteristic_sets() const {
     return char_sets_;
   }
@@ -216,8 +219,8 @@ class ProstDb {
   std::shared_ptr<const rdf::EncodedGraph> graph_;
   DatasetStatistics stats_;
   stats::CharacteristicSets char_sets_;
-  /// Borrows stats_'s per-predicate map and char_sets_; built last in
-  /// every load path, never mutated afterwards.
+  /// Borrows stats_'s per-predicate map and char_sets_; built at load,
+  /// never mutated afterwards.
   std::unique_ptr<stats::CardinalityEstimator> estimator_;
   VpStore vp_;
   PropertyTable pt_;

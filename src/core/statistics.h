@@ -22,9 +22,8 @@ class DatasetStatistics {
   /// One pass over the encoded graph.
   static DatasetStatistics Compute(const rdf::EncodedGraph& graph);
 
-  /// Assembles statistics from precomputed per-predicate entries (used
-  /// when reopening a persisted database, where the stats are recomputed
-  /// from the VP tables instead of the raw triples).
+  /// Assembles statistics from precomputed per-predicate entries (the
+  /// plan checker's tests build statistics that disagree with storage).
   static DatasetStatistics FromPerPredicate(
       std::map<rdf::TermId, rdf::PredicateStats> per_predicate);
 

@@ -32,6 +32,22 @@ StoredTable TwoColumnPartition(IdVector subjects, IdVector objects) {
       std::move(columns));
 }
 
+/// Appends one worker's decoded (s, o) partition to `table`: its rows,
+/// its lexical size estimate and its row groups. The caller drops the
+/// decoded form afterwards, so it is never resident beside the paged one.
+void AddPartition(VpStore::PredicateTable& table, const StoredTable& part,
+                  const std::vector<uint32_t>& term_lengths,
+                  uint32_t row_group_rows) {
+  table.total_rows += part.num_rows();
+  // Sizes are in the lexical (Parquet string) form — what the simulated
+  // Spark scans and what its planner sees.
+  table.partition_bytes.push_back(
+      LexicalColumnSizeEstimate(part.column(0), term_lengths) +
+      LexicalColumnSizeEstimate(part.column(1), term_lengths));
+  table.paged.push_back(
+      columnar::PagedTable::FromStored(part, row_group_rows));
+}
+
 }  // namespace
 
 VpStore VpStore::Build(const rdf::EncodedGraph& graph, uint32_t num_workers,
@@ -69,29 +85,6 @@ VpStore VpStore::Build(const rdf::EncodedGraph& graph, uint32_t num_workers,
     store.tables_.emplace(predicate, std::move(table));
   }
   return store;
-}
-
-VpStore VpStore::Assemble(uint32_t num_workers,
-                          std::map<rdf::TermId, PredicateTable> tables,
-                          columnar::BufferPool& pool) {
-  VpStore store;
-  store.num_workers_ = num_workers;
-  store.tables_ = std::move(tables);
-  store.pool_ = &pool;
-  return store;
-}
-
-void VpStore::AddPartition(PredicateTable& table, const StoredTable& part,
-                           const std::vector<uint32_t>& term_lengths,
-                           uint32_t row_group_rows) {
-  table.total_rows += part.num_rows();
-  // Sizes are in the lexical (Parquet string) form — what the simulated
-  // Spark scans and what its planner sees.
-  table.partition_bytes.push_back(
-      LexicalColumnSizeEstimate(part.column(0), term_lengths) +
-      LexicalColumnSizeEstimate(part.column(1), term_lengths));
-  table.paged.push_back(
-      columnar::PagedTable::FromStored(part, row_group_rows));
 }
 
 const VpStore::PredicateTable* VpStore::Find(rdf::TermId predicate) const {

@@ -50,12 +50,6 @@ class VpStore {
                        columnar::BufferPool& pool,
                        uint32_t row_group_rows = 0);
 
-  /// Assembles a store from already-built tables (reopening a persisted
-  /// database).
-  static VpStore Assemble(uint32_t num_workers,
-                          std::map<rdf::TermId, PredicateTable> tables,
-                          columnar::BufferPool& pool);
-
   /// The table for `predicate`, or nullptr when the predicate does not
   /// occur in the dataset.
   const PredicateTable* Find(rdf::TermId predicate) const;
@@ -106,14 +100,6 @@ class VpStore {
   static PredicateTable BuildTable(
       const std::vector<std::pair<rdf::TermId, rdf::TermId>>& rows,
       uint32_t num_workers, const std::vector<uint32_t>& term_lengths);
-
-  /// Appends one worker's decoded (s, o) partition to `table`: its rows,
-  /// its lexical size estimate and its row groups. The caller drops the
-  /// decoded form afterwards, so it is never resident beside the paged one.
-  static void AddPartition(PredicateTable& table,
-                           const columnar::StoredTable& part,
-                           const std::vector<uint32_t>& term_lengths,
-                           uint32_t row_group_rows);
 
   uint32_t num_workers() const { return num_workers_; }
   size_t num_predicates() const { return tables_.size(); }

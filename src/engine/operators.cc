@@ -201,31 +201,15 @@ Status Probe(const Relation& probe_rel, const std::vector<int>& probe_keys,
       output);
 }
 
-/// Reorders `input`'s columns into `target_names` order (names must be a
-/// permutation of the input's). Keeps chunk placement; remaps the
-/// partitioning column.
-Relation ReorderColumns(Relation&& input,
-                        const std::vector<std::string>& target_names) {
-  if (input.column_names() == target_names) return std::move(input);
-  std::vector<int> source_of(target_names.size());
-  for (size_t c = 0; c < target_names.size(); ++c) {
-    source_of[c] = input.ColumnIndex(target_names[c]);
-  }
-  Relation output(target_names, input.num_chunks());
-  for (uint32_t w = 0; w < input.num_chunks(); ++w) {
-    for (size_t c = 0; c < target_names.size(); ++c) {
-      output.mutable_chunks()[w].columns[c] = std::move(
-          input.mutable_chunks()[w].columns[static_cast<size_t>(
-              source_of[c])]);
-    }
-  }
-  if (input.hash_partitioned_by() >= 0) {
-    const std::string& part_name =
-        input.column_names()[static_cast<size_t>(
-            input.hash_partitioned_by())];
-    output.set_hash_partitioned_by(output.ColumnIndex(part_name));
-  }
-  return output;
+/// Carries `from`'s hash-partition column over to `to` by name: rows
+/// that kept their workers stay co-located on it. -1 when `to` dropped
+/// that column or `from` had none.
+void KeepPartitionColumn(const Relation& from, Relation& to) {
+  to.set_hash_partitioned_by(
+      from.hash_partitioned_by() < 0
+          ? -1
+          : to.ColumnIndex(from.column_names()[static_cast<size_t>(
+                from.hash_partitioned_by())]));
 }
 
 /// Gathers every row of `relation` into a single chunk (for broadcast).
@@ -248,14 +232,11 @@ JoinDecision ResolveJoinStrategy(uint64_t left_planner_bytes,
                                  uint64_t right_planner_bytes,
                                  const JoinOptions& options,
                                  const cluster::ClusterConfig& config) {
-  uint64_t threshold = options.broadcast_threshold_bytes != 0
-                           ? options.broadcast_threshold_bytes
-                           : config.broadcast_threshold_bytes;
   const uint64_t smaller = std::min(left_planner_bytes, right_planner_bytes);
   JoinDecision decision;
   decision.reuse_partitioning = options.reuse_partitioning;
   if (options.allow_broadcast && smaller != kUnknownPlannerBytes &&
-      smaller <= threshold) {
+      smaller <= config.broadcast_threshold_bytes) {
     decision.strategy = JoinStrategy::kBroadcast;
     decision.broadcast_left = left_planner_bytes <= right_planner_bytes;
   }
@@ -266,10 +247,6 @@ Relation RepartitionByColumn(const Relation& input, int column_index,
                              uint32_t num_workers,
                              cluster::CostModel& cost,
                              const ExecContext* exec) {
-  if (input.hash_partitioned_by() == column_index &&
-      input.num_chunks() == num_workers) {
-    return input;  // Already placed correctly; free — no span either.
-  }
   obs::OperatorSpan span(
       ProfileOf(exec), cost, obs::SpanKind::kExchange,
       input.column_names()[static_cast<size_t>(column_index)]);
@@ -348,42 +325,31 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
 
     // The big side's placement is preserved, so its partitioning column
     // (if any) still holds in the output.
-    if (big.hash_partitioned_by() >= 0) {
-      const std::string& part_name =
-          big.column_names()[static_cast<size_t>(big.hash_partitioned_by())];
-      int out_index = output.ColumnIndex(part_name);
-      output.set_hash_partitioned_by(out_index);
-    }
+    KeepPartitionColumn(big, output);
     // Canonical output layout is left-major regardless of which side was
     // broadcast, so plans are insensitive to the physical strategy.
     OutputLayout canonical = MakeOutputLayout(left, right, shared);
-    return ReorderColumns(std::move(output), canonical.names);
+    return PruneColumns(std::move(output), canonical.names);
   }
 
   // Shuffle join: a stage boundary. Close the caller's pipeline stage,
   // open the post-shuffle stage, and leave it open for downstream work.
   cost.EndStage();
   cost.BeginStage("shuffle_join");
-  Relation left_parts =
-      decision.reuse_partitioning
-          ? RepartitionByColumn(left, shared.left[0], num_workers, cost,
-                                exec)
-          : [&] {
-              Relation copy = left;
-              copy.set_hash_partitioned_by(-1);
-              return RepartitionByColumn(copy, shared.left[0], num_workers,
-                                         cost, exec);
-            }();
-  Relation right_parts =
-      decision.reuse_partitioning
-          ? RepartitionByColumn(right, shared.right[0], num_workers, cost,
-                                exec)
-          : [&] {
-              Relation copy = right;
-              copy.set_hash_partitioned_by(-1);
-              return RepartitionByColumn(copy, shared.right[0], num_workers,
-                                         cost, exec);
-            }();
+  // A side already hash-partitioned on its join key skips its exchange
+  // only when the decision reuses partitioning; every other side moves.
+  auto placed = [&](const Relation& side, int key,
+                    Relation& moved) -> const Relation& {
+    if (decision.reuse_partitioning && side.hash_partitioned_by() == key &&
+        side.num_chunks() == num_workers) {
+      return side;
+    }
+    moved = RepartitionByColumn(side, key, num_workers, cost, exec);
+    return moved;
+  };
+  Relation left_moved, right_moved;
+  const Relation& left_parts = placed(left, shared.left[0], left_moved);
+  const Relation& right_parts = placed(right, shared.right[0], right_moved);
 
   OutputLayout layout = MakeOutputLayout(left_parts, right_parts, shared);
   Relation output(layout.names, num_workers);
@@ -477,11 +443,7 @@ Result<Relation> Project(const Relation& input,
     cost.ChargeCpuRows(w, input.chunks()[w].num_rows());
   }
   // Projection keeps rows in place; partition column survives if selected.
-  if (input.hash_partitioned_by() >= 0) {
-    const std::string& part_name =
-        input.column_names()[static_cast<size_t>(input.hash_partitioned_by())];
-    output.set_hash_partitioned_by(output.ColumnIndex(part_name));
-  }
+  KeepPartitionColumn(input, output);
   return output;
 }
 
@@ -547,12 +509,7 @@ Relation PruneColumns(Relation&& input,
               .columns[static_cast<size_t>(source_of[c])]);
     }
   }
-  if (input.hash_partitioned_by() >= 0) {
-    const std::string& part_name =
-        input.column_names()[static_cast<size_t>(
-            input.hash_partitioned_by())];
-    output.set_hash_partitioned_by(output.ColumnIndex(part_name));
-  }
+  KeepPartitionColumn(input, output);
   return output;
 }
 

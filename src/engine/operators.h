@@ -29,12 +29,6 @@ inline constexpr uint64_t kUnknownPlannerBytes = ~0ull;
 /// will be performed"). The A2/A3 flags here are part of the ablation
 /// matrix documented in DESIGN.md §4.
 struct JoinOptions {
-  /// Inputs whose *planner* size (plan::PlanNode::planner_bytes) is at or
-  /// below this are broadcast instead of shuffled. 0 means "use the
-  /// cluster config's broadcast_threshold_bytes" (the common case — the
-  /// threshold scales with the simulated cluster).
-  uint64_t broadcast_threshold_bytes = 0;
-
   /// Disables broadcast joins entirely (A2 ablation; also the SPARQLGX
   /// baseline, which joins plain RDDs without Catalyst).
   bool allow_broadcast = true;
@@ -62,9 +56,9 @@ struct JoinDecision {
 /// The one join decision rule, shared by the plan-time JoinStrategyPass,
 /// the executor (for plans that pass did not resolve), the join-order
 /// cost model and the baselines: broadcast when allowed and the smaller
-/// side's planner size is at or below the effective threshold. The
-/// smaller side ships, the left one on a tie. kUnknownPlannerBytes never
-/// broadcasts.
+/// side's planner size (plan::PlanNode::planner_bytes) is at or below
+/// the cluster's broadcast_threshold_bytes. The smaller side ships, the
+/// left one on a tie. kUnknownPlannerBytes never broadcasts.
 JoinDecision ResolveJoinStrategy(uint64_t left_planner_bytes,
                                  uint64_t right_planner_bytes,
                                  const JoinOptions& options,
@@ -106,10 +100,11 @@ Result<Relation> Project(const Relation& input,
                          cluster::CostModel& cost,
                          const ExecContext* exec = nullptr);
 
-/// Drops every column not in `keep` (which must be a subset of the input
-/// columns, listed in input order). Unlike Project this is free — no CPU
-/// charge, no span: it models the optimizer's early projection, where the
-/// pruned columns are simply never materialized into the next exchange.
+/// Moves the columns named in `keep` (each an input column, at most once)
+/// into that order and drops the rest. Unlike Project this is free — no
+/// CPU charge, no span: it models the optimizer's early projection, where
+/// the pruned columns are simply never materialized into the next
+/// exchange, and gives a broadcast join's output its left-major order.
 /// The hash-partition column is remapped by name.
 Relation PruneColumns(Relation&& input, const std::vector<std::string>& keep);
 
@@ -123,7 +118,8 @@ Result<Relation> Distinct(const Relation& input, cluster::CostModel& cost,
 Relation Limit(const Relation& input, uint64_t limit);
 
 /// Re-distributes `input` so rows with equal values in `column_index` land
-/// on the same worker. Charges shuffle bytes unless already partitioned.
+/// on the same worker, and charges the shuffle. It always moves: HashJoin
+/// decides when an already placed side may skip its exchange.
 /// One task per morsel buckets rows, then one task per target assembles
 /// its chunk in source chunk order, then source row order.
 Relation RepartitionByColumn(const Relation& input, int column_index,

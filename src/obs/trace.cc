@@ -19,7 +19,6 @@ const char* SpanKindName(SpanKind kind) {
     case SpanKind::kOrderBy: return "order_by";
     case SpanKind::kAggregate: return "aggregate";
     case SpanKind::kLimit: return "limit";
-    case SpanKind::kModifiers: return "modifiers";
   }
   return "unknown";
 }

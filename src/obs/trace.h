@@ -23,8 +23,6 @@ enum class SpanKind {
   kOrderBy,    // ORDER BY driver-side sort
   kAggregate,  // COUNT aggregate
   kLimit,      // OFFSET/LIMIT slice
-  kModifiers,  // container for FILTER + solution modifiers
-               // (baseline systems' modifier tail)
 };
 
 const char* SpanKindName(SpanKind kind);

@@ -1,13 +1,8 @@
 #include "stats/characteristic_sets.h"
 
 #include <algorithm>
-#include <charconv>
 #include <span>
-#include <string>
 #include <utility>
-
-#include "common/io.h"
-#include "common/str_util.h"
 
 namespace prost::stats {
 namespace {
@@ -36,14 +31,6 @@ std::span<const Posting> SkipTo(std::span<const Posting> list, uint32_t set) {
       list.begin() + below + 1, list.begin() + std::min(probe, list.size()),
       set, [](const Posting& p, uint32_t s) { return p.set < s; });
   return list.subspan(static_cast<size_t>(it - list.begin()));
-}
-
-// Parses a whole field as a decimal uint64_t; false on anything else
-// (empty, signs, trailing bytes, overflow).
-bool ParseCount(const std::string& field, uint64_t* value) {
-  const char* end = field.data() + field.size();
-  const auto [ptr, ec] = std::from_chars(field.data(), end, *value);
-  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -160,87 +147,6 @@ CharacteristicSets::StarEstimate CharacteristicSets::EstimateStar(
     star.rows += static_cast<double>(set.subject_count) * per_subject;
   }
   return star;
-}
-
-Status CharacteristicSets::WriteTo(const std::string& path,
-                                   const rdf::Dictionary& dictionary) const {
-  std::string out;
-  out += StrFormat("charsets 1 %zu\n", sets_.size());
-  for (const CharacteristicSet& set : sets_) {
-    out += StrFormat("%llu\t%zu",
-                             static_cast<unsigned long long>(set.subject_count),
-                             set.predicates.size());
-    for (size_t i = 0; i < set.predicates.size(); ++i) {
-      auto lexical = dictionary.LookupId(set.predicates[i]);
-      if (!lexical.ok()) return lexical.status();
-      out += StrFormat(
-          "\t%s\t%llu", std::string(lexical.value()).c_str(),
-          static_cast<unsigned long long>(set.occurrences[i]));
-    }
-    out += '\n';
-  }
-  return WriteStringToFile(path, out);
-}
-
-Result<CharacteristicSets> CharacteristicSets::ReadFrom(
-    const std::string& path, rdf::Dictionary& dictionary) {
-  std::string contents;
-  PROST_RETURN_IF_ERROR(ReadFileToString(path, &contents));
-  std::vector<std::string> lines = StrSplit(contents, '\n');
-  if (lines.empty() || lines[0].rfind("charsets 1 ", 0) != 0) {
-    return Status::Corruption("characteristic-set file header missing: " +
-                              path);
-  }
-  CharacteristicSets result;
-  for (size_t line_no = 1; line_no < lines.size(); ++line_no) {
-    const std::string& line = lines[line_no];
-    if (line.empty()) continue;
-    const std::vector<std::string> parts = StrSplit(line, '\t');
-    CharacteristicSet set;
-    uint64_t num_predicates = 0;
-    // Bound the predicate count by the fields present before any
-    // arithmetic on it, so a huge count can neither wrap nor allocate.
-    if (parts.size() < 2 || !ParseCount(parts[0], &set.subject_count) ||
-        !ParseCount(parts[1], &num_predicates) || set.subject_count == 0 ||
-        num_predicates > (parts.size() - 2) / 2 ||
-        parts.size() != 2 + 2 * num_predicates) {
-      return Status::Corruption("bad characteristic-set line in " + path);
-    }
-    // Re-intern: ids in the file's writing session are meaningless here.
-    std::vector<std::pair<rdf::TermId, uint64_t>> entries(num_predicates);
-    for (size_t i = 0; i < num_predicates; ++i) {
-      entries[i].first = dictionary.Intern(parts[2 + 2 * i]);
-      if (!ParseCount(parts[3 + 2 * i], &entries[i].second) ||
-          entries[i].second < set.subject_count) {
-        return Status::Corruption("bad characteristic-set count in " + path);
-      }
-    }
-    std::sort(entries.begin(), entries.end());
-    for (const auto& [id, occ] : entries) {
-      if (!set.predicates.empty() && set.predicates.back() == id) {
-        return Status::Corruption(
-            "repeated predicate in a characteristic set in " + path);
-      }
-      set.predicates.push_back(id);
-      set.occurrences.push_back(occ);
-    }
-    result.total_subjects_ += set.subject_count;
-    result.sets_.push_back(std::move(set));
-  }
-  // Keep the in-memory order canonical (sorted by signature) so a
-  // round-trip is structurally identical to a fresh Compute(), and the
-  // index's ascending postings visit sets in the same order.
-  std::sort(result.sets_.begin(), result.sets_.end(),
-            [](const CharacteristicSet& a, const CharacteristicSet& b) {
-              return a.predicates < b.predicates;
-            });
-  for (size_t i = 1; i < result.sets_.size(); ++i) {
-    if (result.sets_[i - 1].predicates == result.sets_[i].predicates) {
-      return Status::Corruption("repeated characteristic set in " + path);
-    }
-  }
-  result.BuildIndex();
-  return result;
 }
 
 }  // namespace prost::stats

@@ -3,12 +3,9 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
-#include "rdf/dictionary.h"
 #include "rdf/graph.h"
 
 namespace prost::stats {
@@ -50,10 +47,8 @@ class CharacteristicSets {
     double rows = 0.0;
   };
 
-  /// Incremental construction from (subject, predicate) pairs. Used both
-  /// at initial load (from the encoded graph) and when re-opening a
-  /// persisted store whose raw triples are gone but whose VP partitions
-  /// still carry every (subject, predicate) pair.
+  /// Incremental construction from (subject, predicate) pairs, one per
+  /// triple (Compute feeds it the encoded graph).
   class Builder {
    public:
     void Add(rdf::TermId subject, rdf::TermId predicate);
@@ -78,21 +73,6 @@ class CharacteristicSets {
   /// signature order: both sums add the same terms in the same order as
   /// a scan over sets().
   StarEstimate EstimateStar(const std::vector<rdf::TermId>& predicates) const;
-
-  /// Persists the sets keyed on *lexical* predicate forms, because term
-  /// ids are re-assigned when a persisted store is re-interned on open.
-  Status WriteTo(const std::string& path,
-                 const rdf::Dictionary& dictionary) const;
-
-  /// Reads a file written by WriteTo, interning predicate lexical forms
-  /// into `dictionary` (which may assign different ids than the writer).
-  /// Returns Corruption for a malformed line: a non-numeric or
-  /// overflowing number, a field count that does not match the
-  /// predicate count, a zero subject count, a predicate repeated within
-  /// one signature, an occurrence count below the subject count, or a
-  /// signature listed twice.
-  static Result<CharacteristicSets> ReadFrom(const std::string& path,
-                                             rdf::Dictionary& dictionary);
 
  private:
   /// Fills postings_ from sets_, which must be in ascending signature

@@ -108,6 +108,11 @@ std::vector<EncodingCase> EncodingCases() {
   return cases;
 }
 
+/// `body`'s bytes behind the one-byte encoding tag DecodeIds reads.
+std::string Tagged(Encoding encoding, const ByteWriter& body) {
+  return static_cast<char>(encoding) + body.buffer();
+}
+
 class EncodingRoundTripTest
     : public ::testing::TestWithParam<std::tuple<int, Encoding>> {};
 
@@ -118,10 +123,8 @@ TEST_P(EncodingRoundTripTest, ExplicitEncodingRoundTrips) {
   EncodeIdsWith(c.ids, encoding, writer);
   // The size estimator must agree with the actual encoder.
   EXPECT_EQ(writer.size(), EncodedSize(c.ids, encoding)) << c.name;
-  ByteWriter tagged;
-  tagged.PutU8(static_cast<uint8_t>(encoding));
-  tagged.PutRaw(writer.buffer().data(), writer.size());
-  ByteReader reader(tagged.buffer());
+  const std::string tagged = Tagged(encoding, writer);
+  ByteReader reader(tagged);
   IdVector decoded;
   ASSERT_TRUE(DecodeIds(reader, c.ids.size(), &decoded).ok()) << c.name;
   EXPECT_EQ(decoded, c.ids) << c.name;
@@ -158,10 +161,8 @@ TEST(EncodingTest, BitPackedFullWidthValues) {
   ByteWriter writer;
   EncodeIdsWith(ids, Encoding::kBitPacked, writer);
   EXPECT_EQ(writer.size(), EncodedSize(ids, Encoding::kBitPacked));
-  ByteWriter tagged;
-  tagged.PutU8(static_cast<uint8_t>(Encoding::kBitPacked));
-  tagged.PutRaw(writer.buffer().data(), writer.size());
-  ByteReader reader(tagged.buffer());
+  const std::string tagged = Tagged(Encoding::kBitPacked, writer);
+  ByteReader reader(tagged);
   IdVector decoded;
   ASSERT_TRUE(DecodeIds(reader, ids.size(), &decoded).ok());
   EXPECT_EQ(decoded, ids);
@@ -181,10 +182,8 @@ TEST(EncodingTest, DeltaFullWidthValuesRoundTrip) {
   ByteWriter writer;
   EncodeIdsWith(ids, Encoding::kDeltaVarint, writer);
   EXPECT_EQ(writer.size(), EncodedSize(ids, Encoding::kDeltaVarint));
-  ByteWriter tagged;
-  tagged.PutU8(static_cast<uint8_t>(Encoding::kDeltaVarint));
-  tagged.PutRaw(writer.buffer().data(), writer.size());
-  ByteReader reader(tagged.buffer());
+  const std::string tagged = Tagged(Encoding::kDeltaVarint, writer);
+  ByteReader reader(tagged);
   IdVector decoded;
   ASSERT_TRUE(DecodeIds(reader, ids.size(), &decoded).ok());
   EXPECT_EQ(decoded, ids);
@@ -423,24 +422,20 @@ TEST(LexicalFormatTest, SizeEstimateCountsDistinctLexicals) {
 // out of bounds. Every input below ends in a valid checksum, so only the
 // structural checks stand between it and the decoders.
 
-/// Appends the trailing HashBytes checksum the lexical format ends with.
-std::string WithChecksum(ByteWriter& writer) {
-  uint64_t checksum = HashBytes(writer.buffer());
-  writer.PutU64(checksum);
-  return writer.TakeBuffer();
-}
-
 /// A lexical table of one id column "s" whose header claims `rows` rows,
-/// followed by `column` (local dictionary plus index stream) verbatim.
+/// followed by `column` (local dictionary plus index stream) verbatim and
+/// the trailing HashBytes checksum the lexical format ends with.
 std::string LexicalBytes(uint64_t rows, const std::string& column) {
-  ByteWriter writer;
-  writer.PutU32(0x5052534c);  // "PRSL"
-  writer.PutVarint(1);
-  writer.PutString("s");
-  writer.PutU8(static_cast<uint8_t>(ColumnKind::kId));
-  writer.PutVarint(rows);
-  writer.PutRaw(column.data(), column.size());
-  return WithChecksum(writer);
+  ByteWriter header;
+  header.PutU32(0x5052534c);  // "PRSL"
+  header.PutVarint(1);
+  header.PutString("s");
+  header.PutU8(static_cast<uint8_t>(ColumnKind::kId));
+  header.PutVarint(rows);
+  std::string bytes = header.buffer() + column;
+  ByteWriter checksum;
+  checksum.PutU64(HashBytes(bytes));
+  return bytes + checksum.buffer();
 }
 
 TEST(HostileInputTest, ValueCountBeyondEncodedBytesIsCorruption) {

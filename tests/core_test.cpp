@@ -325,8 +325,8 @@ void ExpectPlacedAsRepartitioned(const engine::Relation& scanned,
   }
 }
 
-TEST(PartitioningTest, ScanRowsSitWhereRepartitionPutsTheirKey) {
-  // 120 subjects over four predicates; p0 is multi-valued.
+/// 120 subjects over four predicates http://ex/p0..p3; p0 is multi-valued.
+rdf::EncodedGraph PartitioningGraph() {
   rdf::EncodedGraph graph;
   for (int s = 0; s < 120; ++s) {
     const Term subject = Term::Iri("http://ex/s" + std::to_string(s));
@@ -340,6 +340,11 @@ TEST(PartitioningTest, ScanRowsSitWhereRepartitionPutsTheirKey) {
     }
   }
   graph.SortAndDedupe();
+  return graph;
+}
+
+TEST(PartitioningTest, ScanRowsSitWhereRepartitionPutsTheirKey) {
+  rdf::EncodedGraph graph = PartitioningGraph();
   constexpr uint32_t kWorkers = 4;
   DatasetStatistics stats = DatasetStatistics::Compute(graph);
   columnar::BufferPool pool(columnar::kUnboundedBudget);
@@ -366,6 +371,46 @@ TEST(PartitioningTest, ScanRowsSitWhereRepartitionPutsTheirKey) {
   cost.EndStage();
   ASSERT_TRUE(star.ok()) << star.status();
   ExpectPlacedAsRepartitioned(*star, kWorkers);
+}
+
+// A reopened store re-interns every term, so its ids differ from the
+// writer's: its rows must sit where the *new* ids hash.
+TEST(PartitioningTest, ReopenedScanRowsSitWhereRepartitionPutsTheirKey) {
+  constexpr uint32_t kWorkers = 4;
+  ProstDb::Options options;
+  options.cluster.num_workers = kWorkers;
+  options.use_reverse_property_table = true;
+  auto db = ProstDb::LoadFromGraph(PartitioningGraph(), options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  const std::string dir = ::testing::TempDir() + "/prost_core_reopen";
+  ASSERT_TRUE((*db)->PersistTo(dir).ok());
+  auto reopened = ProstDb::OpenFrom(dir, ProstDb::Options{});
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  const ProstDb& store = **reopened;
+
+  cluster::CostModel cost((cluster::ClusterConfig()));
+  cost.BeginStage("scan");
+  size_t pt_scans = 0;
+  for (const auto& [predicate, table] : store.vp_store().tables()) {
+    auto scanned = store.vp_store().Scan(predicate, PatternTerm::Var("s"),
+                                         PatternTerm::Var("o"), cost);
+    ASSERT_TRUE(scanned.ok()) << scanned.status();
+    ExpectPlacedAsRepartitioned(*scanned, kWorkers);
+    for (const PropertyTable* pt :
+         {store.property_table(), store.reverse_property_table()}) {
+      ASSERT_NE(pt, nullptr);
+      ASSERT_TRUE(pt->HasPredicate(predicate));
+      auto column = pt->Scan(PatternTerm::Var("k"),
+                             {{predicate, PatternTerm::Var("v")}}, cost);
+      ASSERT_TRUE(column.ok()) << column.status();
+      ExpectPlacedAsRepartitioned(*column, kWorkers);
+      ++pt_scans;
+    }
+  }
+  cost.EndStage();
+  EXPECT_EQ(store.vp_store().num_predicates(), 4u);
+  EXPECT_EQ(pt_scans, 8u);
+  (void)RemoveAllRecursively(dir);
 }
 
 TEST(PropertyTableTest, ReverseTableGroupsByObject) {

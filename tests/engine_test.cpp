@@ -206,9 +206,9 @@ TEST(HashJoinTest, BroadcastShipsTheDecidedSide) {
 // ------------------------------------------------ Strategy resolution
 
 TEST(ResolveJoinStrategyTest, ThresholdDecides) {
-  const cluster::ClusterConfig config = TestConfig();
-  JoinOptions options;
-  options.broadcast_threshold_bytes = 100;
+  cluster::ClusterConfig config = TestConfig();
+  config.broadcast_threshold_bytes = 100;
+  const JoinOptions options;
   // The smaller side's size is compared with the threshold, inclusive.
   EXPECT_EQ(ResolveJoinStrategy(1, kUnknownPlannerBytes, options, config)
                 .strategy,
@@ -217,27 +217,16 @@ TEST(ResolveJoinStrategyTest, ThresholdDecides) {
             JoinStrategy::kBroadcast);
   EXPECT_EQ(ResolveJoinStrategy(500, 101, options, config).strategy,
             JoinStrategy::kShuffle);
-  // 0 defers to the cluster's threshold.
-  options.broadcast_threshold_bytes = 0;
-  const uint64_t cluster_threshold = config.broadcast_threshold_bytes;
-  EXPECT_EQ(ResolveJoinStrategy(cluster_threshold, kUnknownPlannerBytes,
-                                options, config)
-                .strategy,
-            JoinStrategy::kBroadcast);
-  EXPECT_EQ(ResolveJoinStrategy(cluster_threshold + 1, kUnknownPlannerBytes,
-                                options, config)
-                .strategy,
-            JoinStrategy::kShuffle);
 }
 
 TEST(ResolveJoinStrategyTest, UnknownSizeNeverBroadcasts) {
-  const cluster::ClusterConfig config = TestConfig();
-  JoinOptions options;
+  cluster::ClusterConfig config = TestConfig();
+  const JoinOptions options;
   // Join outputs (unknown planner size) never broadcast, even under the
   // largest threshold there is.
   const uint64_t thresholds[] = {0, ~0ull >> 1, ~0ull};
   for (uint64_t threshold : thresholds) {
-    options.broadcast_threshold_bytes = threshold;
+    config.broadcast_threshold_bytes = threshold;
     EXPECT_EQ(ResolveJoinStrategy(kUnknownPlannerBytes, kUnknownPlannerBytes,
                                   options, config),
               JoinDecision{})
@@ -246,10 +235,10 @@ TEST(ResolveJoinStrategyTest, UnknownSizeNeverBroadcasts) {
 }
 
 TEST(ResolveJoinStrategyTest, DisallowedBroadcastAlwaysShuffles) {
-  const cluster::ClusterConfig config = TestConfig();
+  cluster::ClusterConfig config = TestConfig();
+  config.broadcast_threshold_bytes = ~0ull >> 1;
   JoinOptions options;
   options.allow_broadcast = false;
-  options.broadcast_threshold_bytes = ~0ull >> 1;
   EXPECT_EQ(ResolveJoinStrategy(0, 0, options, config), JoinDecision{});
   EXPECT_EQ(ResolveJoinStrategy(1, kUnknownPlannerBytes, options, config),
             JoinDecision{});
@@ -259,9 +248,9 @@ TEST(ResolveJoinStrategyTest, DisallowedBroadcastAlwaysShuffles) {
 }
 
 TEST(ResolveJoinStrategyTest, SmallerSideShipsLeftOnTies) {
-  const cluster::ClusterConfig config = TestConfig();
-  JoinOptions options;
-  options.broadcast_threshold_bytes = 100;
+  cluster::ClusterConfig config = TestConfig();
+  config.broadcast_threshold_bytes = 100;
+  const JoinOptions options;
   EXPECT_EQ(ResolveJoinStrategy(5, 10, options, config), Broadcast(true));
   EXPECT_EQ(ResolveJoinStrategy(10, 5, options, config), Broadcast(false));
   EXPECT_EQ(ResolveJoinStrategy(7, 7, options, config), Broadcast(true));

@@ -308,9 +308,7 @@ TEST_F(ObsIntegrationTest, SpanTreeMatchesPlanOnEveryQuery) {
     // One scan span per join-tree node, labelled like the node, with the
     // planner's estimate attached; one join span per non-leading node.
     // The cost-based join_order pass may permute the scans, so labels
-    // are compared as a multiset rather than positionally. The modifier
-    // tail executes as plan nodes on this path, so no kModifiers
-    // container span appears.
+    // are compared as a multiset rather than positionally.
     std::vector<const obs::Span*> scans;
     std::vector<const obs::Span*> joins;
     for (const obs::Span& span : profile.spans()) {
@@ -320,9 +318,6 @@ TEST_F(ObsIntegrationTest, SpanTreeMatchesPlanOnEveryQuery) {
           break;
         case obs::SpanKind::kJoin:
           joins.push_back(&span);
-          break;
-        case obs::SpanKind::kModifiers:
-          ADD_FAILURE() << "kModifiers span on the plan-interpreter path";
           break;
         default:
           break;

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "columnar/lexical_format.h"
 #include "common/io.h"
 #include "core/prost_db.h"
 #include "sparql/parser.h"
@@ -68,35 +74,109 @@ TEST(PersistenceTest, RoundTripSmallGraph) {
   (void)RemoveAllRecursively(dir);
 }
 
-TEST(PersistenceTest, RoundTripWatDivQuerySet) {
+// Sorted decoded rows of `sparql` on `db`: ids differ across
+// dictionaries, lexical forms do not.
+std::vector<std::vector<std::string>> SortedRows(const ProstDb& db,
+                                                 const sparql::Query& query) {
+  auto result = db.Execute(query);
+  EXPECT_TRUE(result.ok()) << result.status();
+  if (!result.ok()) return {};
+  auto rows = db.DecodeRows(result->relation);
+  EXPECT_TRUE(rows.ok()) << rows.status();
+  if (!rows.ok()) return {};
+  std::sort(rows->begin(), rows->end());
+  return std::move(rows).value();
+}
+
+watdiv::WatDivDataset SmallWatDiv() {
   watdiv::WatDivConfig config;
   config.target_triples = 15000;
-  watdiv::WatDivDataset dataset = watdiv::Generate(config);
-  auto queries = watdiv::BasicQuerySet(dataset);
+  return watdiv::Generate(config);
+}
 
+// Every WatDiv query answers the same on the reopened store, with and
+// without the A3 partitioning reuse. Reuse skips the shuffle of a side
+// whose rows already sit where the current dictionary's ids hash, so it
+// only answers right when reopening places rows like a fresh load.
+TEST(PersistenceTest, RoundTripWatDivQuerySet) {
+  for (bool reuse : {false, true}) {
+    SCOPED_TRACE(reuse ? "reuse_partitioning" : "shuffle both sides");
+    watdiv::WatDivDataset dataset = SmallWatDiv();
+    auto queries = watdiv::BasicQuerySet(dataset);
+    ProstDb::Options options;
+    // The bench cluster's scale, so that most joins shuffle.
+    options.cluster.ScaleToDataset(dataset.graph.size());
+    options.join.reuse_partitioning = reuse;
+    auto db = ProstDb::LoadFromGraph(std::move(dataset.graph), options);
+    ASSERT_TRUE(db.ok());
+    std::string dir = ScratchDir("watdiv");
+    ASSERT_TRUE((*db)->PersistTo(dir).ok());
+    auto reopened = ProstDb::OpenFrom(dir, options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    for (const watdiv::WatDivQuery& wq : queries) {
+      auto query = sparql::ParseQuery(wq.sparql);
+      ASSERT_TRUE(query.ok());
+      EXPECT_EQ(SortedRows(**db, *query), SortedRows(**reopened, *query))
+          << wq.id;
+    }
+    (void)RemoveAllRecursively(dir);
+  }
+}
+
+// The per-predicate statistics, keyed by lexical predicate.
+std::map<std::string, rdf::PredicateStats> LexicalStats(const ProstDb& db) {
+  std::map<std::string, rdf::PredicateStats> stats;
+  for (const auto& [predicate, s] : db.statistics().per_predicate()) {
+    stats.emplace(db.dictionary().MustLookupId(predicate), s);
+  }
+  return stats;
+}
+
+// Each characteristic set as its lexical predicate -> occurrences map
+// (whose keys are the signature), with its subject count.
+std::map<std::map<std::string, uint64_t>, uint64_t> LexicalCharSets(
+    const ProstDb& db) {
+  std::map<std::map<std::string, uint64_t>, uint64_t> sets;
+  for (const stats::CharacteristicSet& set :
+       db.characteristic_sets().sets()) {
+    std::map<std::string, uint64_t> occurrences;
+    for (size_t i = 0; i < set.predicates.size(); ++i) {
+      occurrences.emplace(db.dictionary().MustLookupId(set.predicates[i]),
+                          set.occurrences[i]);
+    }
+    sets.emplace(std::move(occurrences), set.subject_count);
+  }
+  return sets;
+}
+
+TEST(PersistenceTest, ReopenedStoreLoadsLikeTheOriginal) {
   ProstDb::Options options;
-  auto db = ProstDb::LoadFromGraph(std::move(dataset.graph), options);
+  options.use_reverse_property_table = true;
+  auto db = ProstDb::LoadFromGraph(SmallWatDiv().graph, options);
   ASSERT_TRUE(db.ok());
-  std::string dir = ScratchDir("watdiv");
+  std::string dir = ScratchDir("statistics");
   ASSERT_TRUE((*db)->PersistTo(dir).ok());
   auto reopened = ProstDb::OpenFrom(dir, ProstDb::Options{});
   ASSERT_TRUE(reopened.ok()) << reopened.status();
 
-  for (const watdiv::WatDivQuery& wq : queries) {
-    auto query = sparql::ParseQuery(wq.sparql);
-    ASSERT_TRUE(query.ok());
-    auto original = (*db)->Execute(*query);
-    auto restored = (*reopened)->Execute(*query);
-    ASSERT_TRUE(original.ok()) << wq.id;
-    ASSERT_TRUE(restored.ok()) << wq.id << ": " << restored.status();
-    auto original_rows = (*db)->DecodeRows(original->relation);
-    auto restored_rows = (*reopened)->DecodeRows(restored->relation);
-    ASSERT_TRUE(original_rows.ok());
-    ASSERT_TRUE(restored_rows.ok());
-    std::sort(original_rows->begin(), original_rows->end());
-    std::sort(restored_rows->begin(), restored_rows->end());
-    EXPECT_EQ(*original_rows, *restored_rows) << wq.id;
-  }
+  // Fan-out caps included: PredicateStats compares every field.
+  const auto original_stats = LexicalStats(**db);
+  ASSERT_GT(original_stats.size(), 10u);
+  EXPECT_TRUE(original_stats == LexicalStats(**reopened));
+  EXPECT_EQ((*db)->statistics().total_triples(),
+            (*reopened)->statistics().total_triples());
+  const auto original_sets = LexicalCharSets(**db);
+  ASSERT_GT(original_sets.size(), 10u);
+  EXPECT_EQ(original_sets, LexicalCharSets(**reopened));
+
+  // storage_bytes may differ: each partition's local dictionaries depend
+  // on which terms hash to it, and the re-interned ids hash elsewhere.
+  const LoadReport& before = (*db)->load_report();
+  const LoadReport& after = (*reopened)->load_report();
+  EXPECT_EQ(before.input_triples, after.input_triples);
+  EXPECT_EQ(before.input_bytes, after.input_bytes);
+  EXPECT_DOUBLE_EQ(before.simulated_load_millis,
+                   after.simulated_load_millis);
   (void)RemoveAllRecursively(dir);
 }
 
@@ -128,6 +208,28 @@ TEST(PersistenceTest, OpenCorruptTableFails) {
   ASSERT_TRUE(WriteStringToFile(victim, bytes).ok());
   auto reopened = ProstDb::OpenFrom(dir, ProstDb::Options{});
   EXPECT_FALSE(reopened.ok());
+  (void)RemoveAllRecursively(dir);
+}
+
+TEST(PersistenceTest, OpenTableOfTheWrongShapeFails) {
+  auto db = ProstDb::LoadFromNTriples("<s> <p> <o> .\n", ProstDb::Options{});
+  ASSERT_TRUE(db.ok());
+  std::string dir = ScratchDir("shape");
+  ASSERT_TRUE((*db)->PersistTo(dir).ok());
+  // A well-formed lexical table with one id column where the VP file
+  // must hold (subject, object).
+  rdf::Dictionary dictionary;
+  columnar::IdVector subjects = {dictionary.Intern("<s>")};
+  std::vector<columnar::Column> columns;
+  columns.emplace_back(std::move(subjects));
+  const columnar::StoredTable narrow(
+      columnar::Schema({columnar::Field{"s", columnar::ColumnKind::kId}}),
+      std::move(columns));
+  ASSERT_TRUE(columnar::WriteLexicalTableFile(narrow, dictionary,
+                                              dir + "/vp/vp_0_p0.tbl")
+                  .ok());
+  auto reopened = ProstDb::OpenFrom(dir, ProstDb::Options{});
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
   (void)RemoveAllRecursively(dir);
 }
 
