@@ -8,6 +8,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -19,14 +22,17 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/property_table.h"
+#include "core/prost_db.h"
 #include "core/statistics.h"
 #include "core/vp_store.h"
 #include "engine/hash_table.h"
 #include "engine/kernels.h"
 #include "engine/operators.h"
 #include "kvstore/kv_store.h"
+#include "net/result_writer.h"
 #include "obs/trace.h"
 #include "rdf/dictionary.h"
+#include "rdf/sparql_json.h"
 #include "watdiv/generator.h"
 #include "watdiv/schema.h"
 
@@ -798,66 +804,137 @@ int RunProfilingOverheadCheck() {
 }
 
 // ---------------------------------------------------------------------
-// `--plan_cost_check`: planning must stay cheap next to the query it
-// plans. On the BENCH-scale mixed VP+PT store (PROST_BENCH_TRIPLES, by
-// default ~275k triples), takes the median of 5 ProstDb::PlanPhysical
-// walls and the median of 5 ProstDb::Execute walls per WatDiv query, and
-// fails unless the planning medians, summed over the 20 queries, are at
-// most 0.2x the summed execution medians. A ratio of two walls from the
-// same process, so it holds across machines.
+// Wall-ratio guards over the BENCH-scale mixed VP+PT store
+// (PROST_BENCH_TRIPLES, by default ~275k triples). Each compares, summed
+// over WatDiv queries, the median of 5 walls of one layer with the median
+// of 5 ProstDb::Execute walls: a ratio of two walls from the same
+// process, so it holds across machines.
 
-int RunPlanCostCheck() {
-  constexpr int kRuns = 5;
-  constexpr double kMaxRatio = 0.2;
-  bench::BenchWorkload workload = bench::BuildWorkload();
+constexpr int kGuardRuns = 5;
+
+/// Median wall of kGuardRuns calls of `fn`, after one warm-up call.
+template <typename Fn>
+double MedianWallMs(const Fn& fn) {
+  fn();
+  std::vector<double> walls;
+  for (int i = 0; i < kGuardRuns; ++i) {
+    WallTimer timer;
+    fn();
+    walls.push_back(timer.ElapsedMillis());
+  }
+  std::sort(walls.begin(), walls.end());
+  return walls[kGuardRuns / 2];
+}
+
+struct GuardStore {
+  bench::BenchWorkload workload;
+  std::unique_ptr<core::ProstDb> db;
+};
+
+/// The workload and its mixed store, or null after reporting the failure.
+std::unique_ptr<GuardStore> LoadGuardStore() {
+  auto store = std::make_unique<GuardStore>();
+  store->workload = bench::BuildWorkload();
   core::ProstDb::Options options;
-  options.cluster = bench::ScaledCluster(workload);
-  auto db = core::ProstDb::LoadFromSharedGraph(workload.graph, options);
+  options.cluster = bench::ScaledCluster(store->workload);
+  auto db = core::ProstDb::LoadFromSharedGraph(store->workload.graph, options);
   if (!db.ok()) {
     std::fprintf(stderr, "FATAL: load failed: %s\n",
                  db.status().ToString().c_str());
-    return 2;
+    return nullptr;
   }
-  auto median_ms = [&](const auto& fn) {
-    fn();  // Warm-up.
-    std::vector<double> walls;
-    for (int i = 0; i < kRuns; ++i) {
-      WallTimer timer;
-      fn();
-      walls.push_back(timer.ElapsedMillis());
-    }
-    std::sort(walls.begin(), walls.end());
-    return walls[kRuns / 2];
-  };
-  double plan_total = 0;
+  store->db = std::move(db).value();
+  return store;
+}
+
+/// Takes `layer_ms(db, query)` (a layer's median wall, or a negative value
+/// on failure) and the median Execute wall for every WatDiv query, C2
+/// only when `include_c2`, and fails unless the summed layer walls are at
+/// most `max_ratio` times the summed Execute walls.
+template <typename LayerMs>
+int CheckWallRatio(const GuardStore& store, const char* layer,
+                   double max_ratio, bool include_c2,
+                   const LayerMs& layer_ms) {
+  const core::ProstDb& db = *store.db;
+  double layer_total = 0;
   double execute_total = 0;
-  for (size_t i = 0; i < workload.queries.size(); ++i) {
-    const sparql::Query& query = workload.parsed[i];
-    bool ok = true;
-    const double plan_ms =
-        median_ms([&] { ok &= (*db)->PlanPhysical(query).ok(); });
+  for (size_t i = 0; i < store.workload.queries.size(); ++i) {
+    const std::string& id = store.workload.queries[i].id;
+    if (id == "C2" && !include_c2) continue;
+    const sparql::Query& query = store.workload.parsed[i];
+    const double ms = layer_ms(db, query);
+    bool ok = ms >= 0;
     const double execute_ms =
-        median_ms([&] { ok &= (*db)->Execute(query).ok(); });
+        MedianWallMs([&] { ok &= db.Execute(query).ok(); });
     if (!ok) {
-      std::fprintf(stderr, "FATAL: %s failed to plan or execute\n",
-                   workload.queries[i].id.c_str());
+      std::fprintf(stderr, "FATAL: %s failed\n", id.c_str());
       return 2;
     }
-    std::printf("%-4s plan %8.3fms  execute %8.3fms\n",
-                workload.queries[i].id.c_str(), plan_ms, execute_ms);
-    plan_total += plan_ms;
+    std::printf("%-4s %s %8.3fms  execute %8.3fms\n", id.c_str(), layer, ms,
+                execute_ms);
+    layer_total += ms;
     execute_total += execute_ms;
   }
-  const double ratio = plan_total / execute_total;
-  std::printf("plan %.3fms / execute %.3fms = %.3f (bound %.2f)\n",
-              plan_total, execute_total, ratio, kMaxRatio);
-  if (ratio > kMaxRatio) {
-    std::fprintf(stderr, "FAIL: planning costs %.3fx execution (> %.2f)\n",
-                 ratio, kMaxRatio);
+  const double ratio = layer_total / execute_total;
+  std::printf("%s %.3fms / execute %.3fms = %.3f (bound %.2f)\n", layer,
+              layer_total, execute_total, ratio, max_ratio);
+  if (ratio > max_ratio) {
+    std::fprintf(stderr, "FAIL: %s costs %.3fx execution (> %.2f)\n", layer,
+                 ratio, max_ratio);
     return 1;
   }
-  std::printf("PASS: planning within %.2fx of execution\n", kMaxRatio);
+  std::printf("PASS: %s within %.2fx of execution\n", layer, max_ratio);
   return 0;
+}
+
+// `--plan_cost_check`: planning must stay cheap next to the query it
+// plans. ProstDb::PlanPhysical over the 20 WatDiv queries, bound 0.2x.
+int RunPlanCostCheck() {
+  std::unique_ptr<GuardStore> store = LoadGuardStore();
+  if (store == nullptr) return 2;
+  return CheckWallRatio(
+      *store, "plan", 0.2, /*include_c2=*/true,
+      [](const core::ProstDb& db, const sparql::Query& query) {
+        bool ok = true;
+        const double ms =
+            MedianWallMs([&] { ok &= db.PlanPhysical(query).ok(); });
+        return ok ? ms : -1.0;
+      });
+}
+
+// `--serialize_cost_check`: writing a result as SPARQL JSON must stay
+// cheap next to computing it. SparqlResultWriter::Write into a sink that
+// only counts bytes, over the 19 interactive queries (all but C2, the
+// set perfbench serves), bound 0.4x. The store's binding table is built
+// first, so the walls time writing alone.
+int RunSerializeCostCheck() {
+  std::unique_ptr<GuardStore> store = LoadGuardStore();
+  if (store == nullptr) return 2;
+  WallTimer timer;
+  const rdf::BindingTable& table = store->db->json_bindings();
+  std::printf("binding table: %zu terms, %zu B of bindings, built in "
+              "%.2fms\n",
+              store->db->dictionary().size(), table.arena_bytes(),
+              timer.ElapsedMillis());
+  return CheckWallRatio(
+      *store, "serialize", 0.4, /*include_c2=*/false,
+      [](const core::ProstDb& db, const sparql::Query& query) {
+        auto result = db.Execute(query);
+        if (!result.ok()) return -1.0;
+        size_t bytes = 0;
+        bool ok = true;
+        const double ms = MedianWallMs([&] {
+          ok &= net::SparqlResultWriter::Write(
+                    db, result->relation, net::ResultFormat::kJson,
+                    [&bytes](std::string_view piece) {
+                      bytes += piece.size();
+                      return Status::OK();
+                    })
+                    .ok();
+        });
+        benchmark::DoNotOptimize(bytes);
+        return ok ? ms : -1.0;
+      });
 }
 
 }  // namespace
@@ -869,6 +946,9 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--plan_cost_check") == 0) {
       return RunPlanCostCheck();
+    }
+    if (std::strcmp(argv[i], "--serialize_cost_check") == 0) {
+      return RunSerializeCostCheck();
     }
     if (std::strcmp(argv[i], "--write_kernels_json") == 0 &&
         i + 1 < argc) {

@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <mutex>
+#include <utility>
 
 #include "common/thread_annotations.h"
 
@@ -205,6 +206,25 @@ class CondVar {
 
  private:
   std::condition_variable_any cv_;
+};
+
+/// Runs one function once across threads (std::call_once), for state
+/// built on first use and read-only afterwards: concurrent callers of
+/// Call wait for the one run, and every caller returns after it with its
+/// writes visible. Holds no ranked mutex, so a caller may hold any.
+class Once {
+ public:
+  Once() = default;
+  Once(const Once&) = delete;
+  Once& operator=(const Once&) = delete;
+
+  template <typename Fn>
+  void Call(Fn&& fn) {
+    std::call_once(flag_, std::forward<Fn>(fn));
+  }
+
+ private:
+  std::once_flag flag_;
 };
 
 }  // namespace prost

@@ -276,6 +276,12 @@ Result<std::vector<std::vector<std::string>>> ProstDb::DecodeRows(
   return rows;
 }
 
+const rdf::BindingTable& ProstDb::json_bindings() const {
+  json_bindings_once_.Call(
+      [this] { json_bindings_ = rdf::BindingTable(dictionary()); });
+  return json_bindings_;
+}
+
 Result<uint64_t> ProstDb::PersistTo(const std::string& dir) const {
   PROST_RETURN_IF_ERROR(RemoveAllRecursively(dir));
   PROST_RETURN_IF_ERROR(MakeDirectories(dir));

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "cluster/config.h"
+#include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/executor.h"
@@ -19,6 +20,7 @@
 #include "obs/trace.h"
 #include "plan/passes.h"
 #include "rdf/graph.h"
+#include "rdf/sparql_json.h"
 #include "sparql/algebra.h"
 #include "stats/cardinality_estimator.h"
 #include "stats/characteristic_sets.h"
@@ -171,6 +173,11 @@ class ProstDb {
   /// the lifetime of the database; immutable after load.
   const stats::CardinalityEstimator& estimator() const { return *estimator_; }
   const rdf::Dictionary& dictionary() const { return graph_->dictionary(); }
+  /// Every dictionary term's SPARQL-JSON binding, for the result writer.
+  /// Built on the first call (net::Server::Start makes it), so a store
+  /// nobody serializes to JSON never holds it. Thread-safe: concurrent
+  /// first callers wait for the one build.
+  const rdf::BindingTable& json_bindings() const;
   const Options& options() const { return options_; }
   const VpStore& vp_store() const { return vp_; }
   const PropertyTable* property_table() const {
@@ -226,6 +233,9 @@ class ProstDb {
   PropertyTable pt_;
   PropertyTable reverse_pt_;
   LoadReport load_report_;
+  /// Built once, by the first json_bindings() call, then read-only.
+  mutable Once json_bindings_once_;
+  mutable rdf::BindingTable json_bindings_;
   /// Mutable: Execute() is const but counts every query it runs.
   /// Internally synchronized (own leaf mutex + atomic handles), so
   /// concurrent Executes count safely with no outer lock.

@@ -11,16 +11,6 @@ DatasetStatistics DatasetStatistics::Compute(const rdf::EncodedGraph& graph) {
   return stats;
 }
 
-DatasetStatistics DatasetStatistics::FromPerPredicate(
-    std::map<rdf::TermId, rdf::PredicateStats> per_predicate) {
-  DatasetStatistics stats;
-  stats.per_predicate_ = std::move(per_predicate);
-  for (const auto& [predicate, s] : stats.per_predicate_) {
-    stats.total_triples_ += s.triple_count;
-  }
-  return stats;
-}
-
 rdf::PredicateStats DatasetStatistics::ForPredicate(
     rdf::TermId predicate) const {
   auto it = per_predicate_.find(predicate);

@@ -22,11 +22,6 @@ class DatasetStatistics {
   /// One pass over the encoded graph.
   static DatasetStatistics Compute(const rdf::EncodedGraph& graph);
 
-  /// Assembles statistics from precomputed per-predicate entries (the
-  /// plan checker's tests build statistics that disagree with storage).
-  static DatasetStatistics FromPerPredicate(
-      std::map<rdf::TermId, rdf::PredicateStats> per_predicate);
-
   uint64_t total_triples() const { return total_triples_; }
   size_t num_predicates() const { return per_predicate_.size(); }
 

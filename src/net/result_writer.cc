@@ -6,6 +6,7 @@
 
 #include "common/str_util.h"
 #include "rdf/dictionary.h"
+#include "rdf/sparql_json.h"
 #include "rdf/term.h"
 #include "rdf/triple.h"
 
@@ -71,8 +72,18 @@ class JsonReader {
       return Status::ParseError("unexpected end of JSON");
     }
     char c = text_[position_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      // Bounded, so hostile nesting fails instead of exhausting the
+      // stack.
+      if (depth_ == kMaxDepth) {
+        return Status::ParseError(
+            StrFormat("JSON nested deeper than %d levels", kMaxDepth));
+      }
+      ++depth_;
+      Result<JsonValue> nested = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return nested;
+    }
     if (c == '"') return ParseString();
     if (c == 't' || c == 'f') return ParseLiteral(c == 't');
     if (c == 'n') {
@@ -220,135 +231,14 @@ class JsonReader {
     }
   }
 
+  /// The writer's documents nest 5 deep (document, results, bindings,
+  /// row, binding).
+  static constexpr int kMaxDepth = 32;
+
   std::string_view text_;
   size_t position_ = 0;
+  int depth_ = 0;
 };
-
-/// Appends the JSON escape of control byte `c`.
-void AppendControlEscape(char c, std::string* out) {
-  switch (c) {
-    case '\n':
-      out->append("\\n");
-      break;
-    case '\r':
-      out->append("\\r");
-      break;
-    case '\t':
-      out->append("\\t");
-      break;
-    case '\b':
-      out->append("\\b");
-      break;
-    case '\f':
-      out->append("\\f");
-      break;
-    default:
-      out->append(StrFormat("\\u%04x", c));
-  }
-}
-
-bool IsControl(char c) { return static_cast<unsigned char>(c) < 0x20; }
-
-/// JsonEscape, appending to `out`: unescaped runs are copied whole.
-void AppendJsonEscaped(std::string_view text, std::string* out) {
-  size_t run = 0;
-  for (size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (c == '"' || c == '\\') {
-      out->append(text.data() + run, i - run);
-      out->push_back('\\');
-      out->push_back(c);
-      run = i + 1;
-    } else if (IsControl(c)) {
-      out->append(text.data() + run, i - run);
-      AppendControlEscape(c, out);
-      run = i + 1;
-    }
-  }
-  out->append(text.data() + run, text.size() - run);
-}
-
-/// Appends the JSON string body for an N-Triples literal body (the bytes
-/// between its quotes). The escapes rdf::ParseTerm accepts are JSON
-/// escapes as they stand, so they are copied; raw control bytes are
-/// escaped; any other escape is the ParseError ParseTerm gives it.
-Status AppendLiteralBody(std::string_view body, std::string* out) {
-  size_t run = 0;
-  for (size_t i = 0; i < body.size(); ++i) {
-    const char c = body[i];
-    if (c == '\\') {
-      if (i + 1 == body.size()) {
-        return Status::ParseError("dangling escape in literal");
-      }
-      const char next = body[++i];
-      if (std::string_view("\"\\nrt").find(next) == std::string_view::npos) {
-        return Status::ParseError(std::string("unknown escape \\") + next);
-      }
-    } else if (IsControl(c)) {
-      out->append(body.data() + run, i - run);
-      AppendControlEscape(c, out);
-      run = i + 1;
-    }
-  }
-  out->append(body.data() + run, body.size() - run);
-  return Status::OK();
-}
-
-/// Appends the typed binding object ({"type": ..., "value": ..., ...})
-/// for one term, read from its N-Triples form the way rdf::ParseTerm
-/// reads it.
-Status AppendBinding(std::string_view lexical, std::string* out) {
-  if (lexical.size() >= 2 && lexical.front() == '<' &&
-      lexical.back() == '>') {
-    out->append("{\"type\":\"uri\",\"value\":\"");
-    AppendJsonEscaped(lexical.substr(1, lexical.size() - 2), out);
-    out->append("\"}");
-    return Status::OK();
-  }
-  if (lexical.size() >= 3 && lexical.substr(0, 2) == "_:") {
-    out->append("{\"type\":\"bnode\",\"value\":\"");
-    AppendJsonEscaped(lexical.substr(2), out);
-    out->append("\"}");
-    return Status::OK();
-  }
-  if (lexical.empty() || lexical.front() != '"') {
-    return Status::ParseError("unrecognized term: " + std::string(lexical));
-  }
-  size_t end = 1;
-  while (end < lexical.size() && lexical[end] != '"') {
-    end += lexical[end] == '\\' ? 2 : 1;
-  }
-  if (end >= lexical.size()) {
-    return Status::ParseError("unterminated literal: " +
-                              std::string(lexical));
-  }
-  const std::string_view suffix = lexical.substr(end + 1);
-  std::string_view key;  // "xml:lang" or "datatype", when the suffix has one.
-  std::string_view annotation;
-  if (suffix.size() >= 2 && suffix.front() == '@') {
-    key = "xml:lang";
-    annotation = suffix.substr(1);
-  } else if (suffix.size() >= 4 && suffix.substr(0, 3) == "^^<" &&
-             suffix.back() == '>') {
-    key = "datatype";
-    annotation = suffix.substr(3, suffix.size() - 4);
-  } else if (!suffix.empty()) {
-    return Status::ParseError("malformed literal suffix: " +
-                              std::string(lexical));
-  }
-  out->append("{\"type\":\"literal\",\"value\":\"");
-  PROST_RETURN_IF_ERROR(AppendLiteralBody(lexical.substr(1, end - 1), out));
-  out->push_back('"');
-  if (!annotation.empty()) {
-    out->append(",\"");
-    out->append(key);
-    out->append("\":\"");
-    AppendJsonEscaped(annotation, out);
-    out->push_back('"');
-  }
-  out->push_back('}');
-  return Status::OK();
-}
 
 Result<rdf::Term> TermFromBinding(const JsonValue& binding) {
   const JsonValue* type = binding.Find("type");
@@ -413,6 +303,7 @@ Status SparqlResultWriter::Write(const core::ProstDb& db,
   const rdf::Dictionary& dictionary = db.dictionary();
   const std::vector<std::string>& vars = relation.column_names();
   const bool json = format == ResultFormat::kJson;
+  const rdf::BindingTable* bindings = json ? &db.json_bindings() : nullptr;
 
   // The head, and each column's cell prefix, escaped once per query.
   // TSV is the SPARQL 1.1 "?var" header row, then one N-Triples term per
@@ -444,6 +335,15 @@ Status SparqlResultWriter::Write(const core::ProstDb& db,
       for (size_t c = 0; c < chunk.columns.size(); ++c) {
         out += prefixes[c];
         const rdf::TermId id = chunk.columns[c][r];
+        if (json) {
+          // The store's binding for the id, written as one copy. An id
+          // the table lacks is encoded here, with the encoder's error.
+          const std::string_view binding = bindings->Get(id);
+          if (!binding.empty()) {
+            out.append(binding);
+            continue;
+          }
+        }
         std::string_view lexical;
         if (rdf::IsVirtualIntegerId(id)) {
           integer = rdf::VirtualIntegerLexical(id);
@@ -452,7 +352,7 @@ Status SparqlResultWriter::Write(const core::ProstDb& db,
           PROST_ASSIGN_OR_RETURN(lexical, dictionary.LookupId(id));
         }
         if (json) {
-          PROST_RETURN_IF_ERROR(AppendBinding(lexical, &out));
+          PROST_RETURN_IF_ERROR(rdf::AppendBinding(lexical, &out));
         } else {
           out += lexical;
         }
@@ -547,13 +447,6 @@ Result<SparqlResultSet> SparqlResultWriter::ParseTsv(std::string_view tsv) {
     out.rows.push_back(std::move(cells));
   }
   if (header) return Status::ParseError("empty TSV document");
-  return out;
-}
-
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  AppendJsonEscaped(text, &out);
   return out;
 }
 

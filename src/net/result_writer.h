@@ -9,16 +9,18 @@
 #include "core/prost_db.h"
 #include "engine/relation.h"
 #include "net/http.h"
+#include "rdf/sparql_json.h"
 
 /// Result serialization for the SPARQL protocol endpoint: a Relation
 /// (projected variables as columns, dictionary-encoded ids as values)
 /// becomes SPARQL 1.1 Query Results JSON or TSV, chosen by the request's
-/// Accept header. Each cell is written once, straight from the
-/// dictionary's N-Triples bytes into one reused buffer, which is handed
-/// on in pieces of about kChunkBytes so the server can stream them as
-/// HTTP chunks. The inverse parsers exist so tests and the bench can
-/// deserialize a response back into lexical rows and compare them
-/// row-identically against in-process execution.
+/// Accept header. A JSON cell is one copy of its term's binding from the
+/// store's rdf::BindingTable, a TSV cell one copy of the dictionary's
+/// N-Triples bytes, into one reused buffer, which is handed on in pieces
+/// of about kChunkBytes so the server can stream them as HTTP chunks.
+/// The inverse parsers exist so tests and the bench can deserialize a
+/// response back into lexical rows and compare them row-identically
+/// against in-process execution.
 
 namespace prost::net {
 
@@ -51,17 +53,16 @@ class SparqlResultWriter {
   static const char* ContentType(ResultFormat format);
 
   /// Serializes `relation` in `format` into `emit`, looking each id up in
-  /// `db`'s dictionary. Rows go out chunk by chunk and row by row — the
-  /// relation's CollectRows order, the order ProstDb::DecodeRows yields —
-  /// so a network client and an in-process caller see identical row
+  /// `db`'s binding table (JSON, built on first use) or dictionary (TSV).
+  /// Rows go out chunk by chunk and row by row — the relation's
+  /// CollectRows order, the order ProstDb::DecodeRows yields — so a
+  /// network client and an in-process caller see identical row
   /// sequences. Each view passed to `emit` is valid only during the call;
   /// a non-OK Status from it stops the write and is returned. JSON
-  /// bindings come straight from the N-Triples form: an IRI or blank node
-  /// loses its `<>` or `_:`, and a literal body keeps its escapes
-  /// (\" \\ \n \r \t are JSON escapes too) while raw control bytes are
-  /// escaped. kParseError on any other backslash escape or an
-  /// unrecognized term, kNotFound on an id the dictionary lacks; pieces
-  /// emitted before the error stay emitted.
+  /// bindings are rdf::AppendBinding's; a virtual integer, which the
+  /// table lacks, is encoded when written. kParseError when a cell's term
+  /// is one AppendBinding rejects, kNotFound on an id the dictionary
+  /// lacks; pieces emitted before the error stay emitted.
   static Status Write(const core::ProstDb& db,
                       const engine::Relation& relation, ResultFormat format,
                       const BodySink& emit);
@@ -73,16 +74,16 @@ class SparqlResultWriter {
 
   /// Parses a SPARQL 1.1 JSON results document (the writer's own output
   /// shape) back into lexical rows. Binding terms are reassembled into
-  /// canonical N-Triples.
+  /// canonical N-Triples. Any malformed input, arrays or objects nested
+  /// more than 32 deep included, is kParseError.
   static Result<SparqlResultSet> ParseJson(std::string_view json);
 
   /// Parses the TSV serialization back into lexical rows.
   static Result<SparqlResultSet> ParseTsv(std::string_view tsv);
 };
 
-/// Escapes `text` for embedding inside a JSON string literal (quotes,
-/// backslash, control characters). UTF-8 passes through untouched.
-std::string JsonEscape(std::string_view text);
+/// JSON string escaping, for the server's error bodies and metrics.
+using rdf::JsonEscape;
 
 }  // namespace prost::net
 

@@ -90,6 +90,8 @@ Status Server::Start() {
       return Status::Internal("net::Server started twice");
     }
   }
+  // The JSON binding table is built here, not by the first request.
+  sessions_.db().json_bindings();
   PROST_ASSIGN_OR_RETURN(
       listener_, ListenSocket::BindAndListen(options_.host, options_.port));
   port_ = listener_.port();

@@ -280,14 +280,19 @@ TEST_F(PlanCheckerTest, RejectsStatisticsStorageDisagreement) {
   plan::PhysicalPlan physical;
   ASSERT_NO_FATAL_FAILURE(
       Build("SELECT * WHERE { ?u <likes> ?p . }", &query, &physical));
-  // Rebuild statistics with a wrong triple count for <likes>: broadcast
-  // eligibility and node ordering would be planned against stale sizes.
-  auto per_predicate = db_->statistics().per_predicate();
-  rdf::TermId likes = db_->dictionary().Lookup("<likes>");
-  ASSERT_NE(per_predicate.find(likes), per_predicate.end());
-  per_predicate[likes].triple_count += 5;
-  core::DatasetStatistics stale =
-      core::DatasetStatistics::FromPerPredicate(std::move(per_predicate));
+  // Statistics of a graph with more <likes> triples than the store holds:
+  // broadcast eligibility and node ordering would be planned against
+  // stale sizes. The fixture's terms are interned first, in the same
+  // order, so <likes> keeps its id.
+  rdf::EncodedGraph grown = SmallGraph();
+  for (const char* user : {"u4", "u5", "u6", "u7", "u8"}) {
+    grown.Add({Term::Iri(user), Term::Iri("likes"), Term::Iri("p1")});
+  }
+  const rdf::TermId likes = db_->dictionary().Lookup("<likes>");
+  ASSERT_EQ(grown.dictionary().Lookup("<likes>"), likes);
+  const core::DatasetStatistics stale = core::DatasetStatistics::Compute(grown);
+  ASSERT_EQ(stale.ForPredicate(likes).triple_count,
+            db_->statistics().ForPredicate(likes).triple_count + 5);
   PlanContext context = Context();
   context.stats = &stale;
   // Keep the estimate below the (inflated) bound so only the

@@ -5,13 +5,15 @@
 //     malformed/over-limit rejections, torn reads split at every byte
 //     boundary, pipelined requests and chunked responses, keep-alive
 //     semantics, a seeded mutation fuzz of the response parser,
-//     percent/form decoding, the typed Status→HTTP map, and
-//     Accept-header negotiation.
+//     percent/form decoding, the typed Status→HTTP map,
+//     Accept-header negotiation, and the result parsers' nesting bound.
 //
 //  2. Writer tier — SparqlResultWriter against the decode → re-parse
 //     serializer it replaced, kept here as a byte-exact oracle: escapes,
 //     language tags, datatypes, blank nodes, COUNT's virtual integers,
-//     chunk boundaries and the errors ParseTerm gives.
+//     chunk boundaries and the errors ParseTerm gives. Eight threads
+//     race to build a fresh store's binding table, and a seeded mutation
+//     fuzz feeds ParseJson and ParseTsv mutated writer output.
 //
 //  3. Loopback tier — a real net::Server on an ephemeral port over a
 //     WatDiv fixture, queried through net::Client: every WatDiv basic
@@ -29,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <iterator>
@@ -521,6 +524,31 @@ TEST(ResultWriterTest, ParseTsvRoundTrip) {
   EXPECT_FALSE(SparqlResultWriter::ParseTsv("?s\n<a>\t<b>\n").ok());
 }
 
+TEST(ResultWriterTest, ParseJsonBoundsNesting) {
+  // Hostile depth is a ParseError, not a stack overflow.
+  for (const std::string& deep :
+       {std::string(1000000, '['), [] {
+          std::string objects;
+          for (int i = 0; i < 1000000; ++i) objects += "{\"a\":";
+          return objects;
+        }()}) {
+    auto parsed = SparqlResultWriter::ParseJson(deep);
+    ASSERT_EQ(parsed.status().code(), StatusCode::kParseError)
+        << parsed.status();
+    EXPECT_NE(parsed.status().message().find("nested deeper"),
+              std::string::npos)
+        << parsed.status();
+  }
+  // Nesting within the bound parses; this one is just not a results
+  // document.
+  auto shallow = SparqlResultWriter::ParseJson(std::string(31, '[') +
+                                               std::string(31, ']'));
+  ASSERT_EQ(shallow.status().code(), StatusCode::kParseError);
+  EXPECT_NE(shallow.status().message().find("not a JSON object"),
+            std::string::npos)
+      << shallow.status();
+}
+
 // ------------------------------------------------------------ writer tier
 
 /// The serializer this layer used before it wrote cells straight from
@@ -621,7 +649,10 @@ std::unique_ptr<core::ProstDb> OneWorkerDb(rdf::EncodedGraph graph) {
   return db.ok() ? std::move(db).value() : nullptr;
 }
 
-TEST(ResultWriterTest, MatchesOracleOnEscapesTagsDatatypesAndBlankNodes) {
+/// One worker over <s_i> <p> objects that cover every binding shape:
+/// escapes, control bytes, non-ASCII, a language tag, datatypes (one with
+/// quotes in its IRI), an IRI that needs escaping, and blank nodes.
+std::unique_ptr<core::ProstDb> EscapeTestDb() {
   using rdf::Term;
   rdf::EncodedGraph graph;
   const Term p = Term::Iri("p");
@@ -641,12 +672,19 @@ TEST(ResultWriterTest, MatchesOracleOnEscapesTagsDatatypesAndBlankNodes) {
     graph.Add({Term::Iri(std::move(subject)), p, objects[i]});
   }
   graph.Add({Term::Blank("b0"), p, Term::Literal("")});
-  std::unique_ptr<core::ProstDb> db = OneWorkerDb(std::move(graph));
+  return OneWorkerDb(std::move(graph));
+}
+
+constexpr const char* kEscapeTestQueries[] = {
+    "SELECT ?s ?o WHERE { ?s <p> ?o . }",
+    "SELECT (COUNT(*) AS ?n) WHERE { ?s <p> ?o . }",
+};
+
+TEST(ResultWriterTest, MatchesOracleOnEscapesTagsDatatypesAndBlankNodes) {
+  std::unique_ptr<core::ProstDb> db = EscapeTestDb();
   ASSERT_NE(db, nullptr);
 
-  for (const char* query :
-       {"SELECT ?s ?o WHERE { ?s <p> ?o . }",
-        "SELECT (COUNT(*) AS ?n) WHERE { ?s <p> ?o . }"}) {
+  for (const char* query : kEscapeTestQueries) {
     auto result = db->ExecuteSparql(query);
     ASSERT_TRUE(result.ok()) << query << ": " << result.status();
     ExpectMatchesOracle(*db, result->relation, query);
@@ -1159,6 +1197,144 @@ TEST_F(NetEndToEndTest, SerializeMatchesTheDecodeReparseOracle) {
     ASSERT_TRUE(result.ok()) << query.id << ": " << result.status();
     ExpectMatchesOracle(*serial_, result->relation, query.id);
   }
+}
+
+TEST_F(NetEndToEndTest, ConcurrentFirstSerializesShareOneBuild) {
+  // A fresh store has no binding table yet: eight threads asking for
+  // JSON at once race to build it, and every body must still be the
+  // oracle's.
+  std::unique_ptr<core::ProstDb> db = MakeDb(graph_, 1);
+  ASSERT_NE(db, nullptr);
+  std::vector<engine::Relation> relations;
+  std::vector<std::string> oracles;
+  for (const watdiv::WatDivQuery& query : raw_queries_) {
+    auto result = db->ExecuteSparql(query.sparql);
+    ASSERT_TRUE(result.ok()) << query.id << ": " << result.status();
+    auto oracle = OracleSerialize(*db, result->relation, ResultFormat::kJson);
+    ASSERT_TRUE(oracle.ok()) << query.id << ": " << oracle.status();
+    relations.push_back(std::move(result->relation));
+    oracles.push_back(std::move(oracle).value());
+  }
+  constexpr int kThreads = 8;
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::vector<std::string>> bodies(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      // Each thread starts at a different query.
+      for (size_t k = 0; k < relations.size(); ++k) {
+        const size_t i = (k + static_cast<size_t>(t)) % relations.size();
+        auto body = SparqlResultWriter::Serialize(*db, relations[i],
+                                                  ResultFormat::kJson);
+        bodies[t].push_back(body.ok() ? std::move(body).value()
+                                      : body.status().ToString());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(bodies[t].size(), relations.size());
+    for (size_t k = 0; k < relations.size(); ++k) {
+      const size_t i = (k + static_cast<size_t>(t)) % relations.size();
+      EXPECT_EQ(bodies[t][k], oracles[i])
+          << "thread " << t << ", " << raw_queries_[i].id;
+    }
+  }
+}
+
+/// `document` with one seeded mutation: 1-4 bit flips, a truncation, or
+/// 1-4 inserted bytes from `[ { " \`.
+std::string MutateDocument(std::string document, int round,
+                           std::mt19937_64& rng) {
+  auto below = [&rng](size_t n) {
+    return static_cast<size_t>(rng() % std::max<size_t>(n, 1));
+  };
+  switch (round % 3) {
+    case 0:
+      for (size_t flips = 1 + below(4); flips > 0; --flips) {
+        document[below(document.size())] ^=
+            static_cast<char>(1 << below(8));
+      }
+      break;
+    case 1:
+      document.resize(below(document.size()));
+      break;
+    default:
+      for (size_t inserts = 1 + below(4); inserts > 0; --inserts) {
+        document.insert(below(document.size() + 1), 1,
+                        "[{\"\\"[below(4)]);
+      }
+      break;
+  }
+  return document;
+}
+
+TEST_F(NetEndToEndTest, SeededMutationsOfResultDocumentsReturnAStatus) {
+  // Seeds: both formats of the escape-test store's results and of the
+  // first few small non-empty WatDiv results.
+  std::vector<std::string> seeds;
+  std::unique_ptr<core::ProstDb> escapes = EscapeTestDb();
+  ASSERT_NE(escapes, nullptr);
+  auto add_seeds = [&seeds](const core::ProstDb& db,
+                            const engine::Relation& relation) {
+    for (ResultFormat format : {ResultFormat::kJson, ResultFormat::kTsv}) {
+      auto body = SparqlResultWriter::Serialize(db, relation, format);
+      ASSERT_TRUE(body.ok()) << body.status();
+      seeds.push_back(std::move(body).value());
+    }
+  };
+  for (const char* query : kEscapeTestQueries) {
+    auto result = escapes->ExecuteSparql(query);
+    ASSERT_TRUE(result.ok()) << query << ": " << result.status();
+    add_seeds(*escapes, result->relation);
+  }
+  size_t watdiv_results = 0;
+  for (size_t i = 0; i < raw_queries_.size() && watdiv_results < 3; ++i) {
+    auto result = serial_->ExecuteSparql(raw_queries_[i].sparql);
+    ASSERT_TRUE(result.ok()) << raw_queries_[i].id << ": " << result.status();
+    const size_t rows = result->relation.TotalRows();
+    if (rows == 0 || rows > 50) continue;
+    add_seeds(*serial_, result->relation);
+    ++watdiv_results;
+  }
+  ASSERT_EQ(watdiv_results, 3u);
+
+  std::mt19937_64 rng(20261019);
+  size_t json_parsed = 0;
+  size_t json_errors = 0;
+  size_t tsv_parsed = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const std::string& seed = seeds[rng() % seeds.size()];
+    const std::string document = MutateDocument(seed, round, rng);
+    // Both parsers see every document; each must return, ok or not.
+    auto json = SparqlResultWriter::ParseJson(document);
+    auto tsv = SparqlResultWriter::ParseTsv(document);
+    if (json.ok()) {
+      ++json_parsed;
+      for (const std::vector<std::string>& row : json->rows) {
+        EXPECT_EQ(row.size(), json->vars.size()) << "round " << round;
+      }
+    } else {
+      ++json_errors;
+      EXPECT_EQ(json.status().code(), StatusCode::kParseError)
+          << "round " << round << ": " << json.status();
+    }
+    if (tsv.ok()) {
+      ++tsv_parsed;
+      for (const std::vector<std::string>& row : tsv->rows) {
+        EXPECT_EQ(row.size(), tsv->vars.size()) << "round " << round;
+      }
+    } else {
+      EXPECT_EQ(tsv.status().code(), StatusCode::kParseError)
+          << "round " << round << ": " << tsv.status();
+    }
+  }
+  // The corpus exercises both sides of the contract.
+  EXPECT_GT(json_parsed, 50u);
+  EXPECT_GT(json_errors, 1000u);
+  EXPECT_GT(tsv_parsed, 500u);
 }
 
 /// Reads one response off `socket` until the peer closes.
