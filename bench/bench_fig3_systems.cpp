@@ -6,15 +6,29 @@
 // Rya bimodal (very fast on highly selective queries, orders of magnitude
 // slow on large intermediates), SPARQLGX roughly an order of magnitude
 // behind PRoST across the board.
+//
+// Pass --json [path] to also write every system's per-query results
+// (simulated time, rows and cost counters) to `path`, BENCH_fig3.json by
+// default. tools/check_bench_json.py compares a rerun with the checked-in
+// file (the bench_fig3.check ctest).
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "bench_util.h"
 #include "common/str_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace prost;
+  std::string json_path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0) {
+      json_path = i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0
+                      ? argv[++i]
+                      : "BENCH_fig3.json";
+    }
+  }
   bench::BenchWorkload workload = bench::BuildWorkload();
   cluster::ClusterConfig cluster = bench::ScaledCluster(workload);
 
@@ -23,12 +37,13 @@ int main() {
     std::fprintf(stderr, "FATAL: %s\n", systems.status().ToString().c_str());
     return 1;
   }
+  std::vector<bench::SystemRun> detailed;
   std::vector<std::pair<std::string, std::map<std::string, double>>> runs;
   for (const auto& system : *systems) {
     std::fprintf(stderr, "[bench] running query set on %s...\n",
                  system->name().c_str());
-    runs.emplace_back(system->name(),
-                      bench::RunQuerySet(*system, workload));
+    detailed.push_back(bench::RunQuerySetDetailed(*system, workload));
+    runs.emplace_back(system->name(), bench::SimulatedMillis(detailed.back()));
   }
 
   std::printf(
@@ -58,6 +73,9 @@ int main() {
       std::printf(" | %9.2f", std::log10(ms.at(q.id)));
     }
     std::printf("\n");
+  }
+  if (!json_path.empty()) {
+    bench::WriteBenchJson(json_path, "fig3_systems", workload, detailed);
   }
   return 0;
 }

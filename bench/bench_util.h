@@ -133,15 +133,21 @@ inline SystemRun RunQuerySetDetailed(const baselines::RdfSystem& system,
   return run;
 }
 
-/// Runs all 20 queries on `system`, returning simulated millis per query
-/// id (the shape most benches aggregate from).
-inline std::map<std::string, double> RunQuerySet(
-    const baselines::RdfSystem& system, const BenchWorkload& workload) {
+/// Simulated millis per query id of one run (the shape most benches
+/// aggregate from).
+inline std::map<std::string, double> SimulatedMillis(const SystemRun& run) {
   std::map<std::string, double> millis;
-  for (const QueryRun& qr : RunQuerySetDetailed(system, workload).queries) {
+  for (const QueryRun& qr : run.queries) {
     millis[qr.query_id] = qr.simulated_millis;
   }
   return millis;
+}
+
+/// Runs all 20 queries on `system`, returning simulated millis per query
+/// id.
+inline std::map<std::string, double> RunQuerySet(
+    const baselines::RdfSystem& system, const BenchWorkload& workload) {
+  return SimulatedMillis(RunQuerySetDetailed(system, workload));
 }
 
 /// Writes a BENCH_*.json document; exits on error.
