@@ -103,7 +103,8 @@ struct Position {
 
 }  // namespace
 
-Result<QueryResult> RyaSystem::Execute(const sparql::Query& query) const {
+Result<QueryResult> RyaSystem::Execute(const sparql::Query& query,
+                                       obs::QueryProfile* /*profile*/) const {
   // Rya reorders joins by selectivity; reuse the translator's VP-only,
   // statistics-ordered plan as the nested-loop order.
   core::TranslatorOptions options;

@@ -4,14 +4,11 @@
 #include "common/io.h"
 #include "common/str_util.h"
 #include "common/timer.h"
-#include "core/modifiers.h"
-#include "core/translator.h"
 #include "engine/operators.h"
 #include "stats/predicate_index.h"
 
 namespace prost::baselines {
 
-using core::JoinTree;
 using core::JoinTreeNode;
 using core::QueryResult;
 using core::VpStore;
@@ -111,21 +108,27 @@ Result<std::unique_ptr<RdfSystem>> S2RdfSystem::Load(
   return std::unique_ptr<RdfSystem>(std::move(system));
 }
 
-const VpStore::PredicateTable* S2RdfSystem::BestTableFor(
-    const sparql::Query& query, size_t index, rdf::TermId predicate) const {
-  const sparql::TriplePattern& pattern = query.bgp.patterns[index];
+const VpStore::PredicateTable* S2RdfSystem::TableFor(
+    const sparql::Query& query, const JoinTreeNode& node) const {
+  const core::NodePattern& node_pattern = node.patterns[0];
+  const sparql::TriplePattern& pattern = node_pattern.source;
   const VpStore::PredicateTable* best = nullptr;
   auto consider = [&](Correlation corr, rdf::TermId q) {
-    auto it = extvp_.find(ExtVpKey{corr, predicate, q});
+    auto it = extvp_.find(ExtVpKey{corr, node_pattern.predicate, q});
     if (it == extvp_.end()) return;
     if (best == nullptr || it->second.total_rows < best->total_rows) {
       best = &it->second;
     }
   };
   const rdf::Dictionary& dictionary = graph_->dictionary();
-  for (size_t j = 0; j < query.bgp.patterns.size(); ++j) {
-    if (j == index) continue;
-    const sparql::TriplePattern& other = query.bgp.patterns[j];
+  // Every other pattern of the BGP (the first equal one stands for the
+  // node's own) that shares a variable with it offers a reduction.
+  bool skipped_self = false;
+  for (const sparql::TriplePattern& other : query.bgp.patterns) {
+    if (!skipped_self && other == pattern) {
+      skipped_self = true;
+      continue;
+    }
     rdf::TermId q = dictionary.Lookup(other.predicate.ToNTriples());
     if (q == rdf::kNullTermId) continue;
     if (pattern.subject.is_variable()) {
@@ -145,68 +148,48 @@ const VpStore::PredicateTable* S2RdfSystem::BestTableFor(
       }
     }
   }
-  return best;
+  return best != nullptr ? best : vp_.Find(node_pattern.predicate);
 }
 
-Result<QueryResult> S2RdfSystem::Execute(const sparql::Query& query) const {
-  core::TranslatorOptions options;
-  options.use_property_table = false;  // S2RDF is VP/ExtVP only.
-  options.enable_stats_ordering = true;
-  PROST_ASSIGN_OR_RETURN(
-      JoinTree tree,
-      core::Translate(query, stats_, graph_->dictionary(), options));
+/// S2RDF's scan source for one query: each VP node scans the table
+/// TableFor picks and is priced at that table's size — the base-table
+/// size Catalyst plans joins from.
+class S2RdfSystem::QuerySource final : public core::ScanSource {
+ public:
+  QuerySource(const S2RdfSystem& system, const sparql::Query& query)
+      : system_(system), query_(query) {}
 
-  cluster::CostModel cost(cluster_);
-  engine::JoinOptions join_options;  // Full Spark SQL planning.
-
-  QueryResult result;
-  cost.ChargeQueryOverhead();
-  cost.BeginStage("pipeline");
-  Relation accumulated;
-  // Catalyst plans each fold step from base-table sizes: the chosen
-  // table's partition bytes, while the join so far has an unknown size.
-  uint64_t accumulated_bytes = engine::kUnknownPlannerBytes;
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    const JoinTreeNode& node = tree.nodes[i];
-    // Map the node back to its source-pattern index for ExtVP selection.
-    size_t source_index = 0;
-    for (size_t j = 0; j < query.bgp.patterns.size(); ++j) {
-      if (query.bgp.patterns[j] == node.patterns[0].source) {
-        source_index = j;
-        break;
-      }
-    }
-    const VpStore::PredicateTable* table =
-        BestTableFor(query, source_index, node.patterns[0].predicate);
-    if (table == nullptr) table = vp_.Find(node.patterns[0].predicate);
-    const uint64_t scanned_bytes = VpStore::ScanTablePlannerBytes(table);
-
-    PROST_ASSIGN_OR_RETURN(
-        Relation scanned,
-        VpStore::ScanTable(table, node.patterns[0].subject,
-                           node.patterns[0].object, cluster_.num_workers,
-                           pool_, cost));
-    if (i == 0) {
-      accumulated = std::move(scanned);
-      accumulated_bytes = scanned_bytes;
-      continue;
-    }
-    const engine::JoinDecision decision = engine::ResolveJoinStrategy(
-        accumulated_bytes, scanned_bytes, join_options, cluster_);
-    PROST_ASSIGN_OR_RETURN(
-        accumulated, engine::HashJoin(accumulated, scanned, decision, cost));
-    result.join_strategies.push_back(decision.strategy);
-    accumulated_bytes = engine::kUnknownPlannerBytes;
+  Result<uint64_t> ScanPlannerBytes(const JoinTreeNode& node) const override {
+    return VpStore::ScanTablePlannerBytes(system_.TableFor(query_, node));
   }
-  PROST_ASSIGN_OR_RETURN(
-      accumulated,
-      core::ApplyFiltersAndModifiers(std::move(accumulated), query,
-                                     graph_->dictionary(), cost));
-  cost.EndStage();
-  result.relation = std::move(accumulated);
-  result.simulated_millis = cost.ElapsedMillis();
-  result.counters = cost.counters();
-  return result;
+
+  uint64_t InputRows(const JoinTreeNode& node) const override {
+    const VpStore::PredicateTable* table = system_.TableFor(query_, node);
+    return table != nullptr ? table->total_rows : 0;
+  }
+
+  Result<Relation> Scan(const JoinTreeNode& node, cluster::CostModel& cost,
+                        const engine::ExecContext* exec,
+                        const core::ScanHints* hints,
+                        core::ScanTelemetry* telemetry) const override {
+    return VpStore::ScanTable(system_.TableFor(query_, node),
+                              node.patterns[0].subject,
+                              node.patterns[0].object,
+                              system_.cluster_.num_workers, system_.pool_,
+                              cost, exec, hints, telemetry);
+  }
+
+ private:
+  const S2RdfSystem& system_;
+  const sparql::Query& query_;
+};
+
+Result<QueryResult> S2RdfSystem::Execute(const sparql::Query& query,
+                                         obs::QueryProfile* profile) const {
+  // S2RDF is VP/ExtVP only, with full Spark SQL join planning.
+  return ExecuteVpPlan(query, stats_, graph_->dictionary(),
+                       QuerySource(*this, query), engine::JoinOptions(),
+                       cluster_, profile);
 }
 
 Result<uint64_t> S2RdfSystem::PersistTo(const std::string& dir) const {

@@ -45,7 +45,9 @@ class S2RdfSystem : public RdfSystem {
       SharedGraph graph, const cluster::ClusterConfig& cluster);
 
   const std::string& name() const override { return name_; }
-  Result<core::QueryResult> Execute(const sparql::Query& query) const override;
+  Result<core::QueryResult> Execute(
+      const sparql::Query& query,
+      obs::QueryProfile* profile = nullptr) const override;
   const core::LoadReport& load_report() const override {
     return load_report_;
   }
@@ -59,12 +61,16 @@ class S2RdfSystem : public RdfSystem {
  private:
   using ExtVpKey = std::tuple<Correlation, rdf::TermId, rdf::TermId>;
 
+  /// The per-query core::ScanSource over TableFor (s2rdf.cc).
+  class QuerySource;
+
   S2RdfSystem() = default;
 
-  /// The smallest stored reduction applicable to pattern `index` of the
-  /// query's BGP, or nullptr to fall back to plain VP.
-  const core::VpStore::PredicateTable* BestTableFor(
-      const sparql::Query& query, size_t index, rdf::TermId predicate) const;
+  /// The table a scan of `node` reads in `query`: the smallest stored
+  /// reduction applicable to the node's pattern, or its plain VP table
+  /// (nullptr when the predicate does not occur).
+  const core::VpStore::PredicateTable* TableFor(
+      const sparql::Query& query, const core::JoinTreeNode& node) const;
 
   std::string name_ = "S2RDF";
   SharedGraph graph_;

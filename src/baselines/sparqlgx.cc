@@ -5,12 +5,10 @@
 #include "common/io.h"
 #include "common/str_util.h"
 #include "common/timer.h"
-#include "core/modifiers.h"
 #include "engine/operators.h"
 
 namespace prost::baselines {
 
-using core::JoinTree;
 using core::JoinTreeNode;
 using core::QueryResult;
 using engine::Relation;
@@ -72,68 +70,63 @@ Result<std::unique_ptr<RdfSystem>> SparqlGxSystem::Load(
   return std::unique_ptr<RdfSystem>(std::move(system));
 }
 
+/// SPARQLGX's scan source: a VP node reads its predicate's text file.
+/// The rows come from vp_ on a scratch clock; the query's clock is
+/// charged the text-file profile instead — the partition's full text
+/// scanned, plus per-line parsing of every stored line and output row.
+/// The planner sees no sizes: without Catalyst every join shuffles.
+class SparqlGxSystem::TextSource final : public core::ScanSource {
+ public:
+  explicit TextSource(const SparqlGxSystem& system) : system_(system) {}
+
+  Result<uint64_t> ScanPlannerBytes(
+      const JoinTreeNode& /*node*/) const override {
+    return engine::kUnknownPlannerBytes;
+  }
+
+  uint64_t InputRows(const JoinTreeNode& node) const override {
+    const core::VpStore::PredicateTable* table =
+        system_.vp_.Find(node.patterns[0].predicate);
+    return table != nullptr ? table->total_rows : 0;
+  }
+
+  // A text file has no row groups, so there is no telemetry to report.
+  Result<Relation> Scan(const JoinTreeNode& node, cluster::CostModel& cost,
+                        const engine::ExecContext* exec,
+                        const core::ScanHints* hints,
+                        core::ScanTelemetry* /*telemetry*/) const override {
+    const core::NodePattern& pattern = node.patterns[0];
+    cluster::CostModel scratch(system_.cluster_);
+    PROST_ASSIGN_OR_RETURN(
+        Relation scanned,
+        system_.vp_.Scan(pattern.predicate, pattern.subject, pattern.object,
+                         scratch, exec, hints));
+    const core::VpStore::PredicateTable* table =
+        system_.vp_.Find(pattern.predicate);
+    auto bytes_it = system_.text_bytes_.find(pattern.predicate);
+    for (uint32_t w = 0; w < system_.cluster_.num_workers; ++w) {
+      if (bytes_it != system_.text_bytes_.end()) {
+        cost.ChargeScan(w, bytes_it->second[w]);
+      }
+      uint64_t part_rows = table == nullptr ? 0 : table->paged[w].num_rows();
+      cost.ChargeCpuRows(w, part_rows + scanned.chunks()[w].num_rows());
+    }
+    return scanned;
+  }
+
+ private:
+  const SparqlGxSystem& system_;
+};
+
 Result<QueryResult> SparqlGxSystem::Execute(
-    const sparql::Query& query) const {
+    const sparql::Query& query, obs::QueryProfile* profile) const {
   // SPARQLGX compiles the BGP to a chain of RDD joins over VP files,
   // ordered by its own statistics.
-  core::TranslatorOptions options;
-  options.use_property_table = false;
-  options.enable_stats_ordering = true;
-  PROST_ASSIGN_OR_RETURN(
-      JoinTree tree,
-      core::Translate(query, stats_, graph_->dictionary(), options));
-
-  cluster::CostModel cost(cluster_);
-  cluster::CostModel scratch(cluster_);  // VP's own charges are replaced.
   engine::JoinOptions join_options;
   join_options.allow_broadcast = false;      // No Catalyst planning.
   join_options.reuse_partitioning = false;   // Plain RDD joins re-shuffle.
-  // Without Catalyst there are no relation sizes, and every join shuffles.
-  const engine::JoinDecision decision =
-      engine::ResolveJoinStrategy(engine::kUnknownPlannerBytes,
-                                  engine::kUnknownPlannerBytes, join_options,
-                                  cluster_);
-
-  QueryResult result;
-  cost.ChargeQueryOverhead();
-  cost.BeginStage("rdd pipeline");
-  Relation accumulated;
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    const JoinTreeNode& node = tree.nodes[i];
-    PROST_ASSIGN_OR_RETURN(
-        Relation scanned,
-        vp_.Scan(node.patterns[0].predicate, node.patterns[0].subject,
-                 node.patterns[0].object, scratch));
-    // Replace the columnar charges with the text-file profile: full text
-    // scan of the predicate file plus per-line parsing work.
-    const core::VpStore::PredicateTable* table =
-        vp_.Find(node.patterns[0].predicate);
-    auto bytes_it = text_bytes_.find(node.patterns[0].predicate);
-    for (uint32_t w = 0; w < cluster_.num_workers; ++w) {
-      if (bytes_it != text_bytes_.end()) {
-        cost.ChargeScan(w, bytes_it->second[w]);
-      }
-      uint64_t part_rows =
-          table == nullptr ? 0 : table->paged[w].num_rows();
-      cost.ChargeCpuRows(w, part_rows + scanned.chunks()[w].num_rows());
-    }
-    if (i == 0) {
-      accumulated = std::move(scanned);
-      continue;
-    }
-    PROST_ASSIGN_OR_RETURN(
-        accumulated, engine::HashJoin(accumulated, scanned, decision, cost));
-    result.join_strategies.push_back(decision.strategy);
-  }
-  PROST_ASSIGN_OR_RETURN(
-      accumulated,
-      core::ApplyFiltersAndModifiers(std::move(accumulated), query,
-                                     graph_->dictionary(), cost));
-  cost.EndStage();
-  result.relation = std::move(accumulated);
-  result.simulated_millis = cost.ElapsedMillis();
-  result.counters = cost.counters();
-  return result;
+  return ExecuteVpPlan(query, stats_, graph_->dictionary(), TextSource(*this),
+                       join_options, cluster_, profile);
 }
 
 Result<uint64_t> SparqlGxSystem::PersistTo(const std::string& dir) const {

@@ -32,7 +32,9 @@ class SparqlGxSystem : public RdfSystem {
       SharedGraph graph, const cluster::ClusterConfig& cluster);
 
   const std::string& name() const override { return name_; }
-  Result<core::QueryResult> Execute(const sparql::Query& query) const override;
+  Result<core::QueryResult> Execute(
+      const sparql::Query& query,
+      obs::QueryProfile* profile = nullptr) const override;
   const core::LoadReport& load_report() const override {
     return load_report_;
   }
@@ -42,6 +44,9 @@ class SparqlGxSystem : public RdfSystem {
   const obs::MetricsRegistry* metrics() const override { return &metrics_; }
 
  private:
+  /// The core::ScanSource over the text-file profile (sparqlgx.cc).
+  class TextSource;
+
   SparqlGxSystem() = default;
 
   /// Cost penalties relative to the Spark SQL systems, from the gap the

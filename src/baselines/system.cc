@@ -3,6 +3,8 @@
 #include "baselines/rya.h"
 #include "baselines/s2rdf.h"
 #include "baselines/sparqlgx.h"
+#include "core/translator.h"
+#include "plan/planner.h"
 
 namespace prost::baselines {
 namespace {
@@ -15,8 +17,9 @@ class ProstSystem : public RdfSystem {
 
   const std::string& name() const override { return name_; }
   Result<core::QueryResult> Execute(
-      const sparql::Query& query) const override {
-    return db_->Execute(query);
+      const sparql::Query& query,
+      obs::QueryProfile* profile = nullptr) const override {
+    return db_->Execute(query, profile);
   }
   const core::LoadReport& load_report() const override {
     return db_->load_report();
@@ -34,6 +37,23 @@ class ProstSystem : public RdfSystem {
 };
 
 }  // namespace
+
+Result<core::QueryResult> ExecuteVpPlan(
+    const sparql::Query& query, const core::DatasetStatistics& stats,
+    const rdf::Dictionary& dictionary, const core::ScanSource& source,
+    const engine::JoinOptions& join, const cluster::ClusterConfig& cluster,
+    obs::QueryProfile* profile) {
+  core::TranslatorOptions options;
+  options.use_property_table = false;
+  options.enable_stats_ordering = true;
+  PROST_ASSIGN_OR_RETURN(core::JoinTree tree,
+                         core::Translate(query, stats, dictionary, options));
+  PROST_ASSIGN_OR_RETURN(plan::PhysicalPlan physical,
+                         plan::BuildPlan(tree, query, source));
+  cluster::CostModel cost(cluster);
+  engine::ExecContext exec(nullptr, engine::kDefaultMorselRows, profile);
+  return core::ExecutePlan(physical, source, join, dictionary, cost, &exec);
+}
 
 Result<std::unique_ptr<RdfSystem>> MakeProst(
     SharedGraph graph, const cluster::ClusterConfig& cluster) {

@@ -9,7 +9,10 @@
 #include "common/status.h"
 #include "core/executor.h"
 #include "core/prost_db.h"
+#include "core/scan_support.h"
+#include "core/statistics.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rdf/graph.h"
 #include "sparql/algebra.h"
 
@@ -25,9 +28,13 @@ class RdfSystem {
 
   virtual const std::string& name() const = 0;
 
-  /// Executes a parsed query on a fresh simulated clock.
+  /// Executes a parsed query on a fresh simulated clock. With a
+  /// `profile`, the systems that run the plan executor (PRoST, S2RDF,
+  /// SPARQLGX) record its operator spans there for obs::ExplainAnalyze;
+  /// Rya records none.
   virtual Result<core::QueryResult> Execute(
-      const sparql::Query& query) const = 0;
+      const sparql::Query& query,
+      obs::QueryProfile* profile = nullptr) const = 0;
 
   virtual const core::LoadReport& load_report() const = 0;
 
@@ -90,6 +97,19 @@ Result<std::unique_ptr<RdfSystem>> MakeS2Rdf(
 /// index-nested-loop joins.
 Result<std::unique_ptr<RdfSystem>> MakeRya(
     SharedGraph graph, const cluster::ClusterConfig& cluster);
+
+/// How the Spark baselines (S2RDF, SPARQLGX) answer a query: translate it
+/// into a VP-only Join Tree in the §3.3 statistics order, lower that to
+/// a plan whose scans read `source`, and execute it with the system's
+/// `join` strategy on a fresh clock over `cluster`. No optimizer pass
+/// runs: the baselines keep the translator's order, and each join is
+/// resolved from its children's planner bytes — both scan sizes for the
+/// first join, an unknown left side for every later one.
+Result<core::QueryResult> ExecuteVpPlan(
+    const sparql::Query& query, const core::DatasetStatistics& stats,
+    const rdf::Dictionary& dictionary, const core::ScanSource& source,
+    const engine::JoinOptions& join, const cluster::ClusterConfig& cluster,
+    obs::QueryProfile* profile);
 
 /// Builds all four compared systems (PRoST, S2RDF, Rya, SPARQLGX) over
 /// one graph, in the order the paper's tables list them.

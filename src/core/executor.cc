@@ -3,6 +3,7 @@
 #include "common/str_util.h"
 #include "core/modifiers.h"
 #include "obs/trace.h"
+#include "plan/planner.h"
 
 // Paranoid self-checks at operator boundaries: always on in debug builds,
 // and in release builds when the tree is compiled with sanitizers
@@ -19,79 +20,17 @@
 namespace prost::core {
 namespace {
 
-Result<engine::Relation> ScanNode(const JoinTreeNode& node, const VpStore& vp,
-                                  const PropertyTable* property_table,
-                                  const PropertyTable* reverse_property_table,
-                                  cluster::CostModel& cost,
-                                  const engine::ExecContext* exec,
-                                  const ScanHints* hints,
-                                  ScanTelemetry* telemetry) {
-  switch (node.kind) {
-    case NodeKind::kVerticalPartitioning:
-      return vp.Scan(node.patterns[0].predicate, node.patterns[0].subject,
-                     node.patterns[0].object, cost, exec, hints, telemetry);
-    case NodeKind::kPropertyTable: {
-      if (property_table == nullptr) {
-        return Status::Internal("join tree has a PT node but no PT");
-      }
-      std::vector<PropertyTable::ColumnPattern> patterns;
-      patterns.reserve(node.patterns.size());
-      for (const NodePattern& p : node.patterns) {
-        patterns.push_back({p.predicate, p.object});
-      }
-      return property_table->Scan(node.patterns[0].subject, patterns, cost,
-                                  exec, hints, telemetry);
-    }
-    case NodeKind::kReversePropertyTable: {
-      if (reverse_property_table == nullptr) {
-        return Status::Internal("join tree has an RPT node but no RPT");
-      }
-      std::vector<PropertyTable::ColumnPattern> patterns;
-      patterns.reserve(node.patterns.size());
-      for (const NodePattern& p : node.patterns) {
-        patterns.push_back({p.predicate, p.subject});
-      }
-      return reverse_property_table->Scan(node.patterns[0].object, patterns,
-                                          cost, exec, hints, telemetry);
-    }
-  }
-  return Status::Internal("unknown node kind");
-}
-
-/// Input row count of a plan scan: the stored table it reads.
-uint64_t NodeInputRows(const JoinTreeNode& node, const VpStore& vp,
-                       const PropertyTable* property_table,
-                       const PropertyTable* reverse_property_table) {
-  switch (node.kind) {
-    case NodeKind::kVerticalPartitioning: {
-      const VpStore::PredicateTable* table =
-          vp.Find(node.patterns[0].predicate);
-      return table != nullptr ? table->total_rows : 0;
-    }
-    case NodeKind::kPropertyTable:
-      return property_table != nullptr ? property_table->num_rows() : 0;
-    case NodeKind::kReversePropertyTable:
-      return reverse_property_table != nullptr
-                 ? reverse_property_table->num_rows()
-                 : 0;
-  }
-  return 0;
-}
-
 /// Recursive plan walker. Spans open pre-order (a node's span brackets
 /// its children), so the recorded span tree mirrors the plan DAG; the
 /// clock-charge order over the left-deep join chain is identical to the
 /// classic fold (scan, scan, join, scan, join, ...).
 class PlanInterpreter {
  public:
-  PlanInterpreter(const VpStore& vp, const PropertyTable* property_table,
-                  const PropertyTable* reverse_property_table,
+  PlanInterpreter(const ScanSource& source,
                   const engine::JoinOptions& join_options,
                   const rdf::Dictionary& dictionary, cluster::CostModel& cost,
                   const engine::ExecContext* exec)
-      : vp_(vp),
-        property_table_(property_table),
-        reverse_property_table_(reverse_property_table),
+      : source_(source),
         join_options_(join_options),
         dictionary_(dictionary),
         filters_(dictionary),
@@ -159,8 +98,7 @@ class PlanInterpreter {
                            node.source.Label());
     span.SetDetail(NodeKindToString(node.source.kind));
     span.SetEstimatedRows(node.estimated_rows);
-    span.SetRowsIn(NodeInputRows(node.source, vp_, property_table_,
-                                 reverse_property_table_));
+    span.SetRowsIn(source_.InputRows(node.source));
     // Equality pushed filters double as paged-scan pruning hints: the
     // scan may skip row groups / partitions whose zone maps or bloom
     // filters exclude the constant, because those rows would be dropped
@@ -175,8 +113,7 @@ class PlanInterpreter {
     ScanTelemetry telemetry;
     PROST_ASSIGN_OR_RETURN(
         engine::Relation relation,
-        ScanNode(node.source, vp_, property_table_, reverse_property_table_,
-                 cost_, exec_, &hints, &telemetry));
+        source_.Scan(node.source, cost_, exec_, &hints, &telemetry));
     if (telemetry.row_groups_total > 0) {
       // The scan read row groups: surface estimate-vs-actual and skips
       // in EXPLAIN ANALYZE.
@@ -306,9 +243,7 @@ class PlanInterpreter {
     return relation;
   }
 
-  const VpStore& vp_;
-  const PropertyTable* property_table_;
-  const PropertyTable* reverse_property_table_;
+  const ScanSource& source_;
   const engine::JoinOptions& join_options_;
   const rdf::Dictionary& dictionary_;
   FilterEvaluator filters_;
@@ -320,13 +255,12 @@ class PlanInterpreter {
 
 }  // namespace
 
-Result<QueryResult> ExecutePlan(
-    const plan::PhysicalPlan& physical, const VpStore& vp,
-    const PropertyTable* property_table,
-    const PropertyTable* reverse_property_table,
-    const engine::JoinOptions& join_options,
-    const rdf::Dictionary& dictionary, cluster::CostModel& cost,
-    const engine::ExecContext* exec) {
+Result<QueryResult> ExecutePlan(const plan::PhysicalPlan& physical,
+                                const ScanSource& source,
+                                const engine::JoinOptions& join_options,
+                                const rdf::Dictionary& dictionary,
+                                cluster::CostModel& cost,
+                                const engine::ExecContext* exec) {
   if (physical.root == nullptr) {
     return Status::InvalidArgument("empty physical plan");
   }
@@ -342,8 +276,7 @@ Result<QueryResult> ExecutePlan(
   // shuffle joins and DISTINCT insert their own stage boundaries (Spark's
   // whole-stage pipelining).
   cost.BeginStage("pipeline");
-  PlanInterpreter interpreter(vp, property_table, reverse_property_table,
-                              join_options, dictionary, cost, exec);
+  PlanInterpreter interpreter(source, join_options, dictionary, cost, exec);
   Result<engine::Relation> executed = interpreter.Exec(*physical.root);
   if (!executed.ok()) {
     cost.EndStage();
@@ -362,6 +295,20 @@ Result<QueryResult> ExecutePlan(
     profile->Finish(result.simulated_millis, result.counters);
   }
   return result;
+}
+
+Result<QueryResult> ExecutePlan(
+    const plan::PhysicalPlan& physical, const VpStore& vp,
+    const PropertyTable* property_table,
+    const PropertyTable* reverse_property_table,
+    const engine::JoinOptions& join_options,
+    const rdf::Dictionary& dictionary, cluster::CostModel& cost,
+    const engine::ExecContext* exec) {
+  plan::PlannerInputs stores;
+  stores.vp = &vp;
+  stores.property_table = property_table;
+  stores.reverse_property_table = reverse_property_table;
+  return ExecutePlan(physical, stores, join_options, dictionary, cost, exec);
 }
 
 }  // namespace prost::core

@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "core/join_tree.h"
 #include "core/property_table.h"
+#include "core/scan_support.h"
 #include "core/vp_store.h"
 #include "engine/operators.h"
 #include "engine/relation.h"
@@ -46,13 +47,26 @@ struct QueryResult {
 /// Every plan node maps 1:1 onto an operator span, nested the way the
 /// plan nests, so EXPLAIN ANALYZE shows exactly the executed plan.
 ///
-/// `property_table` / `reverse_property_table` may be null when the plan
-/// contains no scan of that kind. The cost model must be freshly reset;
-/// on return it carries the query's simulated time.
+/// Scans read through `source`: PRoST's stores (plan::PlannerInputs) or
+/// a baseline's own tables. `join_options` are the system's Spark join
+/// strategy. The cost model must be freshly reset; on return it carries
+/// the query's simulated time.
 ///
-/// `exec` (nullable) carries the pool the operators' tasks run on; the
-/// result relation and the simulated time are bit-identical at every
-/// thread count — parallelism affects wall-clock only.
+/// `exec` (nullable) carries the pool the operators' tasks run on and the
+/// profile EXPLAIN ANALYZE reads; the result relation and the simulated
+/// time are bit-identical at every thread count — parallelism affects
+/// wall-clock only.
+Result<QueryResult> ExecutePlan(const plan::PhysicalPlan& physical,
+                                const ScanSource& source,
+                                const engine::JoinOptions& join_options,
+                                const rdf::Dictionary& dictionary,
+                                cluster::CostModel& cost,
+                                const engine::ExecContext* exec = nullptr);
+
+/// The same over PRoST's stores given one by one (`property_table` /
+/// `reverse_property_table` may be null when the plan scans no such
+/// table). Forwards to the ScanSource form; kept for the perfbench
+/// harness, which calls it.
 Result<QueryResult> ExecutePlan(
     const plan::PhysicalPlan& physical, const VpStore& vp,
     const PropertyTable* property_table,

@@ -154,13 +154,18 @@ Result<JoinTree> ProstDb::Plan(const sparql::Query& query) const {
   return Translate(query, stats_, graph_->dictionary(), translator_options);
 }
 
+plan::PlannerInputs ProstDb::Stores() const {
+  plan::PlannerInputs stores;
+  stores.vp = &vp_;
+  stores.property_table = property_table();
+  stores.reverse_property_table = reverse_property_table();
+  return stores;
+}
+
 Result<plan::PlannedQuery> ProstDb::BuildOptimizedPlan(
     const sparql::Query& query, bool record_snapshots) const {
   PROST_ASSIGN_OR_RETURN(JoinTree tree, Plan(query));
-  plan::PlannerInputs inputs;
-  inputs.vp = &vp_;
-  inputs.property_table = property_table();
-  inputs.reverse_property_table = reverse_property_table();
+  const plan::PlannerInputs inputs = Stores();
   PROST_ASSIGN_OR_RETURN(plan::PhysicalPlan physical,
                          plan::BuildPlan(tree, query, inputs));
   plan::PassManagerOptions manager_options;
@@ -216,9 +221,8 @@ Result<QueryResult> ProstDb::RunPlan(const plan::PlannedQuery& planned,
   cluster::CostModel cost(options_.cluster);
   engine::ExecContext exec(pool_.get(), options_.exec.morsel_rows, profile,
                            budget);
-  return ExecutePlan(
-      planned.plan, vp_, property_table(), reverse_property_table(),
-      options_.join, graph_->dictionary(), cost, &exec);
+  return ExecutePlan(planned.plan, Stores(), options_.join,
+                     graph_->dictionary(), cost, &exec);
 }
 
 Result<QueryResult> ProstDb::Execute(const sparql::Query& query,

@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/passes.h"
+#include "plan/planner.h"
 #include "rdf/graph.h"
 #include "rdf/sparql_json.h"
 #include "sparql/algebra.h"
@@ -205,6 +206,9 @@ class ProstDb {
   /// Creates buffer_pool_ from options_.storage. The first load step:
   /// every storage structure is built against it.
   void InitBufferPool();
+
+  /// The stores plans build against and scan (the plan's ScanSource).
+  plan::PlannerInputs Stores() const;
 
   /// Shared planning pipeline behind Execute and PlanPhysical: Join Tree
   /// translation (Plan), physical-plan building, then the configured

@@ -7,9 +7,14 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/cost_model.h"
 #include "columnar/buffer_pool.h"
 #include "columnar/paged_table.h"
+#include "common/status.h"
+#include "core/join_tree.h"
 #include "core/pattern_term.h"
+#include "engine/exec_context.h"
+#include "engine/relation.h"
 #include "rdf/triple.h"
 
 namespace prost::core {
@@ -44,6 +49,36 @@ struct ScanTelemetry {
   /// Scan bytes actually charged (lexical cost domain — comparable to
   /// the planner's estimate and to cluster::ExecutionCounters).
   uint64_t bytes_scanned = 0;
+};
+
+/// The storage a physical plan's scans read. For one Join Tree node it
+/// answers the planner-visible size (plan::BuildPlan stamps it on the
+/// scan, and unresolved joins are decided from it), the rows of the
+/// stored table the scan reads (EXPLAIN ANALYZE's `in=`), and the scan
+/// itself (core::ExecutePlan). PRoST's stores are one source
+/// (plan::PlannerInputs); S2RDF and SPARQLGX bring their own, so every
+/// system runs through the one plan executor.
+class ScanSource {
+ public:
+  virtual ~ScanSource() = default;
+
+  /// Planner-visible bytes of a scan of `node`: what
+  /// engine::ResolveJoinStrategy reads; engine::kUnknownPlannerBytes
+  /// when the system plans without sizes.
+  virtual Result<uint64_t> ScanPlannerBytes(
+      const JoinTreeNode& node) const = 0;
+
+  /// Rows of the stored table a scan of `node` reads.
+  virtual uint64_t InputRows(const JoinTreeNode& node) const = 0;
+
+  /// Evaluates `node` into a relation over its variables, charging the
+  /// scan to `cost`. `hints` and `telemetry` are optional, as in
+  /// VpStore::Scan.
+  virtual Result<engine::Relation> Scan(const JoinTreeNode& node,
+                                        cluster::CostModel& cost,
+                                        const engine::ExecContext* exec,
+                                        const ScanHints* hints,
+                                        ScanTelemetry* telemetry) const = 0;
 };
 
 /// Metadata-only pruning of a paged partition's row groups, shared by the

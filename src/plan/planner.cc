@@ -5,45 +5,85 @@
 namespace prost::plan {
 namespace {
 
-/// Planner-visible scan size for one Join Tree node, from storage
-/// statistics (the size its joins' decisions are resolved from).
-Result<uint64_t> NodePlannerBytes(const core::JoinTreeNode& node,
-                                  const PlannerInputs& inputs) {
+/// One Join Tree node mapped onto PRoST's stores: a (reverse) Property
+/// Table with the node's key term and one column pattern per triple
+/// pattern, or — `table` null — a VP scan of the node's one pattern.
+struct StoreScan {
+  const core::PropertyTable* table = nullptr;
+  const core::PatternTerm* key = nullptr;
+  std::vector<core::PropertyTable::ColumnPattern> columns;
+};
+
+Result<StoreScan> Resolve(const core::JoinTreeNode& node,
+                          const PlannerInputs& inputs) {
+  StoreScan scan;
   switch (node.kind) {
     case core::NodeKind::kVerticalPartitioning:
-      if (inputs.vp == nullptr) return uint64_t{0};
-      return inputs.vp->ScanPlannerBytes(node.patterns[0].predicate);
-    case core::NodeKind::kPropertyTable: {
+      return scan;
+    case core::NodeKind::kPropertyTable:
       if (inputs.property_table == nullptr) {
         return Status::Internal("join tree has a PT node but no PT");
       }
-      std::vector<core::PropertyTable::ColumnPattern> patterns;
-      patterns.reserve(node.patterns.size());
+      scan.table = inputs.property_table;
+      scan.key = &node.patterns[0].subject;
       for (const core::NodePattern& p : node.patterns) {
-        patterns.push_back({p.predicate, p.object});
+        scan.columns.push_back({p.predicate, p.object});
       }
-      return inputs.property_table->ScanPlannerBytes(patterns);
-    }
-    case core::NodeKind::kReversePropertyTable: {
+      return scan;
+    case core::NodeKind::kReversePropertyTable:
       if (inputs.reverse_property_table == nullptr) {
         return Status::Internal("join tree has an RPT node but no RPT");
       }
-      std::vector<core::PropertyTable::ColumnPattern> patterns;
-      patterns.reserve(node.patterns.size());
+      scan.table = inputs.reverse_property_table;
+      scan.key = &node.patterns[0].object;
       for (const core::NodePattern& p : node.patterns) {
-        patterns.push_back({p.predicate, p.subject});
+        scan.columns.push_back({p.predicate, p.subject});
       }
-      return inputs.reverse_property_table->ScanPlannerBytes(patterns);
-    }
+      return scan;
   }
   return Status::Internal("unknown join tree node kind");
 }
 
 }  // namespace
 
+Result<uint64_t> PlannerInputs::ScanPlannerBytes(
+    const core::JoinTreeNode& node) const {
+  PROST_ASSIGN_OR_RETURN(StoreScan scan, Resolve(node, *this));
+  if (scan.table != nullptr) {
+    return scan.table->ScanPlannerBytes(scan.columns);
+  }
+  return vp == nullptr ? 0
+                       : vp->ScanPlannerBytes(node.patterns[0].predicate);
+}
+
+uint64_t PlannerInputs::InputRows(const core::JoinTreeNode& node) const {
+  Result<StoreScan> scan = Resolve(node, *this);
+  if (!scan.ok()) return 0;
+  if (scan->table != nullptr) return scan->table->num_rows();
+  const core::VpStore::PredicateTable* table =
+      vp == nullptr ? nullptr : vp->Find(node.patterns[0].predicate);
+  return table != nullptr ? table->total_rows : 0;
+}
+
+Result<engine::Relation> PlannerInputs::Scan(
+    const core::JoinTreeNode& node, cluster::CostModel& cost,
+    const engine::ExecContext* exec, const core::ScanHints* hints,
+    core::ScanTelemetry* telemetry) const {
+  PROST_ASSIGN_OR_RETURN(StoreScan scan, Resolve(node, *this));
+  if (scan.table != nullptr) {
+    return scan.table->Scan(*scan.key, scan.columns, cost, exec, hints,
+                            telemetry);
+  }
+  if (vp == nullptr) {
+    return Status::Internal("join tree has a VP node but no VP store");
+  }
+  return vp->Scan(node.patterns[0].predicate, node.patterns[0].subject,
+                  node.patterns[0].object, cost, exec, hints, telemetry);
+}
+
 Result<PhysicalPlan> BuildPlan(const core::JoinTree& tree,
                                const sparql::Query& query,
-                               const PlannerInputs& inputs) {
+                               const core::ScanSource& source) {
   if (tree.nodes.empty()) {
     return Status::InvalidArgument("empty join tree");
   }
@@ -51,7 +91,7 @@ Result<PhysicalPlan> BuildPlan(const core::JoinTree& tree,
   std::unique_ptr<PlanNode> root;
   for (const core::JoinTreeNode& node : tree.nodes) {
     PROST_ASSIGN_OR_RETURN(uint64_t planner_bytes,
-                           NodePlannerBytes(node, inputs));
+                           source.ScanPlannerBytes(node));
     std::unique_ptr<PlanNode> scan =
         PlanBuilder::MakeScan(node, planner_bytes);
     if (root == nullptr) {
@@ -62,7 +102,8 @@ Result<PhysicalPlan> BuildPlan(const core::JoinTree& tree,
     }
   }
 
-  // Modifier tail, in the order ApplyFiltersAndModifiers evaluates it.
+  // Modifier tail, in SPARQL evaluation order: ORDER BY before the
+  // projection, because its keys may be variables the projection drops.
   for (const sparql::FilterConstraint& filter : query.filters) {
     root = PlanBuilder::MakeFilter(std::move(root), filter);
   }

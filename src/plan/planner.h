@@ -4,31 +4,47 @@
 #include "common/status.h"
 #include "core/join_tree.h"
 #include "core/property_table.h"
+#include "core/scan_support.h"
 #include "core/vp_store.h"
 #include "plan/plan_ir.h"
 #include "sparql/algebra.h"
 
 namespace prost::plan {
 
-/// Storage the plan will execute against. Used only for planner-size
-/// estimates (ScanPlannerBytes) at build time — the plan itself carries
-/// no storage pointers.
-struct PlannerInputs {
+/// PRoST's scan source: the stores its plans execute against. A VP node
+/// reads its predicate's table, a PT node the Property Table and an RPT
+/// node the reverse one; one NodeKind switch maps each node to its store,
+/// so the planner's sizes and the executor's scans read the same table.
+/// A missing Property Table is an error for a node that needs it.
+class PlannerInputs final : public core::ScanSource {
+ public:
   const core::VpStore* vp = nullptr;
   const core::PropertyTable* property_table = nullptr;
   const core::PropertyTable* reverse_property_table = nullptr;
+
+  /// The base table's serialized size (VpStore::ScanPlannerBytes,
+  /// PropertyTable::ScanPlannerBytes); 0 for a VP node without a store.
+  Result<uint64_t> ScanPlannerBytes(
+      const core::JoinTreeNode& node) const override;
+  uint64_t InputRows(const core::JoinTreeNode& node) const override;
+  Result<engine::Relation> Scan(const core::JoinTreeNode& node,
+                                cluster::CostModel& cost,
+                                const engine::ExecContext* exec,
+                                const core::ScanHints* hints,
+                                core::ScanTelemetry* telemetry) const override;
 };
 
 /// Lowers a Join Tree plus the query's solution modifiers into the
 /// initial physical plan: a left-deep join chain over the tree's scans
-/// (nodes[0] first, matching the translator's stats ordering), then the
-/// modifier tail in seed evaluation order — FILTERs, then either COUNT
-/// (the root, folding OFFSET) or ORDER BY → projection → DISTINCT →
-/// OFFSET/LIMIT. The result is unoptimized; run it through a PassManager
-/// to resolve join strategies, push filters, and prune columns.
+/// (nodes[0] first, matching the translator's stats ordering), each scan
+/// stamped with `source`'s planner bytes, then the modifier tail in
+/// SPARQL evaluation order — FILTERs, then either COUNT (the root,
+/// folding OFFSET) or ORDER BY → projection → DISTINCT → OFFSET/LIMIT.
+/// The result is unoptimized; run it through a PassManager to resolve
+/// join strategies, push filters, and prune columns.
 Result<PhysicalPlan> BuildPlan(const core::JoinTree& tree,
                                const sparql::Query& query,
-                               const PlannerInputs& inputs);
+                               const core::ScanSource& source);
 
 }  // namespace prost::plan
 
