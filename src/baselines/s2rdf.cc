@@ -120,6 +120,9 @@ const VpStore::PredicateTable* S2RdfSystem::TableFor(
       best = &it->second;
     }
   };
+  auto same_variable = [](const rdf::Term& a, const rdf::Term& b) {
+    return a.is_variable() && b.is_variable() && a.value == b.value;
+  };
   const rdf::Dictionary& dictionary = graph_->dictionary();
   // Every other pattern of the BGP (the first equal one stands for the
   // node's own) that shares a variable with it offers a reduction.
@@ -131,21 +134,14 @@ const VpStore::PredicateTable* S2RdfSystem::TableFor(
     }
     rdf::TermId q = dictionary.Lookup(other.predicate.ToNTriples());
     if (q == rdf::kNullTermId) continue;
-    if (pattern.subject.is_variable()) {
-      if (other.subject.is_variable() &&
-          other.subject.value == pattern.subject.value) {
-        consider(Correlation::kSS, q);
-      }
-      if (other.object.is_variable() &&
-          other.object.value == pattern.subject.value) {
-        consider(Correlation::kSO, q);
-      }
+    if (same_variable(pattern.subject, other.subject)) {
+      consider(Correlation::kSS, q);
     }
-    if (pattern.object.is_variable()) {
-      if (other.subject.is_variable() &&
-          other.subject.value == pattern.object.value) {
-        consider(Correlation::kOS, q);
-      }
+    if (same_variable(pattern.subject, other.object)) {
+      consider(Correlation::kSO, q);
+    }
+    if (same_variable(pattern.object, other.subject)) {
+      consider(Correlation::kOS, q);
     }
   }
   return best != nullptr ? best : vp_.Find(node_pattern.predicate);

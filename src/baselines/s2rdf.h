@@ -45,9 +45,8 @@ class S2RdfSystem : public RdfSystem {
       SharedGraph graph, const cluster::ClusterConfig& cluster);
 
   const std::string& name() const override { return name_; }
-  Result<core::QueryResult> Execute(
-      const sparql::Query& query,
-      obs::QueryProfile* profile = nullptr) const override;
+  Result<core::QueryResult> Execute(const sparql::Query& query,
+                                    obs::QueryProfile* profile) const override;
   const core::LoadReport& load_report() const override {
     return load_report_;
   }

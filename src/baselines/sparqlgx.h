@@ -32,9 +32,8 @@ class SparqlGxSystem : public RdfSystem {
       SharedGraph graph, const cluster::ClusterConfig& cluster);
 
   const std::string& name() const override { return name_; }
-  Result<core::QueryResult> Execute(
-      const sparql::Query& query,
-      obs::QueryProfile* profile = nullptr) const override;
+  Result<core::QueryResult> Execute(const sparql::Query& query,
+                                    obs::QueryProfile* profile) const override;
   const core::LoadReport& load_report() const override {
     return load_report_;
   }

@@ -17,8 +17,7 @@ class ProstSystem : public RdfSystem {
 
   const std::string& name() const override { return name_; }
   Result<core::QueryResult> Execute(
-      const sparql::Query& query,
-      obs::QueryProfile* profile = nullptr) const override {
+      const sparql::Query& query, obs::QueryProfile* profile) const override {
     return db_->Execute(query, profile);
   }
   const core::LoadReport& load_report() const override {
@@ -35,6 +34,22 @@ class ProstSystem : public RdfSystem {
   std::string name_;
   std::unique_ptr<core::ProstDb> db_;
 };
+
+core::ProstDb::Options ProstOptions(const cluster::ClusterConfig& cluster) {
+  core::ProstDb::Options options;
+  options.cluster = cluster;
+  return options;
+}
+
+Result<std::unique_ptr<RdfSystem>> LoadProst(
+    std::string name, SharedGraph graph,
+    const core::ProstDb::Options& options) {
+  PROST_ASSIGN_OR_RETURN(
+      std::unique_ptr<core::ProstDb> db,
+      core::ProstDb::LoadFromSharedGraph(std::move(graph), options));
+  return std::unique_ptr<RdfSystem>(
+      new ProstSystem(std::move(name), std::move(db)));
+}
 
 }  // namespace
 
@@ -57,67 +72,42 @@ Result<core::QueryResult> ExecuteVpPlan(
 
 Result<std::unique_ptr<RdfSystem>> MakeProst(
     SharedGraph graph, const cluster::ClusterConfig& cluster) {
-  core::ProstDb::Options options;
-  options.cluster = cluster;
-  PROST_ASSIGN_OR_RETURN(
-      std::unique_ptr<core::ProstDb> db,
-      core::ProstDb::LoadFromSharedGraph(std::move(graph), options));
-  return std::unique_ptr<RdfSystem>(
-      new ProstSystem("PRoST", std::move(db)));
+  return LoadProst("PRoST", std::move(graph), ProstOptions(cluster));
 }
 
 Result<std::unique_ptr<RdfSystem>> MakeProstVpOnly(
     SharedGraph graph, const cluster::ClusterConfig& cluster) {
-  core::ProstDb::Options options;
-  options.cluster = cluster;
+  core::ProstDb::Options options = ProstOptions(cluster);
   options.use_property_table = false;
-  PROST_ASSIGN_OR_RETURN(
-      std::unique_ptr<core::ProstDb> db,
-      core::ProstDb::LoadFromSharedGraph(std::move(graph), options));
-  return std::unique_ptr<RdfSystem>(
-      new ProstSystem("PRoST-VP-only", std::move(db)));
+  return LoadProst("PRoST-VP-only", std::move(graph), options);
 }
 
 Result<std::unique_ptr<RdfSystem>> MakeProstPaged(
     SharedGraph graph, const cluster::ClusterConfig& cluster,
     uint64_t pool_bytes, uint32_t row_group_rows) {
-  core::ProstDb::Options options;
-  options.cluster = cluster;
+  core::ProstDb::Options options = ProstOptions(cluster);
   options.storage.buffer_pool_bytes = pool_bytes;
   options.storage.row_group_rows = row_group_rows;
-  PROST_ASSIGN_OR_RETURN(
-      std::unique_ptr<core::ProstDb> db,
-      core::ProstDb::LoadFromSharedGraph(std::move(graph), options));
-  return std::unique_ptr<RdfSystem>(
-      new ProstSystem("PRoST (paged)", std::move(db)));
+  return LoadProst("PRoST (paged)", std::move(graph), options);
 }
 
 Result<std::unique_ptr<RdfSystem>> MakeProstVpOnlyHeuristicOrder(
     SharedGraph graph, const cluster::ClusterConfig& cluster) {
-  core::ProstDb::Options options;
-  options.cluster = cluster;
+  core::ProstDb::Options options = ProstOptions(cluster);
   options.use_property_table = false;
   options.passes.join_order = false;
-  PROST_ASSIGN_OR_RETURN(
-      std::unique_ptr<core::ProstDb> db,
-      core::ProstDb::LoadFromSharedGraph(std::move(graph), options));
-  return std::unique_ptr<RdfSystem>(
-      new ProstSystem("PRoST-VP-only (heuristic order)", std::move(db)));
+  return LoadProst("PRoST-VP-only (heuristic order)", std::move(graph),
+                   options);
 }
 
 Result<std::unique_ptr<RdfSystem>> MakeProstNoOptimizer(
     SharedGraph graph, const cluster::ClusterConfig& cluster) {
-  core::ProstDb::Options options;
-  options.cluster = cluster;
+  core::ProstDb::Options options = ProstOptions(cluster);
   options.passes.filter_pushdown = false;
   options.passes.join_order = false;
   options.passes.resolve_join_strategy = false;
   options.passes.early_projection = false;
-  PROST_ASSIGN_OR_RETURN(
-      std::unique_ptr<core::ProstDb> db,
-      core::ProstDb::LoadFromSharedGraph(std::move(graph), options));
-  return std::unique_ptr<RdfSystem>(
-      new ProstSystem("PRoST (no opt passes)", std::move(db)));
+  return LoadProst("PRoST (no opt passes)", std::move(graph), options);
 }
 
 Result<std::unique_ptr<RdfSystem>> MakeSparqlGx(

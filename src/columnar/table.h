@@ -29,7 +29,6 @@ class StoredTable {
   }
 
   const Column& column(size_t i) const { return columns_[i]; }
-  Column& mutable_column(size_t i) { return columns_[i]; }
 
   /// Column by field name; error when the field does not exist.
   Result<const Column*> ColumnByName(const std::string& name) const;

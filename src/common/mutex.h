@@ -201,7 +201,6 @@ class CondVar {
   /// in the annotated caller).
   void Wait(MutexBase& mu) PROST_REQUIRES(mu);
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

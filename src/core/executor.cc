@@ -304,11 +304,10 @@ Result<QueryResult> ExecutePlan(
     const engine::JoinOptions& join_options,
     const rdf::Dictionary& dictionary, cluster::CostModel& cost,
     const engine::ExecContext* exec) {
-  plan::PlannerInputs stores;
-  stores.vp = &vp;
-  stores.property_table = property_table;
-  stores.reverse_property_table = reverse_property_table;
-  return ExecutePlan(physical, stores, join_options, dictionary, cost, exec);
+  return ExecutePlan(physical,
+                     plan::PlannerInputs(&vp, property_table,
+                                         reverse_property_table),
+                     join_options, dictionary, cost, exec);
 }
 
 }  // namespace prost::core

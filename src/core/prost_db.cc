@@ -154,18 +154,11 @@ Result<JoinTree> ProstDb::Plan(const sparql::Query& query) const {
   return Translate(query, stats_, graph_->dictionary(), translator_options);
 }
 
-plan::PlannerInputs ProstDb::Stores() const {
-  plan::PlannerInputs stores;
-  stores.vp = &vp_;
-  stores.property_table = property_table();
-  stores.reverse_property_table = reverse_property_table();
-  return stores;
-}
-
 Result<plan::PlannedQuery> ProstDb::BuildOptimizedPlan(
     const sparql::Query& query, bool record_snapshots) const {
   PROST_ASSIGN_OR_RETURN(JoinTree tree, Plan(query));
-  const plan::PlannerInputs inputs = Stores();
+  const plan::PlannerInputs inputs(&vp_, property_table(),
+                                   reverse_property_table());
   PROST_ASSIGN_OR_RETURN(plan::PhysicalPlan physical,
                          plan::BuildPlan(tree, query, inputs));
   plan::PassManagerOptions manager_options;
@@ -206,23 +199,16 @@ Result<plan::PlannedQuery> ProstDb::PlanPhysical(
   return BuildOptimizedPlan(query, /*record_snapshots=*/true);
 }
 
-Result<QueryResult> ProstDb::Execute(const sparql::Query& query) const {
-  return Execute(query, nullptr, nullptr);
-}
-
-Result<QueryResult> ProstDb::Execute(const sparql::Query& query,
-                                     obs::QueryProfile* profile) const {
-  return Execute(query, profile, nullptr);
-}
-
 Result<QueryResult> ProstDb::RunPlan(const plan::PlannedQuery& planned,
                                      obs::QueryProfile* profile,
                                      const engine::QueryBudget* budget) const {
   cluster::CostModel cost(options_.cluster);
   engine::ExecContext exec(pool_.get(), options_.exec.morsel_rows, profile,
                            budget);
-  return ExecutePlan(planned.plan, Stores(), options_.join,
-                     graph_->dictionary(), cost, &exec);
+  return ExecutePlan(
+      planned.plan,
+      plan::PlannerInputs(&vp_, property_table(), reverse_property_table()),
+      options_.join, graph_->dictionary(), cost, &exec);
 }
 
 Result<QueryResult> ProstDb::Execute(const sparql::Query& query,

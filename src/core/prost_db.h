@@ -19,7 +19,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/passes.h"
-#include "plan/planner.h"
 #include "rdf/graph.h"
 #include "rdf/sparql_json.h"
 #include "sparql/algebra.h"
@@ -134,21 +133,15 @@ class ProstDb {
   /// serializing, so M racing queries each stay bit-identical to their
   /// serial runs. Admission control and budgets live one layer up, in
   /// serve::SessionManager (DESIGN.md §12).
-  Result<QueryResult> Execute(const sparql::Query& query) const;
-
-  /// Same, recording an operator-level trace into `profile` (may be
-  /// null — identical to the overload above, with zero profiling cost).
-  /// The profile must outlive the call and belongs to one execution.
-  Result<QueryResult> Execute(const sparql::Query& query,
-                              obs::QueryProfile* profile) const;
-
-  /// Same, additionally enforcing a per-query resource budget (may be
-  /// null — unlimited). A budget violation fails the query with
-  /// kResourceExhausted, deterministically (the budget is checked
-  /// against simulated quantities only; see engine::QueryBudget).
-  Result<QueryResult> Execute(const sparql::Query& query,
-                              obs::QueryProfile* profile,
-                              const engine::QueryBudget* budget) const;
+  ///
+  /// A `profile` records an operator-level trace (null: zero profiling
+  /// cost); it must outlive the call and belongs to one execution. A
+  /// `budget` (null: unlimited) fails a query that exceeds it with
+  /// kResourceExhausted, deterministically: it is checked against
+  /// simulated quantities only (see engine::QueryBudget).
+  Result<QueryResult> Execute(
+      const sparql::Query& query, obs::QueryProfile* profile = nullptr,
+      const engine::QueryBudget* budget = nullptr) const;
 
   /// Parses and executes a SPARQL string.
   Result<QueryResult> ExecuteSparql(std::string_view sparql) const;
@@ -206,9 +199,6 @@ class ProstDb {
   /// Creates buffer_pool_ from options_.storage. The first load step:
   /// every storage structure is built against it.
   void InitBufferPool();
-
-  /// The stores plans build against and scan (the plan's ScanSource).
-  plan::PlannerInputs Stores() const;
 
   /// Shared planning pipeline behind Execute and PlanPhysical: Join Tree
   /// translation (Plan), physical-plan building, then the configured

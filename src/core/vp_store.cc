@@ -92,10 +92,6 @@ const VpStore::PredicateTable* VpStore::Find(rdf::TermId predicate) const {
   return it == tables_.end() ? nullptr : &it->second;
 }
 
-uint64_t VpStore::ScanPlannerBytes(rdf::TermId predicate) const {
-  return ScanTablePlannerBytes(Find(predicate));
-}
-
 uint64_t VpStore::ScanTablePlannerBytes(const PredicateTable* table) {
   if (table == nullptr) return 0;
   uint64_t planner_bytes = 0;

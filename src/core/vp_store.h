@@ -54,12 +54,10 @@ class VpStore {
   /// occur in the dataset.
   const PredicateTable* Find(rdf::TermId predicate) const;
 
-  /// The planner-visible size of a Scan over `predicate`: the base
-  /// table's serialized size, which filters do not discount (Spark 2.1
-  /// static planning); 0 for unknown predicates. Join strategies are
-  /// resolved from it (engine::ResolveJoinStrategy).
-  uint64_t ScanPlannerBytes(rdf::TermId predicate) const;
-  /// The same size for a ScanTable over `table` (nullptr: 0).
+  /// The planner-visible size of a scan of `table`: its serialized size,
+  /// which filters do not discount (Spark 2.1 static planning); 0 for an
+  /// absent table (nullptr). Join strategies are resolved from it
+  /// (engine::ResolveJoinStrategy).
   static uint64_t ScanTablePlannerBytes(const PredicateTable* table);
 
   /// Evaluates one triple pattern against the predicate's VP table,

@@ -375,40 +375,6 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
   return output;
 }
 
-Result<Relation> Filter(const Relation& input, const std::string& column_name,
-                        TermId value, cluster::CostModel& cost,
-                        const ExecContext* exec) {
-  int column = input.ColumnIndex(column_name);
-  if (column < 0) {
-    return Status::InvalidArgument("filter on unknown column " + column_name);
-  }
-  obs::OperatorSpan span(ProfileOf(exec), cost, obs::SpanKind::kFilter,
-                         column_name);
-  span.SetRowsIn(input.TotalRows());
-  Relation output(input.column_names(), input.num_chunks());
-  output.set_hash_partitioned_by(input.hash_partitioned_by());
-  const std::vector<Morsel> morsels = PlanMorsels(input, exec);
-  PROST_RETURN_IF_ERROR(RunMorsels(
-      exec, morsels,
-      [&](size_t m, RelationChunk& out) {
-        const Morsel& morsel = morsels[m];
-        const RelationChunk& chunk = input.chunks()[morsel.chunk];
-        std::vector<uint32_t> sel;
-        kernels::Filter(chunk.columns[static_cast<size_t>(column)], value,
-                        morsel.begin, morsel.end, sel);
-        for (size_t c = 0; c < chunk.columns.size(); ++c) {
-          kernels::Gather(chunk.columns[c], sel, out.columns[c]);
-        }
-        return Status::OK();
-      },
-      output));
-  for (uint32_t w = 0; w < input.num_chunks(); ++w) {
-    cost.ChargeCpuRows(w, input.chunks()[w].num_rows());
-  }
-  span.SetRowsOut(output.TotalRows());
-  return output;
-}
-
 Result<Relation> Project(const Relation& input,
                          const std::vector<std::string>& column_names,
                          cluster::CostModel& cost,

@@ -87,12 +87,6 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
                           cluster::CostModel& cost,
                           const ExecContext* exec = nullptr);
 
-/// Keeps rows where column `column_name` equals `value`: one task per
-/// morsel, merged in morsel order.
-Result<Relation> Filter(const Relation& input, const std::string& column_name,
-                        TermId value, cluster::CostModel& cost,
-                        const ExecContext* exec = nullptr);
-
 /// Keeps only `column_names`, in that order. Duplicate and unknown names
 /// are errors. One task per chunk.
 Result<Relation> Project(const Relation& input,

@@ -444,7 +444,18 @@ Result<SparqlResultSet> SparqlResultWriter::ParseTsv(std::string_view tsv) {
     if (cells.size() != out.vars.size()) {
       return Status::ParseError("TSV row width does not match header");
     }
-    out.rows.push_back(std::move(cells));
+    // Each cell must be one RDF term; keep its canonical N-Triples form,
+    // as ParseJson rebuilds each binding into a Term.
+    std::vector<std::string> row;
+    row.reserve(cells.size());
+    for (const std::string& cell : cells) {
+      PROST_ASSIGN_OR_RETURN(rdf::Term term, rdf::ParseTerm(cell));
+      if (term.kind == rdf::TermKind::kVariable) {
+        return Status::ParseError("TSV cell is a variable: " + cell);
+      }
+      row.push_back(term.ToNTriples());
+    }
+    out.rows.push_back(std::move(row));
   }
   if (header) return Status::ParseError("empty TSV document");
   return out;

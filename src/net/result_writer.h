@@ -78,7 +78,9 @@ class SparqlResultWriter {
   /// more than 32 deep included, is kParseError.
   static Result<SparqlResultSet> ParseJson(std::string_view json);
 
-  /// Parses the TSV serialization back into lexical rows.
+  /// Parses the TSV serialization back into lexical rows. Every cell must
+  /// be one N-Triples term and is kept in canonical form; any malformed
+  /// cell is kParseError.
   static Result<SparqlResultSet> ParseTsv(std::string_view tsv);
 };
 

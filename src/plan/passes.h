@@ -65,7 +65,6 @@ class PassManager {
   /// brackets the pipeline: once before the first pass, once after each.
   Status Run(PhysicalPlan& plan, const PassContext& context);
 
-  size_t num_passes() const { return passes_.size(); }
   const std::vector<PassSnapshot>& snapshots() const { return snapshots_; }
 
  private:

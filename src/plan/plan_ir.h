@@ -225,7 +225,7 @@ struct PhysicalPlan {
 class PlanBuilder {
  public:
   /// Leaf over a Join Tree node. `planner_bytes` is the storage-derived
-  /// scan size (VpStore/PropertyTable::ScanPlannerBytes).
+  /// scan size (core::ScanSource::ScanPlannerBytes).
   static std::unique_ptr<PlanNode> MakeScan(core::JoinTreeNode source,
                                             uint64_t planner_bytes);
 

@@ -2,13 +2,17 @@
 
 #include <utility>
 
+#include "common/str_util.h"
+
 namespace prost::plan {
 namespace {
 
-/// One Join Tree node mapped onto PRoST's stores: a (reverse) Property
-/// Table with the node's key term and one column pattern per triple
-/// pattern, or — `table` null — a VP scan of the node's one pattern.
+/// One Join Tree node mapped onto PRoST's stores: the VP table of its one
+/// pattern (null for a predicate the data lacks), or a (reverse)
+/// Property Table with the node's key term and one column pattern per
+/// triple pattern.
 struct StoreScan {
+  const core::VpStore::PredicateTable* vp_table = nullptr;
   const core::PropertyTable* table = nullptr;
   const core::PatternTerm* key = nullptr;
   std::vector<core::PropertyTable::ColumnPattern> columns;
@@ -19,29 +23,30 @@ Result<StoreScan> Resolve(const core::JoinTreeNode& node,
   StoreScan scan;
   switch (node.kind) {
     case core::NodeKind::kVerticalPartitioning:
+      if (inputs.vp == nullptr) {
+        return Status::Internal("join tree has a VP node but no VP store");
+      }
+      scan.vp_table = inputs.vp->Find(node.patterns[0].predicate);
       return scan;
     case core::NodeKind::kPropertyTable:
-      if (inputs.property_table == nullptr) {
-        return Status::Internal("join tree has a PT node but no PT");
-      }
       scan.table = inputs.property_table;
-      scan.key = &node.patterns[0].subject;
-      for (const core::NodePattern& p : node.patterns) {
-        scan.columns.push_back({p.predicate, p.object});
-      }
-      return scan;
+      break;
     case core::NodeKind::kReversePropertyTable:
-      if (inputs.reverse_property_table == nullptr) {
-        return Status::Internal("join tree has an RPT node but no RPT");
-      }
       scan.table = inputs.reverse_property_table;
-      scan.key = &node.patterns[0].object;
-      for (const core::NodePattern& p : node.patterns) {
-        scan.columns.push_back({p.predicate, p.subject});
-      }
-      return scan;
+      break;
   }
-  return Status::Internal("unknown join tree node kind");
+  const char* kind = core::NodeKindToString(node.kind);
+  if (scan.table == nullptr) {
+    return Status::Internal(
+        StrFormat("join tree has a %s node but no %s", kind, kind));
+  }
+  // The reverse table is keyed on the object; its columns hold subjects.
+  const bool reverse = node.kind == core::NodeKind::kReversePropertyTable;
+  scan.key = reverse ? &node.patterns[0].object : &node.patterns[0].subject;
+  for (const core::NodePattern& p : node.patterns) {
+    scan.columns.push_back({p.predicate, reverse ? p.subject : p.object});
+  }
+  return scan;
 }
 
 }  // namespace
@@ -49,20 +54,16 @@ Result<StoreScan> Resolve(const core::JoinTreeNode& node,
 Result<uint64_t> PlannerInputs::ScanPlannerBytes(
     const core::JoinTreeNode& node) const {
   PROST_ASSIGN_OR_RETURN(StoreScan scan, Resolve(node, *this));
-  if (scan.table != nullptr) {
-    return scan.table->ScanPlannerBytes(scan.columns);
-  }
-  return vp == nullptr ? 0
-                       : vp->ScanPlannerBytes(node.patterns[0].predicate);
+  return scan.table != nullptr
+             ? scan.table->ScanPlannerBytes(scan.columns)
+             : core::VpStore::ScanTablePlannerBytes(scan.vp_table);
 }
 
 uint64_t PlannerInputs::InputRows(const core::JoinTreeNode& node) const {
   Result<StoreScan> scan = Resolve(node, *this);
   if (!scan.ok()) return 0;
   if (scan->table != nullptr) return scan->table->num_rows();
-  const core::VpStore::PredicateTable* table =
-      vp == nullptr ? nullptr : vp->Find(node.patterns[0].predicate);
-  return table != nullptr ? table->total_rows : 0;
+  return scan->vp_table != nullptr ? scan->vp_table->total_rows : 0;
 }
 
 Result<engine::Relation> PlannerInputs::Scan(
@@ -73,9 +74,6 @@ Result<engine::Relation> PlannerInputs::Scan(
   if (scan.table != nullptr) {
     return scan.table->Scan(*scan.key, scan.columns, cost, exec, hints,
                             telemetry);
-  }
-  if (vp == nullptr) {
-    return Status::Internal("join tree has a VP node but no VP store");
   }
   return vp->Scan(node.patterns[0].predicate, node.patterns[0].subject,
                   node.patterns[0].object, cost, exec, hints, telemetry);

@@ -18,12 +18,17 @@ namespace prost::plan {
 /// A missing Property Table is an error for a node that needs it.
 class PlannerInputs final : public core::ScanSource {
  public:
+  PlannerInputs() = default;
+  PlannerInputs(const core::VpStore* vp_store, const core::PropertyTable* pt,
+                const core::PropertyTable* reverse_pt)
+      : vp(vp_store), property_table(pt), reverse_property_table(reverse_pt) {}
+
   const core::VpStore* vp = nullptr;
   const core::PropertyTable* property_table = nullptr;
   const core::PropertyTable* reverse_property_table = nullptr;
 
-  /// The base table's serialized size (VpStore::ScanPlannerBytes,
-  /// PropertyTable::ScanPlannerBytes); 0 for a VP node without a store.
+  /// The base table's serialized size (VpStore::ScanTablePlannerBytes,
+  /// PropertyTable::ScanPlannerBytes).
   Result<uint64_t> ScanPlannerBytes(
       const core::JoinTreeNode& node) const override;
   uint64_t InputRows(const core::JoinTreeNode& node) const override;

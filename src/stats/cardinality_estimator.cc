@@ -114,13 +114,4 @@ CardinalityEstimator::StarExact(
   return characteristic_sets_->EstimateStar(predicates);
 }
 
-double CardinalityEstimator::EstimateJoinRows(double left_rows,
-                                              double left_distinct,
-                                              double right_rows,
-                                              double right_distinct) {
-  const double denominator =
-      std::max(std::max(left_distinct, right_distinct), 1.0);
-  return Floor(left_rows * right_rows / denominator);
-}
-
 }  // namespace prost::stats

@@ -61,11 +61,6 @@ class CardinalityEstimator {
   double EstimateValueDistinct(const StarDescriptor& scan,
                                size_t pattern_index, double scan_rows) const;
 
-  /// Independence-assumption equi-join estimate on one shared variable:
-  ///   |L| * |R| / max(d_L, d_R).
-  static double EstimateJoinRows(double left_rows, double left_distinct,
-                                 double right_rows, double right_distinct);
-
   /// Exact subject-star statistics over the characteristic sets, from
   /// one lookup: the rows of joining the full VP tables of `predicates`
   /// on their shared subject, and the subjects carrying every predicate

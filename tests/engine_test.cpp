@@ -310,16 +310,6 @@ TEST(HashJoinTest, ShuffleSkipsAlreadyPartitionedSideWhenAllowed) {
 
 // ------------------------------------------------------ Other operators
 
-TEST(FilterTest, KeepsMatchingRows) {
-  Relation r = RelationOf({"a", "b"}, {{1, 5}, {2, 5}, {1, 6}});
-  cluster::CostModel cost(TestConfig());
-  auto filtered = Filter(r, "a", 1, cost);
-  ASSERT_TRUE(filtered.ok());
-  EXPECT_EQ(filtered->CollectSortedRows(),
-            (std::vector<Row>{{1, 5}, {1, 6}}));
-  EXPECT_FALSE(Filter(r, "zz", 1, cost).ok());
-}
-
 TEST(ProjectTest, ReordersAndDrops) {
   Relation r = RelationOf({"a", "b", "c"}, {{1, 2, 3}, {4, 5, 6}});
   cluster::CostModel cost(TestConfig());

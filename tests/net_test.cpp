@@ -524,6 +524,18 @@ TEST(ResultWriterTest, ParseTsvRoundTrip) {
   EXPECT_FALSE(SparqlResultWriter::ParseTsv("?s\n<a>\t<b>\n").ok());
 }
 
+TEST(ResultWriterTest, ParseTsvRejectsBrokenTerms) {
+  // Every row cell must be one RDF term in N-Triples form.
+  for (const std::string cell :
+       {"", "<http://x/a", "\"unterminated", "\"v\"^^<http://x/t",
+        "\"v\"@", "\"v\"x", "_:", "plain", "?var"}) {
+    const std::string doc = "?s\t?o\n<http://x/a>\t" + cell + "\n";
+    auto parsed = SparqlResultWriter::ParseTsv(doc);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError)
+        << "cell '" << cell << "': " << parsed.status();
+  }
+}
+
 TEST(ResultWriterTest, ParseJsonBoundsNesting) {
   // Hostile depth is a ParseError, not a stack overflow.
   for (const std::string& deep :

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/system.h"
 #include "cluster/cost_model.h"
 #include "core/prost_db.h"
 #include "obs/metrics.h"
@@ -525,6 +526,73 @@ query  rows=1  charge=#ms (total=#ms)  scanned=174.1 KB  broadcast=216 B
       ├─ scan VP(<http://db.uwaterloo.ca/~galuc/wsdbm/City0> <http://www.geonames.org/ontology#parentCountry> ?v1) [VP]  rows=1 (in=20)  est=1.0  charge=#ms  bytes=1.7 KB/337 B, skipped=0 (+8 bloom partitions)
       └─ scan PT(?v2 <http://db.uwaterloo.ca/~galuc/wsdbm/likes> <http://db.uwaterloo.ca/~galuc/wsdbm/Product0> ; ?v2 <http://schema.org/nationality> ?v1) [PT]  rows=97 (in=2279)  est=4.0  charge=#ms  bytes=173.8 KB/173.8 KB, skipped=0
 )"));
+}
+
+// S2RDF runs through the same plan executor, so its EXPLAIN ANALYZE shows
+// the table each scan read. L2's nationality scan reads the ExtVP
+// reduction by parentCountry (213 of the VP table's rows) and is priced
+// at that reduction's size, not at the VP table's.
+TEST(BaselineExplainTest, GoldenExplainAnalyzeForS2RdfL2) {
+  watdiv::WatDivConfig config;
+  config.target_triples = 20000;
+  config.seed = 7;
+  watdiv::WatDivDataset dataset = watdiv::Generate(config);
+  dataset.graph.SortAndDedupe();
+  const std::vector<watdiv::WatDivQuery> queries =
+      watdiv::BasicQuerySet(dataset);
+  auto graph = std::make_shared<const rdf::EncodedGraph>(
+      std::move(dataset.graph));
+  auto s2rdf = baselines::MakeS2Rdf(graph, cluster::ClusterConfig());
+  ASSERT_TRUE(s2rdf.ok()) << s2rdf.status();
+  const watdiv::WatDivQuery* l2 = nullptr;
+  for (const watdiv::WatDivQuery& wq : queries) {
+    if (wq.id == "L2") l2 = &wq;
+  }
+  ASSERT_NE(l2, nullptr);
+  auto parsed = sparql::ParseQuery(l2->sparql);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  obs::QueryProfile profile;
+  auto result = (*s2rdf)->Execute(*parsed, &profile);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(profile.finished());
+  EXPECT_DOUBLE_EQ(profile.simulated_millis(), result->simulated_millis);
+
+  std::string masked = MaskTimes(obs::ExplainAnalyze(profile));
+  EXPECT_EQ(masked, std::string(
+      R"(EXPLAIN ANALYZE  (simulated #ms, 1 stages, charged #ms)
+query  rows=1  charge=#ms (total=#ms)  scanned=63.2 KB  broadcast=20.7 KB
+└─ project v1,v2  rows=1  charge=#ms (total=#ms)  scanned=63.2 KB  broadcast=20.7 KB
+   └─ join VP(?v2 <http://db.uwaterloo.ca/~galuc/wsdbm/likes> <http://db.uwaterloo.ca/~galuc/wsdbm/Product0>) [broadcast]  rows=1 (in=100)  charge=#ms (total=#ms)  scanned=63.2 KB  broadcast=20.7 KB
+      ├─ join VP(?v2 <http://schema.org/nationality> ?v1) [broadcast]  rows=3 (in=214)  charge=#ms (total=#ms)  scanned=15.6 KB  broadcast=216 B
+      │  ├─ scan VP(<http://db.uwaterloo.ca/~galuc/wsdbm/City0> <http://www.geonames.org/ontology#parentCountry> ?v1) [VP]  rows=1 (in=20)  est=1.0  charge=#ms  bytes=1.7 KB/337 B, skipped=0 (+8 bloom partitions)
+      │  └─ scan VP(?v2 <http://schema.org/nationality> ?v1) [VP]  rows=213  est=458.0  charge=#ms  bytes=15.3 KB/15.3 KB, skipped=0
+      └─ scan VP(?v2 <http://db.uwaterloo.ca/~galuc/wsdbm/likes> <http://db.uwaterloo.ca/~galuc/wsdbm/Product0>) [VP]  rows=97 (in=1221)  est=6.3  charge=#ms  bytes=47.6 KB/47.6 KB, skipped=0
+)"));
+
+  // The nationality scan's estimate is the ExtVP table it read, which is
+  // smaller than the VP table PRoST prices the same pattern at.
+  core::ProstDb::Options vp_only;
+  vp_only.use_property_table = false;
+  auto vp = core::ProstDb::LoadFromSharedGraph(graph, vp_only);
+  ASSERT_TRUE(vp.ok()) << vp.status();
+  const rdf::TermId nationality =
+      graph->dictionary().Lookup("<http://schema.org/nationality>");
+  const core::VpStore::PredicateTable* vp_table =
+      (*vp)->vp_store().Find(nationality);
+  ASSERT_NE(vp_table, nullptr);
+  const obs::Span* scan = nullptr;
+  for (const obs::Span& span : profile.spans()) {
+    if (span.kind == obs::SpanKind::kScan &&
+        span.label == "VP(?v2 <http://schema.org/nationality> ?v1)") {
+      scan = &span;
+    }
+  }
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(scan->rows_in, 213u);
+  EXPECT_LT(scan->rows_in, vp_table->total_rows);
+  EXPECT_EQ(scan->storage_bytes_estimated, scan->bytes_scanned);
+  EXPECT_LT(scan->storage_bytes_estimated,
+            core::VpStore::ScanTablePlannerBytes(vp_table));
 }
 
 }  // namespace

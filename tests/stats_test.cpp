@@ -265,16 +265,6 @@ TEST(CardinalityEstimatorTest, StarExactAnswersAndFallbackSentinel) {
   EXPECT_FALSE(without.StarExact({p1, p2}).has_value());
 }
 
-TEST(CardinalityEstimatorTest, JoinFormulaAndFloor) {
-  EXPECT_DOUBLE_EQ(
-      stats::CardinalityEstimator::EstimateJoinRows(10.0, 5.0, 6.0, 3.0),
-      12.0);
-  // Degenerate inputs floor at kMinEstimatedRows, never zero.
-  EXPECT_DOUBLE_EQ(
-      stats::CardinalityEstimator::EstimateJoinRows(0.0, 1.0, 6.0, 3.0),
-      stats::kMinEstimatedRows);
-}
-
 // ------------------------------------------- Indexed lookup vs oracle
 
 // The linear scan EstimateStar replaced, kept as its oracle: every

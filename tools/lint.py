@@ -88,21 +88,24 @@ Checks, each with a short rule id used in diagnostics:
                        dictionary bytes into JSON or TSV directly; decoding
                        rows into strings and re-parsing them into Terms is
                        the slow path it replaced, and must not return.
+                       The result-document readers (ParseJson, ParseTsv)
+                       may parse terms: they read a client's text.
   pt-row-at-a-time     `engine::Row` in src/core/property_table.cc. The
                        Property Table scan refines a selection vector and
                        unnests list cells by offsets (engine/kernels.h);
                        a per-row partial binding is the row-at-a-time
                        path it replaced, and must not return.
 
-  test-only-api        a free function declared in a src/ header that no
-                       program names: every one must appear in a
-                       non-test C++ file under src/, bench/, perfbench/,
-                       tools/ or examples/ on a line other than a
-                       declaration or definition of that name. Names are
-                       matched as identifiers, so a same-named member
-                       counts as a use. TEST_SUPPORT_API lists the few
-                       functions kept for tests on purpose, each with
-                       the test that needs it.
+  test-only-api        a free function, or a static member function,
+                       declared in a src/ header that no program names:
+                       every one must appear in a non-test C++ file
+                       under src/, bench/, perfbench/, tools/ or
+                       examples/ on a line other than a declaration or
+                       definition of that name. Names are matched as
+                       identifiers, so a same-named member counts as a
+                       use. TEST_SUPPORT_API lists the few functions
+                       kept for tests on purpose, each with the test
+                       that needs it.
 
 Exit status 0 when clean, 1 with one "path:line: [rule] message" per
 violation otherwise.
@@ -354,14 +357,22 @@ def lint_relation_planner_size(path, lines, raw_lines, failures):
 
 
 NET_DECODE = re.compile(r"\b(DecodeRows|ParseTerm|DecodeTerm)\s*\(")
+NET_READER = re.compile(r"\bSparqlResultWriter::Parse(?:Json|Tsv)\s*\(")
 
 
 def lint_net_decode(path, lines, failures):
     """src/net/ writes results from dictionary bytes; the decode and
-    re-parse round trip stays out of it."""
+    re-parse round trip stays out of it. The bodies of the result
+    document readers (SparqlResultWriter::ParseJson / ParseTsv) are
+    exempt: they check a client's text, which has no dictionary ids."""
+    in_reader = False
     for number, line in lines:
+        if NET_READER.search(line):
+            in_reader = True
+        elif line.startswith("}"):
+            in_reader = False
         match = NET_DECODE.search(line)
-        if match:
+        if match and not in_reader:
             failures.append(
                 f"{path}:{number}: [net-decode] {match.group(1)}( in "
                 "src/net/; write cells from Dictionary::LookupId bytes "
@@ -408,8 +419,8 @@ def lint_parallel_for(path, lines, failures):
             )
 
 
-# Free functions declared in src/ headers that only tests call, kept on
-# purpose: name -> the test that needs it.
+# Free and static member functions declared in src/ headers that only
+# tests call, kept on purpose: name -> the test that needs it.
 TEST_SUPPORT_API = {
     "ParseNTriplesToVector": "tests/rdf_test.cpp (N-Triples parsing)",
     "WriteNTriples": "tests/rdf_test.cpp (write/parse round trip)",
@@ -418,6 +429,7 @@ TEST_SUPPORT_API = {
     "ProfileJson": "tests/obs_test.cpp (obs:: profile JSON shape)",
     "EncodingToString": "tests/columnar_test.cpp (hostile-input messages)",
     "RankHeldDepth": "tests/common_test.cpp (lock-rank checker depth)",
+    "ParseTsv": "tests/net_test.cpp (the oracle that reads TSV bodies)",
 }
 PROGRAM_DIRS = ["src", "bench", "perfbench", "tools", "examples"]
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
@@ -447,13 +459,19 @@ def strip_template_heads(statement):
     return statement
 
 
-def namespace_scope_functions(lines):
+CLASS_HEAD = re.compile(r"\b(?:class|struct|union)\b")
+ACCESS_LABELS = re.compile(r"^(?:\s*(?:public|protected|private)\s*:)+")
+STATIC_MEMBER = re.compile(r"^\s*static\s")
+
+
+def scope_functions(lines):
     """Yields (name, line_number, qualified) for every function declared
-    or defined at namespace scope in `lines` (comment/string-blanked).
-    Braces are tracked as namespace or other; text inside class, enum and
+    or defined at namespace scope in `lines` (comment/string-blanked),
+    and for every static member function a class body declares. Braces
+    are tracked as namespace, class or other; text inside enum and
     function bodies is skipped. Preprocessor lines are ignored."""
-    scopes = []  # True for a namespace brace.
-    statement = ""  # Namespace-scope text since the last ; { or }.
+    scopes = []  # "namespace", "class" or "other" per open brace.
+    statement = ""  # Declaration text since the last ; { or }.
     name_lines = []  # (offset into statement, line number) per line.
     continued = False
     for number, line in lines:
@@ -461,34 +479,49 @@ def namespace_scope_functions(lines):
             continued = line.rstrip().endswith("\\")
             continue
         for char in line:
-            at_namespace_scope = all(scopes)
-            if char in ";{}" and at_namespace_scope:
-                found = function_name(statement, name_lines)
+            tracked = all(s != "other" for s in scopes)
+            in_class = tracked and bool(scopes) and scopes[-1] == "class"
+            if char in ";{}" and tracked:
+                found = None
+                if in_class:
+                    member = ACCESS_LABELS.sub("", statement)
+                    if STATIC_MEMBER.match(member):
+                        found = function_name(statement, name_lines,
+                                              len(statement) - len(member))
+                else:
+                    found = function_name(statement, name_lines)
                 if found is not None:
                     yield found
             if char == "{":
-                scopes.append(at_namespace_scope and
-                              re.search(r"\bnamespace\b|\bextern\b",
-                                        statement) is not None)
+                kind = "other"
+                if tracked and re.search(r"\bnamespace\b|\bextern\b",
+                                         statement):
+                    kind = "namespace"
+                elif (tracked and CLASS_HEAD.search(statement) and
+                      "(" not in statement and
+                      not re.search(r"\benum\b", statement)):
+                    kind = "class"
+                scopes.append(kind)
             elif char == "}":
                 if scopes:
                     scopes.pop()
             if char in ";{}":
                 statement = ""
                 name_lines = []
-            elif all(scopes):
+            elif all(s != "other" for s in scopes):
                 if not name_lines or name_lines[-1][1] != number:
                     name_lines.append((len(statement), number))
                 statement += char
-        if all(scopes):
+        if all(s != "other" for s in scopes):
             statement += " "
 
 
-def function_name(statement, name_lines):
-    """The (name, line, qualified) a namespace-scope statement declares,
-    when it declares or defines a function; None otherwise. `qualified`
-    marks an out-of-line member definition such as `Result<T>::Get(`."""
-    body = strip_template_heads(statement)
+def function_name(statement, name_lines, skip=0):
+    """The (name, line, qualified) a statement declares, when it declares
+    or defines a function; None otherwise. `qualified` marks an
+    out-of-line member definition such as `Result<T>::Get(`. The first
+    `skip` characters (access labels) are not part of the declaration."""
+    body = strip_template_heads(statement[skip:])
     if NOT_FUNCTIONS.match(body):
         return None
     offset = len(statement) - len(body)
@@ -507,8 +540,9 @@ def function_name(statement, name_lines):
 
 
 def lint_test_only_api(root, failures):
-    """Every free function a src/ header declares must be named by some
-    program: src/, bench/, perfbench/, tools/ or examples/."""
+    """Every free or static member function a src/ header declares must
+    be named by some program: src/, bench/, perfbench/, tools/ or
+    examples/."""
     declared = {}  # name -> first (path, line) of a header declaration.
     definition_sites = set()  # (path, line, name) of every declaration.
     blanked = {}  # path -> comment/string-blanked lines.
@@ -519,7 +553,7 @@ def lint_test_only_api(root, failures):
             relative = path.relative_to(root)
             lines = code_lines(path.read_text(encoding="utf-8"))
             blanked[relative] = lines
-            for name, number, qualified in namespace_scope_functions(lines):
+            for name, number, qualified in scope_functions(lines):
                 definition_sites.add((relative, number, name))
                 if (relative.parts[0] == "src" and path.suffix == ".h"
                         and not qualified):
