@@ -98,13 +98,12 @@ Result<std::unique_ptr<RdfSystem>> MakeS2Rdf(
 Result<std::unique_ptr<RdfSystem>> MakeRya(
     SharedGraph graph, const cluster::ClusterConfig& cluster);
 
-/// How the Spark baselines (S2RDF, SPARQLGX) answer a query: translate it
-/// into a VP-only Join Tree in the §3.3 statistics order, lower that to
-/// a plan whose scans read `source`, and execute it with the system's
-/// `join` strategy on a fresh clock over `cluster`. No optimizer pass
-/// runs: the baselines keep the translator's order, and each join is
-/// resolved from its children's planner bytes — both scan sizes for the
-/// first join, an unknown left side for every later one.
+/// How S2RDF and SPARQLGX answer a query: the VP-only Join Tree in the
+/// §3.3 statistics order, lowered to a plan whose scans read `source`
+/// and executed with the system's `join` options on a fresh clock. No
+/// optimizer pass runs, so each join is resolved from its children's
+/// planner bytes: both scan sizes for the first join, an unknown left
+/// side for every later one.
 Result<core::QueryResult> ExecuteVpPlan(
     const sparql::Query& query, const core::DatasetStatistics& stats,
     const rdf::Dictionary& dictionary, const core::ScanSource& source,

@@ -76,21 +76,17 @@ engine::Relation OrderPreservingDistinct(const engine::Relation& relation,
 /// simulated charge, like engine::Limit.
 engine::Relation ApplyOffset(engine::Relation relation, uint64_t offset);
 
-/// Applies a query's FILTER constraints and solution modifiers to a
-/// relation of bound variables, in SPARQL evaluation order:
+/// Rya's modifier tail, and Rya is its only caller: applies a query's
+/// FILTERs and solution modifiers to the relation Rya's index
+/// nested-loop join bound, in SPARQL evaluation order — FILTER → ORDER
+/// BY → projection → DISTINCT → OFFSET → LIMIT, or COUNT (see
+/// ApplyCountAggregate) after FILTER. ORDER BY runs before the
+/// projection because its keys may be variables the projection drops,
+/// and materializes the result on the driver into chunk 0.
 ///
-///   FILTER → ORDER BY → projection → DISTINCT → OFFSET → LIMIT
-///
-/// ORDER BY runs before the projection because its keys may be
-/// variables the projection drops. A COUNT aggregate replaces everything
-/// after FILTER (see ApplyCountAggregate).
-///
-/// The baseline systems' modifier tail. PRoST itself executes these
-/// steps as plan nodes (see plan/planner.h) through the same helpers
-/// above, so all systems implement the modifier semantics once.
-///
-/// ORDER BY materializes the result on the driver (like Spark's collect)
-/// into chunk 0, preserving row order for consumers.
+/// PRoST, S2RDF and SPARQLGX run the same steps as plan nodes
+/// (plan/planner.h) through the helpers above. Rya's bound relation
+/// comes from no Join Tree scan, so it cannot be a plan leaf.
 Result<engine::Relation> ApplyFiltersAndModifiers(
     engine::Relation relation, const sparql::Query& query,
     const rdf::Dictionary& dictionary, cluster::CostModel& cost);

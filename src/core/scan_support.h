@@ -51,29 +51,25 @@ struct ScanTelemetry {
   uint64_t bytes_scanned = 0;
 };
 
-/// The storage a physical plan's scans read. For one Join Tree node it
-/// answers the planner-visible size (plan::BuildPlan stamps it on the
-/// scan, and unresolved joins are decided from it), the rows of the
-/// stored table the scan reads (EXPLAIN ANALYZE's `in=`), and the scan
-/// itself (core::ExecutePlan). PRoST's stores are one source
-/// (plan::PlannerInputs); S2RDF and SPARQLGX bring their own, so every
-/// system runs through the one plan executor.
+/// The storage a physical plan's scans read: plan::BuildPlan asks it for
+/// each Join Tree node's planner size, core::ExecutePlan for the node's
+/// input rows and its scan. PRoST's stores are one source
+/// (plan::PlannerInputs); S2RDF and SPARQLGX bring their own.
 class ScanSource {
  public:
   virtual ~ScanSource() = default;
 
-  /// Planner-visible bytes of a scan of `node`: what
-  /// engine::ResolveJoinStrategy reads; engine::kUnknownPlannerBytes
-  /// when the system plans without sizes.
+  /// Planner-visible bytes of a scan of `node`, which unresolved joins
+  /// are decided from (engine::ResolveJoinStrategy);
+  /// engine::kUnknownPlannerBytes when the system plans without sizes.
   virtual Result<uint64_t> ScanPlannerBytes(
       const JoinTreeNode& node) const = 0;
 
-  /// Rows of the stored table a scan of `node` reads.
+  /// Rows of the stored table a scan of `node` reads (EXPLAIN's `in=`).
   virtual uint64_t InputRows(const JoinTreeNode& node) const = 0;
 
-  /// Evaluates `node` into a relation over its variables, charging the
-  /// scan to `cost`. `hints` and `telemetry` are optional, as in
-  /// VpStore::Scan.
+  /// Evaluates `node`, charging the scan to `cost`. `hints` and
+  /// `telemetry` are optional, as in VpStore::Scan.
   virtual Result<engine::Relation> Scan(const JoinTreeNode& node,
                                         cluster::CostModel& cost,
                                         const engine::ExecContext* exec,

@@ -11,11 +11,10 @@
 
 namespace prost::plan {
 
-/// PRoST's scan source: the stores its plans execute against. A VP node
-/// reads its predicate's table, a PT node the Property Table and an RPT
-/// node the reverse one; one NodeKind switch maps each node to its store,
-/// so the planner's sizes and the executor's scans read the same table.
-/// A missing Property Table is an error for a node that needs it.
+/// PRoST's scan source: one NodeKind switch maps a VP node to its
+/// predicate's table and a PT / RPT node to the (reverse) Property
+/// Table, so planner sizes and scans read the same table. A node whose
+/// store is missing is an error.
 class PlannerInputs final : public core::ScanSource {
  public:
   PlannerInputs() = default;

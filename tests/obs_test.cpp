@@ -529,9 +529,9 @@ query  rows=1  charge=#ms (total=#ms)  scanned=174.1 KB  broadcast=216 B
 }
 
 // S2RDF runs through the same plan executor, so its EXPLAIN ANALYZE shows
-// the table each scan read. L2's nationality scan reads the ExtVP
-// reduction by parentCountry (213 of the VP table's rows) and is priced
-// at that reduction's size, not at the VP table's.
+// the table each scan read. L2's nationality scan reads the SS reduction
+// of nationality by likes (the 213 rows whose subject likes something)
+// and is priced at that reduction's size, not at the VP table's.
 TEST(BaselineExplainTest, GoldenExplainAnalyzeForS2RdfL2) {
   watdiv::WatDivConfig config;
   config.target_triples = 20000;
