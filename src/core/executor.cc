@@ -189,9 +189,7 @@ class PlanInterpreter {
       relation = engine::PruneColumns(std::move(relation), node.columns);
       return relation;
     }
-    PROST_ASSIGN_OR_RETURN(
-        relation, engine::Project(relation, node.columns, cost_, exec_));
-    return relation;
+    return engine::Project(std::move(relation), node.columns, cost_);
   }
 
   Result<engine::Relation> ExecOrderBy(const plan::OrderByNode& node) {
@@ -238,7 +236,9 @@ class PlanInterpreter {
     PROST_ASSIGN_OR_RETURN(engine::Relation relation, Exec(*node.children[0]));
     span.SetRowsIn(relation.TotalRows());
     relation = ApplyOffset(std::move(relation), node.offset);
-    if (node.limit > 0) relation = engine::Limit(relation, node.limit);
+    if (node.limit > 0) {
+      relation = engine::Limit(std::move(relation), node.limit);
+    }
     span.SetRowsOut(relation.TotalRows());
     return relation;
   }

@@ -299,7 +299,8 @@ Result<Relation> ApplyFiltersAndModifiers(Relation relation,
   // Projection preserves per-chunk row order (ordered results live in one
   // chunk).
   PROST_ASSIGN_OR_RETURN(
-      relation, engine::Project(relation, query.EffectiveProjection(), cost));
+      relation, engine::Project(std::move(relation),
+                                query.EffectiveProjection(), cost));
   if (query.distinct) {
     if (ordered) {
       relation = OrderPreservingDistinct(relation, cost);
@@ -310,7 +311,7 @@ Result<Relation> ApplyFiltersAndModifiers(Relation relation,
 
   relation = ApplyOffset(std::move(relation), query.offset);
   if (query.limit > 0) {
-    relation = engine::Limit(relation, query.limit);
+    relation = engine::Limit(std::move(relation), query.limit);
   }
   return relation;
 }

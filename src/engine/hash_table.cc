@@ -51,9 +51,4 @@ void FlatHashTable::BuildFromRows(const uint32_t* rows, size_t n,
   for (size_t i = 0; i < n; ++i) FillOne(row_hashes[rows[i]], rows[i]);
 }
 
-void FlatHashTable::Clear() {
-  std::fill(slots_.begin(), slots_.end(), Slot{});
-  payload_.clear();
-}
-
 }  // namespace prost::engine

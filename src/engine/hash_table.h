@@ -49,7 +49,7 @@ class FlatHashTable {
                      const uint64_t* row_hashes);
 
   /// The run of row ids whose key hash equals `hash` (empty if none).
-  /// Pointers remain valid until the next Build/Clear.
+  /// Pointers remain valid until the next build.
   Range Lookup(uint64_t hash) const {
     if (slots_.empty()) return Range{};
     size_t i = hash & mask_;
@@ -62,9 +62,6 @@ class FlatHashTable {
     }
     return Range{};
   }
-
-  /// Drops all entries, keeping capacity for reuse.
-  void Clear();
 
   /// Total inserted rows.
   size_t size() const { return payload_.size(); }

@@ -29,13 +29,15 @@ void HashColumns(const RelationChunk& chunk, const std::vector<int>& key_cols,
   HashColumns(chunk, key_cols, begin, end, out.data());
 }
 
-size_t CompareKeysAt(const RelationChunk& build,
-                     const std::vector<int>& build_cols,
-                     const RelationChunk& probe,
-                     const std::vector<int>& probe_cols,
-                     std::vector<uint32_t>& build_rows,
-                     std::vector<uint32_t>& probe_rows) {
-  const size_t n = build_rows.size();
+namespace {
+
+/// CountKeyMatches, and SelectKeyMatches when `out` is non-null.
+size_t MatchRuns(const RelationChunk& build,
+                 const std::vector<int>& build_cols,
+                 const RelationChunk& probe,
+                 const std::vector<int>& probe_cols,
+                 const uint32_t* probe_rows, const FlatHashTable::Range* runs,
+                 size_t n, uint32_t* counts, uint32_t* out) {
   size_t kept = 0;
   if (build_cols.size() == 1) {
     // Single-key joins (the common case): one column pair, no inner loop.
@@ -44,28 +46,56 @@ size_t CompareKeysAt(const RelationChunk& build,
     const TermId* p =
         probe.columns[static_cast<size_t>(probe_cols[0])].data();
     for (size_t i = 0; i < n; ++i) {
-      build_rows[kept] = build_rows[i];
-      probe_rows[kept] = probe_rows[i];
-      kept += b[build_rows[i]] == p[probe_rows[i]] ? 1 : 0;
+      const size_t before = kept;
+      const TermId key = p[probe_rows[i]];
+      for (const uint32_t* row = runs[i].begin; row != runs[i].end; ++row) {
+        if (out != nullptr) out[kept] = *row;
+        kept += b[*row] == key ? 1 : 0;
+      }
+      counts[i] = static_cast<uint32_t>(kept - before);
     }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
+    return kept;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const size_t before = kept;
+    for (const uint32_t* row = runs[i].begin; row != runs[i].end; ++row) {
       bool equal = true;
       for (size_t k = 0; k < build_cols.size(); ++k) {
         equal = equal &&
-                build.columns[static_cast<size_t>(build_cols[k])]
-                             [build_rows[i]] ==
+                build.columns[static_cast<size_t>(build_cols[k])][*row] ==
                     probe.columns[static_cast<size_t>(probe_cols[k])]
                                  [probe_rows[i]];
       }
-      build_rows[kept] = build_rows[i];
-      probe_rows[kept] = probe_rows[i];
+      if (out != nullptr) out[kept] = *row;
       kept += equal ? 1 : 0;
     }
+    counts[i] = static_cast<uint32_t>(kept - before);
   }
-  build_rows.resize(kept);
-  probe_rows.resize(kept);
   return kept;
+}
+
+}  // namespace
+
+size_t CountKeyMatches(const RelationChunk& build,
+                       const std::vector<int>& build_cols,
+                       const RelationChunk& probe,
+                       const std::vector<int>& probe_cols,
+                       const uint32_t* probe_rows,
+                       const FlatHashTable::Range* runs, size_t n,
+                       uint32_t* counts) {
+  return MatchRuns(build, build_cols, probe, probe_cols, probe_rows, runs, n,
+                   counts, nullptr);
+}
+
+size_t SelectKeyMatches(const RelationChunk& build,
+                        const std::vector<int>& build_cols,
+                        const RelationChunk& probe,
+                        const std::vector<int>& probe_cols,
+                        const uint32_t* probe_rows,
+                        const FlatHashTable::Range* runs, size_t n,
+                        uint32_t* counts, uint32_t* out) {
+  return MatchRuns(build, build_cols, probe, probe_cols, probe_rows, runs, n,
+                   counts, out);
 }
 
 void Iota(size_t begin, size_t end, std::vector<uint32_t>& sel) {
@@ -206,6 +236,21 @@ void ListExpand(const IdListColumn& lists, const std::vector<uint32_t>& rows,
 void Gather(const IdVector& src, const std::vector<uint32_t>& sel,
             IdVector& dst) {
   GatherImpl(src, sel, dst);
+}
+
+void Gather(const IdVector& src, const uint32_t* sel, size_t n,
+            TermId* dst) {
+  const TermId* in = src.data();
+  for (size_t i = 0; i < n; ++i) {
+    dst[i] = in[sel[i]];
+  }
+}
+
+void Repeat(const IdVector& src, const uint32_t* rows,
+            const uint32_t* counts, size_t n, TermId* dst) {
+  for (size_t i = 0; i < n; ++i) {
+    dst = std::fill_n(dst, counts[i], src[rows[i]]);
+  }
 }
 
 void Gather(const std::vector<uint32_t>& src,

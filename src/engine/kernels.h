@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "columnar/column.h"
+#include "engine/hash_table.h"
 #include "engine/relation.h"
 
 namespace prost::engine::kernels {
@@ -18,9 +19,9 @@ namespace prost::engine::kernels {
 /// across columns — the inner loops touch one column at a time
 /// (cache-friendly) and carry no per-row branches on the append side.
 ///
-/// Contract: every kernel is append-only and order-preserving, so a
-/// kernel-built output is byte-identical to the row-at-a-time loop it
-/// replaced. None of them charge the CostModel — charging stays on the
+/// Contract: every kernel is order-preserving and either appends or
+/// writes into storage its caller sized, so a kernel-built output is
+/// byte-identical to the row-at-a-time loop it replaced. None of them charge the CostModel — charging stays on the
 /// coordinating thread in the operators.
 
 /// Rows processed per probe batch inside join/filter loops. Sized so the
@@ -41,16 +42,28 @@ void HashColumns(const RelationChunk& chunk, const std::vector<int>& key_cols,
 void HashColumns(const RelationChunk& chunk, const std::vector<int>& key_cols,
                  size_t begin, size_t end, std::vector<uint64_t>& out);
 
-/// Batch key verification for hash-match candidates: keeps the pairs
-/// (build_rows[i], probe_rows[i]) whose key columns compare equal,
-/// compacting both vectors in place (stable — surviving pairs keep their
-/// relative order). Returns the surviving count.
-size_t CompareKeysAt(const RelationChunk& build,
-                     const std::vector<int>& build_cols,
-                     const RelationChunk& probe,
-                     const std::vector<int>& probe_cols,
-                     std::vector<uint32_t>& build_rows,
-                     std::vector<uint32_t>& probe_rows);
+/// Hash-match verification for a batch of probe rows: probe row
+/// probe_rows[i] hashed to the build-row run runs[i]. Writes to counts[i]
+/// how many build rows of runs[i] carry key columns `build_cols` equal to
+/// that probe row's `probe_cols`, and returns the sum of the counts.
+size_t CountKeyMatches(const RelationChunk& build,
+                       const std::vector<int>& build_cols,
+                       const RelationChunk& probe,
+                       const std::vector<int>& probe_cols,
+                       const uint32_t* probe_rows,
+                       const FlatHashTable::Range* runs, size_t n,
+                       uint32_t* counts);
+
+/// As CountKeyMatches, and writes the matching build rows to `out` (room
+/// for every run's rows), probe-row-major and in run order. The write is
+/// branch-free, like Filter's.
+size_t SelectKeyMatches(const RelationChunk& build,
+                        const std::vector<int>& build_cols,
+                        const RelationChunk& probe,
+                        const std::vector<int>& probe_cols,
+                        const uint32_t* probe_rows,
+                        const FlatHashTable::Range* runs, size_t n,
+                        uint32_t* counts, uint32_t* out);
 
 /// Appends row ids begin..end-1 to `sel` (the no-predicate selection).
 void Iota(size_t begin, size_t end, std::vector<uint32_t>& sel);
@@ -107,6 +120,16 @@ void ListExpand(const columnar::IdListColumn& lists,
 /// instead of pushing each row across all columns.
 void Gather(const columnar::IdVector& src, const std::vector<uint32_t>& sel,
             columnar::IdVector& dst);
+
+/// Writes src[sel[i]] to dst[i] for i in [0, n): a gather into storage
+/// the caller has already sized.
+void Gather(const columnar::IdVector& src, const uint32_t* sel, size_t n,
+            rdf::TermId* dst);
+
+/// Writes src[rows[i]] counts[i] times for every i in [0, n), in order,
+/// starting at `dst`: each value repeated over its run.
+void Repeat(const columnar::IdVector& src, const uint32_t* rows,
+            const uint32_t* counts, size_t n, rdf::TermId* dst);
 
 /// Gather over a row-index vector (e.g. repeating selection entries or
 /// value positions through ListExpand's `repeat`).

@@ -56,13 +56,13 @@ OutputLayout MakeOutputLayout(const Relation& build, const Relation& probe,
   return layout;
 }
 
-/// Reusable per-task scratch for the vectorized probe loop: batch key
-/// hashes plus the candidate (build row, probe row) pair vectors. Reused
-/// across batches so steady-state probing allocates nothing.
-struct JoinScratch {
-  std::vector<uint64_t> hashes;
-  std::vector<uint32_t> build_rows;
-  std::vector<uint32_t> probe_rows;
+/// One probe morsel between the count and fill steps: its hits, i.e.
+/// each probe row whose key hash found a build run, with that run, and
+/// how many build rows of those runs verified.
+struct MorselProbe {
+  std::vector<uint32_t> rows;
+  std::vector<FlatHashTable::Range> runs;
+  uint64_t matches = 0;
 };
 
 /// Builds `table` over every row of `build` (hashes computed column-wise
@@ -129,56 +129,121 @@ PartitionedIndex BuildPartitionedIndex(const RelationChunk& build,
   return pidx;
 }
 
-/// Probes rows [begin, end) of `probe` against `lookup` (hash → ascending
-/// build rows), appending matches to `out`. Vectorized: per batch, hash
-/// the key columns, collect hash-match candidates, batch-verify keys,
-/// then materialize via per-column gathers. Candidates are collected
-/// probe-row-major with each run ascending, and verification is stable,
-/// so output order is (probe row, build row) — exactly the row-at-a-time
-/// order. Returns emitted rows.
+/// What a probe task joins: the build chunk and its key columns, the
+/// probe chunk, its key columns and the probe columns the output keeps.
+struct ProbeSides {
+  const RelationChunk& build;
+  const std::vector<int>& build_keys;
+  const RelationChunk& probe;
+  const std::vector<int>& probe_keys;
+  const std::vector<int>& probe_extra_cols;
+};
+
+/// Count step: looks probe rows [begin, end) up in `lookup` (hash -> run
+/// of ascending build rows), one batch of kernels::kBatchRows rows at a
+/// time, keeps each hit in `morsel` and counts the build rows of its run
+/// whose keys really match. What it keeps grows with the hits, never
+/// with the output.
 template <typename Lookup>
-uint64_t ProbeRange(const RelationChunk& build,
-                    const std::vector<int>& build_keys,
-                    const RelationChunk& probe,
-                    const std::vector<int>& probe_keys,
-                    const std::vector<int>& probe_extra_cols, size_t begin,
-                    size_t end, const Lookup& lookup, RelationChunk& out,
-                    JoinScratch& scratch) {
-  uint64_t emitted = 0;
-  const size_t build_width = build.columns.size();
+void CountMatches(const ProbeSides& sides, size_t begin, size_t end,
+                  const Lookup& lookup, MorselProbe& morsel) {
+  std::vector<uint64_t> hashes;
+  std::vector<uint32_t> counts;
   for (size_t batch = begin; batch < end; batch += kernels::kBatchRows) {
-    const size_t batch_end = std::min(end, batch + kernels::kBatchRows);
-    kernels::HashColumns(probe, probe_keys, batch, batch_end,
-                         scratch.hashes);
-    scratch.build_rows.clear();
-    scratch.probe_rows.clear();
-    for (size_t i = 0; i < batch_end - batch; ++i) {
-      FlatHashTable::Range range = lookup(scratch.hashes[i]);
-      for (const uint32_t* br = range.begin; br != range.end; ++br) {
-        scratch.build_rows.push_back(*br);
-        scratch.probe_rows.push_back(static_cast<uint32_t>(batch + i));
-      }
+    const size_t rows = std::min(end, batch + kernels::kBatchRows) - batch;
+    kernels::HashColumns(sides.probe, sides.probe_keys, batch, batch + rows,
+                         hashes);
+    const size_t first = morsel.rows.size();
+    for (size_t i = 0; i < rows; ++i) {
+      const FlatHashTable::Range run = lookup(hashes[i]);
+      if (run.empty()) continue;
+      morsel.rows.push_back(static_cast<uint32_t>(batch + i));
+      morsel.runs.push_back(run);
     }
-    emitted += kernels::CompareKeysAt(build, build_keys, probe, probe_keys,
-                                      scratch.build_rows,
-                                      scratch.probe_rows);
-    for (size_t c = 0; c < build_width; ++c) {
-      kernels::Gather(build.columns[c], scratch.build_rows, out.columns[c]);
-    }
-    for (size_t k = 0; k < probe_extra_cols.size(); ++k) {
-      kernels::Gather(
-          probe.columns[static_cast<size_t>(probe_extra_cols[k])],
-          scratch.probe_rows, out.columns[build_width + k]);
-    }
+    const size_t hits = morsel.rows.size() - first;
+    if (hits == 0) continue;
+    counts.resize(hits);
+    morsel.matches += kernels::CountKeyMatches(
+        sides.build, sides.build_keys, sides.probe, sides.probe_keys,
+        morsel.rows.data() + first, morsel.runs.data() + first, hits,
+        counts.data());
   }
-  return emitted;
 }
 
-/// Probe of `probe_rel` against per-chunk build sides, one task per probe
-/// morsel. `build_of(chunk)` yields the build chunk to join chunk `chunk`
-/// with; `lookup_of(chunk, hash)` its index lookup. Morsel outputs merge
-/// back in morsel order, so each output chunk is ordered by (probe row,
-/// build row). Cost charging is left to the caller.
+/// Fill step: writes the matches of the hits the count step kept into
+/// rows [offset, ...) of `out`, whose columns are already sized. Per
+/// batch of hits it verifies every run into a selection, gathers each
+/// build column through it and repeats each probe value over its match
+/// count. Hits are in probe-row order and runs carry build rows
+/// ascending, so rows land in (probe row, build row) order.
+void FillMatches(const ProbeSides& sides, const MorselProbe& morsel,
+                 RelationChunk& out, size_t offset) {
+  const size_t build_width = sides.build.columns.size();
+  std::vector<uint32_t> counts;
+  std::vector<uint32_t> selection;
+  for (size_t first = 0; first < morsel.rows.size();
+       first += kernels::kBatchRows) {
+    const size_t hits =
+        std::min(morsel.rows.size() - first, kernels::kBatchRows);
+    const uint32_t* rows = morsel.rows.data() + first;
+    const FlatHashTable::Range* runs = morsel.runs.data() + first;
+    size_t candidates = 0;
+    for (size_t i = 0; i < hits; ++i) candidates += runs[i].size();
+    if (selection.size() < candidates) selection.resize(candidates);
+    counts.resize(hits);
+    const size_t matched = kernels::SelectKeyMatches(
+        sides.build, sides.build_keys, sides.probe, sides.probe_keys, rows,
+        runs, hits, counts.data(), selection.data());
+    for (size_t c = 0; c < build_width; ++c) {
+      kernels::Gather(sides.build.columns[c], selection.data(), matched,
+                      out.columns[c].data() + offset);
+    }
+    for (size_t k = 0; k < sides.probe_extra_cols.size(); ++k) {
+      kernels::Repeat(
+          sides.probe.columns[static_cast<size_t>(sides.probe_extra_cols[k])],
+          rows, counts.data(), hits,
+          out.columns[build_width + k].data() + offset);
+    }
+    offset += matched;
+  }
+}
+
+/// Fails a join that would emit more rows than the query's row budget
+/// (QueryBudget::max_rows) with kResourceExhausted. `rows` is the count
+/// summed over every probe task, so the status is the same at any thread
+/// count.
+Status CheckJoinRowBudget(uint64_t rows, const Relation& probe_rel,
+                          const std::vector<int>& probe_keys,
+                          const ExecContext* exec) {
+  const QueryBudget* budget = BudgetOf(exec);
+  if (budget == nullptr || budget->max_rows == 0 ||
+      rows <= budget->max_rows) {
+    return Status::OK();
+  }
+  std::vector<std::string> keys;
+  for (int key : probe_keys) {
+    keys.push_back(probe_rel.column_names()[static_cast<size_t>(key)]);
+  }
+  return Status::ResourceExhausted(StrFormat(
+      "query row budget exceeded: hash join on (%s) would produce %llu rows "
+      "(budget %llu)",
+      StrJoin(keys, ",").c_str(), static_cast<unsigned long long>(rows),
+      static_cast<unsigned long long>(budget->max_rows)));
+}
+
+/// Probes `probe_rel` against per-chunk build sides, one task per probe
+/// morsel, and writes each match into `output` exactly once:
+///   1. count: every task looks its rows up, keeps its hits (rows whose
+///      hash found a run) and counts its verified matches;
+///   2. size: the summed count meets the row budget before anything is
+///      allocated, then every output column is sized once, and each
+///      morsel starts where its chunk's earlier morsels end;
+///   3. fill: every task verifies its hits' runs again and writes its
+///      matches at its own offset.
+/// `build_of(chunk)` is the build chunk probe chunk `chunk` joins with,
+/// and `lookup_of(chunk, hash)` its index lookup. Output chunk c holds
+/// the matches of probe chunk c, ordered by (probe row, build row), at
+/// any thread count. Cost charging is left to the caller.
 template <typename BuildOf, typename LookupOf>
 Status Probe(const Relation& probe_rel, const std::vector<int>& probe_keys,
              const std::vector<int>& probe_extra_cols,
@@ -186,19 +251,39 @@ Status Probe(const Relation& probe_rel, const std::vector<int>& probe_keys,
              const LookupOf& lookup_of, const ExecContext* exec,
              Relation& output) {
   const std::vector<Morsel> morsels = PlanMorsels(probe_rel, exec);
-  return RunMorsels(
-      exec, morsels,
-      [&](size_t m, RelationChunk& out) {
-        const Morsel& morsel = morsels[m];
-        auto lookup = [&](uint64_t h) { return lookup_of(morsel.chunk, h); };
-        JoinScratch scratch;
-        ProbeRange(build_of(morsel.chunk), build_keys,
-                   probe_rel.chunks()[morsel.chunk], probe_keys,
-                   probe_extra_cols, morsel.begin, morsel.end, lookup, out,
-                   scratch);
-        return Status::OK();
-      },
-      output);
+  auto sides_of = [&](const Morsel& morsel) {
+    return ProbeSides{build_of(morsel.chunk), build_keys,
+                      probe_rel.chunks()[morsel.chunk], probe_keys,
+                      probe_extra_cols};
+  };
+  std::vector<MorselProbe> probes(morsels.size());
+  RunTasks(exec, morsels.size(), [&](size_t m) {
+    const Morsel& morsel = morsels[m];
+    auto lookup = [&](uint64_t h) { return lookup_of(morsel.chunk, h); };
+    CountMatches(sides_of(morsel), morsel.begin, morsel.end, lookup,
+                 probes[m]);
+  });
+  uint64_t total = 0;
+  for (const MorselProbe& probe : probes) total += probe.matches;
+  PROST_RETURN_IF_ERROR(CheckJoinRowBudget(total, probe_rel, probe_keys, exec));
+
+  std::vector<size_t> offsets(morsels.size());
+  std::vector<size_t> chunk_rows(output.num_chunks());
+  for (size_t m = 0; m < morsels.size(); ++m) {
+    offsets[m] = chunk_rows[morsels[m].chunk];
+    chunk_rows[morsels[m].chunk] += probes[m].matches;
+  }
+  RunTasks(exec, output.num_chunks(), [&](size_t w) {
+    for (IdVector& column : output.mutable_chunks()[w].columns) {
+      column.resize(chunk_rows[w]);
+    }
+  });
+  RunTasks(exec, morsels.size(), [&](size_t m) {
+    FillMatches(sides_of(morsels[m]), probes[m],
+                output.mutable_chunks()[morsels[m].chunk], offsets[m]);
+    probes[m] = MorselProbe();
+  });
+  return Status::OK();
 }
 
 /// Carries `from`'s hash-partition column over to `to` by name: rows
@@ -353,19 +438,20 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
 
   OutputLayout layout = MakeOutputLayout(left_parts, right_parts, shared);
   Relation output(layout.names, num_workers);
-  // One task per co-located worker partition: build its hash table, probe
-  // its rows straight into its output chunk. A table lives only as long as
-  // its task, so no more tables are resident than there are threads.
+  // One flat table per co-located partition, built one task each, then
+  // each partition's right rows probe its own table.
+  std::vector<FlatHashTable> tables(num_workers);
   RunTasks(exec, num_workers, [&](size_t w) {
-    const RelationChunk& l = left_parts.chunks()[w];
-    const RelationChunk& r = right_parts.chunks()[w];
-    FlatHashTable table;
-    JoinScratch scratch;
-    BuildChunkTable(l, shared.left, scratch.hashes, table);
-    auto lookup = [&](uint64_t h) { return table.Lookup(h); };
-    ProbeRange(l, shared.left, r, shared.right, layout.probe_extra_cols, 0,
-               r.num_rows(), lookup, output.mutable_chunks()[w], scratch);
+    std::vector<uint64_t> hashes;
+    BuildChunkTable(left_parts.chunks()[w], shared.left, hashes, tables[w]);
   });
+  PROST_RETURN_IF_ERROR(Probe(
+      right_parts, shared.right, layout.probe_extra_cols, shared.left,
+      [&](uint32_t w) -> const RelationChunk& {
+        return left_parts.chunks()[w];
+      },
+      [&](uint32_t w, uint64_t h) { return tables[w].Lookup(h); }, exec,
+      output));
   for (uint32_t w = 0; w < num_workers; ++w) {
     cost.ChargeCpuRows(w, left_parts.chunks()[w].num_rows() +
                               right_parts.chunks()[w].num_rows() +
@@ -375,42 +461,24 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
   return output;
 }
 
-Result<Relation> Project(const Relation& input,
+Result<Relation> Project(Relation input,
                          const std::vector<std::string>& column_names,
-                         cluster::CostModel& cost,
-                         const ExecContext* exec) {
-  std::vector<int> indices;
-  indices.reserve(column_names.size());
+                         cluster::CostModel& cost) {
   std::unordered_set<std::string> seen;
   for (const std::string& name : column_names) {
-    int index = input.ColumnIndex(name);
-    if (index < 0) {
+    if (input.ColumnIndex(name) < 0) {
       return Status::InvalidArgument("project on unknown column " + name);
     }
     if (!seen.insert(name).second) {
       return Status::InvalidArgument("duplicate projected column " + name);
     }
-    indices.push_back(index);
   }
   // No span of its own: callers (the plan interpreter, the modifier tail)
   // wrap the call in the span that names their plan node.
-  Relation output(column_names, input.num_chunks());
-  // Projection is the degenerate batch kernel: a whole-column copy per
-  // selected column (no per-row work at all), so one task per chunk is
-  // the right granularity.
-  RunTasks(exec, input.num_chunks(), [&](size_t w) {
-    const RelationChunk& chunk = input.chunks()[w];
-    RelationChunk& out = output.mutable_chunks()[w];
-    for (size_t c = 0; c < indices.size(); ++c) {
-      out.columns[c] = chunk.columns[static_cast<size_t>(indices[c])];
-    }
-  });
   for (uint32_t w = 0; w < input.num_chunks(); ++w) {
     cost.ChargeCpuRows(w, input.chunks()[w].num_rows());
   }
-  // Projection keeps rows in place; partition column survives if selected.
-  KeepPartitionColumn(input, output);
-  return output;
+  return PruneColumns(std::move(input), column_names);
 }
 
 Result<Relation> Distinct(const Relation& input, cluster::CostModel& cost,
@@ -479,21 +547,15 @@ Relation PruneColumns(Relation&& input,
   return output;
 }
 
-Relation Limit(const Relation& input, uint64_t limit) {
-  Relation output(input.column_names(), input.num_chunks());
+Relation Limit(Relation input, uint64_t limit) {
   uint64_t taken = 0;
-  for (uint32_t w = 0; w < input.num_chunks() && taken < limit; ++w) {
-    const RelationChunk& chunk = input.chunks()[w];
-    RelationChunk& out = output.mutable_chunks()[w];
-    size_t take = static_cast<size_t>(
+  for (RelationChunk& chunk : input.mutable_chunks()) {
+    const size_t take = static_cast<size_t>(
         std::min<uint64_t>(chunk.num_rows(), limit - taken));
-    for (size_t c = 0; c < chunk.columns.size(); ++c) {
-      out.columns[c].assign(chunk.columns[c].begin(),
-                            chunk.columns[c].begin() + take);
-    }
+    for (IdVector& column : chunk.columns) column.resize(take);
     taken += take;
   }
-  return output;
+  return input;
 }
 
 }  // namespace prost::engine

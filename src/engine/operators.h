@@ -75,31 +75,41 @@ JoinDecision ResolveJoinStrategy(uint64_t left_planner_bytes,
 /// a new one carrying the shuffle transfer and the build/probe work, and
 /// leaves it open for downstream operators.
 ///
+/// The probe writes its output exactly once: each probe task first
+/// counts its verified matches; the counts, summed over every task, size
+/// each output column once; then each task fills its own rows. When the
+/// summed count exceeds the query's QueryBudget::max_rows (`exec`'s
+/// budget), the join fails with kResourceExhausted before any output
+/// column is allocated, with the same status at every thread count.
+///
 /// Output order is deterministic regardless of `exec`: within each output
 /// chunk, rows are ordered by (probe row, build row). A broadcast join
 /// builds one index over the shipped side, hash-partitioned into one part
-/// per thread, and probes the other side one task per morsel, merged back
-/// in morsel order. A shuffle join runs one task per co-located
-/// partition that builds and probes that partition's table. Either way
-/// the output columns are left-major.
+/// per thread, and probes the other side one task per morsel. A shuffle
+/// join builds one table per co-located partition and probes each
+/// partition's rows, one task per morsel, against its own table. Either
+/// way the output columns are left-major.
 Result<Relation> HashJoin(const Relation& left, const Relation& right,
                           const JoinDecision& decision,
                           cluster::CostModel& cost,
                           const ExecContext* exec = nullptr);
 
 /// Keeps only `column_names`, in that order. Duplicate and unknown names
-/// are errors. One task per chunk.
-Result<Relation> Project(const Relation& input,
+/// are errors. It charges one CPU row per input row on each chunk's
+/// worker, then hands the kept columns over through PruneColumns: the
+/// output owns the input's buffers and copies no row. Callers pass
+/// `std::move(relation)` (tools/lint.py `whole-result-copy`).
+Result<Relation> Project(Relation input,
                          const std::vector<std::string>& column_names,
-                         cluster::CostModel& cost,
-                         const ExecContext* exec = nullptr);
+                         cluster::CostModel& cost);
 
 /// Moves the columns named in `keep` (each an input column, at most once)
-/// into that order and drops the rest. Unlike Project this is free — no
-/// CPU charge, no span: it models the optimizer's early projection, where
-/// the pruned columns are simply never materialized into the next
-/// exchange, and gives a broadcast join's output its left-major order.
-/// The hash-partition column is remapped by name.
+/// into that order and drops the rest; a column keeps its buffer. Unlike
+/// Project this is free — no CPU charge, no span: it models the
+/// optimizer's early projection, where the pruned columns are simply
+/// never materialized into the next exchange, and gives a broadcast
+/// join's output its left-major order. The hash-partition column is
+/// remapped by name.
 Relation PruneColumns(Relation&& input, const std::vector<std::string>& keep);
 
 /// Removes duplicate rows globally (shuffles by row hash, then dedupes
@@ -108,8 +118,10 @@ Result<Relation> Distinct(const Relation& input, cluster::CostModel& cost,
                           const ExecContext* exec = nullptr);
 
 /// Keeps at most `limit` rows (driver-side truncation after collect; the
-/// paper's WatDiv queries do not push limits down).
-Relation Limit(const Relation& input, uint64_t limit);
+/// paper's WatDiv queries do not push limits down): the first chunks'
+/// rows, each chunk truncated in place. Callers pass `std::move(relation)`
+/// (tools/lint.py `whole-result-copy`).
+Relation Limit(Relation input, uint64_t limit);
 
 /// Re-distributes `input` so rows with equal values in `column_index` land
 /// on the same worker, and charges the shuffle. It always moves: HashJoin

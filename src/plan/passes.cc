@@ -520,13 +520,15 @@ class JoinOrderPass final : public OptimizerPass {
     const stats::CardinalityEstimator& est = *e.context->estimator;
     const stats::StarDescriptor desc = Describe(scan.source);
     const double inf = std::numeric_limits<double>::infinity();
+    const stats::CardinalityEstimator::ScanEstimate estimate =
+        est.EstimateScan(desc);
     EnumeratedPlan out;
     out.mask = 1u << index;
-    out.rows = est.EstimateScanRows(desc);
+    out.rows = estimate.rows;
     out.planner_bytes = scan.planner_bytes;
     out.distinct.assign(e.variables.size(), inf);
     out.max_fanout.assign(e.variables.size(), inf);
-    const double key_distinct = est.EstimateKeyDistinct(desc);
+    const double key_distinct = estimate.key_distinct;
     for (size_t i = 0; i < scan.source.patterns.size(); ++i) {
       const core::NodePattern& p = scan.source.patterns[i];
       const core::PatternTerm& key = desc.key_is_object ? p.object : p.subject;
@@ -648,7 +650,10 @@ class JoinOrderPass final : public OptimizerPass {
         std::sort(predicates.begin(), predicates.end());
         predicates.erase(std::unique(predicates.begin(), predicates.end()),
                          predicates.end());
-        const auto exact = est.StarExact(predicates);
+        // A pure star's predicates are the scan's own, so the star count
+        // behind its row estimate is StarExact(predicates).
+        const std::optional<stats::CharacteristicSets::StarEstimate>&
+            exact = estimate.star;
         if (exact.has_value() && exact->rows > 0.0) {
           const double raw = exact->rows;
           out.star_key = e.Number(key);
@@ -921,8 +926,12 @@ Status PassManager::Run(PhysicalPlan& plan, const PassContext& context) {
     PROST_RETURN_IF_ERROR(options_.validate(plan));
   }
   for (const std::unique_ptr<OptimizerPass>& pass : passes_) {
+    // A pass starts from the plan the previous pass left, so its "before"
+    // is that pass's "after": render each plan once.
     std::string before;
-    if (options_.record_snapshots) before = plan.ToString();
+    if (options_.record_snapshots) {
+      before = snapshots_.empty() ? plan.ToString() : snapshots_.back().after;
+    }
     PROST_RETURN_IF_ERROR(pass->Run(plan, context));
     if (options_.record_snapshots) {
       snapshots_.push_back(

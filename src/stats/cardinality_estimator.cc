@@ -29,7 +29,7 @@ CardinalityEstimator::StarCounts CardinalityEstimator::CountStar(
     }
     const CharacteristicSets::StarEstimate star =
         characteristic_sets_->EstimateStar(predicates);
-    return {static_cast<double>(star.subjects), star.rows};
+    return {static_cast<double>(star.subjects), star.rows, star};
   }
   // Independence fallback: prod_p d_p / U^(k-1) with U the largest
   // per-predicate distinct count in the star (so a single pattern is just
@@ -48,51 +48,50 @@ CardinalityEstimator::StarCounts CardinalityEstimator::CountStar(
   for (size_t i = 1; i < scan.patterns.size(); ++i) product /= universe;
   // Keys that survive every pattern, each multiplied by its average
   // per-key multiplicity under each predicate.
-  StarCounts counts{product, product};
+  StarCounts counts{product, product, std::nullopt};
   for (const PatternDescriptor& p : scan.patterns) {
     const rdf::PredicateStats* stats = Lookup(p.predicate);
     const uint64_t distinct = scan.key_is_object ? stats->distinct_objects
                                                  : stats->distinct_subjects;
-    if (distinct == 0) return {product, 0.0};
+    if (distinct == 0) return {product, 0.0, std::nullopt};
     counts.rows *= static_cast<double>(stats->triple_count) /
                    static_cast<double>(distinct);
   }
   return counts;
 }
 
-double CardinalityEstimator::EstimateScanRows(
+CardinalityEstimator::ScanEstimate CardinalityEstimator::EstimateScan(
     const StarDescriptor& scan) const {
-  if (scan.patterns.empty()) return kMinEstimatedRows;
   const StarCounts star = CountStar(scan);
-  double rows = star.rows;
+  ScanEstimate estimate;
+  estimate.star = star.star;
   // Constant bindings select a fraction of the key / value domains.
+  double rows = star.rows;
   bool key_constant = false;
+  bool value_unknown = false;
   for (const PatternDescriptor& p : scan.patterns) {
     const bool on_key =
         scan.key_is_object ? p.object_is_constant : p.subject_is_constant;
     if (on_key) key_constant = true;
     const bool on_value =
         scan.key_is_object ? p.subject_is_constant : p.object_is_constant;
-    if (on_value) {
+    if (on_value && !value_unknown) {
       const rdf::PredicateStats* stats = Lookup(p.predicate);
-      if (stats == nullptr) return kMinEstimatedRows;
+      if (stats == nullptr) {
+        value_unknown = true;
+        continue;
+      }
       const uint64_t distinct = scan.key_is_object ? stats->distinct_subjects
                                                    : stats->distinct_objects;
       rows /= static_cast<double>(std::max<uint64_t>(distinct, 1));
     }
   }
   if (key_constant) rows /= std::max(star.keys, 1.0);
-  return Floor(rows);
-}
-
-double CardinalityEstimator::EstimateKeyDistinct(
-    const StarDescriptor& scan) const {
-  for (const PatternDescriptor& p : scan.patterns) {
-    const bool on_key =
-        scan.key_is_object ? p.object_is_constant : p.subject_is_constant;
-    if (on_key) return 1.0;
-  }
-  return Floor(CountStar(scan).keys);
+  estimate.rows = scan.patterns.empty() || value_unknown
+                      ? kMinEstimatedRows
+                      : Floor(rows);
+  estimate.key_distinct = key_constant ? 1.0 : Floor(star.keys);
+  return estimate;
 }
 
 double CardinalityEstimator::EstimateValueDistinct(const StarDescriptor& scan,

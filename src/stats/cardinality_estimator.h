@@ -49,12 +49,20 @@ class CardinalityEstimator {
       : per_predicate_(per_predicate),
         characteristic_sets_(characteristic_sets) {}
 
-  /// Expected output rows of the scan.
-  double EstimateScanRows(const StarDescriptor& scan) const;
-
-  /// Expected distinct values the scan's key column carries (1 when the
-  /// key is constant). This is the denominator material for key joins.
-  double EstimateKeyDistinct(const StarDescriptor& scan) const;
+  /// A scan's estimates, from one count of its star.
+  struct ScanEstimate {
+    /// Expected output rows of the scan.
+    double rows = 0.0;
+    /// Expected distinct values the scan's key column carries (1 when
+    /// the key is constant). This is the denominator material for key
+    /// joins.
+    double key_distinct = 0.0;
+    /// The characteristic-set statistics of the scan's predicates, when
+    /// the star was counted from them (a subject-keyed scan, sets
+    /// present): what StarExact returns for those predicates.
+    std::optional<CharacteristicSets::StarEstimate> star;
+  };
+  ScanEstimate EstimateScan(const StarDescriptor& scan) const;
 
   /// Expected distinct values of pattern `pattern_index`'s value column
   /// (the non-key endpoint) within a scan producing `scan_rows` rows.
@@ -77,10 +85,12 @@ class CardinalityEstimator {
 
  private:
   // Distinct key values carried by the star and its expected rows,
-  // before constant bindings.
+  // before constant bindings, and the characteristic-set statistics they
+  // came from, if they did.
   struct StarCounts {
     double keys = 0.0;
     double rows = 0.0;
+    std::optional<CharacteristicSets::StarEstimate> star;
   };
   StarCounts CountStar(const StarDescriptor& scan) const;
 

@@ -12,6 +12,8 @@
 #include "cluster/cost_model.h"
 #include "common/hash.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "engine/exec_context.h"
 #include "engine/operators.h"
 #include "engine/relation.h"
 
@@ -308,6 +310,205 @@ TEST(HashJoinTest, ShuffleSkipsAlreadyPartitionedSideWhenAllowed) {
   EXPECT_EQ(joined->CollectSortedRows(), joined2->CollectSortedRows());
 }
 
+// ------------------------------------------ HashJoin exact differential
+
+/// The chunks a shuffle moves `side` into: row r of source chunk c lands
+/// on PartitionOf(key) in (source chunk, source row) order, as
+/// RepartitionByColumn places it.
+std::vector<std::vector<Row>> OraclePartitions(const Relation& side, int key,
+                                               uint32_t workers) {
+  std::vector<std::vector<Row>> parts(workers);
+  for (const Row& row : side.CollectRows()) {
+    parts[PartitionOf(row[static_cast<size_t>(key)], workers)].push_back(
+        row);
+  }
+  return parts;
+}
+
+/// Nested-loop oracle of HashJoin's exact output: one chunk per probe
+/// chunk, rows in (probe row, build row) order, columns left-major (all
+/// of left, then right's unshared columns). A shuffle builds on each left
+/// partition and probes the right partition; a broadcast builds on the
+/// shipped side, gathered chunk by chunk, and probes the other side's
+/// chunks where they are.
+std::vector<std::vector<Row>> OracleJoin(const Relation& left,
+                                         const Relation& right,
+                                         const JoinDecision& decision,
+                                         uint32_t workers) {
+  std::vector<int> lshared, rshared, rextra;
+  for (size_t i = 0; i < left.num_columns(); ++i) {
+    int j = right.ColumnIndex(left.column_names()[i]);
+    if (j >= 0) {
+      lshared.push_back(static_cast<int>(i));
+      rshared.push_back(j);
+    }
+  }
+  for (size_t j = 0; j < right.num_columns(); ++j) {
+    if (std::find(rshared.begin(), rshared.end(), static_cast<int>(j)) ==
+        rshared.end()) {
+      rextra.push_back(static_cast<int>(j));
+    }
+  }
+  auto joined = [&](const Row& l, const Row& r, std::vector<Row>& out) {
+    for (size_t k = 0; k < lshared.size(); ++k) {
+      if (l[static_cast<size_t>(lshared[k])] !=
+          r[static_cast<size_t>(rshared[k])]) {
+        return;
+      }
+    }
+    Row row = l;
+    for (int c : rextra) row.push_back(r[static_cast<size_t>(c)]);
+    out.push_back(std::move(row));
+  };
+  std::vector<std::vector<Row>> chunks;
+  if (decision.strategy == JoinStrategy::kShuffle) {
+    std::vector<std::vector<Row>> lparts =
+        OraclePartitions(left, lshared[0], workers);
+    std::vector<std::vector<Row>> rparts =
+        OraclePartitions(right, rshared[0], workers);
+    chunks.resize(workers);
+    for (uint32_t w = 0; w < workers; ++w) {
+      for (const Row& r : rparts[w]) {
+        for (const Row& l : lparts[w]) joined(l, r, chunks[w]);
+      }
+    }
+    return chunks;
+  }
+  const Relation& big = decision.broadcast_left ? right : left;
+  const std::vector<Row> small =
+      (decision.broadcast_left ? left : right).CollectRows();
+  for (const RelationChunk& chunk : big.chunks()) {
+    Relation one(big.column_names(), 1);
+    one.mutable_chunks()[0] = chunk;
+    std::vector<Row>& out = chunks.emplace_back();
+    for (const Row& b : one.CollectRows()) {
+      for (const Row& s : small) {
+        if (decision.broadcast_left) {
+          joined(s, b, out);
+        } else {
+          joined(b, s, out);
+        }
+      }
+    }
+  }
+  return chunks;
+}
+
+/// Deals `rows` over `chunks` chunks at random, leaving chunk 1 empty.
+Relation ScatteredRelation(std::vector<std::string> names,
+                           const std::vector<Row>& rows, uint32_t chunks,
+                           Rng& rng) {
+  Relation relation(std::move(names), chunks);
+  for (const Row& row : rows) {
+    uint32_t w = static_cast<uint32_t>(rng.NextBounded(chunks - 1));
+    w += w >= 1 ? 1 : 0;
+    for (size_t c = 0; c < row.size(); ++c) {
+      relation.mutable_chunks()[w].columns[c].push_back(row[c]);
+    }
+  }
+  return relation;
+}
+
+/// Worker partition that no join key lands on, so every shuffle in the
+/// differential below has an empty partition on both sides.
+constexpr uint32_t kEmptyPartition = 3;
+
+/// `hot` rows of key `hot_key`, then `n` rows with keys drawn from
+/// [1, domain] (shifted past the domain on a `miss` side), none of them
+/// in kEmptyPartition. A two-key row adds a second key, 0 on hot rows and
+/// 0 or 1 otherwise, so both keys decide a match.
+std::vector<Row> JoinRows(Rng& rng, size_t n, size_t hot, uint64_t hot_key,
+                          uint64_t domain, bool miss, bool two_keys) {
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n + hot; ++i) {
+    uint64_t key = hot_key;
+    if (i >= hot) {
+      do {
+        key = 1 + rng.NextBounded(domain) + (miss ? domain : 0);
+      } while (PartitionOf(key, TestConfig().num_workers) == kEmptyPartition);
+    }
+    Row row = {key, 1000 + rng.NextBounded(50)};
+    if (two_keys) row.push_back(i < hot ? 0 : rng.NextBounded(2));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(HashJoinTest, ExactOrderMatchesNestedLoopOracle) {
+  const uint32_t workers = TestConfig().num_workers;
+  ThreadPool pool(4);
+  const ExecContext serial;
+  const ExecContext parallel(&pool, /*morsel_rows=*/16);
+  const JoinDecision decisions[] = {JoinDecision{}, Broadcast(true),
+                                    Broadcast(false)};
+  uint64_t hot_key = 1;
+  while (PartitionOf(hot_key, workers) == kEmptyPartition) ++hot_key;
+  int hot_matches = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    for (bool two_keys : {false, true}) {
+      for (bool all_miss : {false, true}) {
+        Rng rng(seed * 7919 + (two_keys ? 1 : 0));
+        // The hot key is hot on both sides: with shuffle and either
+        // broadcast, some probe row meets at least 100 build rows.
+        const size_t hot = 100 + rng.NextBounded(20);
+        std::vector<Row> lrows =
+            JoinRows(rng, 150, hot, hot_key, 40, false, two_keys);
+        std::vector<Row> rrows = JoinRows(rng, 120, all_miss ? 0 : hot,
+                                          hot_key, 40, all_miss, two_keys);
+        // Left (k, a[, j]); right ([j, ]b, k): shared columns sit at
+        // different positions on each side.
+        std::vector<std::string> lnames = {"k", "a"};
+        std::vector<std::string> rnames = {"k", "b"};
+        if (two_keys) lnames.push_back("j");
+        if (two_keys) rnames.push_back("j");
+        for (Row& row : rrows) std::reverse(row.begin(), row.end());
+        std::reverse(rnames.begin(), rnames.end());
+        Relation left = ScatteredRelation(lnames, lrows, workers, rng);
+        Relation right = ScatteredRelation(rnames, rrows, workers, rng);
+        for (const JoinDecision& decision : decisions) {
+          const std::vector<std::vector<Row>> expected =
+              OracleJoin(left, right, decision, workers);
+          for (const ExecContext* exec : {&serial, &parallel}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) +
+                         (two_keys ? " two keys" : " one key") +
+                         (all_miss ? " all miss" : "") + " strategy " +
+                         std::to_string(static_cast<int>(decision.strategy)) +
+                         " left " + std::to_string(decision.broadcast_left) +
+                         " threads " + std::to_string(exec->num_threads()));
+            cluster::CostModel cost(TestConfig());
+            cost.BeginStage("test");
+            auto joined = HashJoin(left, right, decision, cost, exec);
+            cost.EndStage();
+            ASSERT_TRUE(joined.ok()) << joined.status();
+            ASSERT_EQ(joined->num_chunks(), expected.size());
+            std::vector<std::string> names = lnames;
+            names.push_back("b");
+            ASSERT_EQ(joined->column_names(), names);
+            for (uint32_t w = 0; w < expected.size(); ++w) {
+              Relation want = Relation::FromRows(names, expected[w], 1);
+              const RelationChunk& got = joined->chunks()[w];
+              for (size_t c = 0; c < names.size(); ++c) {
+                EXPECT_EQ(got.columns[c], want.chunks()[0].columns[c])
+                    << "chunk " << w << ", column " << names[c];
+              }
+            }
+            if (all_miss) {
+              EXPECT_EQ(joined->TotalRows(), 0u);
+            }
+            if (decision.strategy == JoinStrategy::kShuffle) {
+              EXPECT_EQ(joined->chunks()[kEmptyPartition].num_rows(), 0u);
+            }
+            if (!all_miss && joined->TotalRows() >= hot * hot) {
+              ++hot_matches;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(hot_matches, 0);
+}
+
 // ------------------------------------------------------ Other operators
 
 TEST(ProjectTest, ReordersAndDrops) {
@@ -335,6 +536,39 @@ TEST(ProjectTest, PartitioningSurvivesWhenColumnKept) {
   EXPECT_EQ(dropped->hash_partitioned_by(), -1);
 }
 
+TEST(ProjectTest, MovesColumnsAndChargesEveryInputRow) {
+  Relation r = RelationOf({"a", "b", "c"},
+                          {{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12},
+                           {13, 14, 15}});
+  std::vector<const TermId*> buffers;
+  for (const RelationChunk& chunk : r.chunks()) {
+    buffers.push_back(chunk.columns[2].data());
+  }
+  // The charge Project made before it moved: one CPU row per input row
+  // on each chunk's worker.
+  cluster::CostModel expected(TestConfig());
+  expected.BeginStage("t");
+  for (uint32_t w = 0; w < r.num_chunks(); ++w) {
+    expected.ChargeCpuRows(w, r.chunks()[w].num_rows());
+  }
+  expected.EndStage();
+
+  cluster::CostModel cost(TestConfig());
+  cost.BeginStage("t");
+  auto projected = Project(std::move(r), {"c", "a"}, cost);
+  cost.EndStage();
+  ASSERT_TRUE(projected.ok());
+  EXPECT_EQ(projected->CollectSortedRows(),
+            (std::vector<Row>{{3, 1}, {6, 4}, {9, 7}, {12, 10}, {15, 13}}));
+  for (uint32_t w = 0; w < projected->num_chunks(); ++w) {
+    EXPECT_EQ(projected->chunks()[w].columns[0].data(), buffers[w])
+        << "chunk " << w;
+  }
+  EXPECT_EQ(cost.ElapsedMillis(), expected.ElapsedMillis());
+  EXPECT_EQ(cost.counters().rows_processed,
+            expected.counters().rows_processed);
+}
+
 TEST(DistinctTest, RemovesDuplicatesGlobally) {
   // Same logical row placed in different chunks must still deduplicate.
   Relation r({"a", "b"}, 3);
@@ -358,6 +592,12 @@ TEST(LimitTest, TruncatesAcrossChunks) {
   EXPECT_EQ(Limit(r, 2).TotalRows(), 2u);
   EXPECT_EQ(Limit(r, 0).TotalRows(), 0u);
   EXPECT_EQ(Limit(r, 99).TotalRows(), 5u);
+  // Rows deal round-robin, so chunk 0 holds 1 and 5: the first chunk's
+  // rows are kept, in place.
+  const TermId* first = r.chunks()[0].columns[0].data();
+  Relation limited = Limit(std::move(r), 3);
+  EXPECT_EQ(limited.CollectRows(), (std::vector<Row>{{1}, {5}, {2}}));
+  EXPECT_EQ(limited.chunks()[0].columns[0].data(), first);
 }
 
 TEST(RepartitionTest, CoLocatesEqualKeys) {

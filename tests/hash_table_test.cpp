@@ -97,15 +97,11 @@ TEST(FlatHashTableTest, GrowthAcrossCapacityBoundaries) {
   }
 }
 
-TEST(FlatHashTableTest, RebuildAndClearReuseTheTable) {
+TEST(FlatHashTableTest, RebuildReusesTheTable) {
   std::vector<uint64_t> first = {1, 2, 3};
   FlatHashTable table;
   table.Build(first.data(), first.size());
   EXPECT_FALSE(table.Lookup(2).empty());
-
-  table.Clear();
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_TRUE(table.Lookup(2).empty());
 
   // Rebuild with different (larger) contents: no stale entries.
   std::vector<uint64_t> second;
@@ -207,30 +203,65 @@ TEST(KernelsTest, RowEqualityAndNullKernels) {
   EXPECT_EQ(sel, (std::vector<uint32_t>{2, 3, 4}));
 }
 
-TEST(KernelsTest, CompareKeysAtCompactsStably) {
+TEST(KernelsTest, KeyMatchesVerifyRunsStably) {
   RelationChunk build;
-  build.columns = {{1, 2, 3}, {10, 20, 30}};
+  build.columns = {{1, 2, 3, 1}, {10, 20, 30, 11}};
   RelationChunk probe;
   probe.columns = {{1, 3, 9}, {10, 31, 30}};
-  // Multi-key: both columns must match.
-  std::vector<uint32_t> build_rows = {0, 1, 2, 2};
-  std::vector<uint32_t> probe_rows = {0, 0, 1, 2};
-  std::vector<int> cols = {0, 1};
-  size_t kept = kernels::CompareKeysAt(build, cols, probe, cols, build_rows,
-                                       probe_rows);
-  EXPECT_EQ(kept, 1u);  // Only (build 0, probe 0) matches on both keys.
-  EXPECT_EQ(build_rows, (std::vector<uint32_t>{0}));
-  EXPECT_EQ(probe_rows, (std::vector<uint32_t>{0}));
+  // Every probe row hashed to the whole build side; verification decides.
+  const std::vector<uint32_t> all = {0, 1, 2, 3};
+  const FlatHashTable::Range run{all.data(), all.data() + all.size()};
+  const std::vector<FlatHashTable::Range> runs = {run, run, run};
+  const std::vector<uint32_t> rows = {0, 1, 2};
+  std::vector<uint32_t> counts(runs.size(), 99);
+  std::vector<uint32_t> out(runs.size() * all.size(), 99);
 
-  // Single-key fast path, duplicates kept in order.
-  build_rows = {0, 1, 2};
-  probe_rows = {0, 0, 1};
+  // Multi-key: both columns must match. Only build row 0 is (1, 10);
+  // probe (3, 31) matches build row 2 on one key only.
+  std::vector<int> cols = {0, 1};
+  EXPECT_EQ(kernels::CountKeyMatches(build, cols, probe, cols, rows.data(),
+                                     runs.data(), runs.size(),
+                                     counts.data()),
+            1u);
+  EXPECT_EQ(counts, (std::vector<uint32_t>{1, 0, 0}));
+  EXPECT_EQ(kernels::SelectKeyMatches(build, cols, probe, cols, rows.data(),
+                                      runs.data(), runs.size(), counts.data(),
+                                      out.data()),
+            1u);
+  EXPECT_EQ(out[0], 0u);
+
+  // Single-key fast path: duplicates kept in run order, probe-row-major.
   std::vector<int> one = {0};
-  kept = kernels::CompareKeysAt(build, one, probe, one, build_rows,
-                                probe_rows);
-  EXPECT_EQ(kept, 2u);  // (0,0): 1==1; (1,0): 2!=1; (2,1): 3==3.
-  EXPECT_EQ(build_rows, (std::vector<uint32_t>{0, 2}));
-  EXPECT_EQ(probe_rows, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(kernels::SelectKeyMatches(build, one, probe, one, rows.data(),
+                                      runs.data(), runs.size(), counts.data(),
+                                      out.data()),
+            3u);
+  EXPECT_EQ(counts, (std::vector<uint32_t>{2, 1, 0}));
+  EXPECT_EQ(std::vector<uint32_t>(out.begin(), out.begin() + 3),
+            (std::vector<uint32_t>{0, 3, 2}));
+  // Probe rows need not be contiguous: rows 2 (key 9) and 1 (key 3).
+  const std::vector<uint32_t> skipping = {2, 1};
+  EXPECT_EQ(kernels::CountKeyMatches(build, one, probe, one, skipping.data(),
+                                     runs.data(), 2, counts.data()),
+            1u);
+  EXPECT_EQ(std::vector<uint32_t>(counts.begin(), counts.begin() + 2),
+            (std::vector<uint32_t>{0, 1}));
+}
+
+TEST(KernelsTest, GatherAndRepeatWriteInPlace) {
+  const columnar::IdVector src = {5, 6, 7, 8};
+  const std::vector<uint32_t> sel = {3, 0, 0, 2};
+  columnar::IdVector dst(6, 0);
+  kernels::Gather(src, sel.data(), sel.size(), dst.data() + 1);
+  EXPECT_EQ(dst, (columnar::IdVector{0, 8, 5, 5, 7, 0}));
+
+  // Rows 1, 2 and 3 repeated 2, 0 and 3 times.
+  const std::vector<uint32_t> rows = {1, 2, 3};
+  const std::vector<uint32_t> counts = {2, 0, 3};
+  columnar::IdVector repeated(5, 0);
+  kernels::Repeat(src, rows.data(), counts.data(), rows.size(),
+                  repeated.data());
+  EXPECT_EQ(repeated, (columnar::IdVector{6, 6, 8, 8, 8}));
 }
 
 columnar::IdListColumn ListOf(

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,6 +32,7 @@
 #include "sparql/parser.h"
 #include "watdiv/generator.h"
 #include "watdiv/queries.h"
+#include "watdiv/schema.h"
 
 namespace prost {
 namespace {
@@ -378,6 +380,64 @@ TEST_F(WatDivDeterminismTest, KernelPathRunTwiceByteIdentityAtFullMorsels) {
                      serial_result->simulated_millis)
         << wq.id;
   }
+}
+
+TEST(JoinRowBudgetTest, FriendOfStarFailsInTheJoinAtEveryThreadCount) {
+  watdiv::WatDivConfig config;
+  config.target_triples = 4000;
+  config.seed = 7;
+  watdiv::WatDivDataset dataset = watdiv::Generate(config);
+  dataset.graph.SortAndDedupe();
+  auto graph =
+      std::make_shared<const rdf::EncodedGraph>(std::move(dataset.graph));
+  const std::string friend_of = watdiv::Predicates::friendOf();
+  auto parsed = sparql::ParseQuery(
+      "SELECT * WHERE { ?a <" + friend_of + "> ?f . ?b <" + friend_of +
+      "> ?f . ?c <" + friend_of + "> ?f . }");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+
+  // The star's answer: every (a, b, c) over a shared friend f, so
+  // sum over f of indegree(f)^3 rows.
+  const rdf::TermId predicate =
+      graph->dictionary().Lookup("<" + friend_of + ">");
+  std::map<rdf::TermId, uint64_t> indegree;
+  uint64_t scan_rows = 0;
+  for (const rdf::EncodedTriple& triple : graph->triples()) {
+    if (triple.predicate != predicate) continue;
+    ++indegree[triple.object];
+    ++scan_rows;
+  }
+  uint64_t star_rows = 0;
+  for (const auto& [object, degree] : indegree) {
+    star_rows += degree * degree * degree;
+  }
+  ASSERT_GT(star_rows, 100 * scan_rows);
+
+  auto serial = MakeDb(graph, 1, kTinyMorselRows);
+  auto parallel = MakeDb(graph, 4, kTinyMorselRows);
+  ASSERT_NE(serial, nullptr);
+  ASSERT_NE(parallel, nullptr);
+
+  // Every scan fits the budget, so the first join's count is what trips
+  // it, before that join allocates its output.
+  engine::QueryBudget budget;
+  budget.max_rows = scan_rows;
+  auto serial_budgeted = serial->Execute(*parsed, nullptr, &budget);
+  auto parallel_budgeted = parallel->Execute(*parsed, nullptr, &budget);
+  ASSERT_FALSE(serial_budgeted.ok());
+  EXPECT_EQ(serial_budgeted.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(serial_budgeted.status().message().find("hash join on (f)"),
+            std::string::npos)
+      << serial_budgeted.status();
+  EXPECT_EQ(parallel_budgeted.status(), serial_budgeted.status());
+
+  auto serial_result = serial->Execute(*parsed);
+  auto parallel_result = parallel->Execute(*parsed);
+  ASSERT_TRUE(serial_result.ok()) << serial_result.status();
+  ASSERT_TRUE(parallel_result.ok()) << parallel_result.status();
+  EXPECT_EQ(serial_result->relation.TotalRows(), star_rows);
+  ExpectBitIdentical(parallel_result->relation, serial_result->relation,
+                     "friendOf star, 4 threads vs 1");
 }
 
 }  // namespace

@@ -230,19 +230,22 @@ TEST(CardinalityEstimatorTest, ScanEstimatesWithCharacteristicSets) {
   const rdf::TermId p1 = Predicate(graph, "<http://ex/p1>");
   stats::StarDescriptor scan;
   scan.patterns.push_back({p1, false, false});
-  EXPECT_DOUBLE_EQ(est.EstimateScanRows(scan), 3.0);
-  EXPECT_DOUBLE_EQ(est.EstimateKeyDistinct(scan), 2.0);
+  EXPECT_DOUBLE_EQ(est.EstimateScan(scan).rows, 3.0);
+  EXPECT_DOUBLE_EQ(est.EstimateScan(scan).key_distinct, 2.0);
+  ASSERT_TRUE(est.EstimateScan(scan).star.has_value());
+  EXPECT_EQ(est.EstimateScan(scan).star->subjects,
+            est.StarExact({p1})->subjects);
 
   // A constant object keeps 1/distinct_objects of the rows.
   scan.patterns[0].object_is_constant = true;
-  EXPECT_DOUBLE_EQ(est.EstimateScanRows(scan), 1.5);
+  EXPECT_DOUBLE_EQ(est.EstimateScan(scan).rows, 1.5);
   EXPECT_DOUBLE_EQ(est.EstimateValueDistinct(scan, 0, 3.0), 2.0);
 
   // A constant subject selects one of the star's key values.
   scan.patterns[0].object_is_constant = false;
   scan.patterns[0].subject_is_constant = true;
-  EXPECT_DOUBLE_EQ(est.EstimateScanRows(scan), 1.5);
-  EXPECT_DOUBLE_EQ(est.EstimateKeyDistinct(scan), 1.0);
+  EXPECT_DOUBLE_EQ(est.EstimateScan(scan).rows, 1.5);
+  EXPECT_DOUBLE_EQ(est.EstimateScan(scan).key_distinct, 1.0);
 }
 
 TEST(CardinalityEstimatorTest, StarExactAnswersAndFallbackSentinel) {

@@ -95,6 +95,13 @@ Checks, each with a short rule id used in diagnostics:
                        unnests list cells by offsets (engine/kernels.h);
                        a per-row partial binding is the row-at-a-time
                        path it replaced, and must not return.
+  whole-result-copy    a call to `engine::Project(` or `engine::Limit(`
+                       in src/core/ whose first argument is not
+                       `std::move(`. Both take their relation by value
+                       and hand its columns over; an lvalue argument
+                       silently copies the whole intermediate result
+                       (for WatDiv C2, 498,504 rows) before the operator
+                       runs.
 
   test-only-api        a free function, or a static member function,
                        declared in a src/ header that no program names:
@@ -396,6 +403,27 @@ def lint_pt_row_at_a_time(path, lines, failures):
             )
 
 
+WHOLE_RESULT_CALL = re.compile(r"\bengine\s*::\s*(Project|Limit)\s*\(")
+MOVED_ARGUMENT = re.compile(r"\s*std\s*::\s*move\s*\(")
+
+
+def lint_whole_result_copy(path, lines, failures):
+    """engine::Project and engine::Limit take their relation by value:
+    src/core/ callers move it in. The first argument may start on the
+    line after the call's parenthesis."""
+    for index, (number, line) in enumerate(lines):
+        for match in WHOLE_RESULT_CALL.finditer(line):
+            argument = line[match.end():]
+            if not argument.strip() and index + 1 < len(lines):
+                argument = lines[index + 1][1]
+            if not MOVED_ARGUMENT.match(argument):
+                failures.append(
+                    f"{path}:{number}: [whole-result-copy] "
+                    f"engine::{match.group(1)}( copies its whole input "
+                    "relation; pass std::move(relation)"
+                )
+
+
 PARALLEL_FOR = re.compile(r"\bParallelFor\s*\(")
 PARALLEL_FOR_OWNERS = (
     "src/common/thread_pool.h",
@@ -661,6 +689,8 @@ def main():
                                            text.splitlines(), failures)
             if in_net_layer:
                 lint_net_decode(relative, lines, failures)
+            if relative.parts[:2] == ("src", "core"):
+                lint_whole_result_copy(relative, lines, failures)
             if relative.as_posix() == PT_SCAN_FILE:
                 lint_pt_row_at_a_time(relative, lines, failures)
             lint_include_order(relative, text, failures)
