@@ -1,15 +1,19 @@
-// Order-exact differential test of the Property Table scan kernel.
+// Order-exact differential test of the paged scan kernel, over Property
+// Table and Vertical Partitioning scans.
 //
-// OracleScanRows is the row-at-a-time partial-binding loop the scan ran
-// before its selection-vector kernel, kept here as the reference. Every
-// check runs PropertyTable::Scan and, per partition, the oracle over
-// that partition's decoded columns, and requires each output chunk's
-// columns to equal the oracle's *in order*: the kernel must reproduce the
-// row-major order and the nesting of list-cell values, not only the
-// multiset of rows. Inputs are seeded random graphs (empty cells, 1-4
-// values per list cell, flat and list columns, forward and reverse
-// tables, row groups small enough to split) and every PT scan of the 20
-// WatDiv basic queries.
+// OracleScanRows is the row-at-a-time partial-binding loop the PT scan
+// ran before its selection-vector kernel, kept here as the reference. A
+// VP partition is the oracle's flat-only case: key column `s` plus one
+// flat column `o`. Every check runs PropertyTable::Scan or VpStore::Scan
+// and, per partition, the oracle over that partition's decoded columns,
+// and requires each output chunk's columns to equal the oracle's *in
+// order*: the kernel must reproduce the row-major order and the nesting
+// of list-cell values, not only the multiset of rows. Inputs are seeded
+// random graphs (empty cells, 1-4 values per list cell, flat and list
+// columns, forward and reverse tables, row groups small enough to split)
+// and every PT and VP scan of the 20 WatDiv basic queries, each at one
+// thread and at four threads with 16-row morsels, where a partition
+// splits into several scan tasks.
 
 #include <gtest/gtest.h>
 
@@ -23,9 +27,12 @@
 #include "cluster/cost_model.h"
 #include "columnar/buffer_pool.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/property_table.h"
 #include "core/prost_db.h"
 #include "core/statistics.h"
+#include "core/vp_store.h"
+#include "engine/exec_context.h"
 #include "sparql/parser.h"
 #include "watdiv/generator.h"
 #include "watdiv/queries.h"
@@ -134,10 +141,11 @@ size_t ExpectScanMatchesOracle(const PropertyTable& pt,
                                const rdf::Dictionary& dictionary,
                                const PatternTerm& key,
                                const std::vector<ColumnPattern>& patterns,
+                               const engine::ExecContext* exec,
                                const std::string& context) {
   cluster::CostModel cost((cluster::ClusterConfig()));
   cost.BeginStage("scan");
-  auto actual = pt.Scan(key, patterns, cost);
+  auto actual = pt.Scan(key, patterns, cost, exec);
   cost.EndStage();
   EXPECT_TRUE(actual.ok()) << context << ": " << actual.status();
   if (!actual.ok()) return 0;
@@ -176,6 +184,57 @@ size_t ExpectScanMatchesOracle(const PropertyTable& pt,
   }
   return actual->TotalRows();
 }
+
+/// The VP twin of ExpectScanMatchesOracle: runs VpStore::Scan of
+/// `subject predicate object` and, per partition, the oracle over the
+/// decoded (s, o) columns with `s` as the key and `o` as the one flat
+/// pattern column. An unknown predicate must yield empty chunks.
+size_t ExpectVpScanMatchesOracle(const VpStore& vp, TermId predicate,
+                                 const PatternTerm& subject,
+                                 const PatternTerm& object,
+                                 const engine::ExecContext* exec,
+                                 const std::string& context) {
+  cluster::CostModel cost((cluster::ClusterConfig()));
+  cost.BeginStage("scan");
+  auto actual = vp.Scan(predicate, subject, object, cost, exec);
+  cost.EndStage();
+  EXPECT_TRUE(actual.ok()) << context << ": " << actual.status();
+  if (!actual.ok()) return 0;
+  EXPECT_EQ(actual->num_chunks(), vp.num_workers()) << context;
+  const VpStore::PredicateTable* table = vp.Find(predicate);
+  for (uint32_t w = 0; w < vp.num_workers(); ++w) {
+    const engine::RelationChunk& chunk = actual->chunks()[w];
+    if (table == nullptr) {
+      EXPECT_EQ(chunk.num_rows(), 0u) << context << ", partition " << w;
+      continue;
+    }
+    auto stored = table->paged[w].ToStored();
+    EXPECT_TRUE(stored.ok()) << context << ": " << stored.status();
+    if (!stored.ok()) continue;
+    std::vector<IdVector> expected =
+        OracleScanRows(subject, {{predicate, object}},
+                       stored->column(0).ids(), {&stored->column(1)});
+    EXPECT_EQ(chunk.columns.size(), expected.size()) << context;
+    for (size_t c = 0; c < std::min(chunk.columns.size(), expected.size());
+         ++c) {
+      EXPECT_EQ(chunk.columns[c], expected[c])
+          << context << ", partition " << w << ", column "
+          << actual->column_names()[c];
+    }
+  }
+  return actual->TotalRows();
+}
+
+/// The thread configurations every check runs at: one thread (no
+/// context), and four threads with 16-row morsels, so that a partition
+/// of more than one small row group splits into several scan tasks.
+struct ThreadConfigs {
+  ThreadPool pool{4};
+  engine::ExecContext four{&pool, /*morsel_rows=*/16};
+  std::vector<std::pair<const engine::ExecContext*, std::string>> all() {
+    return {{nullptr, " 1 thread"}, {&four, " 4 threads"}};
+  }
+};
 
 /// A seeded random graph over subjects s0..s39 and predicates p0..p5.
 /// p0-p2 give a subject 1-4 values, p3-p5 at most one; about a third of
@@ -217,11 +276,13 @@ rdf::EncodedGraph RandomGraph(uint64_t seed) {
   return graph;
 }
 
-/// One randomly built table plus what shape generators need to know.
+/// One randomly built table, the VP store of the same graph, and what
+/// shape generators need to know.
 struct RandomTable {
   rdf::EncodedGraph graph;
   std::unique_ptr<columnar::BufferPool> pool;
   PropertyTable pt;
+  VpStore vp;
   std::vector<TermId> list_predicates;
   std::vector<TermId> flat_predicates;
   std::vector<TermId> values;  // Every value and key id of the graph.
@@ -237,6 +298,8 @@ std::unique_ptr<RandomTable> MakeRandomTable(uint64_t seed, bool reverse,
   const uint32_t workers = 1 + static_cast<uint32_t>(seed % 3);
   table->pt = PropertyTable::Build(table->graph, stats, workers,
                                    *table->pool, reverse, row_group_rows);
+  table->vp =
+      VpStore::Build(table->graph, workers, *table->pool, row_group_rows);
   const rdf::Dictionary& dictionary = table->graph.dictionary();
   const columnar::Schema& schema = table->pt.partition(0).schema();
   for (size_t c = 1; c < schema.num_fields(); ++c) {
@@ -256,7 +319,9 @@ std::unique_ptr<RandomTable> MakeRandomTable(uint64_t seed, bool reverse,
   return table;
 }
 
-/// Generates one scan (key + patterns) for a random table.
+/// Generates one scan (key + patterns) for a random table. A VP shape is
+/// one pattern: the key is its subject, the pattern its predicate and
+/// object.
 struct ScanShape {
   PatternTerm key;
   std::vector<ColumnPattern> patterns;
@@ -268,13 +333,18 @@ const T& Pick(const std::vector<T>& items, Rng& rng) {
   return items[rng.NextBounded(items.size())];
 }
 
-/// Runs `shape` over seeded tables, forward and reverse, with default and
-/// 3-row row groups, and returns the total output rows (so a test can
-/// assert that its shape is not vacuous).
-size_t RunShape(ShapeFn shape, const std::string& name) {
+/// Runs `shape` over seeded tables, forward and reverse (VP shapes have
+/// no reverse table), with default and 3-row row groups, at each thread
+/// configuration, and returns the total output rows (so a test can assert
+/// that its shape is not vacuous).
+size_t RunShape(ShapeFn shape, const std::string& name,
+                bool vertical = false) {
+  ThreadConfigs threads;
+  const std::vector<bool> orientations =
+      vertical ? std::vector<bool>{false} : std::vector<bool>{false, true};
   size_t total_rows = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
-    for (bool reverse : {false, true}) {
+    for (bool reverse : orientations) {
       for (uint32_t row_group_rows : {0u, 3u}) {
         auto table = MakeRandomTable(seed, reverse, row_group_rows);
         if (table->list_predicates.empty() ||
@@ -282,16 +352,25 @@ size_t RunShape(ShapeFn shape, const std::string& name) {
           ADD_FAILURE() << "seed " << seed << " lacks a column kind";
           continue;
         }
-        Rng rng(seed * 1000 + (reverse ? 7 : 0) + row_group_rows);
-        for (int n = 0; n < 25; ++n) {
-          ScanShape scan = shape(*table, rng);
-          total_rows += ExpectScanMatchesOracle(
-              table->pt, table->graph.dictionary(), scan.key, scan.patterns,
-              name + " seed " + std::to_string(seed) +
-                  (reverse ? " reverse" : " forward") + " rg " +
-                  std::to_string(row_group_rows) + " scan " +
-                  std::to_string(n));
-          if (::testing::Test::HasFailure()) return total_rows;
+        for (const auto& [exec, thread_name] : threads.all()) {
+          Rng rng(seed * 1000 + (reverse ? 7 : 0) + row_group_rows);
+          for (int n = 0; n < 25; ++n) {
+            ScanShape scan = shape(*table, rng);
+            const std::string context =
+                name + " seed " + std::to_string(seed) +
+                (reverse ? " reverse" : " forward") + " rg " +
+                std::to_string(row_group_rows) + thread_name + " scan " +
+                std::to_string(n);
+            total_rows +=
+                vertical
+                    ? ExpectVpScanMatchesOracle(
+                          table->vp, scan.patterns[0].predicate, scan.key,
+                          scan.patterns[0].value, exec, context)
+                    : ExpectScanMatchesOracle(
+                          table->pt, table->graph.dictionary(), scan.key,
+                          scan.patterns, exec, context);
+            if (::testing::Test::HasFailure()) return total_rows;
+          }
         }
       }
     }
@@ -430,6 +509,70 @@ TEST(PtScanOracleTest, ConstantKey) {
   EXPECT_GT(RunShape(present, "present constant key"), 0u);
 }
 
+/// Any predicate of the random graph, list or flat in the PT.
+TermId AnyPredicate(const RandomTable& t, Rng& rng) {
+  return rng.NextBounded(2) == 0 ? Pick(t.list_predicates, rng)
+                                 : Pick(t.flat_predicates, rng);
+}
+
+TEST(VpScanOracleTest, Open) {
+  ShapeFn shape = [](const RandomTable& t, Rng& rng) {
+    return ScanShape{PatternTerm::Var("s"),
+                     {{AnyPredicate(t, rng), PatternTerm::Var("o")}}};
+  };
+  EXPECT_GT(RunShape(shape, "vp open", /*vertical=*/true), 0u);
+}
+
+TEST(VpScanOracleTest, ConstantSubject) {
+  // Subjects present in the table and values that are no subject (the
+  // bloom filter and the row filter both see them).
+  ShapeFn shape = [](const RandomTable& t, Rng& rng) {
+    return ScanShape{PatternTerm::Const(Pick(t.values, rng)),
+                     {{AnyPredicate(t, rng), PatternTerm::Var("o")}}};
+  };
+  EXPECT_GT(RunShape(shape, "vp constant subject", true), 0u);
+}
+
+TEST(VpScanOracleTest, ConstantObject) {
+  ShapeFn shape = [](const RandomTable& t, Rng& rng) {
+    return ScanShape{PatternTerm::Var("s"),
+                     {{AnyPredicate(t, rng),
+                       PatternTerm::Const(Pick(t.values, rng))}}};
+  };
+  EXPECT_GT(RunShape(shape, "vp constant object", true), 0u);
+}
+
+TEST(VpScanOracleTest, SameVariable) {
+  // `?x p ?x`: one output column, rows with s == o.
+  ShapeFn shape = [](const RandomTable& t, Rng& rng) {
+    return ScanShape{PatternTerm::Var("x"),
+                     {{AnyPredicate(t, rng), PatternTerm::Var("x")}}};
+  };
+  EXPECT_GT(RunShape(shape, "vp same variable", true), 0u);
+}
+
+TEST(VpScanOracleTest, UnknownPredicate) {
+  // Value ids are never predicates of the random graph.
+  ShapeFn shape = [](const RandomTable& t, Rng& rng) {
+    return ScanShape{PatternTerm::Var("s"),
+                     {{Pick(t.values, rng), PatternTerm::Var("o")}}};
+  };
+  EXPECT_EQ(RunShape(shape, "vp unknown predicate", true), 0u);
+}
+
+TEST(VpScanOracleTest, ImpossibleConstant) {
+  // A constant outside the dictionary, in either position.
+  ShapeFn shape = [](const RandomTable& t, Rng& rng) {
+    const PatternTerm impossible = PatternTerm::Const(rdf::kNullTermId);
+    ScanShape scan{PatternTerm::Var("s"),
+                   {{AnyPredicate(t, rng), PatternTerm::Var("o")}}};
+    (rng.NextBounded(2) == 0 ? scan.key : scan.patterns[0].value) =
+        impossible;
+    return scan;
+  };
+  EXPECT_EQ(RunShape(shape, "vp impossible constant", true), 0u);
+}
+
 TEST(PtScanOracleTest, EveryWatDivPtScan) {
   watdiv::WatDivConfig config;
   config.target_triples = 20000;
@@ -450,8 +593,10 @@ TEST(PtScanOracleTest, EveryWatDivPtScan) {
     bool forward;
     uint32_t row_group_rows;
   };
+  ThreadConfigs threads;
   size_t forward_scans = 0;
   size_t reverse_scans = 0;
+  size_t vp_scans = 0;
   size_t rows = 0;
   for (Config config : {Config{true, 0}, Config{true, 256},
                         Config{false, 256}}) {
@@ -467,28 +612,39 @@ TEST(PtScanOracleTest, EveryWatDivPtScan) {
       auto tree = (*db)->Plan(*parsed);
       ASSERT_TRUE(tree.ok()) << wq.id << ": " << tree.status();
       for (const JoinTreeNode& node : tree->nodes) {
-        if (node.kind == NodeKind::kVerticalPartitioning) continue;
-        const bool reverse = node.kind == NodeKind::kReversePropertyTable;
-        std::vector<ColumnPattern> patterns;
-        for (const NodePattern& p : node.patterns) {
-          patterns.push_back({p.predicate, reverse ? p.subject : p.object});
+        for (const auto& [exec, thread_name] : threads.all()) {
+          const std::string context =
+              wq.id + " " + node.Label() + " rg " +
+              std::to_string(config.row_group_rows) + thread_name;
+          if (node.kind == NodeKind::kVerticalPartitioning) {
+            const NodePattern& p = node.patterns[0];
+            rows += ExpectVpScanMatchesOracle((*db)->vp_store(), p.predicate,
+                                              p.subject, p.object, exec,
+                                              context);
+            ++vp_scans;
+            continue;
+          }
+          const bool reverse = node.kind == NodeKind::kReversePropertyTable;
+          std::vector<ColumnPattern> patterns;
+          for (const NodePattern& p : node.patterns) {
+            patterns.push_back({p.predicate, reverse ? p.subject : p.object});
+          }
+          const PatternTerm& key =
+              reverse ? node.patterns[0].object : node.patterns[0].subject;
+          const PropertyTable* pt = reverse
+                                        ? (*db)->reverse_property_table()
+                                        : (*db)->property_table();
+          ASSERT_NE(pt, nullptr);
+          rows += ExpectScanMatchesOracle(*pt, (*db)->dictionary(), key,
+                                          patterns, exec, context);
+          ++(reverse ? reverse_scans : forward_scans);
         }
-        const PatternTerm& key =
-            reverse ? node.patterns[0].object : node.patterns[0].subject;
-        const PropertyTable* pt = reverse
-                                      ? (*db)->reverse_property_table()
-                                      : (*db)->property_table();
-        ASSERT_NE(pt, nullptr);
-        rows += ExpectScanMatchesOracle(
-            *pt, (*db)->dictionary(), key, patterns,
-            wq.id + " " + node.Label() + " rg " +
-                std::to_string(config.row_group_rows));
-        ++(reverse ? reverse_scans : forward_scans);
       }
     }
   }
   EXPECT_GT(forward_scans, 20u);
   EXPECT_GT(reverse_scans, 0u);
+  EXPECT_GT(vp_scans, 20u);
   EXPECT_GT(rows, 0u);
 }
 
