@@ -7,8 +7,6 @@
 #include "common/hash.h"
 #include "common/io.h"
 #include "common/str_util.h"
-#include "engine/kernels.h"
-#include "engine/task_loop.h"
 
 namespace prost::core {
 
@@ -20,7 +18,6 @@ using columnar::IdVector;
 using columnar::Schema;
 using columnar::StoredTable;
 using engine::Relation;
-using engine::RelationChunk;
 using rdf::TermId;
 
 PropertyTable PropertyTable::Build(const rdf::EncodedGraph& graph,
@@ -201,26 +198,16 @@ Result<Relation> PropertyTable::Scan(
     return Status::InvalidArgument("property table scan needs patterns");
   }
   // Output layout: key variable first, then each new pattern variable.
-  std::vector<std::string> names;
-  std::unordered_map<std::string, size_t> index_of_name;
-  if (key.is_variable) {
-    index_of_name.emplace(key.name, names.size());
-    names.push_back(key.name);
+  std::vector<const PatternTerm*> terms{&key};
+  for (const ColumnPattern& pattern : patterns) {
+    terms.push_back(&pattern.value);
   }
-  // Per pattern: output column index of its variable, or -1 for consts.
-  std::vector<int> pattern_out(patterns.size(), -1);
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    if (!patterns[i].value.is_variable) continue;
-    auto [it, inserted] =
-        index_of_name.emplace(patterns[i].value.name, names.size());
-    if (inserted) names.push_back(patterns[i].value.name);
-    pattern_out[i] = static_cast<int>(it->second);
-  }
+  std::vector<std::string> names = ScanOutputNames(terms);
   if (names.empty()) {
     return Status::Unimplemented(
         "pattern groups without variables are not supported");
   }
-  Relation output(names, num_workers_);
+  Relation output(std::move(names), num_workers_);
 
   // Columnar pruning charges the key column plus each touched column once
   // per partition; paged scans apportion exactly these columns' bytes
@@ -244,122 +231,17 @@ Result<Relation> PropertyTable::Scan(
     return output;
   }
 
-  // The scan kernel takes one pinned row group as column views —
-  // `row_keys` plus `cols[i]`, pattern i's table column (row indices are
-  // group-local) — and appends its rows to `out`, row-major and, within a
-  // row, in list-cell order of the variables' first occurrences.
-  //
-  // Phase 1 refines the row selection once per pattern, expanding
-  // nothing: a constant must be in the cell, a variable's cell must be
-  // non-empty. A row failing either yields no output, whatever the other
-  // patterns hold.
-  //
-  // Phase 2 expands in pattern order. A partial binding is its row plus
-  // one value position per list-bound variable. A variable's first
-  // occurrence on a list column unnests the cells by offsets; on a flat
-  // column (or the key) it reads by row and expands nothing. A repeated
-  // variable keeps the partials whose cell holds the bound value.
-  struct Binding {
-    const IdVector* by_row = nullptr;  // Key or flat column: value by row.
-    const IdVector* values = nullptr;  // List column values, by position.
-    std::vector<uint32_t> positions;   // Per partial, into `values`.
-  };
-  auto scan_rows = [&](const IdVector& row_keys,
-                       const std::vector<const Column*>& cols,
-                       RelationChunk& out) {
-    std::vector<uint32_t> rows;  // Per partial: its group-local row.
-    if (!key.is_variable) {
-      engine::kernels::Filter(row_keys, key.id, 0, row_keys.size(), rows);
-    } else {
-      engine::kernels::Iota(0, row_keys.size(), rows);
-    }
-    for (size_t i = 0; i < patterns.size() && !rows.empty(); ++i) {
-      const PatternTerm& value = patterns[i].value;
-      if (cols[i]->kind() == ColumnKind::kId) {
-        value.is_variable
-            ? engine::kernels::RefineNotNull(cols[i]->ids(), rows)
-            : engine::kernels::Refine(cols[i]->ids(), value.id, rows);
-      } else {
-        value.is_variable
-            ? engine::kernels::RefineListNotEmpty(cols[i]->lists(), rows)
-            : engine::kernels::RefineListContains(cols[i]->lists(),
-                                                  value.id, rows);
-      }
-    }
-
-    std::vector<Binding> bound(names.size());
-    if (key.is_variable) bound[0].by_row = &row_keys;
-    std::vector<uint32_t> index;
-    std::vector<uint32_t> scratch;
-    IdVector probe;
-    IdVector cell;
-    // Re-indexes every partial through `index` (repeat or keep indices).
-    auto reindex = [&]() {
-      scratch.clear();
-      engine::kernels::Gather(rows, index, scratch);
-      rows.swap(scratch);
-      for (Binding& b : bound) {
-        if (b.values == nullptr) continue;
-        scratch.clear();
-        engine::kernels::Gather(b.positions, index, scratch);
-        b.positions.swap(scratch);
-      }
-    };
-    for (size_t i = 0; i < patterns.size() && !rows.empty(); ++i) {
-      if (!patterns[i].value.is_variable) continue;
-      const Column& column = *cols[i];
-      Binding& b = bound[static_cast<size_t>(pattern_out[i])];
-      index.clear();
-      if (b.by_row == nullptr && b.values == nullptr) {
-        if (column.kind() == ColumnKind::kId) {
-          b.by_row = &column.ids();
-          continue;
-        }
-        std::vector<uint32_t> positions;
-        engine::kernels::ListExpand(column.lists(), rows, index, positions);
-        reindex();
-        b.values = &column.lists().values;
-        b.positions = std::move(positions);
-        continue;
-      }
-      probe.clear();
-      if (b.by_row != nullptr) {
-        engine::kernels::Gather(*b.by_row, rows, probe);
-      } else {
-        engine::kernels::Gather(*b.values, b.positions, probe);
-      }
-      if (column.kind() == ColumnKind::kId) {
-        cell.clear();
-        engine::kernels::Gather(column.ids(), rows, cell);
-        engine::kernels::FilterRowsEqual(cell, probe, 0, rows.size(), index);
-      } else {
-        engine::kernels::FilterListContains(column.lists(), rows, probe,
-                                            index);
-      }
-      if (index.size() < rows.size()) reindex();
-    }
-    if (rows.empty()) return;
-    for (size_t c = 0; c < names.size(); ++c) {
-      if (bound[c].by_row != nullptr) {
-        engine::kernels::Gather(*bound[c].by_row, rows, out.columns[c]);
-      } else {
-        engine::kernels::Gather(*bound[c].values, bound[c].positions,
-                                out.columns[c]);
-      }
-    }
-  };
-
   // Per partition: the row groups the pruner cannot rule out, their rows
   // and the lexical bytes they charge. Each touched column is its own
   // charge unit, and a group whose touched predicate column is all-NULL
   // cannot produce a row.
-  std::vector<RowGroupPruner::Partition> kept(num_workers_);
-  ScanTelemetry local;
   std::vector<std::pair<size_t, const PatternTerm*>> bindings{{0, &key}};
   for (size_t i = 0; i < patterns.size(); ++i) {
     bindings.emplace_back(static_cast<size_t>(pattern_column[i]),
                           &patterns[i].value);
   }
+  std::vector<RowGroupPruner::Partition> kept(num_workers_);
+  ScanTelemetry pruned;
   const RowGroupPruner pruner(
       num_columns(), bindings, hints,
       std::vector<size_t>(charged_cols.begin() + 1, charged_cols.end()));
@@ -373,55 +255,10 @@ Result<Relation> PropertyTable::Scan(
     for (size_t c : charged_cols) {
       units.push_back({{c}, column_bytes_[w][c]});
     }
-    kept[w] = pruner.Prune(paged_[w], units, local);
+    kept[w] = pruner.Prune(paged_[w], units, pruned);
   }
-
-  // One task per partition, writing only its own output chunk. It scans
-  // its surviving groups in ascending (= row) order through pool pins:
-  // the key chunk plus one pin per distinct touched column, held for
-  // exactly the duration of the group's scan.
-  auto scan_partition = [&](uint32_t w) -> Status {
-    RelationChunk& out = output.mutable_chunks()[w];
-    std::vector<const Column*> cols(patterns.size(), nullptr);
-    const columnar::PagedTable& paged = paged_[w];
-    std::vector<columnar::PinnedPage> pins;
-    for (uint32_t g : kept[w].groups) {
-      PROST_ASSIGN_OR_RETURN(columnar::PinnedPage key_pin,
-                             pool_->Pin(paged, g, 0));
-      pins.clear();
-      pins.reserve(charged_cols.size() - 1);
-      for (size_t j = 1; j < charged_cols.size(); ++j) {
-        PROST_ASSIGN_OR_RETURN(
-            columnar::PinnedPage pin,
-            pool_->Pin(paged, g, static_cast<uint32_t>(charged_cols[j])));
-        pins.push_back(std::move(pin));
-        // Frame storage is stable in the pool, so the Column reference
-        // survives `pins` reallocation.
-        for (size_t i = 0; i < patterns.size(); ++i) {
-          if (static_cast<size_t>(pattern_column[i]) == charged_cols[j]) {
-            cols[i] = &pins.back().column();
-          }
-        }
-      }
-      scan_rows(key_pin.column().ids(), cols, out);
-    }
-    return Status::OK();
-  };
-  std::vector<Status> statuses(num_workers_);
-  engine::RunTasks(exec, num_workers_, [&](size_t w) {
-    statuses[w] = scan_partition(static_cast<uint32_t>(w));
-  });
-  for (const Status& status : statuses) PROST_RETURN_IF_ERROR(status);
-
-  uint64_t bytes_scanned = 0;
-  for (uint32_t w = 0; w < num_workers_; ++w) {
-    cost.ChargeScan(w, kept[w].charged_bytes);
-    cost.ChargeCpuRows(w, kept[w].rows + output.chunks()[w].num_rows());
-    bytes_scanned += kept[w].charged_bytes;
-  }
-  RecordPagedScan(*pool_, bytes_scanned, local, telemetry);
-  if (key.is_variable) output.set_hash_partitioned_by(0);
-  return output;
+  return ScanRowGroups(paged_, kept, bindings, std::move(output), *pool_,
+                       cost, exec, pruned, telemetry);
 }
 
 uint64_t PropertyTable::TotalBytesEstimate() const {

@@ -67,17 +67,16 @@ class PropertyTable {
   /// (object for reverse tables); each ColumnPattern contributes one
   /// bound column. Variables repeated across patterns (including the key
   /// variable) are joined within the row. Charges only the touched
-  /// columns' bytes to `cost` — the columnar pruning that makes the PT
-  /// cheap to scan despite its width. Each partition is one scan task
-  /// writing its own output chunk, so the output is bit-identical at any
-  /// thread count; cost charges stay on the calling thread.
+  /// columns' bytes to `cost`, one charge unit per column — the columnar
+  /// pruning that makes the PT cheap to scan despite its width.
   /// Row groups are skipped before decode whenever (a) a zone map
   /// excludes a constant or an equality-`hint` id for the column its
   /// variable binds, or (b) any touched predicate column is all-NULL in
-  /// the group (every row of the group would lose that pattern anyway);
-  /// the key bloom filter skips whole partitions on constant-key lookups.
-  /// Skips leave the result unchanged, lower the scan's cost charges and
-  /// are reported through `telemetry` when given.
+  /// the group; the key bloom filter skips whole partitions on
+  /// constant-key lookups. Skips lower the charges and are reported
+  /// through `telemetry` when given. The surviving groups are scanned by
+  /// core::ScanRowGroups, whose runs of groups make the output
+  /// bit-identical at any thread count.
   Result<engine::Relation> Scan(const PatternTerm& key,
                                 const std::vector<ColumnPattern>& patterns,
                                 cluster::CostModel& cost,

@@ -1,6 +1,17 @@
 #include "core/scan_support.h"
 
+#include <algorithm>
+
+#include "engine/kernels.h"
+#include "engine/task_loop.h"
+
 namespace prost::core {
+
+using columnar::Column;
+using columnar::ColumnKind;
+using columnar::IdVector;
+using engine::Relation;
+using engine::RelationChunk;
 
 RowGroupPruner::RowGroupPruner(
     size_t num_columns,
@@ -86,13 +97,249 @@ bool RowGroupPruner::ZoneMayContain(const columnar::ColumnStats& stats,
   return id >= stats.min_id && id <= stats.max_id;
 }
 
-void RecordPagedScan(columnar::BufferPool& pool, uint64_t bytes_scanned,
-                     ScanTelemetry local, ScanTelemetry* telemetry) {
-  local.bytes_scanned += bytes_scanned;
-  pool.NoteRowGroupsSkipped(local.row_groups_skipped);
-  pool.NotePartitionsSkipped(local.partitions_skipped);
-  pool.NoteBytesScanned(local.bytes_scanned);
-  if (telemetry != nullptr) *telemetry = local;
+std::vector<std::string> ScanOutputNames(
+    const std::vector<const PatternTerm*>& terms) {
+  std::vector<std::string> names;
+  for (const PatternTerm* term : terms) {
+    if (term->is_variable &&
+        std::find(names.begin(), names.end(), term->name) == names.end()) {
+      names.push_back(term->name);
+    }
+  }
+  return names;
+}
+
+namespace {
+
+/// A variable's binding while the kernel expands one row group.
+struct Binding {
+  const IdVector* by_row = nullptr;  // Flat column: value by row.
+  const IdVector* values = nullptr;  // List column values, by position.
+  std::vector<uint32_t> positions;   // Per partial, into `values`.
+};
+
+/// The scan kernel, with scratch one task reuses over its row groups.
+/// Scan appends one pinned group's rows to `out`, row-major and, within a
+/// row, in list-cell order of the variables' first occurrences. It sees
+/// binding i as `cols[i]` (the key column first; row indices are
+/// group-local); `dense[i]` says that column has no NULL in the group.
+///
+/// Phase 1 selects the rows once per binding, expanding nothing: a
+/// constant must be in the cell, a variable's cell must be non-empty. The
+/// first constant on a flat column selects with Filter; until a check can
+/// drop a row, the selection stays implicit (`all`).
+///
+/// Phase 2 expands in binding order. A partial binding is its row plus
+/// one value position per list-bound variable. A variable's first
+/// occurrence on a list column unnests the cells by offsets; on a flat
+/// column it reads by row. A repeated variable keeps the partials whose
+/// cell holds the bound value. When every row survives, every output
+/// column reads by row and is appended whole.
+class ScanKernel {
+ public:
+  ScanKernel(
+      const std::vector<std::pair<size_t, const PatternTerm*>>& bindings,
+      const std::vector<int>& term_out, size_t num_outputs)
+      : bindings_(bindings), out_of_(term_out), bound_(num_outputs) {}
+
+  void Scan(const std::vector<const Column*>& cols,
+            const std::vector<bool>& dense, RelationChunk& out) {
+    namespace kernels = engine::kernels;
+    const size_t n = cols[0]->ids().size();
+    rows_.clear();
+    bool all = true;
+    size_t filtered = bindings_.size();  // The binding Filter selected by.
+    for (size_t i = 0; i < bindings_.size() && all; ++i) {
+      const PatternTerm& term = *bindings_[i].second;
+      if (!term.is_variable && cols[i]->kind() == ColumnKind::kId) {
+        kernels::Filter(cols[i]->ids(), term.id, 0, n, rows_);
+        all = false;
+        filtered = i;
+      }
+    }
+    auto select_all = [&]() {
+      if (all) kernels::Iota(0, n, rows_);
+      all = false;
+    };
+    for (size_t i = 0; i < bindings_.size() && (all || !rows_.empty()); ++i) {
+      const PatternTerm& term = *bindings_[i].second;
+      const Column& column = *cols[i];
+      const bool flat = column.kind() == ColumnKind::kId;
+      if (i == filtered || (term.is_variable && flat && dense[i])) continue;
+      select_all();
+      if (flat) {
+        term.is_variable ? kernels::RefineNotNull(column.ids(), rows_)
+                         : kernels::Refine(column.ids(), term.id, rows_);
+      } else {
+        term.is_variable
+            ? kernels::RefineListNotEmpty(column.lists(), rows_)
+            : kernels::RefineListContains(column.lists(), term.id, rows_);
+      }
+    }
+
+    for (Binding& b : bound_) b = {nullptr, nullptr, {}};
+    for (size_t i = 0; i < bindings_.size() && (all || !rows_.empty()); ++i) {
+      if (!bindings_[i].second->is_variable) continue;
+      const Column& column = *cols[i];
+      const bool flat = column.kind() == ColumnKind::kId;
+      Binding& b = bound_[static_cast<size_t>(out_of_[i])];
+      index_.clear();
+      if (b.by_row == nullptr && b.values == nullptr && flat) {
+        b.by_row = &column.ids();
+      } else if (b.by_row == nullptr && b.values == nullptr) {
+        select_all();
+        std::vector<uint32_t> positions;
+        kernels::ListExpand(column.lists(), rows_, index_, positions);
+        Reindex();
+        b.values = &column.lists().values;
+        b.positions = std::move(positions);
+      } else if (all && flat) {
+        // Nothing is list-bound yet: compare the whole columns.
+        kernels::FilterRowsEqual(column.ids(), *b.by_row, 0, n, index_);
+        if (index_.size() < n) {
+          rows_.swap(index_);
+          all = false;
+        }
+      } else {
+        select_all();
+        probe_.clear();
+        b.by_row != nullptr ? kernels::Gather(*b.by_row, rows_, probe_)
+                            : kernels::Gather(*b.values, b.positions, probe_);
+        if (flat) {
+          cell_.clear();
+          kernels::Gather(column.ids(), rows_, cell_);
+          kernels::FilterRowsEqual(cell_, probe_, 0, rows_.size(), index_);
+        } else {
+          kernels::FilterListContains(column.lists(), rows_, probe_, index_);
+        }
+        if (index_.size() < rows_.size()) Reindex();
+      }
+    }
+    if (!all && rows_.empty()) return;
+    for (size_t c = 0; c < bound_.size(); ++c) {
+      const Binding& b = bound_[c];
+      if (all) {
+        out.columns[c].insert(out.columns[c].end(), b.by_row->begin(),
+                              b.by_row->end());
+      } else if (b.by_row != nullptr) {
+        kernels::Gather(*b.by_row, rows_, out.columns[c]);
+      } else {
+        kernels::Gather(*b.values, b.positions, out.columns[c]);
+      }
+    }
+  }
+
+ private:
+  /// Re-indexes every partial through `index_` (repeat or keep indices).
+  void Reindex() {
+    scratch_.clear();
+    engine::kernels::Gather(rows_, index_, scratch_);
+    rows_.swap(scratch_);
+    for (Binding& b : bound_) {
+      if (b.values == nullptr) continue;
+      scratch_.clear();
+      engine::kernels::Gather(b.positions, index_, scratch_);
+      b.positions.swap(scratch_);
+    }
+  }
+
+  const std::vector<std::pair<size_t, const PatternTerm*>>& bindings_;
+  const std::vector<int>& out_of_;  // Per binding: its output column.
+  std::vector<Binding> bound_;      // Per output column.
+  std::vector<uint32_t> rows_;      // Per partial: its group-local row.
+  std::vector<uint32_t> index_, scratch_;
+  IdVector probe_, cell_;
+};
+
+}  // namespace
+
+Result<Relation> ScanRowGroups(
+    const std::vector<columnar::PagedTable>& partitions,
+    const std::vector<RowGroupPruner::Partition>& kept,
+    const std::vector<std::pair<size_t, const PatternTerm*>>& bindings,
+    Relation output, columnar::BufferPool& pool, cluster::CostModel& cost,
+    const engine::ExecContext* exec, ScanTelemetry pruned,
+    ScanTelemetry* telemetry) {
+  // Per binding: the output column of its variable (-1 for constants)
+  // and the pin its column reads. Each distinct column is pinned once, in
+  // order of first use: the key column is pin 0.
+  std::vector<int> term_out;
+  std::vector<uint32_t> pin_columns;
+  std::vector<size_t> pin_of;
+  for (const auto& [column, term] : bindings) {
+    term_out.push_back(term->is_variable ? output.ColumnIndex(term->name)
+                                         : -1);
+    auto it = std::find(pin_columns.begin(), pin_columns.end(), column);
+    pin_of.push_back(static_cast<size_t>(it - pin_columns.begin()));
+    if (it == pin_columns.end()) {
+      pin_columns.push_back(static_cast<uint32_t>(column));
+    }
+  }
+
+  // Scan tasks, in (partition, row) order: runs [begin, end) of a
+  // partition's surviving row groups, at least one group and otherwise at
+  // most TaskRows rows each.
+  std::vector<engine::Morsel> tasks;
+  const size_t task_rows = engine::TaskRows(exec);
+  for (uint32_t w = 0; w < partitions.size(); ++w) {
+    const std::vector<uint32_t>& groups = kept[w].groups;
+    size_t begin = 0;
+    size_t rows = 0;
+    for (size_t i = 0; i < groups.size(); ++i) {
+      const size_t group_rows = partitions[w].group(groups[i]).num_rows;
+      if (i > begin && rows + group_rows > task_rows) {
+        tasks.push_back({w, begin, i});
+        begin = i;
+        rows = 0;
+      }
+      rows += group_rows;
+    }
+    if (begin < groups.size()) tasks.push_back({w, begin, groups.size()});
+  }
+
+  PROST_RETURN_IF_ERROR(engine::RunMorsels(
+      exec, tasks,
+      [&](size_t t, RelationChunk& out) -> Status {
+        const engine::Morsel& task = tasks[t];
+        const columnar::PagedTable& paged = partitions[task.chunk];
+        ScanKernel kernel(bindings, term_out, output.num_columns());
+        std::vector<columnar::PinnedPage> pins;
+        pins.reserve(pin_columns.size());
+        std::vector<const Column*> cols(bindings.size());
+        std::vector<bool> dense(bindings.size());
+        for (size_t i = task.begin; i < task.end; ++i) {
+          const uint32_t g = kept[task.chunk].groups[i];
+          pins.clear();
+          for (uint32_t column : pin_columns) {
+            PROST_ASSIGN_OR_RETURN(columnar::PinnedPage pin,
+                                   pool.Pin(paged, g, column));
+            pins.push_back(std::move(pin));
+          }
+          for (size_t b = 0; b < bindings.size(); ++b) {
+            cols[b] = &pins[pin_of[b]].column();
+            dense[b] = paged.stats(g, bindings[b].first).null_count == 0;
+          }
+          kernel.Scan(cols, dense, out);
+        }
+        return Status::OK();
+      },
+      output));
+
+  // Cost charges stay on the calling thread — the simulated cluster clock
+  // is independent of real executor parallelism.
+  for (uint32_t w = 0; w < partitions.size(); ++w) {
+    cost.ChargeScan(w, kept[w].charged_bytes);
+    cost.ChargeCpuRows(w, kept[w].rows + output.chunks()[w].num_rows());
+    pruned.bytes_scanned += kept[w].charged_bytes;
+  }
+  pool.NoteRowGroupsSkipped(pruned.row_groups_skipped);
+  pool.NotePartitionsSkipped(pruned.partitions_skipped);
+  pool.NoteBytesScanned(pruned.bytes_scanned);
+  if (telemetry != nullptr) *telemetry = pruned;
+  // Partitions are key-hash placed, so a variable key keeps that
+  // co-location in the output.
+  if (bindings[0].second->is_variable) output.set_hash_partitioned_by(0);
+  return output;
 }
 
 }  // namespace prost::core

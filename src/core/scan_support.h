@@ -135,11 +135,32 @@ class RowGroupPruner {
   std::vector<size_t> non_null_columns_;
 };
 
-/// Books a finished paged scan: the bytes it charged into `local`, all of
-/// `local` into the pool's storage.* counters and, when given, into
-/// `telemetry`.
-void RecordPagedScan(columnar::BufferPool& pool, uint64_t bytes_scanned,
-                     ScanTelemetry local, ScanTelemetry* telemetry);
+/// A scan's output columns: each variable of `terms` (the key first) at
+/// its first occurrence. Empty when no term is a variable.
+std::vector<std::string> ScanOutputNames(
+    const std::vector<const PatternTerm*>& terms);
+
+/// The one paged scan of VP and PT partitions (DESIGN.md §15). `bindings`
+/// pairs storage columns with pattern terms as for RowGroupPruner, the
+/// key at column 0 first; a constant must be in its cell, and a variable
+/// binds the cell's values (a repeated one must hold its bound value).
+/// Scans the row groups pruning left in each partition, `kept`, into
+/// `output`, whose columns are the ScanOutputNames of those terms.
+///
+/// Each partition's surviving groups split into runs of at most
+/// engine::TaskRows rows, one engine::RunMorsels task each, so the output
+/// is bit-identical at any thread count. A group's bound columns stay
+/// pinned for exactly the duration of its scan. On the calling thread,
+/// each partition is charged its surviving bytes and its input plus
+/// output rows; those bytes join `pruned` (the pruner's telemetry) in the
+/// pool's storage.* counters and in `telemetry`, when given.
+Result<engine::Relation> ScanRowGroups(
+    const std::vector<columnar::PagedTable>& partitions,
+    const std::vector<RowGroupPruner::Partition>& kept,
+    const std::vector<std::pair<size_t, const PatternTerm*>>& bindings,
+    engine::Relation output, columnar::BufferPool& pool,
+    cluster::CostModel& cost, const engine::ExecContext* exec,
+    ScanTelemetry pruned, ScanTelemetry* telemetry);
 
 }  // namespace prost::core
 

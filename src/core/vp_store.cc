@@ -1,13 +1,9 @@
 #include "core/vp_store.h"
 
-#include <algorithm>
-
 #include "columnar/lexical_format.h"
 #include "common/hash.h"
 #include "common/io.h"
 #include "common/str_util.h"
-#include "engine/kernels.h"
-#include "engine/task_loop.h"
 
 namespace prost::core {
 
@@ -18,7 +14,6 @@ using columnar::IdVector;
 using columnar::Schema;
 using columnar::StoredTable;
 using engine::Relation;
-using engine::RelationChunk;
 
 namespace {
 
@@ -121,120 +116,30 @@ Result<Relation> VpStore::ScanTable(const PredicateTable* table,
                                     ScanTelemetry* telemetry) {
   // Output columns: subject variable first, then object variable (when
   // distinct). `?x p ?x` yields a single column with s==o enforced.
-  std::vector<std::string> names;
-  if (subject.is_variable) names.push_back(subject.name);
-  bool same_var = subject.is_variable && object.is_variable &&
-                  subject.name == object.name;
-  if (object.is_variable && !same_var) names.push_back(object.name);
+  std::vector<std::string> names = ScanOutputNames({&subject, &object});
   if (names.empty()) {
     return Status::Unimplemented(
         "triple patterns without variables are not supported");
   }
-
-  Relation output(names, num_workers);
+  Relation output(std::move(names), num_workers);
   if (table == nullptr) {
     return output;  // Unknown predicate: empty relation, nothing scanned.
   }
 
   // Per partition: the row groups the pruner cannot rule out, their rows
   // and the lexical bytes they charge; both columns form one charge unit.
+  // The scan is the PT scan's flat-only case: key `s`, one flat column `o`.
+  const std::vector<std::pair<size_t, const PatternTerm*>> bindings{
+      {0, &subject}, {1, &object}};
   std::vector<RowGroupPruner::Partition> kept(num_workers);
-  ScanTelemetry local;
-  const RowGroupPruner pruner(2, {{0, &subject}, {1, &object}}, hints);
+  ScanTelemetry pruned;
+  const RowGroupPruner pruner(2, bindings, hints);
   for (uint32_t w = 0; w < num_workers; ++w) {
     kept[w] = pruner.Prune(table->paged[w],
-                           {{{0, 1}, table->partition_bytes[w]}}, local);
+                           {{{0, 1}, table->partition_bytes[w]}}, pruned);
   }
-
-  // Scan tasks, in (partition, row) order: runs [begin, end) of a
-  // partition's surviving row groups, at least one group and otherwise at
-  // most TaskRows rows each.
-  std::vector<engine::Morsel> tasks;
-  const size_t task_rows = engine::TaskRows(exec);
-  for (uint32_t w = 0; w < num_workers; ++w) {
-    const std::vector<uint32_t>& groups = kept[w].groups;
-    size_t begin = 0;
-    size_t rows = 0;
-    for (size_t i = 0; i < groups.size(); ++i) {
-      const size_t group_rows = table->paged[w].group(groups[i]).num_rows;
-      if (i > begin && rows + group_rows > task_rows) {
-        tasks.push_back({w, begin, i});
-        begin = i;
-        rows = 0;
-      }
-      rows += group_rows;
-    }
-    if (begin < groups.size()) tasks.push_back({w, begin, groups.size()});
-  }
-
-  // The one VP scan kernel: emits the matching rows of one row group's
-  // (s, o) column pair into `out`. Vectorized: constant terms filter into
-  // a selection vector (`sel`, caller scratch), and the surviving rows
-  // materialize via per-column gathers in ascending row order.
-  auto scan_rows = [&](const IdVector& subjects, const IdVector& objects,
-                       RelationChunk& out, std::vector<uint32_t>& sel) {
-    const size_t end = subjects.size();
-    if (subject.is_variable && object.is_variable && !same_var) {
-      // Open scan: every row passes — bulk-append both columns.
-      out.columns[0].insert(out.columns[0].end(), subjects.begin(),
-                            subjects.end());
-      out.columns[1].insert(out.columns[1].end(), objects.begin(),
-                            objects.end());
-      return;
-    }
-    sel.clear();
-    if (!subject.is_variable) {
-      engine::kernels::Filter(subjects, subject.id, 0, end, sel);
-      if (!object.is_variable) {
-        engine::kernels::Refine(objects, object.id, sel);
-      }
-    } else if (!object.is_variable) {
-      engine::kernels::Filter(objects, object.id, 0, end, sel);
-    } else {  // same_var: ?x p ?x
-      engine::kernels::FilterRowsEqual(subjects, objects, 0, end, sel);
-    }
-    size_t c = 0;
-    if (subject.is_variable) {
-      engine::kernels::Gather(subjects, sel, out.columns[c++]);
-    }
-    if (object.is_variable && !same_var) {
-      engine::kernels::Gather(objects, sel, out.columns[c]);
-    }
-  };
-
-  PROST_RETURN_IF_ERROR(engine::RunMorsels(
-      exec, tasks,
-      [&](size_t t, RelationChunk& out) -> Status {
-        const engine::Morsel& task = tasks[t];
-        std::vector<uint32_t> sel;
-        // Pins hold a group's decoded columns resident for exactly the
-        // duration of its scan.
-        const columnar::PagedTable& part = table->paged[task.chunk];
-        for (size_t i = task.begin; i < task.end; ++i) {
-          const uint32_t g = kept[task.chunk].groups[i];
-          PROST_ASSIGN_OR_RETURN(columnar::PinnedPage s_page,
-                                 pool.Pin(part, g, 0));
-          PROST_ASSIGN_OR_RETURN(columnar::PinnedPage o_page,
-                                 pool.Pin(part, g, 1));
-          scan_rows(s_page.column().ids(), o_page.column().ids(), out, sel);
-        }
-        return Status::OK();
-      },
-      output));
-
-  // Cost charges stay on the calling thread — the simulated cluster clock
-  // is independent of real executor parallelism.
-  uint64_t bytes_scanned = 0;
-  for (uint32_t w = 0; w < num_workers; ++w) {
-    cost.ChargeScan(w, kept[w].charged_bytes);
-    cost.ChargeCpuRows(w, kept[w].rows + output.chunks()[w].num_rows());
-    bytes_scanned += kept[w].charged_bytes;
-  }
-  RecordPagedScan(pool, bytes_scanned, local, telemetry);
-  // VP partitions are subject-hash placed, so a variable subject keeps
-  // that co-location in the output.
-  if (subject.is_variable) output.set_hash_partitioned_by(0);
-  return output;
+  return ScanRowGroups(table->paged, kept, bindings, std::move(output), pool,
+                       cost, exec, pruned, telemetry);
 }
 
 VpStore::PredicateTable VpStore::BuildTable(

@@ -61,19 +61,17 @@ class VpStore {
   static uint64_t ScanTablePlannerBytes(const PredicateTable* table);
 
   /// Evaluates one triple pattern against the predicate's VP table,
-  /// producing a distributed relation over the pattern's variables.
-  /// Charges scan bytes and CPU rows to `cost` (inside the caller's
-  /// stage). Unknown predicates and impossible constants produce an empty
-  /// relation with the right columns. Runs of row groups are scan tasks
-  /// merged in morsel order, so the output is bit-identical at any thread
-  /// count; all cost charges stay on the calling thread.
+  /// producing a distributed relation over the pattern's variables and
+  /// charging scan bytes and CPU rows to `cost` (inside the caller's
+  /// stage). An unknown predicate yields an empty relation with the right
+  /// columns and charges nothing.
   ///
   /// Row groups whose zone maps exclude a constant term or an equality
-  /// `hint`, and partitions whose key bloom filter excludes a constant
-  /// subject, are skipped before decode — the query result is unchanged
-  /// because skipped rows could only have been removed by the pattern
-  /// constants / pushed filters anyway. Skips reduce the scan's cost
-  /// charge and are reported through `telemetry` when given.
+  /// `hint`, and partitions whose subject bloom filter excludes a
+  /// constant subject, are skipped before decode; skips lower the charge
+  /// and are reported through `telemetry` when given. The rest is the
+  /// Property Table scan's flat-only case (core::ScanRowGroups): key `s`,
+  /// one flat column `o`, and one charge unit of both columns' bytes.
   Result<engine::Relation> Scan(rdf::TermId predicate,
                                 const PatternTerm& subject,
                                 const PatternTerm& object,
