@@ -90,11 +90,18 @@ Checks, each with a short rule id used in diagnostics:
                        the slow path it replaced, and must not return.
                        The result-document readers (ParseJson, ParseTsv)
                        may parse terms: they read a client's text.
-  pt-row-at-a-time     `engine::Row` in src/core/property_table.cc. The
-                       Property Table scan refines a selection vector and
-                       unnests list cells by offsets (engine/kernels.h);
-                       a per-row partial binding is the row-at-a-time
-                       path it replaced, and must not return.
+  pt-row-at-a-time     `engine::Row` in src/core/scan_support.cc, the
+                       file that holds the one paged scan kernel. It
+                       refines a selection vector and unnests list cells
+                       by offsets (engine/kernels.h); a per-row partial
+                       binding is the row-at-a-time path it replaced, and
+                       must not return.
+  one-scan             `Pin(` in src/ outside the columnar layer
+                       (src/columnar/) and src/core/scan_support.cc. VP
+                       and Property Table partitions are scanned by one
+                       function (core::ScanRowGroups), the only place
+                       outside the pool that pins pages; a second pin
+                       loop is a second scan path.
   whole-result-copy    a call to `engine::Project(` or `engine::Limit(`
                        in src/core/ whose first argument is not
                        `std::move(`. Both take their relation by value
@@ -388,18 +395,36 @@ def lint_net_decode(path, lines, failures):
 
 
 PT_ROW = re.compile(r"\bengine::Row\b")
-PT_SCAN_FILE = "src/core/property_table.cc"
+SCAN_KERNEL_FILE = "src/core/scan_support.cc"
 
 
 def lint_pt_row_at_a_time(path, lines, failures):
-    """The Property Table scan runs on selection vectors and offsets; a
+    """The paged scan kernel runs on selection vectors and offsets; a
     per-row partial binding stays out of it."""
     for number, line in lines:
         if PT_ROW.search(line):
             failures.append(
                 f"{path}:{number}: [pt-row-at-a-time] engine::Row in the "
-                "Property Table; refine a selection vector and unnest list "
+                "scan kernel; refine a selection vector and unnest list "
                 "cells with engine::kernels instead of per-row partials"
+            )
+
+
+PIN_CALL = re.compile(r"\bPin\s*\(")
+
+
+def lint_one_scan(path, lines, failures):
+    """Only the columnar layer and the one paged scan may pin pages."""
+    if path.parts[:2] == ("src", "columnar") or (
+        path.as_posix() == SCAN_KERNEL_FILE
+    ):
+        return
+    for number, line in lines:
+        if PIN_CALL.search(line):
+            failures.append(
+                f"{path}:{number}: [one-scan] Pin( outside the columnar "
+                "layer; scan paged partitions through core::ScanRowGroups "
+                "(core/scan_support.h)"
             )
 
 
@@ -685,13 +710,14 @@ def main():
                                      failures)
             if directory == "src":
                 lint_parallel_for(relative, lines, failures)
+                lint_one_scan(relative, lines, failures)
                 lint_relation_planner_size(relative, lines,
                                            text.splitlines(), failures)
             if in_net_layer:
                 lint_net_decode(relative, lines, failures)
             if relative.parts[:2] == ("src", "core"):
                 lint_whole_result_copy(relative, lines, failures)
-            if relative.as_posix() == PT_SCAN_FILE:
+            if relative.as_posix() == SCAN_KERNEL_FILE:
                 lint_pt_row_at_a_time(relative, lines, failures)
             lint_include_order(relative, text, failures)
     lint_test_only_api(root, failures)
