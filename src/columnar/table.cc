@@ -36,6 +36,10 @@ Status StoredTable::Validate() const {
   return Status::OK();
 }
 
+namespace {
+
+/// Serialized-size estimate of one column under the best adaptive
+/// encoding.
 uint64_t ColumnSerializedSizeEstimate(const Column& column) {
   if (column.kind() == ColumnKind::kId) {
     uint64_t best = EncodedSize(column.ids(), Encoding::kPlainVarint);
@@ -59,6 +63,8 @@ uint64_t ColumnSerializedSizeEstimate(const Column& column) {
                 EncodedSize(lists.values, Encoding::kDeltaVarint)});
   return lengths_best + values_best + 12;
 }
+
+}  // namespace
 
 uint64_t LexicalColumnSizeEstimate(
     const Column& column, const std::vector<uint32_t>& term_lengths) {

@@ -42,10 +42,6 @@ class StoredTable {
   std::vector<Column> columns_;
 };
 
-/// Serialized-size estimate of one column under the best adaptive
-/// encoding (used for per-column scan-cost accounting).
-uint64_t ColumnSerializedSizeEstimate(const Column& column);
-
 /// Size estimate of one column in the *lexical* on-disk form
 /// (lexical_format.h): distinct values' string bytes (the local
 /// dictionary) plus the encoded index stream. This is what the simulated

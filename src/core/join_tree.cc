@@ -36,12 +36,6 @@ std::string JoinTreeNode::Label() const {
   return out;
 }
 
-size_t JoinTree::TotalPatterns() const {
-  size_t total = 0;
-  for (const JoinTreeNode& node : nodes) total += node.patterns.size();
-  return total;
-}
-
 std::string JoinTree::ToString() const {
   std::string out;
   for (size_t i = 0; i < nodes.size(); ++i) {

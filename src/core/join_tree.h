@@ -52,9 +52,6 @@ struct JoinTreeNode {
 struct JoinTree {
   std::vector<JoinTreeNode> nodes;
 
-  /// Total triple patterns covered (must equal the query's BGP size).
-  size_t TotalPatterns() const;
-
   std::string ToString() const;
 };
 

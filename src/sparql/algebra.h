@@ -28,9 +28,6 @@ struct TriplePattern {
   /// selectivity signal of §3.3).
   bool HasConstantSubject() const { return subject.is_concrete(); }
   bool HasConstantObject() const { return object.is_concrete(); }
-  bool HasLiteralOrConstant() const {
-    return HasConstantSubject() || HasConstantObject();
-  }
 
   std::string ToString() const;
 

@@ -73,7 +73,6 @@ CharacteristicSets CharacteristicSets::Builder::Build() && {
     set.predicates = signature;
     set.subject_count = acc.subject_count;
     set.occurrences = std::move(acc.occurrences);
-    result.total_subjects_ += set.subject_count;
     result.sets_.push_back(std::move(set));
   }
   result.BuildIndex();

@@ -64,7 +64,6 @@ class CharacteristicSets {
 
   const std::vector<CharacteristicSet>& sets() const { return sets_; }
   size_t num_sets() const { return sets_.size(); }
-  uint64_t total_subjects() const { return total_subjects_; }
 
   /// Star statistics over `predicates` (ids need not be sorted;
   /// duplicates are ignored). Walks the shortest of the predicates'
@@ -87,7 +86,6 @@ class CharacteristicSets {
   };
 
   std::vector<CharacteristicSet> sets_;
-  uint64_t total_subjects_ = 0;
   /// Predicate -> the signatures that contain it, by ascending index.
   std::unordered_map<rdf::TermId, std::vector<Posting>> postings_;
 };

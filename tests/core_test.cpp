@@ -454,7 +454,6 @@ TEST(TranslatorTest, GroupsSameSubjectIntoPtNode) {
   ASSERT_EQ(tree->nodes.size(), 1u);
   EXPECT_EQ(tree->nodes[0].kind, NodeKind::kPropertyTable);
   EXPECT_EQ(tree->nodes[0].patterns.size(), 2u);
-  EXPECT_EQ(tree->TotalPatterns(), 2u);
 }
 
 TEST(TranslatorTest, SinglePatternsBecomeVpNodes) {

@@ -182,7 +182,6 @@ TEST(AlgebraTest, PatternVariablesAndConstants) {
   EXPECT_EQ(pattern.Variables(), (std::vector<std::string>{"s"}));
   EXPECT_FALSE(pattern.HasConstantSubject());
   EXPECT_TRUE(pattern.HasConstantObject());
-  EXPECT_TRUE(pattern.HasLiteralOrConstant());
 }
 
 TEST(AlgebraTest, BgpVariablesSortedUnique) {
