@@ -44,8 +44,8 @@ struct PageFrame {
 
 const Column& PinnedPage::column() const { return frame_->data; }
 
-void PinnedPage::Release() {
-  if (pool_ != nullptr && frame_ != nullptr) pool_->Unpin(frame_);
+void PinnedPage::Unpin() {
+  pool_->Unpin(frame_);
   pool_ = nullptr;
   frame_ = nullptr;
 }

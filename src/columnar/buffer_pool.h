@@ -75,7 +75,12 @@ class PinnedPage {
   friend class BufferPool;
   PinnedPage(BufferPool* pool, PageFrame* frame)
       : pool_(pool), frame_(frame) {}
-  void Release();
+  /// Unpins a pinned page; a no-op on an empty handle, inline because
+  /// scans reset and destroy many empty handles.
+  void Release() {
+    if (pool_ != nullptr && frame_ != nullptr) Unpin();
+  }
+  void Unpin();
 
   BufferPool* pool_ = nullptr;
   PageFrame* frame_ = nullptr;

@@ -98,7 +98,7 @@ bool RowGroupPruner::ZoneMayContain(const columnar::ColumnStats& stats,
 }
 
 std::vector<std::string> ScanOutputNames(
-    const std::vector<const PatternTerm*>& terms) {
+    std::span<const PatternTerm* const> terms) {
   std::vector<std::string> names;
   for (const PatternTerm* term : terms) {
     if (term->is_variable &&
@@ -118,16 +118,17 @@ struct Binding {
   std::vector<uint32_t> positions;   // Per partial, into `values`.
 };
 
-/// The scan kernel, with scratch one task reuses over its row groups.
-/// Scan appends one pinned group's rows to `out`, row-major and, within a
-/// row, in list-cell order of the variables' first occurrences. It sees
-/// binding i as `cols[i]` (the key column first; row indices are
-/// group-local); `dense[i]` says that column has no NULL in the group.
+/// The scan kernel of one task. Scan appends one pinned row group's rows
+/// to `out`, row-major and, within a row, in list-cell order of the
+/// variables' first occurrences. Binding i reads the column of
+/// `pins[pin_of[i]]` (the key column is binding 0; row indices are
+/// group-local). `bound` is the task's slot per output column.
 ///
 /// Phase 1 selects the rows once per binding, expanding nothing: a
 /// constant must be in the cell, a variable's cell must be non-empty. The
-/// first constant on a flat column selects with Filter; until a check can
-/// drop a row, the selection stays implicit (`all`).
+/// first constant on a flat column selects with Filter, a variable on a
+/// flat column the group's stats show free of NULLs needs no check, and
+/// until a check can drop a row the selection stays implicit (`all`).
 ///
 /// Phase 2 expands in binding order. A partial binding is its row plus
 /// one value position per list-bound variable. A variable's first
@@ -139,20 +140,26 @@ class ScanKernel {
  public:
   ScanKernel(
       const std::vector<std::pair<size_t, const PatternTerm*>>& bindings,
-      const std::vector<int>& term_out, size_t num_outputs)
-      : bindings_(bindings), out_of_(term_out), bound_(num_outputs) {}
+      const std::vector<int>& out_of, const std::vector<size_t>& pin_of,
+      std::span<Binding> bound)
+      : bindings_(bindings), out_of_(out_of), pin_of_(pin_of),
+        bound_(bound) {}
 
-  void Scan(const std::vector<const Column*>& cols,
-            const std::vector<bool>& dense, RelationChunk& out) {
+  void Scan(const columnar::PagedTable& paged, uint32_t g,
+            std::span<const columnar::PinnedPage> pins, RelationChunk& out) {
     namespace kernels = engine::kernels;
-    const size_t n = cols[0]->ids().size();
+    auto column_of = [&](size_t i) -> const Column& {
+      return pins[pin_of_[i]].column();
+    };
+    const size_t n = column_of(0).ids().size();
     rows_.clear();
     bool all = true;
     size_t filtered = bindings_.size();  // The binding Filter selected by.
     for (size_t i = 0; i < bindings_.size() && all; ++i) {
       const PatternTerm& term = *bindings_[i].second;
-      if (!term.is_variable && cols[i]->kind() == ColumnKind::kId) {
-        kernels::Filter(cols[i]->ids(), term.id, 0, n, rows_);
+      const Column& column = column_of(i);
+      if (!term.is_variable && column.kind() == ColumnKind::kId) {
+        kernels::Filter(column.ids(), term.id, 0, n, rows_);
         all = false;
         filtered = i;
       }
@@ -161,11 +168,16 @@ class ScanKernel {
       if (all) kernels::Iota(0, n, rows_);
       all = false;
     };
-    for (size_t i = 0; i < bindings_.size() && (all || !rows_.empty()); ++i) {
+    for (size_t i = 0; i < bindings_.size() && (all || !rows_.empty());
+         ++i) {
       const PatternTerm& term = *bindings_[i].second;
-      const Column& column = *cols[i];
+      const Column& column = column_of(i);
       const bool flat = column.kind() == ColumnKind::kId;
-      if (i == filtered || (term.is_variable && flat && dense[i])) continue;
+      if (i == filtered ||
+          (term.is_variable && flat &&
+           paged.stats(g, bindings_[i].first).null_count == 0)) {
+        continue;
+      }
       select_all();
       if (flat) {
         term.is_variable ? kernels::RefineNotNull(column.ids(), rows_)
@@ -178,9 +190,10 @@ class ScanKernel {
     }
 
     for (Binding& b : bound_) b = {nullptr, nullptr, {}};
-    for (size_t i = 0; i < bindings_.size() && (all || !rows_.empty()); ++i) {
+    for (size_t i = 0; i < bindings_.size() && (all || !rows_.empty());
+         ++i) {
       if (!bindings_[i].second->is_variable) continue;
-      const Column& column = *cols[i];
+      const Column& column = column_of(i);
       const bool flat = column.kind() == ColumnKind::kId;
       Binding& b = bound_[static_cast<size_t>(out_of_[i])];
       index_.clear();
@@ -244,9 +257,10 @@ class ScanKernel {
   }
 
   const std::vector<std::pair<size_t, const PatternTerm*>>& bindings_;
-  const std::vector<int>& out_of_;  // Per binding: its output column.
-  std::vector<Binding> bound_;      // Per output column.
-  std::vector<uint32_t> rows_;      // Per partial: its group-local row.
+  const std::vector<int>& out_of_;     // Per binding: its output column.
+  const std::vector<size_t>& pin_of_;  // Per binding: its pin.
+  std::span<Binding> bound_;           // Per output column.
+  std::vector<uint32_t> rows_;         // Per partial: its group-local row.
   std::vector<uint32_t> index_, scratch_;
   IdVector probe_, cell_;
 };
@@ -263,12 +277,14 @@ Result<Relation> ScanRowGroups(
   // Per binding: the output column of its variable (-1 for constants)
   // and the pin its column reads. Each distinct column is pinned once, in
   // order of first use: the key column is pin 0.
-  std::vector<int> term_out;
+  std::vector<int> out_of;
   std::vector<uint32_t> pin_columns;
   std::vector<size_t> pin_of;
+  out_of.reserve(bindings.size());
+  pin_columns.reserve(bindings.size());
+  pin_of.reserve(bindings.size());
   for (const auto& [column, term] : bindings) {
-    term_out.push_back(term->is_variable ? output.ColumnIndex(term->name)
-                                         : -1);
+    out_of.push_back(term->is_variable ? output.ColumnIndex(term->name) : -1);
     auto it = std::find(pin_columns.begin(), pin_columns.end(), column);
     pin_of.push_back(static_cast<size_t>(it - pin_columns.begin()));
     if (it == pin_columns.end()) {
@@ -280,6 +296,7 @@ Result<Relation> ScanRowGroups(
   // partition's surviving row groups, at least one group and otherwise at
   // most TaskRows rows each.
   std::vector<engine::Morsel> tasks;
+  tasks.reserve(partitions.size());
   const size_t task_rows = engine::TaskRows(exec);
   for (uint32_t w = 0; w < partitions.size(); ++w) {
     const std::vector<uint32_t>& groups = kept[w].groups;
@@ -297,29 +314,29 @@ Result<Relation> ScanRowGroups(
     if (begin < groups.size()) tasks.push_back({w, begin, groups.size()});
   }
 
+  // Each task's pins and output-column slots, allocated once per scan: a
+  // small scan's cost is mostly per-task set-up.
+  const size_t num_pins = pin_columns.size();
+  const size_t num_outputs = output.num_columns();
+  std::vector<columnar::PinnedPage> pins(tasks.size() * num_pins);
+  std::vector<Binding> bound(tasks.size() * num_outputs);
   PROST_RETURN_IF_ERROR(engine::RunMorsels(
       exec, tasks,
       [&](size_t t, RelationChunk& out) -> Status {
         const engine::Morsel& task = tasks[t];
         const columnar::PagedTable& paged = partitions[task.chunk];
-        ScanKernel kernel(bindings, term_out, output.num_columns());
-        std::vector<columnar::PinnedPage> pins;
-        pins.reserve(pin_columns.size());
-        std::vector<const Column*> cols(bindings.size());
-        std::vector<bool> dense(bindings.size());
+        std::span<columnar::PinnedPage> task_pins(&pins[t * num_pins],
+                                                  num_pins);
+        ScanKernel kernel(bindings, out_of, pin_of,
+                          {&bound[t * num_outputs], num_outputs});
         for (size_t i = task.begin; i < task.end; ++i) {
           const uint32_t g = kept[task.chunk].groups[i];
-          pins.clear();
-          for (uint32_t column : pin_columns) {
-            PROST_ASSIGN_OR_RETURN(columnar::PinnedPage pin,
-                                   pool.Pin(paged, g, column));
-            pins.push_back(std::move(pin));
+          for (size_t p = 0; p < num_pins; ++p) {
+            PROST_ASSIGN_OR_RETURN(task_pins[p],
+                                   pool.Pin(paged, g, pin_columns[p]));
           }
-          for (size_t b = 0; b < bindings.size(); ++b) {
-            cols[b] = &pins[pin_of[b]].column();
-            dense[b] = paged.stats(g, bindings[b].first).null_count == 0;
-          }
-          kernel.Scan(cols, dense, out);
+          kernel.Scan(paged, g, task_pins, out);
+          for (columnar::PinnedPage& pin : task_pins) pin = {};
         }
         return Status::OK();
       },

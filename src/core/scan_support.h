@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -138,7 +139,7 @@ class RowGroupPruner {
 /// A scan's output columns: each variable of `terms` (the key first) at
 /// its first occurrence. Empty when no term is a variable.
 std::vector<std::string> ScanOutputNames(
-    const std::vector<const PatternTerm*>& terms);
+    std::span<const PatternTerm* const> terms);
 
 /// The one paged scan of VP and PT partitions (DESIGN.md §15). `bindings`
 /// pairs storage columns with pattern terms as for RowGroupPruner, the

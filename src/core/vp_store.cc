@@ -116,7 +116,8 @@ Result<Relation> VpStore::ScanTable(const PredicateTable* table,
                                     ScanTelemetry* telemetry) {
   // Output columns: subject variable first, then object variable (when
   // distinct). `?x p ?x` yields a single column with s==o enforced.
-  std::vector<std::string> names = ScanOutputNames({&subject, &object});
+  const PatternTerm* const terms[] = {&subject, &object};
+  std::vector<std::string> names = ScanOutputNames(terms);
   if (names.empty()) {
     return Status::Unimplemented(
         "triple patterns without variables are not supported");
