@@ -67,7 +67,6 @@ class PinnedPage {
   PinnedPage(const PinnedPage&) = delete;
   PinnedPage& operator=(const PinnedPage&) = delete;
 
-  bool valid() const { return frame_ != nullptr; }
   /// The decoded column chunk. Valid for the lifetime of this handle.
   const Column& column() const;
 
@@ -75,8 +74,7 @@ class PinnedPage {
   friend class BufferPool;
   PinnedPage(BufferPool* pool, PageFrame* frame)
       : pool_(pool), frame_(frame) {}
-  /// Unpins a pinned page; a no-op on an empty handle, inline because
-  /// scans reset and destroy many empty handles.
+  /// Inline, so that resetting or destroying an empty handle costs no call.
   void Release() {
     if (pool_ != nullptr && frame_ != nullptr) Unpin();
   }

@@ -118,24 +118,16 @@ struct Binding {
   std::vector<uint32_t> positions;   // Per partial, into `values`.
 };
 
-/// The scan kernel of one task. Scan appends one pinned row group's rows
-/// to `out`, row-major and, within a row, in list-cell order of the
-/// variables' first occurrences. Binding i reads the column of
-/// `pins[pin_of[i]]` (the key column is binding 0; row indices are
-/// group-local). `bound` is the task's slot per output column.
-///
-/// Phase 1 selects the rows once per binding, expanding nothing: a
-/// constant must be in the cell, a variable's cell must be non-empty. The
-/// first constant on a flat column selects with Filter, a variable on a
-/// flat column the group's stats show free of NULLs needs no check, and
-/// until a check can drop a row the selection stays implicit (`all`).
-///
-/// Phase 2 expands in binding order. A partial binding is its row plus
-/// one value position per list-bound variable. A variable's first
-/// occurrence on a list column unnests the cells by offsets; on a flat
-/// column it reads by row. A repeated variable keeps the partials whose
-/// cell holds the bound value. When every row survives, every output
-/// column reads by row and is appended whole.
+/// The scan kernel of one task (DESIGN.md §15, step 3). Scan appends one
+/// pinned row group's rows to `out`, row-major and, within a row, in
+/// list-cell order of the variables' first occurrences; binding i reads
+/// `pins[pin_of[i]]`, the key being binding 0. Phase 1 selects the rows
+/// once per binding, expanding nothing. Phase 2 expands in binding order:
+/// a variable's first occurrence on a list column unnests the cells by
+/// offsets, on a flat column it reads by row, and a repeated variable
+/// keeps the partials whose cell holds the bound value. While no check
+/// has dropped a row (`all`), the selection is not materialized, a flat
+/// constant selects with Filter and the output columns append whole.
 class ScanKernel {
  public:
   ScanKernel(
@@ -154,16 +146,6 @@ class ScanKernel {
     const size_t n = column_of(0).ids().size();
     rows_.clear();
     bool all = true;
-    size_t filtered = bindings_.size();  // The binding Filter selected by.
-    for (size_t i = 0; i < bindings_.size() && all; ++i) {
-      const PatternTerm& term = *bindings_[i].second;
-      const Column& column = column_of(i);
-      if (!term.is_variable && column.kind() == ColumnKind::kId) {
-        kernels::Filter(column.ids(), term.id, 0, n, rows_);
-        all = false;
-        filtered = i;
-      }
-    }
     auto select_all = [&]() {
       if (all) kernels::Iota(0, n, rows_);
       all = false;
@@ -173,9 +155,13 @@ class ScanKernel {
       const PatternTerm& term = *bindings_[i].second;
       const Column& column = column_of(i);
       const bool flat = column.kind() == ColumnKind::kId;
-      if (i == filtered ||
-          (term.is_variable && flat &&
-           paged.stats(g, bindings_[i].first).null_count == 0)) {
+      if (flat && !term.is_variable && all) {
+        kernels::Filter(column.ids(), term.id, 0, n, rows_);
+        all = false;
+        continue;
+      }
+      if (term.is_variable && flat &&
+          paged.stats(g, bindings_[i].first).null_count == 0) {
         continue;
       }
       select_all();
@@ -277,19 +263,15 @@ Result<Relation> ScanRowGroups(
   // Per binding: the output column of its variable (-1 for constants)
   // and the pin its column reads. Each distinct column is pinned once, in
   // order of first use: the key column is pin 0.
-  std::vector<int> out_of;
+  std::vector<int> out_of(bindings.size(), -1);
+  std::vector<size_t> pin_of(bindings.size());
   std::vector<uint32_t> pin_columns;
-  std::vector<size_t> pin_of;
-  out_of.reserve(bindings.size());
-  pin_columns.reserve(bindings.size());
-  pin_of.reserve(bindings.size());
-  for (const auto& [column, term] : bindings) {
-    out_of.push_back(term->is_variable ? output.ColumnIndex(term->name) : -1);
+  for (size_t b = 0; b < bindings.size(); ++b) {
+    const auto& [column, term] = bindings[b];
+    if (term->is_variable) out_of[b] = output.ColumnIndex(term->name);
     auto it = std::find(pin_columns.begin(), pin_columns.end(), column);
-    pin_of.push_back(static_cast<size_t>(it - pin_columns.begin()));
-    if (it == pin_columns.end()) {
-      pin_columns.push_back(static_cast<uint32_t>(column));
-    }
+    pin_of[b] = static_cast<size_t>(it - pin_columns.begin());
+    if (it == pin_columns.end()) pin_columns.push_back(column);
   }
 
   // Scan tasks, in (partition, row) order: runs [begin, end) of a
